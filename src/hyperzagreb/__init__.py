@@ -5,9 +5,7 @@ from .codec import decode_graph6, encode_graph6, format_edgelist, parse_edgelist
 from .families import (
     CATALOG,
     ClosedFormPoly,
-    FamilySpec,
     RootedTree,
-    build,
     build_catalog_member,
     closed_form,
     cycle,

@@ -53,11 +53,18 @@ class _CliFailure(Exception):
 def _read_text(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
         raise _CliFailure(EXIT_IO, f"cannot read {path}: {exc}") from exc
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise _CliFailure(
+            EXIT_PARSE, f"parse failure: non-ASCII byte at offset {exc.start} in {path}"
+        ) from None
 
 
 def _load_graph(path: str, fmt: str) -> Graph:
@@ -203,16 +210,7 @@ def _cmd_rank(args) -> int:
     except ValueError as exc:
         raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
     if args.format == "json":
-        payload = [
-            {
-                "rank": e.rank,
-                "hm": e.hm,
-                "family": e.family_match,
-                "graph6": encode_graph6(e.graph),
-                "code": e.code.hex(),
-            }
-            for e in entries
-        ]
+        payload = [e.to_json_dict() for e in entries]
         _write_out(json.dumps(payload) + "\n", args.out)
     elif args.format == "csv":
         buf = io.StringIO()
@@ -222,13 +220,14 @@ def _cmd_rank(args) -> int:
             w.writerow([e.rank, e.hm, e.family_match or "", encode_graph6(e.graph)])
         _write_out(buf.getvalue(), args.out)
     else:
-        lines = [
-            f"rank: {e.rank} hm: {e.hm} family: {e.family_match or '-'} "
-            f"graph6: {encode_graph6(e.graph)}"
-            for e in entries
-        ]
-        _write_out("\n".join(lines) + "\n", args.out)
+        _write_out("".join(e.to_text() + "\n" for e in entries), args.out)
     return EXIT_OK
+
+
+def _render(report, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(report.to_json_dict(), sort_keys=True) + "\n"
+    return report.to_text()
 
 
 def _cmd_verify(args) -> int:
@@ -242,11 +241,7 @@ def _cmd_verify(args) -> int:
             except ValueError as exc:
                 raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
             ok = ok and report.passed
-            chunks.append(
-                json.dumps(report.to_json_dict(), sort_keys=True) + "\n"
-                if args.format == "json"
-                else report.to_text()
-            )
+            chunks.append(_render(report, args.format))
         if args.klass == "trees" and args.discover_threshold:
             thr = discover_tree_threshold(5, hi)
             chunks.append(
@@ -256,11 +251,7 @@ def _cmd_verify(args) -> int:
     elif args.klass == "lemmas":
         report = lemma_suite(seed=args.seed, trials=args.trials)
         ok = report.passed
-        chunks.append(
-            json.dumps(report.to_json_dict(), sort_keys=True) + "\n"
-            if args.format == "json"
-            else report.to_text()
-        )
+        chunks.append(_render(report, args.format))
     else:  # closed-forms
         lo, hi = _parse_range(args.range or "15..45")
         try:
@@ -268,11 +259,7 @@ def _cmd_verify(args) -> int:
         except ValueError as exc:
             raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
         ok = report.passed
-        chunks.append(
-            json.dumps(report.to_json_dict(), sort_keys=True) + "\n"
-            if args.format == "json"
-            else report.to_text()
-        )
+        chunks.append(_render(report, args.format))
     _write_out("".join(chunks), args.out)
     return EXIT_OK if ok else EXIT_CLAIM_FAILED
 
@@ -312,13 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "them, and verify the extremal-ordering claims."
         ),
         epilog="Catalog keys: " + ", ".join(CATALOG),
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="upper bound on worker threads (0 = auto; the current "
-        "implementation is single-threaded and deterministic)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

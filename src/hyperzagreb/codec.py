@@ -16,14 +16,15 @@ class CodecError(ValueError):
 
 
 _HEADER = ">>graph6<<"
+MAX_ORDER = 258047  # largest order graph6 can write; the edge list shares it
 
 
 def _encode_order(n: int) -> str:
     if n <= 62:
         return chr(n + 63)
-    if n <= 258047:
+    if n <= MAX_ORDER:
         return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    raise CodecError(f"graph6 supports at most 258047 vertices, got {n}")
+    raise CodecError(f"graph6 supports at most {MAX_ORDER} vertices, got {n}")
 
 
 def _decode_order(s: str) -> tuple[int, int]:
@@ -113,6 +114,8 @@ def parse_edgelist(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise CodecError(f"non-integer header {rows[0]!r}") from exc
+    if n > MAX_ORDER:
+        raise CodecError(f"order {n} exceeds the limit of {MAX_ORDER} vertices")
     if len(rows) - 1 != m:
         raise CodecError(f"header says {m} edges, found {len(rows) - 1}")
     edges = []

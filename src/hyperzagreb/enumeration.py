@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Iterator
+from itertools import combinations, permutations, product
+from typing import Iterator, Sequence
 
 from .graphs import Graph, from_adjacency, make_graph
 from .rooted import Form, forests, form_edges, rooted_forms
@@ -56,46 +56,35 @@ def trees(n: int) -> Iterator[Graph]:
                 yield make_graph(last, edges)
 
 
-# Registry of rooted forms as dense integer ids.  Ids ascend in (size, form)
-# order, so tuple-of-id comparisons agree with the form_key order used by
-# canonical codes.
-_REG_FORMS: list[Form] = []
-_REG_IDS_BY_SIZE: list[list[int]] = [[]]  # index 0 unused
-_REG_SIZES: list[int] = []
-
-
-def _registry_ensure(size: int) -> None:
-    while len(_REG_IDS_BY_SIZE) - 1 < size:
-        s = len(_REG_IDS_BY_SIZE)
-        ids = []
-        for f in rooted_forms(s):
-            ids.append(len(_REG_FORMS))
-            _REG_FORMS.append(f)
-            _REG_SIZES.append(s)
-        _REG_IDS_BY_SIZE.append(ids)
-
-
 def unicyclic_graphs(n: int) -> Iterator[Graph]:
     """All connected unicyclic graphs on n vertices, one per class."""
     if n < 3:
         raise ValueError(f"order must be >= 3, got {n}")
-    _registry_ensure(n - 2)
+    # Rooted forms as dense integer ids.  Ids ascend in (size, form) order,
+    # so tuple-of-id comparisons agree with the form_key order used by
+    # canonical codes.
+    forms: list[Form] = []
+    ids_by_size = [range(0)]  # index 0 unused
+    for s in range(1, n - 1):
+        level = rooted_forms(s)
+        ids_by_size.append(range(len(forms), len(forms) + len(level)))
+        forms.extend(level)
     for m in range(3, n + 1):
-        yield from _cycle_necklaces(m, n)
+        yield from _cycle_necklaces(m, n, forms, ids_by_size)
 
 
-def _cycle_necklaces(m: int, n: int) -> Iterator[Graph]:
+def _cycle_necklaces(
+    m: int, n: int, forms: list[Form], ids_by_size: list[range]
+) -> Iterator[Graph]:
     """Unicyclic classes with cycle length m: dihedral-minimal id tuples."""
-    sizes = _REG_SIZES
-    ids_by_size = _REG_IDS_BY_SIZE
     extra = n - m  # vertices beyond the cycle
 
     def build(t: tuple[int, ...]) -> Graph:
         edges = [(i, (i + 1) % m) for i in range(m)]
         next_id = m
         for pos, fid in enumerate(t):
-            if sizes[fid] > 1:
-                more, next_id = form_edges(_REG_FORMS[fid], pos, next_id)
+            if forms[fid]:  # the single-vertex form adds no edges
+                more, next_id = form_edges(forms[fid], pos, next_id)
                 edges.extend(more)
         return make_graph(n, edges)
 
@@ -164,6 +153,27 @@ def _graph_from_mask(n: int, mask: int) -> Graph:
     return make_graph(n, edges)
 
 
+def prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """Edges of the labeled tree on n >= 2 vertices with Pruefer sequence seq.
+
+    Each step joins the smallest current leaf to the next sequence entry;
+    the last two remaining vertices form the final edge.
+    """
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        edges.append((heapq.heappop(leaves), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return edges
+
+
 def _labeled_tree_masks(n: int) -> set[int]:
     """Edge-bit masks of every labeled tree on n vertices.
 
@@ -172,37 +182,13 @@ def _labeled_tree_masks(n: int) -> set[int]:
     """
     if n == 1:
         return {0}
-    if n == 2:
-        return {1}
-    index = _pair_index(n)
-    masks: set[int] = set()
-    seq = [0] * (n - 2)
-    while True:
-        degree = [1] * n
-        for x in seq:
-            degree[x] += 1
-        leaves = [v for v in range(n) if degree[v] == 1]
-        heapq.heapify(leaves)
-        mask = 0
-        for x in seq:
-            leaf = heapq.heappop(leaves)
-            mask |= 1 << index[(leaf, x) if leaf < x else (x, leaf)]
-            degree[x] -= 1
-            if degree[x] == 1:
-                heapq.heappush(leaves, x)
-        u = heapq.heappop(leaves)
-        v = heapq.heappop(leaves)
-        mask |= 1 << index[(u, v)]
-        masks.add(mask)
-        # next sequence in lexicographic order
-        i = n - 3
-        while i >= 0 and seq[i] == n - 1:
-            seq[i] = 0
-            i -= 1
-        if i < 0:
-            break
-        seq[i] += 1
-    return masks
+    bit = [[0] * n for _ in range(n)]  # bit[u][v]: the mask bit of edge uv
+    for (u, v), i in _pair_index(n).items():
+        bit[u][v] = bit[v][u] = 1 << i
+    return {
+        sum([bit[u][v] for u, v in prufer_edges(seq, n)])
+        for seq in product(range(n), repeat=n - 2)
+    }
 
 
 def _labeled_unicyclic_masks(n: int) -> set[int]:

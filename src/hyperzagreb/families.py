@@ -14,7 +14,7 @@ directly computed index of the built graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .graphs import Graph, GraphError, is_tree, make_graph
@@ -68,24 +68,8 @@ class RootedTree:
 Attachment = Union[int, Form, RootedTree]
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parametric descriptor of a named construction.
-
-    kinds: star, path, cycle, tree_t1..tree_t4, cycle_with_attachments.
-    For cycle_with_attachments, `attachments` holds (cycle position, tree)
-    pairs where the tree is a RootedTree, a nested-tuple form, or an int l
-    meaning a pendant star with l leaves.
-    """
-
-    kind: str
-    n: int
-    m: int = 0
-    attachments: tuple[tuple[int, Attachment], ...] = field(default=())
-
-
-def _tree_from_root_form(children: list[Form], n: int) -> Graph:
-    edges, last = form_edges(tuple(children), 0, 1)
+def _tree_from_root_form(form: Form, n: int) -> Graph:
+    edges, last = form_edges(form, 0, 1)
     assert last == n
     return make_graph(n, edges)
 
@@ -94,7 +78,7 @@ def star(n: int) -> Graph:
     """S_n: one center adjacent to n-1 leaves."""
     if n < 2:
         raise FamilyDomainError(f"star needs n >= 2, got {n}")
-    return _tree_from_root_form([()] * (n - 1), n)
+    return _tree_from_root_form(star_form(n - 1), n)
 
 
 def path(n: int) -> Graph:
@@ -111,32 +95,48 @@ def cycle(n: int) -> Graph:
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-_TREE_T_MIN = {1: 4, 2: 6, 3: 5, 4: 6}
+# The broom T^k on `size` vertices rooted at its center.  A subdivided edge
+# hangs a 2-vertex path off the center: path_form(1).
+def _t1_root_form(size: int) -> Form:
+    return tuple([path_form(1)] + [()] * (size - 3))
+
+
+def _t2_root_form(size: int) -> Form:
+    return tuple([star_form(2)] + [()] * (size - 4))
+
+
+def _t3_root_form(size: int) -> Form:
+    return tuple([path_form(1), path_form(1)] + [()] * (size - 5))
+
+
+def _t4_root_form(size: int) -> Form:
+    return tuple([star_form(3)] + [()] * (size - 5))
+
+
+# k -> (smallest order, root form) of T^k
+_TREE_T = {
+    1: (4, _t1_root_form),
+    2: (6, _t2_root_form),
+    3: (5, _t3_root_form),
+    4: (6, _t4_root_form),
+}
 
 
 def tree_t_family(k: int, n: int) -> Graph:
     """The broom-family tree T^k_n for k in 1..4."""
-    if k not in _TREE_T_MIN:
+    if k not in _TREE_T:
         raise FamilyDomainError(f"tree family index must be 1..4, got {k}")
-    if n < _TREE_T_MIN[k]:
-        raise FamilyDomainError(f"T^{k} needs n >= {_TREE_T_MIN[k]}, got {n}")
-    # A subdivided edge hangs a 2-vertex path off the center: path_form(1).
-    if k == 1:
-        children = [path_form(1)] + [()] * (n - 3)
-    elif k == 2:
-        children = [star_form(2)] + [()] * (n - 4)
-    elif k == 3:
-        children = [path_form(1), path_form(1)] + [()] * (n - 5)
-    else:
-        children = [star_form(3)] + [()] * (n - 5)
-    return _tree_from_root_form(children, n)
+    n_min, root_form = _TREE_T[k]
+    if n < n_min:
+        raise FamilyDomainError(f"T^{k} needs n >= {n_min}, got {n}")
+    return _tree_from_root_form(root_form(n), n)
 
 
 def long_broom(n: int) -> Graph:
     """Star center with n-4 leaves plus one pendant path of three edges."""
     if n < 5:
         raise FamilyDomainError(f"long broom needs n >= 5, got {n}")
-    return _tree_from_root_form([path_form(2)] + [()] * (n - 4), n)
+    return _tree_from_root_form(tuple([path_form(2)] + [()] * (n - 4)), n)
 
 
 def _as_form(att: Attachment) -> Form:
@@ -183,27 +183,6 @@ def cycle_with_stars(m: int, pendant_counts: Sequence[int]) -> Graph:
     )
 
 
-def build(spec: FamilySpec) -> Graph:
-    """Materialize a FamilySpec; validates the order arithmetic."""
-    kind = spec.kind
-    if kind == "star":
-        return star(spec.n)
-    if kind == "path":
-        return path(spec.n)
-    if kind == "cycle":
-        return cycle(spec.n)
-    if kind in ("tree_t1", "tree_t2", "tree_t3", "tree_t4"):
-        return tree_t_family(int(kind[-1]), spec.n)
-    if kind == "cycle_with_attachments":
-        g = cycle_with_attachments(spec.m, spec.attachments)
-        if g.n != spec.n:
-            raise FamilyDomainError(
-                f"attachments give order {g.n}, spec says {spec.n}"
-            )
-        return g
-    raise UnknownFamilyError(kind)
-
-
 def cycle_star_hm(m: int, n: int) -> int:
     """Index value of C_m(n-m): a cycle with one pendant star of n-m leaves.
 
@@ -241,19 +220,6 @@ class CatalogEntry:
     poly: ClosedFormPoly
     builder: Callable[[int], Graph]
     description: str
-
-
-def _t1_root_form(size: int) -> Form:
-    # Broom T^1 on `size` vertices rooted at its center.
-    return tuple([path_form(1)] + [()] * (size - 3))
-
-
-def _t2_root_form(size: int) -> Form:
-    return tuple([star_form(2)] + [()] * (size - 4))
-
-
-def _t3_root_form(size: int) -> Form:
-    return tuple([path_form(1), path_form(1)] + [()] * (size - 5))
 
 
 def _catalog() -> dict[str, CatalogEntry]:

@@ -170,8 +170,12 @@ class MergeOutcome:
     reason: str
 
 
-def _rebuild_from_counts(m: int, counts: list[int]) -> Graph:
-    return cycle_with_stars(m, counts)
+def _move_star(m: int, counts: list[int], src: int, tgt: int) -> Graph:
+    """C_m with the pendants at cycle position src moved onto position tgt."""
+    new_counts = counts[:]
+    new_counts[tgt] += new_counts[src]
+    new_counts[src] = 0
+    return cycle_with_stars(m, new_counts)
 
 
 def merge_adjacent_star(g: Graph, i: int) -> MergeOutcome:
@@ -205,10 +209,7 @@ def merge_adjacent_star(g: Graph, i: int) -> MergeOutcome:
     for tgt in candidates:
         other = (2 * src - tgt) % m  # the source's cycle neighbor away from tgt
         if deg(src) <= deg(tgt) and deg(other) <= deg(tgt):
-            new_counts = counts[:]
-            new_counts[tgt] += new_counts[src]
-            new_counts[src] = 0
-            return MergeOutcome(True, _rebuild_from_counts(m, new_counts), "")
+            return MergeOutcome(True, _move_star(m, counts, src, tgt), "")
     return MergeOutcome(False, None, "target degree below source or its neighbor")
 
 
@@ -240,7 +241,7 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
                         seen.add(y)
                         counts[idx] += 1
                         stack.append(y)
-        current = _rebuild_from_counts(len(cyc), counts)
+        current = cycle_with_stars(len(cyc), counts)
         chain.append(current)
     else:
         current = g
@@ -277,10 +278,7 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
             assert sources, "no dominance-compatible source attachment"
         best = None
         for src in sources:
-            new_counts = counts[:]
-            new_counts[tgt] += new_counts[src]
-            new_counts[src] = 0
-            cand = _rebuild_from_counts(m, new_counts)
+            cand = _move_star(m, counts, src, tgt)
             key = canonical_code(cand)
             if best is None or key < best[0]:
                 best = (key, cand)

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .canon import canonical_code, cycle_vertices
 from .codec import encode_graph6
-from .enumeration import trees, unicyclic_graphs
+from .enumeration import prufer_edges, trees, unicyclic_graphs
 from .families import (
     CATALOG,
     TREE_TOP4,
@@ -28,6 +28,7 @@ from .families import (
     build_catalog_member,
     cycle_star_hm,
     cycle_star_hm_miscounted,
+    cycle_with_stars,
     tree_t_family,
 )
 from .graphs import Graph, hyper_zagreb, make_graph
@@ -49,6 +50,21 @@ class RankEntry:
     code: bytes
     graph: Graph
     family_match: str | None
+
+    def to_text(self) -> str:
+        return (
+            f"rank: {self.rank} hm: {self.hm} family: {self.family_match or '-'} "
+            f"graph6: {encode_graph6(self.graph)}"
+        )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "rank": self.rank,
+            "hm": self.hm,
+            "family": self.family_match,
+            "graph6": encode_graph6(self.graph),
+            "code": self.code.hex(),
+        }
 
 
 def _compact(buf: list[tuple[int, Graph]], k: int) -> list[tuple[int, Graph]]:
@@ -123,12 +139,7 @@ class VerdictReport:
             f"verdict: {self.verdict}",
             f"expected: {', '.join(self.expected)}",
         ]
-        for e in self.entries:
-            label = e.family_match or "-"
-            lines.append(
-                f"rank: {e.rank} hm: {e.hm} family: {label} "
-                f"graph6: {encode_graph6(e.graph)}"
-            )
+        lines.extend(e.to_text() for e in self.entries)
         for hm, members in self.tie_details:
             lines.append(f"tie: hm: {hm} members: {', '.join(members)}")
         for note in self.notes:
@@ -141,16 +152,7 @@ class VerdictReport:
             "n": self.n,
             "verdict": self.verdict,
             "expected": list(self.expected),
-            "entries": [
-                {
-                    "rank": e.rank,
-                    "hm": e.hm,
-                    "family": e.family_match,
-                    "graph6": encode_graph6(e.graph),
-                    "code": e.code.hex(),
-                }
-                for e in self.entries
-            ],
+            "entries": [e.to_json_dict() for e in self.entries],
             "ties": [
                 {"hm": hm, "members": list(members)} for hm, members in self.tie_details
             ],
@@ -174,41 +176,41 @@ def _evaluate_chain(
     entries: list[RankEntry],
     expected_keys: list[str],
     allowed_tail_tie: str | None,
+    families: dict[bytes, str],
 ) -> tuple[str, list[str]]:
     """Compare an observed ranking against an expected strict family chain.
 
-    The last expected value may be shared with the one designated companion
-    family; that demotes pass to tie-noted.  Any other deviation fails.
+    Each expected family's code comes from the family_codes map.  The last
+    expected value may be shared with the one designated companion family;
+    that demotes pass to tie-noted.  Any other deviation fails.
     """
     notes: list[str] = []
-    expected = [
-        (key, CATALOG[key].poly.evaluate(n), canonical_code(build_catalog_member(key, n)))
-        for key in expected_keys
-    ]
+    code_of = {key: code for code, key in families.items()}
     idx = 0
-    for key, val, code in expected[:-1]:
+    for key in expected_keys[:-1]:
+        val = CATALOG[key].poly.evaluate(n)
         if idx >= len(entries):
             return "fail", [f"ranking ended before expected family {key}"]
         e = entries[idx]
-        if e.hm != val or e.code != code:
+        if e.hm != val or e.code != code_of.get(key):
             seen = e.family_match or encode_graph6(e.graph)
             return "fail", [
                 f"rank {idx + 1}: observed {seen} (hm {e.hm}) where {key} "
                 f"(hm {val}) was expected"
             ]
         idx += 1
-    last_key, last_val, last_code = expected[-1]
+    last_key = expected_keys[-1]
+    last_val = CATALOG[last_key].poly.evaluate(n)
     group = [e for e in entries[idx:] if e.hm == last_val]
     group_codes = {e.code for e in group}
-    if last_code not in group_codes:
+    if code_of.get(last_key) not in group_codes:
         return "fail", [f"{last_key} missing at value {last_val}"]
     verdict = "pass"
-    extras = group_codes - {last_code}
+    extras = group_codes - {code_of[last_key]}
     if extras:
         if allowed_tail_tie is None:
             return "fail", [f"unexpected tie at value {last_val}"]
-        allowed_code = canonical_code(build_catalog_member(allowed_tail_tie, n))
-        if extras != {allowed_code}:
+        if extras != {code_of.get(allowed_tail_tie)}:
             return "fail", [f"unexpected member in tie at value {last_val}"]
         verdict = "tie-noted"
         notes.append(
@@ -233,7 +235,7 @@ def verify_trees(n: int) -> VerdictReport:
             n, "trees", tuple(TREE_TOP4), tuple(entries), "report-only", ties,
             ("below family floor; ordering not evaluated",),
         )
-    verdict, notes = _evaluate_chain(n, entries, TREE_TOP4, None)
+    verdict, notes = _evaluate_chain(n, entries, TREE_TOP4, None, fams)
     return VerdictReport(
         n, "trees", tuple(TREE_TOP4), tuple(entries), verdict, ties, tuple(notes)
     )
@@ -251,21 +253,13 @@ def verify_unicyclic(n: int) -> VerdictReport:
             n, "unicyclic", tuple(UNICYCLIC_TOP8), tuple(entries), "report-only",
             ties, ("below the claim threshold; ordering not evaluated",),
         )
-    verdict, notes = _evaluate_chain(n, entries, UNICYCLIC_TOP8, UNICYCLIC_TAIL_TIE)
+    verdict, notes = _evaluate_chain(
+        n, entries, UNICYCLIC_TOP8, UNICYCLIC_TAIL_TIE, fams
+    )
     return VerdictReport(
         n, "unicyclic", tuple(UNICYCLIC_TOP8), tuple(entries), verdict, ties,
         tuple(notes),
     )
-
-
-def ordering_holds_for_trees(n: int) -> bool:
-    """Raw check of the top-4 tree ordering, no verdict policy applied."""
-    try:
-        entries = rank(trees(n), 5, None)
-        verdict, _ = _evaluate_chain(n, entries, TREE_TOP4, None)
-    except (KeyError, ValueError):
-        return False
-    return verdict == "pass"
 
 
 def discover_tree_threshold(n_lo: int = 5, n_hi: int = 16) -> int | None:
@@ -275,25 +269,7 @@ def discover_tree_threshold(n_lo: int = 5, n_hi: int = 16) -> int | None:
     and deterministic.
     """
     for n in range(max(n_lo, 5), n_hi + 1):
-        if ordering_holds_for_trees(n):
-            return n
-    return None
-
-
-def ordering_holds_for_unicyclic(n: int) -> bool:
-    """Raw check of the top-8 unicyclic ordering, no verdict policy."""
-    try:
-        entries = rank(unicyclic_graphs(n), 9, None)
-        verdict, _ = _evaluate_chain(n, entries, UNICYCLIC_TOP8, UNICYCLIC_TAIL_TIE)
-    except (KeyError, ValueError):
-        return False
-    return verdict in ("pass", "tie-noted")
-
-
-def discover_unicyclic_threshold(n_lo: int = 8, n_hi: int = 15) -> int | None:
-    """Smallest n in [n_lo, n_hi] where the unicyclic top-8 ordering holds."""
-    for n in range(max(n_lo, 3), n_hi + 1):
-        if ordering_holds_for_unicyclic(n):
+        if verify_trees(n).verdict == "pass":
             return n
     return None
 
@@ -360,25 +336,8 @@ class SuiteReport:
 def _random_tree(rng: random.Random, n: int) -> Graph:
     if n == 1:
         return make_graph(1, [])
-    if n == 2:
-        return make_graph(2, [(0, 1)])
     seq = [rng.randrange(n) for _ in range(n - 2)]
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    import heapq
-
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return make_graph(n, edges)
+    return make_graph(n, prufer_edges(seq, n))
 
 
 def _random_base_graph(rng: random.Random, n: int) -> Graph:
@@ -508,7 +467,7 @@ def _check_single_attachment_max(n_max: int = 10) -> CheckResult:
     counterexample = None
     for n in range(3, n_max + 1):
         single_codes = {
-            m: canonical_code(cycle_star_hm_graph(m, n)) for m in range(3, n + 1)
+            m: canonical_code(cycle_with_stars(m, [n - m])) for m in range(3, n + 1)
         }
         global_best = cycle_star_hm(3, n)
         best_seen = []
@@ -540,13 +499,6 @@ def _check_single_attachment_max(n_max: int = 10) -> CheckResult:
         "single-attachment-max", f"all unicyclic graphs, n <= {n_max}", checked,
         violations, counterexample,
     )
-
-
-def cycle_star_hm_graph(m: int, n: int) -> Graph:
-    """The cycle C_m with one pendant star absorbing all n-m spare vertices."""
-    from .families import cycle_with_stars
-
-    return cycle_with_stars(m, [n - m] if n > m else [])
 
 
 def _check_tree_poly_chain(n_max: int = 60) -> CheckResult:

@@ -1,4 +1,9 @@
+import hashlib
+import io
 import json
+import sys
+
+import pytest
 
 from hyperzagreb.cli import main
 from hyperzagreb.codec import encode_graph6
@@ -34,6 +39,36 @@ def test_compute_parse_failure(tmp_path, capsys):
 
 def test_compute_missing_file():
     assert main(["compute", "/nonexistent/path.g6"]) == 5
+
+
+# valid apart from one non-ASCII character inside a comment
+NON_ASCII_EDGELIST = "3 3  # tri\u00e1ngulo\n0 1\n1 2\n0 2\n".encode("utf-8")
+
+
+def test_non_ascii_file_is_a_parse_failure(tmp_path, capsys):
+    f = tmp_path / "g.edges"
+    f.write_bytes(NON_ASCII_EDGELIST)
+    assert main(["compute", str(f)]) == 2
+    assert main(["transform", "reduce", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line.startswith("error: ") for line in captured.err.splitlines()] == [True] * 2
+
+
+def test_non_ascii_stdin_is_a_parse_failure(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NON_ASCII_EDGELIST)))
+    assert main(["compute", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_edgelist_order_above_graph6_limit(tmp_path, capsys):
+    f = tmp_path / "huge.edges"
+    f.write_text("258048 0\n")
+    assert main(["compute", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "258047" in err
 
 
 def test_family_command(capsys):
@@ -150,3 +185,37 @@ def test_output_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(["rank", "unicyclic", "8", "-k", "5"]) == 0
     assert capsys.readouterr().out == first
+
+
+# Exit code and stdout sha256 of each invocation, pinned at the commit before
+# the chain-evaluation, serializer and registry paths were merged.
+GOLDEN = [
+    ("rank unicyclic 12 -k 8", 0,
+     "0d3ba9cb82fa1374d2b75a7193b7ac600f3eae2ff7f1ce2a977a9958f3003f49"),
+    ("rank unicyclic 12 -k 8 --format json", 0,
+     "39557e08bec29e9a625e7b0ec4139360975f2b73eb72339791b1ed2f0f28801e"),
+    ("rank unicyclic 12 -k 8 --format csv", 0,
+     "82b2aba63282d1adee8fdceac482f5acee985e46665c9b850ffed765c7a620e0"),
+    ("rank trees 12 -k 5", 0,
+     "e8d8dafef6557d97bfb8f5dfe4247d5ea903fd34e8a62c651ef514e21fe0c624"),
+    ("verify trees 8..12", 0,
+     "3663ed65996a2e1a4b7ca6b1843ad46893ee4b4b749c43391ef44eb05c41f1bc"),
+    ("verify trees 6..8 --discover-threshold", 0,
+     "892d220d4f8793fe2af2f2485ec8b4096e9df98d9ff8d34b507b79346918ec33"),
+    ("verify unicyclic 10", 0,
+     "26a1776afbc5632bdadfa392a9ccba4c77f685543914239f4b01425f3e4432d9"),
+    ("verify unicyclic 10 --format json", 0,
+     "54c6e89e4c2715ff9fbe8b09de449facafe280a423806bb2ddc9b647a6ab4cc5"),
+    ("verify lemmas --seed 1 --trials 200", 0,
+     "3e56a2e8deed5a0c37f4011a6bb6ed60f839fde70ec1669491fabe33991b0b8d"),
+    ("verify lemmas --seed 1 --trials 200 --format json", 0,
+     "8de6694f7695b194e36167aeebde7f6d8432fcff25d8a0cb0e8e78b9729be671"),
+    ("verify closed-forms 15..20", 0,
+     "bad1774b30123aa919a379a7c02902436a90249278784a8228b3f168d0d37bd0"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_output(argv, code, digest, capsys):
+    assert main(argv.split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -74,3 +74,5 @@ def test_edgelist_comments_and_errors():
         parse_edgelist("3 1\n0 x\n")
     with pytest.raises(CodecError):
         parse_edgelist("2 1\n0 2\n")  # id out of range
+    with pytest.raises(CodecError):
+        parse_edgelist("258048 0\n")  # above the graph6 order limit

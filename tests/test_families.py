@@ -3,11 +3,9 @@ import pytest
 from hyperzagreb.canon import canonical_code
 from hyperzagreb.families import (
     CATALOG,
-    FamilySpec,
     FamilyDomainError,
     RootedTree,
     UnknownFamilyError,
-    build,
     build_catalog_member,
     closed_form,
     cycle,
@@ -89,21 +87,6 @@ def test_cycle_star_values():
         for m in range(3, n + 1):
             g = cycle_with_stars(m, [n - m] if n > m else [])
             assert hyper_zagreb(g) == cycle_star_hm(m, n)
-
-
-def test_build_spec_dispatch():
-    assert build(FamilySpec(kind="star", n=6)) == star(6)
-    assert build(FamilySpec(kind="path", n=4)) == path(4)
-    assert build(FamilySpec(kind="cycle", n=5)) == cycle(5)
-    assert build(FamilySpec(kind="tree_t2", n=8)) == tree_t_family(2, 8)
-    spec = FamilySpec(
-        kind="cycle_with_attachments", n=15, m=3, attachments=((0, 12),)
-    )
-    assert hyper_zagreb(build(spec)) == 3228
-    with pytest.raises(FamilyDomainError):
-        build(FamilySpec(kind="cycle_with_attachments", n=14, m=3, attachments=((0, 12),)))
-    with pytest.raises(UnknownFamilyError):
-        build(FamilySpec(kind="wheel", n=5))
 
 
 def test_rooted_tree_attachment():
