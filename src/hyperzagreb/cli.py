@@ -74,9 +74,10 @@ def _load_graph(path: str, fmt: str) -> Graph:
             return decode_graph6(text)
         if fmt == "edgelist":
             return parse_edgelist(text)
-        # auto: a leading digit means the "n m" edge-list header
+        # auto: a leading digit (the "n m" header) or "#" (a comment) means
+        # an edge list; graph6 never starts with either
         stripped = text.lstrip()
-        if stripped[:1].isdigit():
+        if stripped[:1].isdigit() or stripped.startswith("#"):
             return parse_edgelist(text)
         return decode_graph6(text)
     except CodecError as exc:
@@ -173,15 +174,8 @@ def _cmd_family(args) -> int:
     return EXIT_OK if flag == "EQUAL" else EXIT_CLAIM_FAILED
 
 
-def _class_stream(klass: str, n: int):
-    try:
-        return trees(n) if klass == "trees" else unicyclic_graphs(n)
-    except ValueError as exc:
-        raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
-
-
 def _cmd_enumerate(args) -> int:
-    stream = _class_stream(args.klass, args.n)
+    stream = trees(args.n) if args.klass == "trees" else unicyclic_graphs(args.n)
     count = 0
     try:
         sink = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
@@ -206,7 +200,8 @@ def _cmd_rank(args) -> int:
     kind = "tree" if args.klass == "trees" else "unicyclic"
     try:
         fams = family_codes(kind, args.n)
-        entries = rank_stream(_class_stream(args.klass, args.n), args.k, fams)
+        stream = trees(args.n) if args.klass == "trees" else unicyclic_graphs(args.n)
+        entries = rank_stream(stream, args.k, fams)
     except ValueError as exc:
         raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
     if args.format == "json":

@@ -24,7 +24,7 @@ from itertools import combinations, permutations, product
 from typing import Iterator, Sequence
 
 from .graphs import Graph, from_adjacency, make_graph
-from .rooted import Form, forests, form_edges, rooted_forms
+from .rooted import Form, cycle_adj, forests, form_graph, rooted_forms
 
 ORACLE_MAX_ORDER = 8
 
@@ -37,23 +37,19 @@ def trees(n: int) -> Iterator[Graph]:
         yield from_adjacency([[]])
         return
     if n == 2:
-        yield make_graph(2, [(0, 1)])
+        yield from_adjacency([[1], [0]])
         return
     # Single centroid: every hanging subtree has at most floor((n-1)/2)
     # vertices.  (A subtree of exactly n/2 vertices would move the centroid.)
     for children in forests(n - 1, (n - 1) // 2):
-        edges, last = form_edges(tuple(children), 0, 1)
-        yield make_graph(last, edges)
+        yield form_graph([[]], [(0, children)])
     # Two adjacent centroids: unordered pair of rooted halves on n/2 vertices.
+    # The second half hangs below a new neighbour of the first root.
     if n % 2 == 0:
         halves = rooted_forms(n // 2)
         for i, f1 in enumerate(halves):
             for f2 in halves[i:]:
-                edges, last = form_edges(f1, 0, 1)
-                root2 = last
-                more, last = form_edges(f2, root2, root2 + 1)
-                edges = edges + [(0, root2)] + more
-                yield make_graph(last, edges)
+                yield form_graph([[]], [(0, f1), (0, (f2,))])
 
 
 def unicyclic_graphs(n: int) -> Iterator[Graph]:
@@ -79,15 +75,6 @@ def _cycle_necklaces(
     """Unicyclic classes with cycle length m: dihedral-minimal id tuples."""
     extra = n - m  # vertices beyond the cycle
 
-    def build(t: tuple[int, ...]) -> Graph:
-        edges = [(i, (i + 1) % m) for i in range(m)]
-        next_id = m
-        for pos, fid in enumerate(t):
-            if forms[fid]:  # the single-vertex form adds no edges
-                more, next_id = form_edges(forms[fid], pos, next_id)
-                edges.extend(more)
-        return make_graph(n, edges)
-
     def is_dihedral_min(t: tuple[int, ...]) -> bool:
         t0 = t[0]
         for s in (t, t[::-1]):
@@ -108,7 +95,9 @@ def _cycle_necklaces(
             if remaining == 0:
                 t = tuple(prefix)
                 if is_dihedral_min(t):
-                    yield build(t)
+                    yield form_graph(
+                        cycle_adj(m), [(pos, forms[fid]) for pos, fid in enumerate(t)]
+                    )
             return
         max_size = remaining - (slots_left - 1)
         for s in range(1, max_size + 1):

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .graphs import Graph, GraphError, is_tree, make_graph
-from .rooted import Form, form_edges, path_form, rooted_form, star_form
+from .graphs import Graph, GraphError, is_tree
+from .rooted import Form, cycle_adj, form_graph, path_form, rooted_form, star_form
 
 
 class FamilyDomainError(GraphError):
@@ -68,31 +68,25 @@ class RootedTree:
 Attachment = Union[int, Form, RootedTree]
 
 
-def _tree_from_root_form(form: Form, n: int) -> Graph:
-    edges, last = form_edges(form, 0, 1)
-    assert last == n
-    return make_graph(n, edges)
-
-
 def star(n: int) -> Graph:
     """S_n: one center adjacent to n-1 leaves."""
     if n < 2:
         raise FamilyDomainError(f"star needs n >= 2, got {n}")
-    return _tree_from_root_form(star_form(n - 1), n)
+    return form_graph([[]], [(0, star_form(n - 1))])
 
 
 def path(n: int) -> Graph:
     """P_n."""
     if n < 1:
         raise FamilyDomainError(f"path needs n >= 1, got {n}")
-    return make_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return form_graph([[]], [(0, path_form(n - 1))])
 
 
 def cycle(n: int) -> Graph:
     """C_n."""
     if n < 3:
         raise FamilyDomainError(f"cycle needs n >= 3, got {n}")
-    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return form_graph(cycle_adj(n), [])
 
 
 # The broom T^k on `size` vertices rooted at its center.  A subdivided edge
@@ -129,14 +123,14 @@ def tree_t_family(k: int, n: int) -> Graph:
     n_min, root_form = _TREE_T[k]
     if n < n_min:
         raise FamilyDomainError(f"T^{k} needs n >= {n_min}, got {n}")
-    return _tree_from_root_form(root_form(n), n)
+    return form_graph([[]], [(0, root_form(n))])
 
 
 def long_broom(n: int) -> Graph:
     """Star center with n-4 leaves plus one pendant path of three edges."""
     if n < 5:
         raise FamilyDomainError(f"long broom needs n >= 5, got {n}")
-    return _tree_from_root_form(tuple([path_form(2)] + [()] * (n - 4)), n)
+    return form_graph([[]], [(0, tuple([path_form(2)] + [()] * (n - 4)))])
 
 
 def _as_form(att: Attachment) -> Form:
@@ -164,13 +158,7 @@ def cycle_with_attachments(
         raise FamilyDomainError(f"attachment positions must be distinct: {positions}")
     if any(not 0 <= p < m for p in positions):
         raise FamilyDomainError(f"attachment positions must lie in 0..{m - 1}")
-    forms = [(p, _as_form(a)) for p, a in attachments]
-    edges = [(i, (i + 1) % m) for i in range(m)]
-    next_id = m
-    for p, f in forms:
-        tree_edges, next_id = form_edges(f, p, next_id)
-        edges.extend(tree_edges)
-    return make_graph(next_id, edges)
+    return form_graph(cycle_adj(m), [(p, _as_form(a)) for p, a in attachments])
 
 
 def cycle_with_stars(m: int, pendant_counts: Sequence[int]) -> Graph:

@@ -37,7 +37,8 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
-        # Internal constructor; callers go through make_graph which validates.
+        # Internal constructor: build through make_graph (validates an edge
+        # list) or from_adjacency (trusted, simple by construction).
         self.n = n
         self.adj = adj
 
@@ -101,7 +102,12 @@ def make_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def from_adjacency(adj: list[list[int]]) -> Graph:
-    """Trusted fast path for internally built adjacency lists (no validation)."""
+    """Trusted fast path for adjacency lists that are simple by construction.
+
+    Nothing is validated.  Graphs grown from rooted forms (rooted.form_graph)
+    and induced subgraphs come this way; edges from outside (codecs, tests)
+    or from rewiring an arbitrary graph go through make_graph instead.
+    """
     return Graph(len(adj), tuple(tuple(sorted(a)) for a in adj))
 
 

@@ -10,7 +10,9 @@ currency between canonical codes, family builders and the enumerators.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
+
+from .graphs import Graph, from_adjacency
 
 Form = tuple  # nested tuples of Form
 
@@ -111,18 +113,27 @@ def rooted_form(adj, root: int, skip: frozenset[int] | set[int] = frozenset()) -
     raise AssertionError("unreachable")
 
 
-def form_edges(form: Form, root_id: int, next_id: int) -> tuple[list[tuple[int, int]], int]:
-    """Edges realizing `form` with its root at `root_id`.
+def cycle_adj(m: int) -> list[list[int]]:
+    """Adjacency lists of the cycle 0-1-...-(m-1)-0, the base of a unicyclic graph."""
+    return [[(i - 1) % m, (i + 1) % m] for i in range(m)]
 
-    New vertices take consecutive ids starting at `next_id`; returns the
-    edge list and the next free id.
+
+def form_graph(adj: list[list[int]], placements: Iterable[tuple[int, Form]]) -> Graph:
+    """Hang each (root, form) of `placements` below existing vertex `root`.
+
+    `adj` is extended in place.  New vertices take consecutive ids from
+    len(adj) on, placement by placement; within a form the children of a
+    vertex get consecutive ids and subtrees are laid out last child first.
+    The result is simple by construction, so it is built through the
+    trusted from_adjacency path.
     """
-    edges: list[tuple[int, int]] = []
-    stack: list[tuple[Form, int]] = [(form, root_id)]
-    while stack:
-        f, vid = stack.pop()
-        for child in f:
-            edges.append((vid, next_id))
-            stack.append((child, next_id))
-            next_id += 1
-    return edges, next_id
+    for root, form in placements:
+        stack = [(form, root)]
+        while stack:
+            f, vid = stack.pop()
+            for child in f:
+                new = len(adj)
+                adj[vid].append(new)
+                adj.append([vid])
+                stack.append((child, new))
+    return from_adjacency(adj)

@@ -71,6 +71,14 @@ def test_edgelist_order_above_graph6_limit(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "258047" in err
 
 
+def test_edgelist_with_leading_comment_is_auto_detected(monkeypatch, capsys):
+    # graph6 never starts with '#', so a leading comment marks an edge list
+    text = b"# a triangle\n3 3\n0 1\n1 2\n0 2\n"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text)))
+    assert main(["compute", "-"]) == 0
+    assert "hm: 48" in capsys.readouterr().out
+
+
 def test_family_command(capsys):
     assert main(["family", "S_n", "6"]) == 0
     out = capsys.readouterr().out
@@ -108,6 +116,16 @@ def test_enumerate_stdout_count_on_stderr(capsys):
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 2
     assert captured.err == "count: 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv", ["enumerate unicyclic 2", "rank trees 0", "rank unicyclic 8 -k 0"]
+)
+def test_enumerate_and_rank_domain_errors(argv, capsys):
+    assert main(argv.split()) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_rank_csv(capsys):
@@ -212,6 +230,17 @@ GOLDEN = [
      "8de6694f7695b194e36167aeebde7f6d8432fcff25d8a0cb0e8e78b9729be671"),
     ("verify closed-forms 15..20", 0,
      "bad1774b30123aa919a379a7c02902436a90249278784a8228b3f168d0d37bd0"),
+    # the vertex labelling of enumerated classes and built families
+    ("enumerate trees 10", 0,
+     "33903105007336de4f214f30621f5360a25624cc376de23aa71681aee4e5dfae"),
+    ("enumerate unicyclic 9", 0,
+     "57b484610116f5db52319d0ece5bc9958eb771170387719d31218414ef5b8394"),
+    ("family C_3(1,T^1_{n-3}) 12", 0,
+     "c9ec35de56ec8e4e9f06639cdea3ba057cd41026a53b92761a08ccdbe6523edc"),
+    ("family T^2_n 9 --format json", 0,
+     "89f0ebe651f2b4de82c0e61094bf4bb6d1fede0703a5d970e005e4d307b5d774"),
+    ("family S_n 7", 0,
+     "11980f064bdf5e3d49516d57d480d71a99853ad7938014d721b83f5d48202177"),
 ]
 
 

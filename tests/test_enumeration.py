@@ -130,10 +130,13 @@ def test_unicyclic_formula_large_orders():
 
 
 def test_class_purity_and_no_duplicates():
+    # The generators skip edge validation, so each graph must also survive
+    # the validating make_graph unchanged.
     for n in range(1, 10):
         seen = set()
         for g in trees(n):
             assert is_tree(g)
+            assert make_graph(g.n, list(g.edges())) == g
             code = canonical_code(g)
             assert code not in seen
             seen.add(code)
@@ -141,6 +144,7 @@ def test_class_purity_and_no_duplicates():
         seen = set()
         for g in unicyclic_graphs(n):
             assert is_unicyclic(g)
+            assert make_graph(g.n, list(g.edges())) == g
             code = canonical_code(g)
             assert code not in seen
             seen.add(code)

@@ -18,7 +18,13 @@ from hyperzagreb.families import (
     star,
     tree_t_family,
 )
-from hyperzagreb.graphs import edge_contribution, hyper_zagreb, is_tree, is_unicyclic
+from hyperzagreb.graphs import (
+    edge_contribution,
+    hyper_zagreb,
+    is_tree,
+    is_unicyclic,
+    make_graph,
+)
 
 
 def test_catalog_faithful_over_validity_windows():
@@ -31,6 +37,17 @@ def test_catalog_faithful_over_validity_windows():
             assert g.n == n, key
             assert (is_tree(g) if entry.kind == "tree" else is_unicyclic(g)), key
             assert hyper_zagreb(g) == entry.poly.evaluate(n), (key, n)
+
+
+def test_built_graphs_survive_validation():
+    # The builders skip edge validation, so each graph must come through the
+    # validating make_graph unchanged.
+    built = [path(n) for n in range(1, 32)] + [cycle(n) for n in range(3, 34)]
+    for entry in CATALOG.values():
+        lo = entry.poly.valid_n_min
+        built += [entry.builder(n) for n in range(lo, lo + 31)]
+    for g in built:
+        assert make_graph(g.n, list(g.edges())) == g
 
 
 def test_family_point_values():

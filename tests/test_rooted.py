@@ -1,7 +1,7 @@
 from hyperzagreb.graphs import make_graph
 from hyperzagreb.rooted import (
     forests,
-    form_edges,
+    form_graph,
     form_key,
     form_size,
     path_form,
@@ -42,9 +42,9 @@ def test_forms_sorted_and_unique():
 def test_form_graph_round_trip():
     for n in range(1, 8):
         for f in rooted_forms(n):
-            edges, last = form_edges(f, 0, 1)
-            assert last == n
-            g = make_graph(n, edges) if edges else make_graph(1, [])
+            g = form_graph([[]], [(0, f)])
+            assert g.n == n
+            assert make_graph(n, list(g.edges())) == g
             assert rooted_form(g.adj, 0) == f
 
 
