@@ -16,7 +16,7 @@ import io
 import json
 import sys
 
-from .codec import CodecError, decode_graph6, encode_graph6, parse_edgelist
+from .codec import MAX_ORDER, CodecError, decode_graph6, encode_graph6, parse_edgelist
 from .enumeration import trees, unicyclic_graphs
 from .families import (
     CATALOG,
@@ -141,6 +141,11 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    if args.key in CATALOG and args.n > MAX_ORDER:
+        # graph6 could not write the result; refuse before building it
+        raise _CliFailure(
+            EXIT_DOMAIN, f"order {args.n} exceeds graph6's limit of {MAX_ORDER}"
+        )
     try:
         g = build_catalog_member(args.key, args.n)
     except UnknownFamilyError:
@@ -244,7 +249,10 @@ def _cmd_verify(args) -> int:
                 "ordering; outside the stated claims)\n"
             )
     elif args.klass == "lemmas":
-        report = lemma_suite(seed=args.seed, trials=args.trials)
+        try:
+            report = lemma_suite(seed=args.seed, trials=args.trials)
+        except ValueError as exc:
+            raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
         ok = report.passed
         chunks.append(_render(report, args.format))
     else:  # closed-forms

@@ -128,12 +128,11 @@ def join_vs_identify(g1: Graph, u: int, g2: Graph, v: int) -> JoinIdentifyPair:
 class StarProfile:
     """Star-attachment shape of a unicyclic graph.
 
-    cycle holds the cycle vertices in walk order; counts[i] is the number of
-    pendant leaves at cycle position i.  Present only when every vertex off
-    the cycle is a leaf adjacent to a cycle vertex.
+    counts[i] is the number of pendant leaves at the i-th cycle vertex in
+    cycle_vertices walk order.  Present only when every vertex off the
+    cycle is a leaf adjacent to a cycle vertex.
     """
 
-    cycle: tuple[int, ...]
     counts: tuple[int, ...]
 
     @property
@@ -141,24 +140,33 @@ class StarProfile:
         return tuple(i for i, c in enumerate(self.counts) if c > 0)
 
 
-def star_attachment_profile(g: Graph) -> StarProfile | None:
-    """Recognize C_m(l_1, ..., l_k) structurally; None when trees run deeper."""
+def _hanging_counts(g: Graph) -> tuple[list[int], bool]:
+    """Vertices hanging at each cycle vertex, in cycle_vertices walk order,
+    and whether every off-cycle vertex is a leaf (so all trees are stars)."""
     if not is_unicyclic(g):
         raise StructureError("input must be connected and unicyclic")
     cyc = cycle_vertices(g)
-    on_cycle = set(cyc)
-    counts = [0] * len(cyc)
-    pos = {v: i for i, v in enumerate(cyc)}
-    for v in range(g.n):
-        if v in on_cycle:
-            continue
-        if g.degree(v) != 1:
-            return None
-        nbr = g.adj[v][0]
-        if nbr not in on_cycle:
-            return None
-        counts[pos[nbr]] += 1
-    return StarProfile(cycle=tuple(cyc), counts=tuple(counts))
+    seen = set(cyc)
+    counts = []
+    stars = True
+    for v in cyc:
+        count = 0
+        stack = [v]
+        while stack:
+            for y in g.adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    count += 1
+                    stars = stars and g.degree(y) == 1
+                    stack.append(y)
+        counts.append(count)
+    return counts, stars
+
+
+def star_attachment_profile(g: Graph) -> StarProfile | None:
+    """Recognize C_m(l_1, ..., l_k) structurally; None when trees run deeper."""
+    counts, stars = _hanging_counts(g)
+    return StarProfile(tuple(counts)) if stars else None
 
 
 @dataclass(frozen=True)
@@ -170,12 +178,12 @@ class MergeOutcome:
     reason: str
 
 
-def _move_star(m: int, counts: list[int], src: int, tgt: int) -> Graph:
-    """C_m with the pendants at cycle position src moved onto position tgt."""
-    new_counts = counts[:]
-    new_counts[tgt] += new_counts[src]
-    new_counts[src] = 0
-    return cycle_with_stars(m, new_counts)
+def _move_star(counts: list[int], src: int, tgt: int) -> list[int]:
+    """The pendant counts with those at cycle position src moved onto tgt."""
+    moved = counts[:]
+    moved[tgt] += moved[src]
+    moved[src] = 0
+    return moved
 
 
 def merge_adjacent_star(g: Graph, i: int) -> MergeOutcome:
@@ -192,8 +200,8 @@ def merge_adjacent_star(g: Graph, i: int) -> MergeOutcome:
     positions = profile.attachment_positions
     if not 0 <= i < len(positions):
         raise GraphError(f"attachment index {i} out of range (k={len(positions)})")
-    m = len(profile.cycle)
     counts = list(profile.counts)
+    m = len(counts)
     src = positions[i]
 
     candidates = []
@@ -209,7 +217,9 @@ def merge_adjacent_star(g: Graph, i: int) -> MergeOutcome:
     for tgt in candidates:
         other = (2 * src - tgt) % m  # the source's cycle neighbor away from tgt
         if deg(src) <= deg(tgt) and deg(other) <= deg(tgt):
-            return MergeOutcome(True, _move_star(m, counts, src, tgt), "")
+            return MergeOutcome(
+                True, cycle_with_stars(m, _move_star(counts, src, tgt)), ""
+            )
     return MergeOutcome(False, None, "target degree below source or its neighbor")
 
 
@@ -222,36 +232,17 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
     and the final graph is the cycle with a single pendant star (or the bare
     cycle when there was nothing to move).
     """
-    if not is_unicyclic(g):
-        raise StructureError("input must be connected and unicyclic")
+    counts, stars = _hanging_counts(g)
+    m = len(counts)
     chain = [g]
-    profile = star_attachment_profile(g)
-    if profile is None:
+    if not stars:
         # Star-collapse: keep the cycle, flatten each hanging tree.
-        cyc = cycle_vertices(g)
-        on_cycle = set(cyc)
-        counts = [0] * len(cyc)
-        seen = set(cyc)
-        for idx, v in enumerate(cyc):
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                for y in g.adj[x]:
-                    if y not in on_cycle and y not in seen:
-                        seen.add(y)
-                        counts[idx] += 1
-                        stack.append(y)
-        current = cycle_with_stars(len(cyc), counts)
-        chain.append(current)
-    else:
-        current = g
-
+        chain.append(cycle_with_stars(m, counts))
+    # cycle_with_stars numbers the cycle 0..m-1, the order cycle_vertices
+    # walks it in, so counts stay the profile of the last graph in the chain.
+    hm = hyper_zagreb(chain[-1])
     while True:
-        profile = star_attachment_profile(current)
-        assert profile is not None
-        m = len(profile.cycle)
-        counts = list(profile.counts)
-        positions = profile.attachment_positions
+        positions = [p for p, c in enumerate(counts) if c > 0]
         if len(positions) <= 1:
             break
         deg = lambda p: 2 + counts[p]
@@ -278,14 +269,16 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
             assert sources, "no dominance-compatible source attachment"
         best = None
         for src in sources:
-            cand = _move_star(m, counts, src, tgt)
+            moved = _move_star(counts, src, tgt)
+            cand = cycle_with_stars(m, moved)
             key = canonical_code(cand)
             if best is None or key < best[0]:
-                best = (key, cand)
+                best = (key, cand, moved)
         assert best is not None
-        nxt = best[1]
-        if hyper_zagreb(nxt) <= hyper_zagreb(current):
+        _, nxt, counts = best
+        nxt_hm = hyper_zagreb(nxt)
+        if nxt_hm <= hm:
             raise AssertionError("merge step failed to increase the index")
         chain.append(nxt)
-        current = nxt
+        hm = nxt_hm
     return chain

@@ -357,11 +357,17 @@ def _pair_g6(a: Graph, b: Graph) -> str:
     return f"{encode_graph6(a)} {encode_graph6(b)}"
 
 
+def _tally(name: str, scope: str, checked: int, failures: list[str]) -> CheckResult:
+    """One check's result from its failure witnesses; the first is shown."""
+    return CheckResult(
+        name, scope, checked, len(failures), failures[0] if failures else None
+    )
+
+
 def _check_attachment_shift(rng: random.Random, trials: int) -> CheckResult:
     """Random conditioned instances: moving h to the dominant site never
     lowers the index, and equality forces both conditions tight."""
-    violations = 0
-    counterexample = None
+    failures = []
     done = 0
     while done < trials:
         g = _random_base_graph(rng, rng.randint(3, 10))
@@ -376,22 +382,16 @@ def _check_attachment_shift(rng: random.Random, trials: int) -> CheckResult:
         g1 = coalesce(g, u, h, z)
         g2 = coalesce(g, w, h, z)
         hm1, hm2 = hyper_zagreb(g1), hyper_zagreb(g2)
-        bad = hm2 < hm1 or (hm2 == hm1 and not (tight_a and tight_b))
-        if bad and violations == 0:
-            counterexample = _pair_g6(g1, g2)
-        violations += bad
+        if hm2 < hm1 or (hm2 == hm1 and not (tight_a and tight_b)):
+            failures.append(_pair_g6(g1, g2))
         done += 1
-    return CheckResult(
-        "attachment-shift", "random conditioned instances", done, violations,
-        counterexample,
-    )
+    return _tally("attachment-shift", "random conditioned instances", done, failures)
 
 
 def _check_join_identify() -> CheckResult:
     """Exhaustive over tree pairs on up to 6 vertices and all root choices."""
     pool = [t for n in range(2, 7) for t in trees(n)]
-    violations = 0
-    counterexample = None
+    failures = []
     checked = 0
     for t1 in pool:
         for t2 in pool:
@@ -402,37 +402,29 @@ def _check_join_identify() -> CheckResult:
                         continue
                     checked += 1
                     if hyper_zagreb(pair.joined) >= hyper_zagreb(pair.identified):
-                        violations += 1
-                        if counterexample is None:
-                            counterexample = _pair_g6(pair.joined, pair.identified)
-    return CheckResult(
+                        failures.append(_pair_g6(pair.joined, pair.identified))
+    return _tally(
         "join-vs-identify", "all tree pairs <= 6 vertices, all roots", checked,
-        violations, counterexample,
+        failures,
     )
 
 
 def _check_cycle_shrink() -> CheckResult:
     """Shortening the cycle of a one-star graph strictly raises the index."""
-    violations = 0
+    failures = []
     checked = 0
-    counterexample = None
     for n in range(4, 51):
         for m in range(4, n + 1):
             checked += 1
             if not cycle_star_hm(m, n) < cycle_star_hm(m - 1, n):
-                violations += 1
-                if counterexample is None:
-                    counterexample = f"m={m} n={n}"
-    return CheckResult(
-        "cycle-shrink", "4 <= m <= n <= 50", checked, violations, counterexample
-    )
+                failures.append(f"m={m} n={n}")
+    return _tally("cycle-shrink", "4 <= m <= n <= 50", checked, failures)
 
 
 def _check_star_max(n_max: int = 12) -> CheckResult:
     """The star is the unique index maximum among trees of each order."""
-    violations = 0
+    failures = []
     checked = 0
-    counterexample = None
     for n in range(2, n_max + 1):
         best = CATALOG["S_n"].poly.evaluate(n)
         top = []
@@ -446,13 +438,8 @@ def _check_star_max(n_max: int = 12) -> CheckResult:
             canonical_code(top[0][1]) == star_code
         )
         if not ok:
-            violations += 1
-            if counterexample is None:
-                counterexample = f"n={n}"
-    return CheckResult(
-        "star-max-trees", f"all trees, n <= {n_max}", checked, violations,
-        counterexample,
-    )
+            failures.append(f"n={n}")
+    return _tally("star-max-trees", f"all trees, n <= {n_max}", checked, failures)
 
 
 def _check_single_attachment_max(n_max: int = 10) -> CheckResult:
@@ -462,9 +449,8 @@ def _check_single_attachment_max(n_max: int = 10) -> CheckResult:
     landing on the one-star form of the same cycle length) and checks that
     the global maximum of the whole class is the triangle with one star.
     """
-    violations = 0
+    failures = []
     checked = 0
-    counterexample = None
     for n in range(3, n_max + 1):
         single_codes = {
             m: canonical_code(cycle_with_stars(m, [n - m])) for m in range(3, n + 1)
@@ -488,70 +474,56 @@ def _check_single_attachment_max(n_max: int = 10) -> CheckResult:
                 and canonical_code(chain[-1]) == single_codes[m]
             )
             if not ok:
-                violations += 1
-                if counterexample is None:
-                    counterexample = encode_graph6(g)
+                failures.append(encode_graph6(g))
         if best_seen != [(global_best, single_codes[3])]:
-            violations += 1
-            if counterexample is None:
-                counterexample = f"global maximum at n={n}"
-    return CheckResult(
+            failures.append(f"global maximum at n={n}")
+    return _tally(
         "single-attachment-max", f"all unicyclic graphs, n <= {n_max}", checked,
-        violations, counterexample,
+        failures,
     )
 
 
 def _check_tree_poly_chain(n_max: int = 60) -> CheckResult:
     """Strict family ordering among the tree polynomials, plus the fourth
     broom staying below the third from order eight onward."""
-    violations = 0
+    failures = []
     checked = 0
-    counterexample = None
     keys = ["T^3_n", "T^2_n", "T^1_n", "S_n"]
     for n in range(7, n_max + 1):
         vals = [CATALOG[k].poly.evaluate(n) for k in keys]
         checked += 1
         if not all(a < b for a, b in zip(vals, vals[1:])):
-            violations += 1
-            if counterexample is None:
-                counterexample = f"n={n}"
+            failures.append(f"n={n}")
     for n in range(8, n_max + 1):
         checked += 1
         if not hyper_zagreb(tree_t_family(4, n)) < CATALOG["T^3_n"].poly.evaluate(n):
-            violations += 1
-            if counterexample is None:
-                counterexample = f"T^4 vs T^3 at n={n}"
-    return CheckResult(
+            failures.append(f"T^4 vs T^3 at n={n}")
+    return _tally(
         "tree-chain", "polynomials n <= 60; fourth broom from n = 8", checked,
-        violations, counterexample,
+        failures,
     )
 
 
 def _check_unicyclic_poly_chain(n_max: int = 60) -> CheckResult:
     """Strict ordering of the eight unicyclic polynomials from n = 15, and
     the companion family tying the tail exactly at n = 15."""
-    violations = 0
+    failures = []
     checked = 0
-    counterexample = None
     for n in range(15, n_max + 1):
         vals = [CATALOG[k].poly.evaluate(n) for k in UNICYCLIC_TOP8]
         checked += 1
         if not all(a > b for a, b in zip(vals, vals[1:])):
-            violations += 1
-            if counterexample is None:
-                counterexample = f"n={n}"
+            failures.append(f"n={n}")
     tail = CATALOG[UNICYCLIC_TOP8[-1]].poly
     companion = CATALOG[UNICYCLIC_TAIL_TIE].poly
     for n in range(8, n_max + 1):
         checked += 1
         equal = tail.evaluate(n) == companion.evaluate(n)
         if equal != (n == 15):
-            violations += 1
-            if counterexample is None:
-                counterexample = f"tail tie at n={n}"
-    return CheckResult(
+            failures.append(f"tail tie at n={n}")
+    return _tally(
         "unicyclic-chain", "polynomials 15 <= n <= 60; tail tie only at 15",
-        checked, violations, counterexample,
+        checked, failures,
     )
 
 

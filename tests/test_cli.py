@@ -119,7 +119,14 @@ def test_enumerate_stdout_count_on_stderr(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", ["enumerate unicyclic 2", "rank trees 0", "rank unicyclic 8 -k 0"]
+    "argv",
+    [
+        "enumerate unicyclic 2",
+        "rank trees 0",
+        "rank unicyclic 8 -k 0",
+        "verify lemmas --trials 0",
+        "family S_n 258048",
+    ],
 )
 def test_enumerate_and_rank_domain_errors(argv, capsys):
     assert main(argv.split()) == 4
@@ -175,6 +182,20 @@ def test_transform_reduce(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].endswith("hm: 260")
     assert lines[-1].endswith("hm: 530")
+    # stdout sha256 of whole chains, pinned at the commit before reduce
+    # carried its star counts from step to step
+    for g6, digest in [
+        ("K??_C?@???Zz",  # star-collapse
+         "acd116a62bb267cd3025b6eb6768e8f514a36b35e55f91c4d4c1edd5f33b2170"),
+        ("K_?_GuC_?AOG",  # non-adjacent sources, canonical-code tie-break
+         "c422e6112b52ac4f4bf7e8f9194f83744578d609d9610b3e8342559a1e4a91b4"),
+        ("K_?_?MC@??RH",  # two sources
+         "74203c3289caf733e42a94df3394687a57fe334877d9a4b9622088072f16a22b"),
+    ]:
+        f.write_text(g6 + "\n")
+        assert main(["transform", "reduce", str(f)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, g6
 
 
 def test_transform_reduce_domain_error(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from hyperzagreb.canon import canonical_code, cycle_vertices
+from hyperzagreb.codec import encode_graph6
 from hyperzagreb.enumeration import unicyclic_graphs
 from hyperzagreb.families import (
     cycle,
@@ -138,12 +140,38 @@ def test_reduction_chain_examples():
 
 
 def test_reduction_chain_exhaustive_small():
+    # Every chain, for each class and a relabelled twin, hashed as graph6
+    # lines (one blank line per chain); pinned at the commit before reduce
+    # carried its star counts from step to step.
+    rng = random.Random(0)
+    digest = hashlib.sha256()
     for n in range(3, 10):
         for g in unicyclic_graphs(n):
-            chain = reduce_to_single_attachment(g)
-            assert all(x.n == n and x.num_edges == n for x in chain)
-            hms = [hyper_zagreb(x) for x in chain]
-            assert all(a < b for a, b in zip(hms, hms[1:]))
-            m = len(cycle_vertices(g))
-            assert hms[-1] == cycle_star_hm(m, n)
-            assert hms[0] <= cycle_star_hm(m, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            twin = make_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+            for start in (g, twin):
+                chain = reduce_to_single_attachment(start)
+                assert all(x.n == n and x.num_edges == n for x in chain)
+                hms = [hyper_zagreb(x) for x in chain]
+                assert all(a < b for a, b in zip(hms, hms[1:]))
+                m = len(cycle_vertices(g))
+                assert hms[-1] == cycle_star_hm(m, n)
+                assert hms[0] <= cycle_star_hm(m, n)
+                for y in chain:
+                    digest.update((encode_graph6(y) + "\n").encode())
+                digest.update(b"\n")
+    assert digest.hexdigest() == (
+        "43860d00bd032d4849538623a3df1b2008c114c91a6323618c999b6d68252620"
+    )
+
+
+def test_reduction_survives_deep_hanging_trees():
+    # A triangle with a 3,000-edge pendant path, built twice so that no
+    # cache is shared between the copies: the traversal must be iterative.
+    n = 3003
+    for _ in range(2):
+        edges = [(0, 1), (1, 2), (0, 2)] + [(v - 1 if v > 3 else 0, v) for v in range(3, n)]
+        chain = reduce_to_single_attachment(make_graph(n, edges))
+        assert len(chain) == 2
+        assert hyper_zagreb(chain[-1]) == cycle_star_hm(3, n)
