@@ -17,7 +17,7 @@ from .families import (
     star,
     tree_t_family,
 )
-from .enumeration import labeled_oracle, trees, unicyclic_graphs
+from .enumeration import ClassRecord, labeled_oracle, trees, unicyclic_graphs
 from .graphs import (
     Graph,
     ZagrebIndices,

@@ -10,11 +10,18 @@ Disconnected graphs combine sorted component codes.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .graphs import Graph, connected_components, induced_subgraph
 from .rooted import Form, form_key, rooted_form
 
+if TYPE_CHECKING:
+    from .enumeration import ClassRecord
 
-def canonical_code(g: Graph) -> bytes:
+
+def canonical_code(g: Graph | ClassRecord) -> bytes:
+    if not isinstance(g, Graph):
+        g = g.graph()  # an enumerator's class record: code its built graph
     comps = connected_components(g)
     if len(comps) > 1:
         parts = sorted(_connected_code(induced_subgraph(g, c)) for c in comps)

@@ -3,9 +3,9 @@
 Subcommands: compute, family, enumerate, rank, verify, transform.
 Exit codes are a stable contract: 0 success (verify: all pass, tie-noted
 counts as pass), 1 ordering-claim failure, 2 input parse failure, 3 unknown
-catalog key, 4 domain error (order below a family floor and similar),
-5 I/O failure.  Output never contains timestamps; identical invocations
-produce identical bytes.
+catalog key, 4 domain error (order below a family floor, a graph6 result
+above MAX_OUTPUT_ORDER vertices and similar), 5 I/O failure.  Output never
+contains timestamps; identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import io
 import json
 import sys
 
-from .codec import MAX_ORDER, CodecError, decode_graph6, encode_graph6, parse_edgelist
+from .codec import CodecError, decode_graph6, encode_graph6, parse_edgelist
 from .enumeration import trees, unicyclic_graphs
 from .families import (
     CATALOG,
@@ -35,6 +35,10 @@ from .verify import (
     verify_trees,
     verify_unicyclic,
 )
+
+# graph6 output is quadratic in the order; writing a graph of this order
+# takes about a second, so family and transform refuse larger ones.
+MAX_OUTPUT_ORDER = 4000
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -140,12 +144,18 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _cmd_family(args) -> int:
-    if args.key in CATALOG and args.n > MAX_ORDER:
-        # graph6 could not write the result; refuse before building it
+def _check_output_order(n: int) -> None:
+    """Refuse a graph6 result above MAX_OUTPUT_ORDER before computing it."""
+    if n > MAX_OUTPUT_ORDER:
         raise _CliFailure(
-            EXIT_DOMAIN, f"order {args.n} exceeds graph6's limit of {MAX_ORDER}"
+            EXIT_DOMAIN,
+            f"order {n} exceeds the graph6 output limit of {MAX_OUTPUT_ORDER}",
         )
+
+
+def _cmd_family(args) -> int:
+    if args.key in CATALOG:
+        _check_output_order(args.n)
     try:
         g = build_catalog_member(args.key, args.n)
     except UnknownFamilyError:
@@ -188,8 +198,8 @@ def _cmd_enumerate(args) -> int:
         raise _CliFailure(EXIT_IO, f"cannot write {args.out}: {exc}") from exc
     try:
         try:
-            for g in stream:
-                sink.write(encode_graph6(g) + "\n")
+            for record in stream:
+                sink.write(encode_graph6(record.graph()) + "\n")
                 count += 1
         except ValueError as exc:
             raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
@@ -270,6 +280,7 @@ def _cmd_verify(args) -> int:
 def _cmd_transform(args) -> int:
     if args.which == "reduce":
         g = _load_graph(args.input, args.input_format)
+        _check_output_order(g.n)
         try:
             chain = reduce_to_single_attachment(g)
         except StructureError as exc:
@@ -283,6 +294,7 @@ def _cmd_transform(args) -> int:
     # coalesce
     g = _load_graph(args.input, args.input_format)
     h = _load_graph(args.other, args.input_format)
+    _check_output_order(g.n + h.n - 1)
     try:
         merged = coalesce(g, args.at, h, args.to)
     except GraphError as exc:

@@ -11,6 +11,14 @@ necklace (sequence up to rotation and reflection) of rooted-tree forms
 hanging from the cycle positions.  The generator emits the sequence that
 equals its own dihedral minimum, again exactly one per class.
 
+Both generators yield a ClassRecord per class, not a Graph.  Its exact
+Hyper-Zagreb index is summed from per-form tables (rooted.form_tables),
+built once per call: a class's index is the sum of each hanging form's
+own edges at its root degree plus the edges joining the roots (the cycle
+edges, the centroid edge or the centroid's child edges).  Ranking scores
+every class this way and builds only the graphs it reports, through
+record.graph(), with the same vertex labels as rooted.form_graph.
+
 The labeled oracle is the independent ground truth used to certify both
 generators at small orders: it scans every labeled graph of the class and
 partitions them into isomorphism classes purely by permutation orbits.
@@ -21,59 +29,86 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import Graph, from_adjacency, make_graph
-from .rooted import Form, cycle_adj, forests, form_graph, rooted_forms
+from .rooted import (
+    Form,
+    cycle_adj,
+    forests,
+    form_graph,
+    form_tables,
+    rooted_forms,
+)
 
 ORACLE_MAX_ORDER = 8
 
 
-def trees(n: int) -> Iterator[Graph]:
-    """All free trees on n vertices, one canonical representative per class."""
+class ClassRecord(NamedTuple):
+    """One isomorphism class as the enumerators yield it.
+
+    hm is the exact Hyper-Zagreb index, summed from the per-form tables
+    without building the graph.  graph() builds the class's representative:
+    a tree grows from the single vertex 0 (cycle 0), a unicyclic graph from
+    the cycle 0..cycle-1, and each (root, form) of placements hangs below its
+    root vertex through rooted.form_graph.
+    """
+
+    n: int
+    hm: int
+    cycle: int
+    placements: tuple[tuple[int, Form], ...]
+
+    def graph(self) -> Graph:
+        return form_graph(cycle_adj(self.cycle) if self.cycle else [[]], self.placements)
+
+
+def trees(n: int) -> Iterator[ClassRecord]:
+    """All free trees on n vertices, one record per class."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if n == 1:
-        yield from_adjacency([[]])
+    if n <= 2:  # one vertex, or one edge with index (1 + 1)^2
+        yield ClassRecord(n, 4 * (n - 1), 0, ((0, ((),) * (n - 1)),))
         return
-    if n == 2:
-        yield from_adjacency([[1], [0]])
-        return
+    tables = form_tables(n // 2)
+    # E(f, d) of each form hanging below a parent, at d = its child count + 1
+    hung = dict(zip(tables.forms, tables.hung))
     # Single centroid: every hanging subtree has at most floor((n-1)/2)
     # vertices.  (A subtree of exactly n/2 vertices would move the centroid.)
     for children in forests(n - 1, (n - 1) // 2):
-        yield form_graph([[]], [(0, children)])
+        d = len(children)  # the centroid's degree; each child has len(c) + 1
+        hm = sum([hung[c] + (d + len(c) + 1) ** 2 for c in children])
+        yield ClassRecord(n, hm, 0, ((0, children),))
     # Two adjacent centroids: unordered pair of rooted halves on n/2 vertices.
     # The second half hangs below a new neighbour of the first root.
     if n % 2 == 0:
         halves = rooted_forms(n // 2)
         for i, f1 in enumerate(halves):
             for f2 in halves[i:]:
-                yield form_graph([[]], [(0, f1), (0, (f2,))])
+                hm = hung[f1] + hung[f2] + (len(f1) + len(f2) + 2) ** 2
+                yield ClassRecord(n, hm, 0, ((0, f1), (0, (f2,))))
 
 
-def unicyclic_graphs(n: int) -> Iterator[Graph]:
-    """All connected unicyclic graphs on n vertices, one per class."""
+def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
+    """All connected unicyclic graphs on n vertices, one record per class."""
     if n < 3:
         raise ValueError(f"order must be >= 3, got {n}")
-    # Rooted forms as dense integer ids.  Ids ascend in (size, form) order,
-    # so tuple-of-id comparisons agree with the form_key order used by
-    # canonical codes.
-    forms: list[Form] = []
-    ids_by_size = [range(0)]  # index 0 unused
-    for s in range(1, n - 1):
-        level = rooted_forms(s)
-        ids_by_size.append(range(len(forms), len(forms) + len(level)))
-        forms.extend(level)
+    tables = form_tables(n - 2)
+    # On the cycle a form's root has degree D = count + 2; its own edges add
+    # own = E(f, D), and each cycle edge adds (D_i + D_{i+1})^2.
+    deg = [len(f) + 2 for f in tables.forms]
+    own = [tables.edge_hm(fid, d) for fid, d in enumerate(deg)]
+    forms, ids_by_size = tables.forms, tables.ids_by_size
+    del tables  # free its hung list: enumeration needs only deg and own
     for m in range(3, n + 1):
-        yield from _cycle_necklaces(m, n, forms, ids_by_size)
+        yield from _cycle_necklaces(m, n, forms, ids_by_size, deg, own)
 
 
 def _cycle_necklaces(
-    m: int, n: int, forms: list[Form], ids_by_size: list[range]
-) -> Iterator[Graph]:
+    m: int, n: int, forms: list[Form], ids_by_size: list[range],
+    deg: list[int], own: list[int],
+) -> Iterator[ClassRecord]:
     """Unicyclic classes with cycle length m: dihedral-minimal id tuples."""
-    extra = n - m  # vertices beyond the cycle
 
     def is_dihedral_min(t: tuple[int, ...]) -> bool:
         t0 = t[0]
@@ -87,30 +122,42 @@ def _cycle_necklaces(
 
     # Fill positions left to right; position 0 carries the smallest id, so
     # only rotations aligned on that id can compete in the dihedral check.
+    # hm holds the index of the positions placed so far and the cycle edges
+    # between them.
     prefix = [0] * m
 
-    def fill(pos: int, remaining: int, min_id: int) -> Iterator[Graph]:
-        slots_left = m - pos
-        if slots_left == 0:
-            if remaining == 0:
+    def fill(pos: int, remaining: int, min_id: int, hm: int) -> Iterator[ClassRecord]:
+        d_prev = deg[prefix[pos - 1]]
+        if pos == m - 1:  # the last position takes exactly what is left
+            closing = deg[prefix[0]]
+            for fid in ids_by_size[remaining]:
+                if fid < min_id:
+                    continue
+                prefix[pos] = fid
                 t = tuple(prefix)
                 if is_dihedral_min(t):
-                    yield form_graph(
-                        cycle_adj(m), [(pos, forms[fid]) for pos, fid in enumerate(t)]
+                    d = deg[fid]
+                    yield ClassRecord(
+                        n,
+                        hm + own[fid] + (d_prev + d) ** 2 + (d + closing) ** 2,
+                        m,
+                        tuple(enumerate(map(forms.__getitem__, t))),
                     )
             return
-        max_size = remaining - (slots_left - 1)
-        for s in range(1, max_size + 1):
+        for s in range(1, remaining - (m - pos - 1) + 1):
             for fid in ids_by_size[s]:
                 if fid < min_id:
                     continue
                 prefix[pos] = fid
-                yield from fill(pos + 1, remaining - s, min_id)
+                yield from fill(
+                    pos + 1, remaining - s, min_id,
+                    hm + own[fid] + (d_prev + deg[fid]) ** 2,
+                )
 
-    for s0 in range(1, extra + 2):
+    for s0 in range(1, n - m + 2):
         for fid0 in ids_by_size[s0]:
             prefix[0] = fid0
-            yield from fill(1, n - s0, fid0)
+            yield from fill(1, n - s0, fid0, own[fid0])
 
 
 # ---------------------------------------------------------------------------

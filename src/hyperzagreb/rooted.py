@@ -9,6 +9,7 @@ currency between canonical codes, family builders and the enumerators.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -68,6 +69,53 @@ def forests(budget: int, max_part: int) -> Iterator[tuple[Form, ...]]:
         raise ValueError(f"max_part must be >= 1, got {max_part}")
     top = rooted_forms(min(budget, max_part))[-1] if budget else ()
     yield from _forests(budget, (min(budget, max_part), top) if budget else None)
+
+
+@dataclass(frozen=True)
+class FormTables:
+    """Hyper-Zagreb parts of every rooted form of size 1..max_size.
+
+    Ids ascend in (size, form) order, so tuple-of-id comparisons agree with
+    form_key.  A form's own edges are those from its root down.  With c
+    children of degrees d_j (a child's own child count plus one, for the
+    edge up to its parent) and its root at degree d they add up to
+
+        E(f, d) = B + c*d^2 + 2*d*S1 + S2,  S1 = sum d_j,  S2 = sum d_j^2,
+
+    where B, the index of the edges below the children, is the sum of
+    E(child, d_j).  hung holds E(f, c + 1), the form hanging below a parent;
+    only the terms in d differ at any other root degree.
+    """
+
+    forms: list[Form]
+    ids_by_size: list[range]  # index 0 unused
+    hung: list[int]
+
+    def edge_hm(self, fid: int, d: int) -> int:
+        """E(f, d) for form id fid with its root at degree d."""
+        f = self.forms[fid]
+        c = len(f)
+        s1 = sum(map(len, f)) + c
+        return self.hung[fid] + c * (d * d - (c + 1) ** 2) + 2 * (d - c - 1) * s1
+
+
+def form_tables(max_size: int) -> FormTables:
+    """Per-form tables over rooted_forms(1..max_size), built bottom-up."""
+    forms: list[Form] = []
+    ids_by_size = [range(0)]
+    for s in range(1, max_size + 1):
+        level = rooted_forms(s)
+        ids_by_size.append(range(len(forms), len(forms) + len(level)))
+        forms.extend(level)
+    hung_of: dict[Form, int] = {}  # children come first: ids ascend by size
+    for f in forms:
+        c = len(f)
+        degs = [len(child) + 1 for child in f]
+        below = sum([hung_of[child] for child in f])
+        hung_of[f] = below + c * (c + 1) ** 2 + 2 * (c + 1) * sum(degs) + sum(
+            [d * d for d in degs]
+        )
+    return FormTables(forms, ids_by_size, list(hung_of.values()))
 
 
 def star_form(pendants: int) -> Form:

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .canon import canonical_code, cycle_vertices
 from .codec import encode_graph6
-from .enumeration import prufer_edges, trees, unicyclic_graphs
+from .enumeration import ClassRecord, prufer_edges, trees, unicyclic_graphs
 from .families import (
     CATALOG,
     TREE_TOP4,
@@ -67,7 +67,9 @@ class RankEntry:
         }
 
 
-def _compact(buf: list[tuple[int, Graph]], k: int) -> list[tuple[int, Graph]]:
+def _compact(
+    buf: list[tuple[int, ClassRecord | Graph]], k: int
+) -> list[tuple[int, ClassRecord | Graph]]:
     buf.sort(key=lambda t: -t[0])
     if len(buf) <= k:
         return buf
@@ -87,28 +89,37 @@ def family_codes(kind: str, n: int) -> dict[bytes, str]:
 
 
 def rank(
-    stream: Iterable[Graph], k: int, families: dict[bytes, str] | None = None
+    stream: Iterable[ClassRecord | Graph],
+    k: int,
+    families: dict[bytes, str] | None = None,
 ) -> list[RankEntry]:
     """Top-k entries by index value, descending, with full tie groups.
 
-    Ties are ordered by canonical code; the list may exceed k when the k-th
+    The window runs on each record's table index (a plain Graph is scored
+    by hyper_zagreb); only the survivors are built and canonicalised, and
+    each reported index is checked against the degree definition.  Ties
+    are ordered by canonical code; the list may exceed k when the k-th
     value is shared.  Memory stays bounded by the window, not the class.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    buf: list[tuple[int, Graph]] = []
+    buf: list[tuple[int, ClassRecord | Graph]] = []
     total = 0
-    for g in stream:
-        buf.append((hyper_zagreb(g), g))
+    for item in stream:
+        buf.append((hyper_zagreb(item) if isinstance(item, Graph) else item.hm, item))
         total += 1
         if len(buf) >= 4 * k + 64:
             buf = _compact(buf, k)
     if total == 0:
         raise ValueError("empty stream")
-    buf = _compact(buf, k)
-    decorated = sorted(
-        ((hm, canonical_code(g), g) for hm, g in buf), key=lambda t: (-t[0], t[1])
-    )
+    decorated = []
+    for hm, item in _compact(buf, k):
+        g = item if isinstance(item, Graph) else item.graph()
+        built = hyper_zagreb(g)
+        if built != hm:
+            raise AssertionError(f"scored index {hm} != {built} of the built graph")
+        decorated.append((hm, canonical_code(g), g))
+    decorated.sort(key=lambda t: (-t[0], t[1]))
     out = []
     for i, (hm, code, g) in enumerate(decorated, start=1):
         match = families.get(code) if families else None
@@ -390,7 +401,7 @@ def _check_attachment_shift(rng: random.Random, trials: int) -> CheckResult:
 
 def _check_join_identify() -> CheckResult:
     """Exhaustive over tree pairs on up to 6 vertices and all root choices."""
-    pool = [t for n in range(2, 7) for t in trees(n)]
+    pool = [t.graph() for n in range(2, 7) for t in trees(n)]
     failures = []
     checked = 0
     for t1 in pool:
@@ -428,7 +439,8 @@ def _check_star_max(n_max: int = 12) -> CheckResult:
     for n in range(2, n_max + 1):
         best = CATALOG["S_n"].poly.evaluate(n)
         top = []
-        for t in trees(n):
+        for r in trees(n):
+            t = r.graph()
             checked += 1
             hm = hyper_zagreb(t)
             if hm >= best:
@@ -457,7 +469,8 @@ def _check_single_attachment_max(n_max: int = 10) -> CheckResult:
         }
         global_best = cycle_star_hm(3, n)
         best_seen = []
-        for g in unicyclic_graphs(n):
+        for r in unicyclic_graphs(n):
+            g = r.graph()
             checked += 1
             m = len(cycle_vertices(g))
             bound = cycle_star_hm(m, n)

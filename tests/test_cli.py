@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hyperzagreb.cli import main
+from hyperzagreb.cli import MAX_OUTPUT_ORDER, main
 from hyperzagreb.codec import encode_graph6
 from hyperzagreb.families import cycle_with_attachments
 from hyperzagreb.rooted import path_form
@@ -126,6 +126,7 @@ def test_enumerate_stdout_count_on_stderr(capsys):
         "rank unicyclic 8 -k 0",
         "verify lemmas --trials 0",
         "family S_n 258048",
+        f"family S_n {MAX_OUTPUT_ORDER + 1}",
     ],
 )
 def test_enumerate_and_rank_domain_errors(argv, capsys):
@@ -206,6 +207,27 @@ def test_transform_reduce_domain_error(tmp_path, capsys):
     assert main(["transform", "reduce", str(f)]) == 4
 
 
+def test_transform_refuses_graph6_output_above_limit(tmp_path, capsys):
+    # a triangle with a pendant path, one vertex above the output limit
+    n = MAX_OUTPUT_ORDER + 1
+    edges = [(0, 1), (1, 2), (2, 0)] + [(v - 1, v) for v in range(3, n)]
+    big = tmp_path / "big.edges"
+    big.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    # two paths whose coalesced graph has n vertices
+    half = tmp_path / "half.edges"
+    k = (n + 1) // 2
+    half.write_text(f"{k} {k - 1}\n" + "".join(f"{v - 1} {v}\n" for v in range(1, k)))
+    for argv in (
+        ["transform", "reduce", str(big)],
+        ["transform", "coalesce", str(half), str(half), "--at", "0", "--to", "0"],
+    ):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and str(MAX_OUTPUT_ORDER) in captured.err
+
+
 def test_transform_coalesce(tmp_path, capsys):
     f1 = tmp_path / "a.g6"
     f2 = tmp_path / "b.g6"
@@ -262,6 +284,12 @@ GOLDEN = [
      "89f0ebe651f2b4de82c0e61094bf4bb6d1fede0703a5d970e005e4d307b5d774"),
     ("family S_n 7", 0,
      "11980f064bdf5e3d49516d57d480d71a99853ad7938014d721b83f5d48202177"),
+    # deeper windows, through many compactions and tie groups; pinned before
+    # the enumerators yielded class records instead of graphs
+    ("rank unicyclic 14 -k 30 --format json", 0,
+     "b7a22e517cca1bdfb33ff0aa551a048d8ff961f39534bd4738b71e8adc7bde14"),
+    ("rank trees 16 -k 25 --format csv", 0,
+     "43d9cb6315050ca0a46ad83207cc380038fadc5fb9b8e2f552acf61073fb965d"),
 ]
 
 

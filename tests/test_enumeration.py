@@ -13,7 +13,7 @@ from hyperzagreb.enumeration import (
     trees,
     unicyclic_graphs,
 )
-from hyperzagreb.graphs import is_tree, is_unicyclic, make_graph
+from hyperzagreb.graphs import hyper_zagreb, is_tree, is_unicyclic, make_graph
 
 
 def rooted_count_series(n_max):
@@ -134,7 +134,8 @@ def test_class_purity_and_no_duplicates():
     # the validating make_graph unchanged.
     for n in range(1, 10):
         seen = set()
-        for g in trees(n):
+        for r in trees(n):
+            g = r.graph()
             assert is_tree(g)
             assert make_graph(g.n, list(g.edges())) == g
             code = canonical_code(g)
@@ -142,7 +143,8 @@ def test_class_purity_and_no_duplicates():
             seen.add(code)
     for n in range(3, 10):
         seen = set()
-        for g in unicyclic_graphs(n):
+        for r in unicyclic_graphs(n):
+            g = r.graph()
             assert is_unicyclic(g)
             assert make_graph(g.n, list(g.edges())) == g
             code = canonical_code(g)
@@ -150,12 +152,36 @@ def test_class_purity_and_no_duplicates():
             seen.add(code)
 
 
+def test_records_agree_with_built_graphs():
+    # the table index and the record's code match its built graph
+    streams = [trees(n) for n in range(1, 15)]
+    streams += [unicyclic_graphs(n) for n in range(3, 12)]
+    for stream in streams:
+        for r in stream:
+            g = r.graph()
+            assert g.n == r.n
+            assert r.hm == hyper_zagreb(g), (r.n, encode_graph6(g))
+            assert canonical_code(r) == canonical_code(g)
+
+
+def test_trees_match_networkx():
+    # second, independent tree generator (WROM), used by this test only
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 13):
+        ours = [canonical_code(r) for r in trees(n)]
+        theirs = [
+            canonical_code(make_graph(n, t.edges())) for t in nx.nonisomorphic_trees(n)
+        ]
+        assert len(ours) == len(theirs), n
+        assert set(ours) == set(theirs), n
+
+
 def test_emission_deterministic():
-    a = [encode_graph6(g) for g in trees(9)]
-    b = [encode_graph6(g) for g in trees(9)]
+    a = [encode_graph6(r.graph()) for r in trees(9)]
+    b = [encode_graph6(r.graph()) for r in trees(9)]
     assert a == b
-    a = [encode_graph6(g) for g in unicyclic_graphs(8)]
-    b = [encode_graph6(g) for g in unicyclic_graphs(8)]
+    a = [encode_graph6(r.graph()) for r in unicyclic_graphs(8)]
+    b = [encode_graph6(r.graph()) for r in unicyclic_graphs(8)]
     assert a == b
 
 

@@ -146,7 +146,8 @@ def test_reduction_chain_exhaustive_small():
     rng = random.Random(0)
     digest = hashlib.sha256()
     for n in range(3, 10):
-        for g in unicyclic_graphs(n):
+        for r in unicyclic_graphs(n):
+            g = r.graph()
             perm = list(range(n))
             rng.shuffle(perm)
             twin = make_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])

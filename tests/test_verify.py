@@ -45,6 +45,18 @@ def test_rank_includes_full_tie_groups():
     assert entries[0].hm == entries[1].hm
 
 
+def test_rank_checks_reported_index_against_built_graph():
+    # a record whose scored index disagrees with its graph is refused once
+    # it reaches the window; one that is scored out never gets built
+    records = list(trees(6))
+    top = max(records, key=lambda r: r.hm)
+    bottom = min(records, key=lambda r: r.hm)
+    entries = rank(records[:-1] + [bottom._replace(hm=bottom.hm - 1)], 1)
+    assert [e.hm for e in entries] == [top.hm]
+    with pytest.raises(AssertionError):
+        rank(records + [top._replace(hm=top.hm + 1)], 1)
+
+
 def test_verify_trees_pass_and_report_only():
     rep = verify_trees(10)
     assert rep.verdict == "pass"
