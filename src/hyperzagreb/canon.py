@@ -1,18 +1,17 @@
-"""Exact isomorphism-complete canonical codes.
+"""Exact canonical codes for trees and connected unicyclic graphs.
 
-Two graphs receive the same code iff they are isomorphic; codes are bytes,
-so they sort deterministically and serve both as dedup keys and as
-tie-breakers.  Trees use a centroid-rooted form, unicyclic graphs a
-dihedral-minimal necklace of hanging-tree forms, and everything else a
-branch-and-bound minimal adjacency bitstring (intended for small orders).
-Disconnected graphs combine sorted component codes.
+Two graphs of these classes receive the same code iff they are isomorphic;
+codes are bytes, so they sort deterministically and serve both as dedup
+keys and as tie-breakers.  Trees use a centroid-rooted form, unicyclic
+graphs a dihedral-minimal necklace of hanging-tree forms.  These are the
+only classes the system ranks; any other graph raises GraphError.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .graphs import Graph, connected_components, induced_subgraph
+from .graphs import Graph, GraphError, is_tree, is_unicyclic
 from .rooted import Form, form_key, rooted_form
 
 if TYPE_CHECKING:
@@ -22,20 +21,14 @@ if TYPE_CHECKING:
 def canonical_code(g: Graph | ClassRecord) -> bytes:
     if not isinstance(g, Graph):
         g = g.graph()  # an enumerator's class record: code its built graph
-    comps = connected_components(g)
-    if len(comps) > 1:
-        parts = sorted(_connected_code(induced_subgraph(g, c)) for c in comps)
-        body = b"".join(len(p).to_bytes(4, "big") + p for p in parts)
-        return b"D" + len(parts).to_bytes(4, "big") + body
-    return _connected_code(g)
-
-
-def _connected_code(g: Graph) -> bytes:
-    if g.num_edges == g.n - 1:
+    if is_tree(g):
         return _tree_code(g)
-    if g.num_edges == g.n:
+    if is_unicyclic(g):
         return _unicyclic_code(g)
-    return _general_code(g)
+    raise GraphError(
+        f"canonical codes cover trees and connected unicyclic graphs only, "
+        f"got n={g.n} with {g.num_edges} edges"
+    )
 
 
 def _form_bytes(form: Form) -> bytes:
@@ -158,45 +151,3 @@ def _unicyclic_code(g: Graph) -> bytes:
     ordered = forms[::-1] if reflected else forms
     ordered = ordered[start:] + ordered[:start]
     return b"U" + m.to_bytes(4, "big") + b"".join(_form_bytes(f) for f in ordered)
-
-
-def _general_code(g: Graph) -> bytes:
-    """Minimal adjacency bitstring over all vertex orderings.
-
-    Exhaustive with prefix pruning; exact for any graph but meant for small
-    orders (the tree/unicyclic fast paths cover the large ones).
-    """
-    n = g.n
-    adjsets = [frozenset(a) for a in g.adj]
-    best: tuple[tuple[int, ...], ...] | None = None
-
-    def extend(placed: list[int], remaining: list[int], rows: tuple) -> None:
-        nonlocal best
-        k = len(placed)
-        if not remaining:
-            if best is None or rows < best:
-                best = rows
-            return
-        scored = sorted(
-            (tuple(1 if placed[i] in adjsets[v] else 0 for i in range(k)), v)
-            for v in remaining
-        )
-        for row, v in scored:
-            new_rows = rows + (row,)
-            if best is not None and new_rows > best[: k + 1]:
-                break
-            placed.append(v)
-            extend(placed, [w for w in remaining if w != v], new_rows)
-            placed.pop()
-
-    extend([], list(range(n)), ())
-    assert best is not None
-    bits = [b for row in best for b in row]
-    packed = bytearray()
-    for i in range(0, len(bits), 8):
-        byte = 0
-        for b in bits[i : i + 8]:
-            byte = (byte << 1) | b
-        byte <<= (8 - min(8, len(bits) - i)) % 8
-        packed.append(byte)
-    return b"G" + n.to_bytes(4, "big") + bytes(packed)

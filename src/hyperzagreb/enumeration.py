@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import Graph, from_adjacency, make_graph
@@ -338,25 +338,3 @@ def labeled_oracle(n: int, kind: str) -> OracleResult:
         _graph_from_mask(n, rep) for rep, _ in _orbit_partition(n, masks)
     )
     return OracleResult(n, kind, classes, total)
-
-
-def brute_isomorphic(g: Graph, h: Graph) -> bool:
-    """Isomorphism by raw permutation search (small graphs only)."""
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return False
-    n = g.n
-    if sorted(map(len, g.adj)) != sorted(map(len, h.adj)):
-        return False
-    if n > 9:
-        raise ValueError("brute_isomorphic is limited to n <= 9")
-    g_edges = list(g.edges())
-    h_sets = h.adj
-    for perm in permutations(range(n)):
-        ok = True
-        for u, v in g_edges:
-            if perm[v] not in h_sets[perm[u]]:
-                ok = False
-                break
-        if ok:
-            return True
-    return False

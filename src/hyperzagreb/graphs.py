@@ -105,8 +105,8 @@ def from_adjacency(adj: list[list[int]]) -> Graph:
     """Trusted fast path for adjacency lists that are simple by construction.
 
     Nothing is validated.  Graphs grown from rooted forms (rooted.form_graph)
-    and induced subgraphs come this way; edges from outside (codecs, tests)
-    or from rewiring an arbitrary graph go through make_graph instead.
+    come this way; edges from outside (codecs, tests) or from rewiring an
+    arbitrary graph go through make_graph instead.
     """
     return Graph(len(adj), tuple(tuple(sorted(a)) for a in adj))
 
@@ -188,37 +188,3 @@ def is_tree(g: Graph) -> bool:
 def is_unicyclic(g: Graph) -> bool:
     """Connected with exactly n edges (exactly one cycle)."""
     return g.num_edges == g.n and is_connected(g)
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex sets of the connected components, each sorted, in id order."""
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        comp = [start]
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
-def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
-    """Subgraph induced on the given vertices, relabeled to 0..k-1."""
-    index = {v: i for i, v in enumerate(vertices)}
-    adj: list[list[int]] = [[] for _ in vertices]
-    for v in vertices:
-        i = index[v]
-        for w in g.adj[v]:
-            j = index.get(w)
-            if j is not None:
-                adj[i].append(j)
-    return from_adjacency(adj)

@@ -67,9 +67,7 @@ class RankEntry:
         }
 
 
-def _compact(
-    buf: list[tuple[int, ClassRecord | Graph]], k: int
-) -> list[tuple[int, ClassRecord | Graph]]:
+def _compact(buf: list[tuple[int, ClassRecord]], k: int) -> list[tuple[int, ClassRecord]]:
     buf.sort(key=lambda t: -t[0])
     if len(buf) <= k:
         return buf
@@ -89,32 +87,32 @@ def family_codes(kind: str, n: int) -> dict[bytes, str]:
 
 
 def rank(
-    stream: Iterable[ClassRecord | Graph],
+    stream: Iterable[ClassRecord],
     k: int,
     families: dict[bytes, str] | None = None,
 ) -> list[RankEntry]:
     """Top-k entries by index value, descending, with full tie groups.
 
-    The window runs on each record's table index (a plain Graph is scored
-    by hyper_zagreb); only the survivors are built and canonicalised, and
-    each reported index is checked against the degree definition.  Ties
-    are ordered by canonical code; the list may exceed k when the k-th
-    value is shared.  Memory stays bounded by the window, not the class.
+    The window runs on each record's table index; only the survivors are
+    built and canonicalised, and each reported index is checked against
+    the degree definition.  Ties are ordered by canonical code; the list
+    may exceed k when the k-th value is shared.  Memory stays bounded by
+    the window, not the class.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    buf: list[tuple[int, ClassRecord | Graph]] = []
+    buf: list[tuple[int, ClassRecord]] = []
     total = 0
-    for item in stream:
-        buf.append((hyper_zagreb(item) if isinstance(item, Graph) else item.hm, item))
+    for record in stream:
+        buf.append((record.hm, record))
         total += 1
         if len(buf) >= 4 * k + 64:
             buf = _compact(buf, k)
     if total == 0:
         raise ValueError("empty stream")
     decorated = []
-    for hm, item in _compact(buf, k):
-        g = item if isinstance(item, Graph) else item.graph()
+    for hm, record in _compact(buf, k):
+        g = record.graph()
         built = hyper_zagreb(g)
         if built != hm:
             raise AssertionError(f"scored index {hm} != {built} of the built graph")

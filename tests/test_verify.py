@@ -1,6 +1,6 @@
 import pytest
 
-from hyperzagreb.enumeration import trees
+from hyperzagreb.enumeration import trees, unicyclic_graphs
 from hyperzagreb.families import CATALOG
 from hyperzagreb.verify import (
     closed_form_audit,
@@ -33,16 +33,14 @@ def test_rank_guards():
 
 
 def test_rank_includes_full_tie_groups():
-    # k = 1 over a class with several graphs at the same top value
-    from hyperzagreb.families import cycle_with_stars
-    from hyperzagreb.graphs import hyper_zagreb
-
-    pool = [cycle_with_stars(3, [2]), cycle_with_stars(3, [1, 1])]
-    assert hyper_zagreb(pool[0]) != hyper_zagreb(pool[1])
-    entries = rank(iter(pool + pool), 1)
-    # duplicates tie at the top; both copies must be present
-    assert len(entries) == 2
-    assert entries[0].hm == entries[1].hm
+    # k = 1 over every class twice: the two copies of the top class tie at
+    # the top value and both must be reported
+    records = list(unicyclic_graphs(5))
+    top = max(r.hm for r in records)
+    assert [r.hm for r in records].count(top) == 1
+    entries = rank(records * 2, 1)
+    assert [e.hm for e in entries] == [top, top]
+    assert entries[0].code == entries[1].code
 
 
 def test_rank_checks_reported_index_against_built_graph():
