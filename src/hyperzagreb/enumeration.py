@@ -4,12 +4,16 @@ Free trees come from centroid decomposition: a tree with one centroid is a
 multiset of rooted subtrees of size <= floor((n-1)/2) around a root, and a
 tree with two centroids is an unordered pair of rooted halves of size n/2.
 Both correspondences are bijections, so every isomorphism class is emitted
-exactly once with no dedup pass.
+exactly once with no dedup pass.  The multisets are walked iteratively as
+non-increasing sequences of form ids, carrying the score as they grow.
 
 Unicyclic graphs come cycle-first: a class is a cycle length m plus a
-necklace (sequence up to rotation and reflection) of rooted-tree forms
-hanging from the cycle positions.  The generator emits the sequence that
-equals its own dihedral minimum, again exactly one per class.
+bracelet (sequence up to rotation and reflection) of rooted-tree forms
+hanging from the cycle positions.  A weighted Fredricksen-Kessler-Maiorana
+walk visits the necklaces of form ids in lexicographic order, and a
+necklace is emitted when no rotation of its reversal is smaller, again
+exactly one per class (Sawada, "Generating bracelets in constant amortized
+time", SIAM J. Comput. 31, 2001).
 
 Both generators yield a ClassRecord per class, not a Graph.  Its exact
 Hyper-Zagreb index is summed from per-form tables (rooted.form_tables),
@@ -35,10 +39,9 @@ from .graphs import Graph, from_adjacency, make_graph
 from .rooted import (
     Form,
     cycle_adj,
-    forests,
     form_graph,
     form_tables,
-    rooted_forms,
+    rooted_forms,  # noqa: F401  (perfbench traces enumeration.rooted_forms)
 )
 
 ORACLE_MAX_ORDER = 8
@@ -71,26 +74,58 @@ def trees(n: int) -> Iterator[ClassRecord]:
         yield ClassRecord(n, 4 * (n - 1), 0, ((0, ((),) * (n - 1)),))
         return
     tables = form_tables(n // 2)
-    # E(f, d) of each form hanging below a parent, at d = its child count + 1
-    hung = dict(zip(tables.forms, tables.hung))
+    forms, hung, ids_by_size = tables.forms, tables.hung, tables.ids_by_size
+    k = [len(f) + 1 for f in forms]  # a hanging form's root degree
     # Single centroid: every hanging subtree has at most floor((n-1)/2)
     # vertices.  (A subtree of exactly n/2 vertices would move the centroid.)
-    for children in forests(n - 1, (n - 1) // 2):
-        d = len(children)  # the centroid's degree; each child has len(c) + 1
-        hm = sum([hung[c] + (d + len(c) + 1) ** 2 for c in children])
-        yield ClassRecord(n, hm, 0, ((0, children),))
+    # Walk the non-increasing id sequences of total size n - 1, descending;
+    # position t holds ids[t] and, before it is placed, the size left and
+    # A = sum(hung + k^2), K = sum(k) of the positions before it.  A class
+    # whose centroid has degree d scores A + d^3 + 2*d*K.
+    size = [s for s, ids in enumerate(ids_by_size) for _ in ids]
+    weight = [h + c * c for h, c in zip(hung, k)]
+    half = (n - 1) // 2
+    # top[s]: 1 + the largest id of size <= s that fits beside the centroid
+    top = [ids_by_size[min(s, half)].stop for s in range(n)]
+    ids, rem, big_a, big_k = [0] * n, [0] * n, [0] * n, [0] * n
+    ids[0], rem[0], t = top[n - 1], n - 1, 0
+    while t >= 0:
+        fid = ids[t] - 1
+        if fid < 0:
+            t -= 1
+            continue
+        ids[t] = fid
+        r = rem[t] - size[fid]
+        a, kk = big_a[t] + weight[fid], big_k[t] + k[fid]
+        if r:
+            t += 1
+            ids[t], rem[t], big_a[t], big_k[t] = min(fid + 1, top[r]), r, a, kk
+        else:
+            d = t + 1
+            children = tuple(map(forms.__getitem__, ids[:d]))
+            yield ClassRecord(n, a + d * d * d + 2 * d * kk, 0, ((0, children),))
     # Two adjacent centroids: unordered pair of rooted halves on n/2 vertices.
     # The second half hangs below a new neighbour of the first root.
     if n % 2 == 0:
-        halves = rooted_forms(n // 2)
-        for i, f1 in enumerate(halves):
-            for f2 in halves[i:]:
-                hm = hung[f1] + hung[f2] + (len(f1) + len(f2) + 2) ** 2
-                yield ClassRecord(n, hm, 0, ((0, f1), (0, (f2,))))
+        halves = ids_by_size[n // 2]
+        for i in halves:
+            for j in range(i, halves.stop):
+                hm = hung[i] + hung[j] + (k[i] + k[j]) ** 2
+                yield ClassRecord(n, hm, 0, ((0, forms[i]), (0, (forms[j],))))
 
 
 def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
-    """All connected unicyclic graphs on n vertices, one record per class."""
+    """All connected unicyclic graphs on n vertices, one record per class.
+
+    Cycle length by cycle length, a weighted FKM walk over prenecklaces of
+    form ids: position t takes any id >= a[t - p], p the period of the
+    prefix before it, whose size leaves each later position room for the
+    first bead's size (a necklace starts at its smallest bead); the last
+    position takes the size that is left.  A necklace (m % p == 0) is a
+    bracelet iff it is <= every rotation of its reversal, and only rotations
+    starting at a bead equal to a[0] can be smaller.  FKM visits necklaces
+    in lexicographic order, so the classes come out ascending by id tuple.
+    """
     if n < 3:
         raise ValueError(f"order must be >= 3, got {n}")
     tables = form_tables(n - 2)
@@ -100,64 +135,57 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
     own = [tables.edge_hm(fid, d) for fid, d in enumerate(deg)]
     forms, ids_by_size = tables.forms, tables.ids_by_size
     del tables  # free its hung list: enumeration needs only deg and own
+    stop = [ids.stop for ids in ids_by_size]  # 1 + largest id of size <= s
     for m in range(3, n + 1):
-        yield from _cycle_necklaces(m, n, forms, ids_by_size, deg, own)
-
-
-def _cycle_necklaces(
-    m: int, n: int, forms: list[Form], ids_by_size: list[range],
-    deg: list[int], own: list[int],
-) -> Iterator[ClassRecord]:
-    """Unicyclic classes with cycle length m: dihedral-minimal id tuples."""
-
-    def is_dihedral_min(t: tuple[int, ...]) -> bool:
-        t0 = t[0]
-        for s in (t, t[::-1]):
-            for i in range(m):
-                if s[i] == t0:
-                    rot = s[i:] + s[:i]
-                    if rot < t:
-                        return False
-        return True
-
-    # Fill positions left to right; position 0 carries the smallest id, so
-    # only rotations aligned on that id can compete in the dihedral check.
-    # hm holds the index of the positions placed so far and the cycle edges
-    # between them.
-    prefix = [0] * m
-
-    def fill(pos: int, remaining: int, min_id: int, hm: int) -> Iterator[ClassRecord]:
-        d_prev = deg[prefix[pos - 1]]
-        if pos == m - 1:  # the last position takes exactly what is left
-            closing = deg[prefix[0]]
-            for fid in ids_by_size[remaining]:
-                if fid < min_id:
+        # Per position: the id and its size, the prefix's period, the size
+        # left, the prefix's index (own edges plus the cycle edges inside it)
+        # and the id bound.
+        a, per, rem, hm, hi = [0] * m, [0] * m, [0] * m, [0] * m, [0] * m
+        sz = [1] * m
+        a[0], hi[0], t, last = -1, stop[n // m], 0, m - 2
+        while t >= 0:
+            fid = a[t] + 1
+            if fid >= hi[t]:
+                t -= 1
+                continue
+            a[t] = fid
+            if fid == stop[sz[t]]:  # ids ascend by size, every size has one
+                sz[t] += 1
+            if t:
+                p = per[t - 1]
+                per[t] = p if fid == a[t - p] else t + 1
+                rem[t] = rem[t - 1] - sz[t]
+                hm[t] = hm[t - 1] + own[fid] + (deg[a[t - 1]] + deg[fid]) ** 2
+            else:
+                a0, s0, d0 = fid, sz[0], deg[fid]
+                per[0], rem[0], hm[0] = 1, n - s0, own[fid]
+            if t < last:
+                t += 1
+                p = per[t - 1]
+                a[t], sz[t] = a[t - p] - 1, sz[t - p]
+                hi[t] = stop[rem[t - 1] - (m - t - 1) * s0]
+                continue
+            # The last position: ids of exactly the size left, >= a[m - 1 - p].
+            p, r, d_prev, base = per[last], rem[last], deg[fid], hm[last]
+            lo = a[m - 1 - p]
+            periodic = m % p == 0
+            for fid in range(max(lo, ids_by_size[r].start), stop[r]):
+                if fid == lo and not periodic:
                     continue
-                prefix[pos] = fid
-                t = tuple(prefix)
-                if is_dihedral_min(t):
-                    d = deg[fid]
-                    yield ClassRecord(
-                        n,
-                        hm + own[fid] + (d_prev + d) ** 2 + (d + closing) ** 2,
-                        m,
-                        tuple(enumerate(map(forms.__getitem__, t))),
-                    )
-            return
-        for s in range(1, remaining - (m - pos - 1) + 1):
-            for fid in ids_by_size[s]:
-                if fid < min_id:
-                    continue
-                prefix[pos] = fid
-                yield from fill(
-                    pos + 1, remaining - s, min_id,
-                    hm + own[fid] + (d_prev + deg[fid]) ** 2,
+                a[m - 1] = fid
+                rev = a[::-1] * 2
+                i = rev.index(a0)
+                while i < m and rev[i:i + m] >= a:
+                    i = rev.index(a0, i + 1)
+                if i < m:
+                    continue  # a rotation of the reversal is smaller
+                d = deg[fid]
+                yield ClassRecord(
+                    n,
+                    base + own[fid] + (d_prev + d) ** 2 + (d + d0) ** 2,
+                    m,
+                    tuple(enumerate(map(forms.__getitem__, a))),
                 )
-
-    for s0 in range(1, n - m + 2):
-        for fid0 in ids_by_size[s0]:
-            prefix[0] = fid0
-            yield from fill(1, n - s0, fid0, own[fid0])
 
 
 # ---------------------------------------------------------------------------

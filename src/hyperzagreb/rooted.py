@@ -60,17 +60,6 @@ def _forests(budget: int, bound: tuple[int, Form] | None) -> Iterator[tuple[Form
                 yield (f,) + rest
 
 
-def forests(budget: int, max_part: int) -> Iterator[tuple[Form, ...]]:
-    """Non-increasing form multisets of total size `budget`, parts <= max_part.
-
-    Used to enumerate the subtrees hanging from a tree's centroid.
-    """
-    if max_part < 1:
-        raise ValueError(f"max_part must be >= 1, got {max_part}")
-    top = rooted_forms(min(budget, max_part))[-1] if budget else ()
-    yield from _forests(budget, (min(budget, max_part), top) if budget else None)
-
-
 @dataclass(frozen=True)
 class FormTables:
     """Hyper-Zagreb parts of every rooted form of size 1..max_size.

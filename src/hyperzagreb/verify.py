@@ -102,12 +102,15 @@ def rank(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     buf: list[tuple[int, ClassRecord]] = []
-    total = 0
+    total = cutoff = 0  # cutoff: the k-th index of the last compaction
     for record in stream:
-        buf.append((record.hm, record))
         total += 1
+        if record.hm < cutoff:  # the cutoff only rises, so it stays out
+            continue
+        buf.append((record.hm, record))
         if len(buf) >= 4 * k + 64:
             buf = _compact(buf, k)
+            cutoff = buf[k - 1][0]
     if total == 0:
         raise ValueError("empty stream")
     decorated = []

@@ -17,6 +17,7 @@ from hyperzagreb.enumeration import (
     _graph_from_mask,
     _orbit_partition,
     labeled_oracle,
+    prufer_edges,
     trees,
     unicyclic_graphs,
 )
@@ -166,6 +167,47 @@ def test_atlas_codes_match_generators():
     for (kind, n), codes in groups.items():
         assert len(set(codes)) == len(codes), (kind, n)
         assert set(codes) == {canonical_code(r) for r in generate[kind](n)}, (kind, n)
+
+
+def test_codes_agree_with_networkx_vf2():
+    # Independent isomorphism test (VF2), test-only: equal codes exactly
+    # when networkx finds the two graphs isomorphic.  Seeded Pruefer trees,
+    # some with one extra edge, each with a relabelled twin; plus enumerated
+    # classes that share a degree sequence, the pairs a weak code would merge.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20)
+    graphs = []
+    for _ in range(80):
+        n = rng.randint(2, 20)
+        edges = prufer_edges([rng.randrange(n) for _ in range(n - 2)], n)
+        if n >= 3 and rng.random() < 0.5:
+            absent = set(combinations(range(n), 2)) - {tuple(sorted(e)) for e in edges}
+            edges.append(rng.choice(sorted(absent)))
+        g = make_graph(n, edges)
+        graphs += [g, _relabel(g, rng.sample(range(n), n))]
+    for records in (trees(10), unicyclic_graphs(8)):
+        by_degrees = defaultdict(list)
+        for r in records:
+            g = r.graph()
+            by_degrees[tuple(sorted(map(g.degree, range(g.n))))].append(g)
+        shared = [group for group in by_degrees.values() if len(group) > 1]
+        assert shared
+        for group in shared:
+            graphs += group[:3]
+    groups = defaultdict(list)
+    for g in graphs:
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(range(g.n))
+        groups[g.n, g.num_edges].append((canonical_code(g), h))
+    same = hard = 0  # isomorphic pairs; non-isomorphic with one degree sequence
+    for members in groups.values():
+        for (code_a, a), (code_b, b) in combinations(members, 2):
+            iso = nx.is_isomorphic(a, b)
+            assert (code_a == code_b) == iso
+            same += iso
+            degrees_a, degrees_b = (sorted(d for _, d in h.degree) for h in (a, b))
+            hard += not iso and degrees_a == degrees_b
+    assert same >= 80 and hard >= 80
 
 
 def test_centroids_and_cycle_helpers():

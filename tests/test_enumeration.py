@@ -1,5 +1,7 @@
 """Generator certification: independent counting formulas and labeled oracle."""
 
+import hashlib
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -14,6 +16,7 @@ from hyperzagreb.enumeration import (
     unicyclic_graphs,
 )
 from hyperzagreb.graphs import hyper_zagreb, is_tree, is_unicyclic, make_graph
+from hyperzagreb.rooted import form_key, form_size
 
 
 def rooted_count_series(n_max):
@@ -41,6 +44,7 @@ def unicyclic_count(n, r):
 
     Uses the cycle index of the dihedral group acting on the cycle
     positions, with the rooted-tree generating function as bead weight.
+    Returns the class count for each cycle length m = 3..n (Burnside).
     """
 
     def poly_mul(a, b):
@@ -80,7 +84,7 @@ def unicyclic_count(n, r):
             result -= result // x
         return result
 
-    total = 0
+    counts = {}
     for m in range(3, n + 1):
         # rotations
         rot = 0
@@ -97,8 +101,8 @@ def unicyclic_count(n, r):
             )
         count2m = rot + refl
         assert count2m % (2 * m) == 0
-        total += count2m // (2 * m)
-    return total
+        counts[m] = count2m // (2 * m)
+    return counts
 
 
 def test_tree_counts_match_otter():
@@ -117,7 +121,7 @@ def test_unicyclic_counts_match_necklace_formula():
     r = rooted_count_series(16)
     known = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657}
     for n in range(3, 11):
-        formula = unicyclic_count(n, r)
+        formula = sum(unicyclic_count(n, r).values())
         assert formula == known[n]
         assert sum(1 for _ in unicyclic_graphs(n)) == formula, n
 
@@ -125,8 +129,52 @@ def test_unicyclic_counts_match_necklace_formula():
 def test_unicyclic_formula_large_orders():
     # the n = 15 and 16 totals used by the ranking checks
     r = rooted_count_series(16)
-    assert unicyclic_count(15, r) == 110381
-    assert unicyclic_count(16, r) == 311465
+    assert sum(unicyclic_count(15, r).values()) == 110381
+    assert sum(unicyclic_count(16, r).values()) == 311465
+
+
+def test_unicyclic_counts_per_cycle_length():
+    # Burnside's count for every cycle length m, so periodic necklaces and
+    # palindromes are checked length by length, not only in total.
+    r = rooted_count_series(15)
+    for n in range(3, 15):
+        per_cycle = Counter(rec.cycle for rec in unicyclic_graphs(n))
+        assert per_cycle == unicyclic_count(n, r), n
+
+
+# sha256 over repr((n, hm, cycle, placements)) of every record in emission
+# order, measured with the earlier generators (dihedral reject test and
+# recursive forest walk): the bracelet and id-sequence walks must match them.
+RECORD_STREAM_SHA256 = {
+    ("unicyclic", 13): "d5e5f9013c1d83eb3f17a95af52ac9adc6e1372f61410c7ba571c1090f63ecce",
+    ("unicyclic", 14): "43b3c504324d8fe970d17ee328df534a456d3ab5a62feb120e13d38de3dc58b0",
+    ("trees", 16): "3a77843703c7ab39adb17b2e730a2d4bce4a176f62e471e1d2d99ef1933dae4b",
+}
+
+
+@pytest.mark.parametrize("kind, n", list(RECORD_STREAM_SHA256), ids=str)
+def test_record_streams_pinned(kind, n):
+    digest = hashlib.sha256()
+    for rec in {"unicyclic": unicyclic_graphs, "trees": trees}[kind](n):
+        digest.update(repr((rec.n, rec.hm, rec.cycle, rec.placements)).encode())
+    assert digest.hexdigest() == RECORD_STREAM_SHA256[kind, n]
+
+
+def test_centroid_children_respect_cap():
+    # A single-centroid tree hangs non-increasing subtrees of at most
+    # floor((n - 1) / 2) vertices each, n - 1 in all, from vertex 0.  (The
+    # records for n <= 2 are written out, not walked.)
+    for n in range(3, 15):
+        cap = (n - 1) // 2
+        singles = [rec for rec in trees(n) if len(rec.placements) == 1]
+        assert singles  # the star at least
+        for rec in singles:
+            ((root, children),) = rec.placements
+            assert root == 0
+            assert sum(form_size(c) for c in children) == n - 1
+            assert all(form_size(c) <= cap for c in children)
+            keys = [form_key(c) for c in children]
+            assert keys == sorted(keys, reverse=True)
 
 
 def test_class_purity_and_no_duplicates():

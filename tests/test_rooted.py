@@ -1,6 +1,5 @@
 from hyperzagreb.graphs import make_graph
 from hyperzagreb.rooted import (
-    forests,
     form_graph,
     form_key,
     form_size,
@@ -52,13 +51,3 @@ def test_shorthand_forms():
     assert star_form(3) == ((), (), ())
     assert form_size(path_form(4)) == 5
     assert rooted_forms(1) == ((),)
-
-
-def test_forests_respect_cap():
-    for budget in range(1, 9):
-        for cap in range(1, budget + 1):
-            for children in forests(budget, cap):
-                assert sum(form_size(c) for c in children) == budget
-                assert all(form_size(c) <= cap for c in children)
-                keys = [form_key(c) for c in children]
-                assert keys == sorted(keys, reverse=True)
