@@ -2,17 +2,20 @@
 
 Two graphs of these classes receive the same code iff they are isomorphic;
 codes are bytes, so they sort deterministically and serve both as dedup
-keys and as tie-breakers.  Trees use a centroid-rooted form, unicyclic
-graphs a dihedral-minimal necklace of hanging-tree forms.  These are the
+keys and as tie-breakers.  Trees use their centroid-rooted form, unicyclic
+graphs a dihedral-minimal necklace of hanging-tree forms.  Each hanging
+tree is ordered by its (size, bracket key) from rooted.hanging_keys, the
+order the form registry uses, and written with the key's bytes as ASCII
+parentheses.  No step recurses, so depth costs no stack.  These are the
 only classes the system ranks; any other graph raises GraphError.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .graphs import Graph, GraphError, is_tree, is_unicyclic
-from .rooted import Form, form_key, rooted_form
+from .rooted import CLOSE, OPEN, hanging_keys
 
 if TYPE_CHECKING:
     from .enumeration import ClassRecord
@@ -31,18 +34,11 @@ def canonical_code(g: Graph | ClassRecord) -> bytes:
     )
 
 
-def _form_bytes(form: Form) -> bytes:
-    out = bytearray()
-    stack: list[object] = [form]
-    while stack:
-        item = stack.pop()
-        if item == 0:
-            out.append(0x29)  # ')'
-            continue
-        out.append(0x28)  # '('
-        stack.append(0)
-        stack.extend(reversed(item))  # type: ignore[arg-type]
-    return bytes(out)
+_ASCII = bytes.maketrans(OPEN + CLOSE, b"()")
+
+
+def _code_bytes(keys: Iterable[tuple[int, bytes]]) -> bytes:
+    return b"".join([key for _, key in keys]).translate(_ASCII)
 
 
 def tree_centroids(g: Graph) -> list[int]:
@@ -79,15 +75,9 @@ def tree_centroids(g: Graph) -> list[int]:
 
 
 def _tree_code(g: Graph) -> bytes:
+    # one centroid, or two adjacent ones: their halves, smaller key first
     cents = tree_centroids(g)
-    if len(cents) == 1:
-        return b"T1" + _form_bytes(rooted_form(g.adj, cents[0]))
-    c1, c2 = cents
-    f1 = rooted_form(g.adj, c1, skip={c2})
-    f2 = rooted_form(g.adj, c2, skip={c1})
-    if form_key(f2) < form_key(f1):
-        f1, f2 = f2, f1
-    return b"T2" + _form_bytes(f1) + _form_bytes(f2)
+    return b"T%d" % len(cents) + _code_bytes(sorted(hanging_keys(g.adj, cents)))
 
 
 def cycle_vertices(g: Graph) -> list[int]:
@@ -122,32 +112,10 @@ def cycle_vertices(g: Graph) -> list[int]:
     return walk
 
 
-def _dihedral_min(seq: tuple) -> tuple[tuple, int, bool]:
-    """Lexicographic minimum over rotations and reflections.
-
-    Returns (minimal tuple, start index, reversed flag) so callers can
-    recover the winning alignment.
-    """
-    m = len(seq)
-    best = None
-    best_at = (0, False)
-    for rev in (False, True):
-        s = seq[::-1] if rev else seq
-        for i in range(m):
-            rot = s[i:] + s[:i]
-            if best is None or rot < best:
-                best = rot
-                best_at = (i, rev)
-    return best, best_at[0], best_at[1]
-
-
 def _unicyclic_code(g: Graph) -> bytes:
     cyc = cycle_vertices(g)
+    keys = hanging_keys(g.adj, cyc)
     m = len(cyc)
-    in_cycle = frozenset(cyc)
-    forms = tuple(rooted_form(g.adj, v, skip=in_cycle - {v}) for v in cyc)
-    keys = tuple(form_key(f) for f in forms)
-    _, start, reflected = _dihedral_min(keys)
-    ordered = forms[::-1] if reflected else forms
-    ordered = ordered[start:] + ordered[:start]
-    return b"U" + m.to_bytes(4, "big") + b"".join(_form_bytes(f) for f in ordered)
+    # lexicographic minimum over rotations and reflections
+    best = min(s[i:] + s[:i] for s in (keys, keys[::-1]) for i in range(m))
+    return b"U" + m.to_bytes(4, "big") + _code_bytes(best)

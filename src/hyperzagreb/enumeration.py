@@ -15,13 +15,15 @@ necklace is emitted when no rotation of its reversal is smaller, again
 exactly one per class (Sawada, "Generating bracelets in constant amortized
 time", SIAM J. Comput. 31, 2001).
 
-Both generators yield a ClassRecord per class, not a Graph.  Its exact
-Hyper-Zagreb index is summed from per-form tables (rooted.form_tables),
-built once per call: a class's index is the sum of each hanging form's
-own edges at its root degree plus the edges joining the roots (the cycle
-edges, the centroid edge or the centroid's child edges).  Ranking scores
-every class this way and builds only the graphs it reports, through
-record.graph(), with the same vertex labels as rooted.form_graph.
+Both generators walk form ids of the registry rooted.form_tables, built
+once per call, and never build a nested form.  They yield a ClassRecord
+per class, not a Graph: the class's form ids and its exact Hyper-Zagreb
+index, summed from the registry's per-form tables.  A class's index is
+the sum of each hanging form's own edges at its root degree plus the edges
+joining the roots (the cycle edges, the centroid edge or the centroid's
+child edges).  Ranking scores every class this way and builds only the
+graphs it reports, through record.graph(), with the same vertex labels as
+rooted.form_graph.
 
 The labeled oracle is the independent ground truth used to certify both
 generators at small orders: it scans every labeled graph of the class and
@@ -36,13 +38,7 @@ from itertools import combinations, product
 from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import Graph, from_adjacency, make_graph
-from .rooted import (
-    Form,
-    cycle_adj,
-    form_graph,
-    form_tables,
-    rooted_forms,  # noqa: F401  (perfbench traces enumeration.rooted_forms)
-)
+from .rooted import Form, FormTables, cycle_adj, form_graph, form_tables
 
 ORACLE_MAX_ORDER = 8
 
@@ -51,16 +47,32 @@ class ClassRecord(NamedTuple):
     """One isomorphism class as the enumerators yield it.
 
     hm is the exact Hyper-Zagreb index, summed from the per-form tables
-    without building the graph.  graph() builds the class's representative:
-    a tree grows from the single vertex 0 (cycle 0), a unicyclic graph from
-    the cycle 0..cycle-1, and each (root, form) of placements hangs below its
-    root vertex through rooted.form_graph.
+    without building the graph.  ids name the class's forms in the registry
+    `tables`: for a unicyclic graph (cycle its length) the beads hanging from
+    the cycle 0..cycle-1 in order; for a tree (cycle 0) the subtrees of its
+    single centroid, vertex 0, or the pair of halves of a tree with two
+    centroids.  placements expands them to (root, nested form) pairs and
+    graph() hangs each below its root through rooted.form_graph.
     """
 
     n: int
     hm: int
     cycle: int
-    placements: tuple[tuple[int, Form], ...]
+    ids: tuple[int, ...]
+    tables: FormTables
+
+    @property
+    def placements(self) -> tuple[tuple[int, Form], ...]:
+        form = self.tables.form
+        if self.cycle:
+            return tuple(enumerate(map(form, self.ids)))
+        # Two halves hang the second below a new neighbour of vertex 0.  On
+        # an even order a single centroid has three subtrees or more (n = 2
+        # aside, with one): each is below n/2 vertices and they sum to n - 1.
+        if len(self.ids) == 2 and self.n % 2 == 0:
+            i, j = self.ids
+            return ((0, form(i)), (0, (form(j),)))
+        return ((0, tuple(map(form, self.ids))),)
 
     def graph(self) -> Graph:
         return form_graph(cycle_adj(self.cycle) if self.cycle else [[]], self.placements)
@@ -71,11 +83,11 @@ def trees(n: int) -> Iterator[ClassRecord]:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if n <= 2:  # one vertex, or one edge with index (1 + 1)^2
-        yield ClassRecord(n, 4 * (n - 1), 0, ((0, ((),) * (n - 1)),))
+        yield ClassRecord(n, 4 * (n - 1), 0, (0,) * (n - 1), form_tables(1))
         return
     tables = form_tables(n // 2)
-    forms, hung, ids_by_size = tables.forms, tables.hung, tables.ids_by_size
-    k = [len(f) + 1 for f in forms]  # a hanging form's root degree
+    hung, ids_by_size = tables.hung, tables.ids_by_size
+    k = [len(c) + 1 for c in tables.children]  # a hanging form's root degree
     # Single centroid: every hanging subtree has at most floor((n-1)/2)
     # vertices.  (A subtree of exactly n/2 vertices would move the centroid.)
     # Walk the non-increasing id sequences of total size n - 1, descending;
@@ -102,8 +114,7 @@ def trees(n: int) -> Iterator[ClassRecord]:
             ids[t], rem[t], big_a[t], big_k[t] = min(fid + 1, top[r]), r, a, kk
         else:
             d = t + 1
-            children = tuple(map(forms.__getitem__, ids[:d]))
-            yield ClassRecord(n, a + d * d * d + 2 * d * kk, 0, ((0, children),))
+            yield ClassRecord(n, a + d * d * d + 2 * d * kk, 0, tuple(ids[:d]), tables)
     # Two adjacent centroids: unordered pair of rooted halves on n/2 vertices.
     # The second half hangs below a new neighbour of the first root.
     if n % 2 == 0:
@@ -111,7 +122,7 @@ def trees(n: int) -> Iterator[ClassRecord]:
         for i in halves:
             for j in range(i, halves.stop):
                 hm = hung[i] + hung[j] + (k[i] + k[j]) ** 2
-                yield ClassRecord(n, hm, 0, ((0, forms[i]), (0, (forms[j],))))
+                yield ClassRecord(n, hm, 0, (i, j), tables)
 
 
 def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
@@ -129,12 +140,16 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
     if n < 3:
         raise ValueError(f"order must be >= 3, got {n}")
     tables = form_tables(n - 2)
-    # On the cycle a form's root has degree D = count + 2; its own edges add
-    # own = E(f, D), and each cycle edge adds (D_i + D_{i+1})^2.
-    deg = [len(f) + 2 for f in tables.forms]
-    own = [tables.edge_hm(fid, d) for fid, d in enumerate(deg)]
-    forms, ids_by_size = tables.forms, tables.ids_by_size
-    del tables  # free its hung list: enumeration needs only deg and own
+    ids_by_size = tables.ids_by_size
+    # On the cycle a form's root has degree D = c + 2 for c children.  Its
+    # own edges add own = E(f, D) = hung + c*(D^2 - (c + 1)^2) + 2*S1 (the
+    # terms in d of FormTables' E, moved from d = c + 1 to d = D), and each
+    # cycle edge adds (D_i + D_{i+1})^2.
+    deg = [len(kids) + 2 for kids in tables.children]
+    own = [
+        h + (d - 2) * (d * d - (d - 1) ** 2) + 2 * sum([deg[x] - 1 for x in kids])
+        for h, d, kids in zip(tables.hung, deg, tables.children)
+    ]
     stop = [ids.stop for ids in ids_by_size]  # 1 + largest id of size <= s
     for m in range(3, n + 1):
         # Per position: the id and its size, the prefix's period, the size
@@ -167,24 +182,33 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
                 continue
             # The last position: ids of exactly the size left, >= a[m - 1 - p].
             p, r, d_prev, base = per[last], rem[last], deg[fid], hm[last]
-            lo = a[m - 1 - p]
+            lo, a1 = a[m - 1 - p], a[1]
             periodic = m % p == 0
+            # With a[0] nowhere else in the prefix, a last bead other than
+            # a[0] leaves one reversal rotation to beat, the one read back
+            # from a[0]: a[0], a[m - 1], ...  It is smaller iff a[m - 1] < a[1].
+            unique = a0 not in a[1:m - 1]
             for fid in range(max(lo, ids_by_size[r].start), stop[r]):
                 if fid == lo and not periodic:
                     continue
                 a[m - 1] = fid
-                rev = a[::-1] * 2
-                i = rev.index(a0)
-                while i < m and rev[i:i + m] >= a:
-                    i = rev.index(a0, i + 1)
-                if i < m:
-                    continue  # a rotation of the reversal is smaller
+                if unique and fid != a0 and fid != a1:
+                    if fid < a1:
+                        continue
+                else:
+                    rev = a[::-1] * 2
+                    i = rev.index(a0)
+                    while i < m and rev[i:i + m] >= a:
+                        i = rev.index(a0, i + 1)
+                    if i < m:
+                        continue  # a rotation of the reversal is smaller
                 d = deg[fid]
                 yield ClassRecord(
                     n,
                     base + own[fid] + (d_prev + d) ** 2 + (d + d0) ** 2,
                     m,
-                    tuple(enumerate(map(forms.__getitem__, a))),
+                    tuple(a),
+                    tables,
                 )
 
 

@@ -1,73 +1,43 @@
-"""Canonical rooted-tree forms.
+"""Rooted-tree forms: integer ids, bracket keys and nested tuples.
 
-A rooted tree is represented by a nested tuple: the empty tuple is a single
-vertex, and a node is the tuple of its child forms sorted in descending
-(size, form) order.  This representation is unique per rooted isomorphism
-class, hashable, and totally ordered via form_key, which makes it the shared
-currency between canonical codes, family builders and the enumerators.
+A rooted tree has one canonical form per rooted isomorphism class.  The
+enumerators name each form by an integer id in the registry that
+form_tables builds: a form is the non-increasing tuple of its children's
+ids, and ids ascend by size, then by bracket key.  A form's bracket key is
+OPEN, its children's keys in descending (size, key) order, then CLOSE.
+CLOSE sorts below OPEN, so within one size the byte order of keys is the
+lexicographic order of nested tuples, and comparing id tuples agrees with
+comparing forms.  canon codes graphs from the keys of their hanging trees
+(hanging_keys), computed without recursion however deep the tree.
+
+Nested tuples remain the format in which family builders describe forms to
+form_graph: the empty tuple is a single vertex and a node is the tuple of
+its child forms in descending (size, form) order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 from .graphs import Graph, from_adjacency
 
 Form = tuple  # nested tuples of Form
 
-
-@lru_cache(maxsize=None)
-def form_size(form: Form) -> int:
-    """Number of vertices in the rooted tree."""
-    return 1 + sum(form_size(c) for c in form)
+OPEN, CLOSE = b"\x01", b"\x00"  # as a tuple that ends sorts before one that goes on
 
 
-def form_key(form: Form) -> tuple[int, Form]:
-    """Total order on forms: by size, then lexicographically."""
-    return (form_size(form), form)
-
-
-@lru_cache(maxsize=None)
-def rooted_forms(size: int) -> tuple[Form, ...]:
-    """All canonical rooted-tree forms on `size` vertices, ascending by key."""
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    if size == 1:
-        return ((),)
-    forms = [tuple(children) for children in _forests(size - 1, None)]
-    forms.sort(key=form_key)
-    return tuple(forms)
-
-
-def _forests(budget: int, bound: tuple[int, Form] | None) -> Iterator[tuple[Form, ...]]:
-    """All non-increasing form sequences with the given total vertex count.
-
-    Each emitted form's key is <= bound, keeping multiset representations
-    unique.
-    """
-    if budget == 0:
-        yield ()
-        return
-    max_size = budget if bound is None else min(budget, bound[0])
-    for s in range(max_size, 0, -1):
-        for f in reversed(rooted_forms(s)):
-            k = (s, f)
-            if bound is not None and k > bound:
-                continue
-            for rest in _forests(budget - s, k):
-                yield (f,) + rest
-
-
-@dataclass(frozen=True)
+# Every class record refers to its registry: compare by identity, keep repr short.
+@dataclass(frozen=True, eq=False, repr=False)
 class FormTables:
-    """Hyper-Zagreb parts of every rooted form of size 1..max_size.
+    """Registry of every rooted form of size 1..max_size, by integer id.
 
-    Ids ascend in (size, form) order, so tuple-of-id comparisons agree with
-    form_key.  A form's own edges are those from its root down.  With c
-    children of degrees d_j (a child's own child count plus one, for the
-    edge up to its parent) and its root at degree d they add up to
+    children[fid] holds the form's child ids, largest first, and
+    ids_by_size[s] the ids of size s.  A form's own edges are those from its
+    root down.  With c children of degrees d_j (a child's own child count
+    plus one, for the edge up to its parent) and its root at degree d they
+    add up to
 
         E(f, d) = B + c*d^2 + 2*d*S1 + S2,  S1 = sum d_j,  S2 = sum d_j^2,
 
@@ -76,35 +46,57 @@ class FormTables:
     only the terms in d differ at any other root degree.
     """
 
-    forms: list[Form]
+    children: list[tuple[int, ...]]
     ids_by_size: list[range]  # index 0 unused
     hung: list[int]
 
-    def edge_hm(self, fid: int, d: int) -> int:
-        """E(f, d) for form id fid with its root at degree d."""
-        f = self.forms[fid]
-        c = len(f)
-        s1 = sum(map(len, f)) + c
-        return self.hung[fid] + c * (d * d - (c + 1) ** 2) + 2 * (d - c - 1) * s1
+    def form(self, fid: int) -> Form:
+        """The nested tuple of id fid; recursion depth is its size."""
+        return tuple(map(self.form, self.children[fid]))
 
 
 def form_tables(max_size: int) -> FormTables:
-    """Per-form tables over rooted_forms(1..max_size), built bottom-up."""
-    forms: list[Form] = []
-    ids_by_size = [range(0)]
-    for s in range(1, max_size + 1):
-        level = rooted_forms(s)
-        ids_by_size.append(range(len(forms), len(forms) + len(level)))
-        forms.extend(level)
-    hung_of: dict[Form, int] = {}  # children come first: ids ascend by size
-    for f in forms:
-        c = len(f)
-        degs = [len(child) + 1 for child in f]
-        below = sum([hung_of[child] for child in f])
-        hung_of[f] = below + c * (c + 1) ** 2 + 2 * (c + 1) * sum(degs) + sum(
-            [d * d for d in degs]
-        )
-    return FormTables(forms, ids_by_size, list(hung_of.values()))
+    """The registry of rooted forms on 1..max_size >= 1 vertices.
+
+    Built size by size without recursion: a form of size s whose first
+    child f has size k is f followed by the children of a form g of size
+    s - k whose own first child is at most f.  Each size's ids are indexed
+    by their first child, so one bisect finds every g for an f.  The keys
+    only order each new size; they are dropped with the index.
+    """
+    children: list[tuple[int, ...]] = [()]
+    keys = [OPEN + CLOSE]
+    ids_by_size = [range(0), range(1)]
+    hung = [0]
+    deg = [1]  # a form's root degree below a parent
+    by_first = [([], []), ([-1], [0])]  # per size: first child ids, ascending; the ids
+    for s in range(2, max_size + 1):
+        level: dict[bytes, tuple[int, ...]] = {}
+        for k in range(1, s):
+            firsts, gids = by_first[s - k]
+            for f in ids_by_size[k]:
+                key_f, one = OPEN + keys[f], (f,)
+                level.update(
+                    [(key_f + keys[g][1:], one + children[g])
+                     for g in gids[:bisect_right(firsts, f)]]
+                )
+        start = len(children)
+        ids_by_size.append(range(start, start + len(level)))
+        for key in sorted(level):
+            kids = level[key]
+            c = len(kids)
+            s1 = sum([deg[x] for x in kids])
+            hung.append(
+                sum([hung[x] + deg[x] * deg[x] for x in kids])
+                + c * (c + 1) ** 2 + 2 * (c + 1) * s1
+            )
+            deg.append(c + 1)
+            keys.append(key)
+            children.append(kids)
+        if s < max_size:
+            gids = sorted(ids_by_size[s], key=lambda g: children[g][0])
+            by_first.append(([children[g][0] for g in gids], gids))
+    return FormTables(children, ids_by_size, hung)
 
 
 def star_form(pendants: int) -> Form:
@@ -120,34 +112,49 @@ def path_form(length_edges: int) -> Form:
     return f
 
 
-def rooted_form(adj, root: int, skip: frozenset[int] | set[int] = frozenset()) -> Form:
-    """Canonical form of the tree hanging from `root` in an adjacency list.
+def hanging_keys(adj, roots: Sequence[int]) -> list[tuple[int, bytes]]:
+    """(size, bracket key) of the tree hanging from each root.
 
-    Traversal never enters vertices in `skip`; for a hanging tree of a
-    unicyclic graph, `skip` holds the other cycle vertices.  The reachable
-    region must be acyclic.
+    One traversal from all roots at once, which never enters a root from
+    another's tree: for the cycle vertices of a unicyclic graph it yields
+    their hanging trees, for two adjacent centroids the two halves.  The
+    region each root reaches must be acyclic.  A vertex's key is dropped
+    once its parent's is built, so a path holds O(n) bytes at a time.
     """
-    parent: dict[int, int] = {root: -1}
-    order = [root]
-    stack = [root]
+    parent = dict.fromkeys(roots, -1)
+    order = list(roots)
+    stack = list(roots)
     while stack:
         u = stack.pop()
         for v in adj[u]:
-            if v in skip or v in parent:
-                continue
-            parent[v] = u
-            order.append(v)
-            stack.append(v)
-    children: dict[int, list[Form]] = {u: [] for u in order}
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+                stack.append(v)
+    below: dict[int, list[tuple[int, bytes]]] = {u: [] for u in order}
+    done = {}
     for u in reversed(order):
-        kids = children[u]
-        kids.sort(key=form_key, reverse=True)
-        f = tuple(kids)
+        kids = below.pop(u)
+        kids.sort(reverse=True)
+        item = (1 + sum([s for s, _ in kids]), OPEN + b"".join([k for _, k in kids]) + CLOSE)
         p = parent[u]
-        if p == -1:
-            return f
-        children[p].append(f)
-    raise AssertionError("unreachable")
+        if p < 0:
+            done[u] = item
+        else:
+            below[p].append(item)
+    return [done[r] for r in roots]
+
+
+def rooted_form(adj, root: int) -> Form:
+    """Canonical nested form of the tree hanging from `root` in an adjacency list."""
+    stack: list[list[Form]] = [[]]
+    for b in hanging_keys(adj, [root])[0][1]:
+        if b == OPEN[0]:
+            stack.append([])
+        else:
+            f = tuple(stack.pop())
+            stack[-1].append(f)
+    return stack[0][0]
 
 
 def cycle_adj(m: int) -> list[list[int]]:

@@ -4,13 +4,17 @@ Codes cover trees and connected unicyclic graphs; every other graph is
 refused with GraphError.
 """
 
+import gc
 import hashlib
+import os
 import random
+import tracemalloc
 from collections import defaultdict
 from itertools import combinations, permutations
 
 import pytest
 
+import hyperzagreb
 from brute_iso import brute_isomorphic
 from hyperzagreb.canon import canonical_code, cycle_vertices, tree_centroids
 from hyperzagreb.enumeration import (
@@ -223,3 +227,64 @@ def test_deterministic_across_runs():
     expected = canonical_code(star(9))
     for _ in range(3):
         assert canonical_code(star(9)) == expected
+
+
+def _caterpillar(spine):
+    # a path 0..spine-1 with one leaf spine + i hanging from each vertex i
+    edges = [(i, i + 1) for i in range(spine - 1)] + [(i, spine + i) for i in range(spine)]
+    return make_graph(2 * spine, edges)
+
+
+def _triangle_with_tail(tail):
+    # a triangle 0-1-2 and a path of `tail` vertices 3..tail+2 hanging from 0
+    edges = [(0, 1), (1, 2), (2, 0), (0, 3)] + [(v, v + 1) for v in range(3, tail + 2)]
+    return make_graph(tail + 3, edges)
+
+
+@pytest.mark.parametrize(
+    "g, header",
+    [
+        (make_graph(3001, [(i, i + 1) for i in range(3000)]), b"T1"),
+        (make_graph(20000, [(i, i + 1) for i in range(19999)]), b"T2"),
+        (_caterpillar(3000), b"T2"),
+        (_triangle_with_tail(5000), b"U" + (3).to_bytes(4, "big")),
+    ],
+    ids=["path-3001", "path-20000", "caterpillar-6000", "triangle-tail-5000"],
+)
+def test_deep_graphs_code_without_recursion(g, header):
+    # Thousands of levels deep, under the default recursion limit: no step
+    # of the code recurses over a hanging tree.  Each vertex writes one
+    # bracket pair, and a relabelled copy gets the same code.
+    code = canonical_code(g)
+    assert code[: len(header)] == header
+    assert len(code) == len(header) + 2 * g.n
+    assert canonical_code(_relabel(g, list(reversed(range(g.n))))) == code
+
+
+def test_deep_path_codes_are_exact():
+    half = b"(" * 1500 + b")" * 1500
+    assert canonical_code(path(3001)) == b"T1(" + half + half + b")"
+    half = b"(" * 10000 + b")" * 10000
+    assert canonical_code(path(20000)) == b"T2" + half + half
+
+
+def test_canonical_code_keeps_no_memory():
+    # No cache outlives a call: coding a second round of fresh random trees
+    # must not grow the memory that the library's own frames hold.
+    rng = random.Random(11)
+    package = os.path.join(os.path.dirname(hyperzagreb.__file__), "*")
+
+    def one_round():
+        for _ in range(500):
+            canonical_code(make_graph(48, prufer_edges([rng.randrange(48) for _ in range(46)], 48)))
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+        kept = snapshot.filter_traces([tracemalloc.Filter(True, package)])
+        return sum(stat.size for stat in kept.statistics("filename"))
+
+    tracemalloc.start()
+    try:
+        first, second = one_round(), one_round()
+    finally:
+        tracemalloc.stop()
+    assert second - first <= 4096, (first, second)

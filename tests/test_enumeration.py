@@ -16,7 +16,7 @@ from hyperzagreb.enumeration import (
     unicyclic_graphs,
 )
 from hyperzagreb.graphs import hyper_zagreb, is_tree, is_unicyclic, make_graph
-from hyperzagreb.rooted import form_key, form_size
+from nested_forms import form_key, form_size
 
 
 def rooted_count_series(n_max):

@@ -1,13 +1,12 @@
-from hyperzagreb.graphs import make_graph
+from hyperzagreb.graphs import hyper_zagreb, make_graph
 from hyperzagreb.rooted import (
     form_graph,
-    form_key,
-    form_size,
+    form_tables,
     path_form,
     rooted_form,
-    rooted_forms,
     star_form,
 )
+from nested_forms import form_key, form_size
 
 
 def rooted_counts(n_max):
@@ -25,22 +24,39 @@ def rooted_counts(n_max):
 
 def test_rooted_form_counts_match_recurrence():
     r = rooted_counts(12)
+    ids_by_size = form_tables(12).ids_by_size
+    assert ids_by_size[1].start == 0
     for n in range(1, 13):
-        assert len(rooted_forms(n)) == r[n]
+        assert len(ids_by_size[n]) == r[n]
+        assert ids_by_size[n].start == ids_by_size[n - 1].stop
 
 
 def test_forms_sorted_and_unique():
-    for n in range(1, 9):
-        forms = rooted_forms(n)
-        keys = [form_key(f) for f in forms]
-        assert keys == sorted(keys)
-        assert len(set(forms)) == len(forms)
-        assert all(form_size(f) == n for f in forms)
+    # Ids ascend strictly in (size, nested tuple) order, so comparing id
+    # tuples agrees with comparing forms; children are listed largest first.
+    tables = form_tables(10)
+    keys = [form_key(tables.form(fid)) for fid in range(len(tables.children))]
+    assert keys == sorted(set(keys))
+    for n in range(1, 11):
+        assert all(form_size(tables.form(fid)) == n for fid in tables.ids_by_size[n])
+    assert all(list(kids) == sorted(kids, reverse=True) for kids in tables.children)
+
+
+def test_hung_is_the_index_below_a_parent():
+    # hung[f] is the index of the form's own edges when its root hangs below
+    # a parent: the index of f under one new parent vertex, minus the edge
+    # from that parent (degree 1) to f's root (its child count plus one).
+    tables = form_tables(8)
+    for fid, kids in enumerate(tables.children):
+        g = form_graph([[]], [(0, (tables.form(fid),))])
+        assert tables.hung[fid] == hyper_zagreb(g) - (1 + len(kids) + 1) ** 2
 
 
 def test_form_graph_round_trip():
+    tables = form_tables(7)
     for n in range(1, 8):
-        for f in rooted_forms(n):
+        for fid in tables.ids_by_size[n]:
+            f = tables.form(fid)
             g = form_graph([[]], [(0, f)])
             assert g.n == n
             assert make_graph(n, list(g.edges())) == g
@@ -50,4 +66,4 @@ def test_form_graph_round_trip():
 def test_shorthand_forms():
     assert star_form(3) == ((), (), ())
     assert form_size(path_form(4)) == 5
-    assert rooted_forms(1) == ((),)
+    assert form_tables(1).form(0) == ()
