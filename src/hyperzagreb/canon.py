@@ -115,7 +115,33 @@ def cycle_vertices(g: Graph) -> list[int]:
 def _unicyclic_code(g: Graph) -> bytes:
     cyc = cycle_vertices(g)
     keys = hanging_keys(g.adj, cyc)
-    m = len(cyc)
     # lexicographic minimum over rotations and reflections
-    best = min(s[i:] + s[:i] for s in (keys, keys[::-1]) for i in range(m))
-    return b"U" + m.to_bytes(4, "big") + _code_bytes(best)
+    best = min(_least_rotation(keys), _least_rotation(keys[::-1]))
+    return b"U" + len(cyc).to_bytes(4, "big") + _code_bytes(best)
+
+
+def _least_rotation(s: list) -> list:
+    """The lexicographically least rotation of s, in linear time.
+
+    Booth's algorithm ("Lexicographically least circular substrings", IPL
+    10, 1980): a Knuth-Morris-Pratt failure function f over s + s, relative
+    to the best start k found so far, which moves k past every start a
+    mismatch proves larger.
+    """
+    ss = s + s
+    f = [-1] * len(ss)
+    k = 0
+    for j in range(1, len(ss)):
+        c = ss[j]
+        i = f[j - k - 1]
+        while i != -1 and c != ss[k + i + 1]:
+            if c < ss[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if i == -1 and c != ss[k]:
+            if c < ss[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return ss[k:k + len(s)]

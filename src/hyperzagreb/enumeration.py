@@ -26,18 +26,22 @@ graphs it reports, through record.graph(), with the same vertex labels as
 rooted.form_graph.
 
 The labeled oracle is the independent ground truth used to certify both
-generators at small orders: it scans every labeled graph of the class and
-partitions them into isomorphism classes purely by permutation orbits.
+generators at small orders: it scans every labeled graph of the class, as
+edge-bit masks decoded from every Pruefer sequence, and partitions them into
+isomorphism classes purely by permutation orbits.  An orbit is formed by one
+walk from any mask not yet placed through all n! relabelings in
+Trotter-Johnson order, one adjacent vertex transposition per step applied
+through three chunk lookup tables; the masks the walk meets are the orbit,
+and are removed from the scan's set.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import Graph, from_adjacency, make_graph
+from .graphs import Graph, make_graph
 from .rooted import Form, FormTables, cycle_adj, form_graph, form_tables
 
 ORACLE_MAX_ORDER = 8
@@ -231,10 +235,6 @@ def _edge_pairs(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {p: i for i, p in enumerate(_edge_pairs(n))}
-
-
 def _graph_from_mask(n: int, mask: int) -> Graph:
     pairs = _edge_pairs(n)
     edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
@@ -245,20 +245,23 @@ def prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
     """Edges of the labeled tree on n >= 2 vertices with Pruefer sequence seq.
 
     Each step joins the smallest current leaf to the next sequence entry;
-    the last two remaining vertices form the final edge.
+    the last two remaining vertices, that leaf and n - 1, form the final
+    edge.  Linear time: a pointer only moves up to the next leaf, unless
+    the entry just joined became a leaf below it, and so the smallest one.
     """
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    leaf = ptr = degree.index(1)
     edges = []
     for x in seq:
-        edges.append((heapq.heappop(leaves), x))
+        edges.append((leaf, x))
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+        if x < ptr and degree[x] == 1:
+            leaf = x
+        else:
+            leaf = ptr = degree.index(1, ptr + 1)
+    edges.append((leaf, n - 1))
     return edges
 
 
@@ -271,7 +274,7 @@ def _labeled_tree_masks(n: int) -> set[int]:
     if n == 1:
         return {0}
     bit = [[0] * n for _ in range(n)]  # bit[u][v]: the mask bit of edge uv
-    for (u, v), i in _pair_index(n).items():
+    for i, (u, v) in enumerate(_edge_pairs(n)):
         bit[u][v] = bit[v][u] = 1 << i
     return {
         sum([bit[u][v] for u, v in prufer_edges(seq, n)])
@@ -286,81 +289,89 @@ def _labeled_unicyclic_masks(n: int) -> set[int]:
     extra edge, so expanding each labeled tree by each absent edge and
     deduplicating covers the class exactly.
     """
-    npairs = n * (n - 1) // 2
+    bits = [1 << i for i in range(n * (n - 1) // 2)]
     masks: set[int] = set()
     for tmask in _labeled_tree_masks(n):
-        for i in range(npairs):
-            bit = 1 << i
-            if not tmask & bit:
-                masks.add(tmask | bit)
+        masks.update([tmask | bit for bit in bits if not tmask & bit])
     return masks
 
 
-def _transposition_tables(n: int) -> list[list[list[int]]]:
-    """Byte-lookup tables applying each adjacent vertex transposition.
+def _trotter_johnson_swaps(n: int) -> list[int]:
+    """Positions g whose swaps with g + 1 take range(n) through all n!
+    permutations, each once (Trotter, "Algorithm 115: Perm", CACM 5, 1962).
 
-    Table[g][b][v] is the contribution of byte b with value v to the edge
-    mask after swapping vertices g and g+1.
+    Between consecutive swaps of the first k - 1 elements, element k - 1
+    sweeps across all k positions, down and then back up; at the bottom it
+    sits at position 0 and shifts the others' positions up by one.
+    """
+    swaps: list[int] = []
+    for k in range(2, n + 1):
+        down, up = list(range(k - 2, -1, -1)), list(range(k - 1))
+        out = []
+        for j, g in enumerate(swaps):
+            out += up if j % 2 else down
+            out.append(g + 1 - j % 2)
+        swaps = out + (up if len(swaps) % 2 else down)
+    return swaps
+
+
+def _chunk_tables(n: int) -> tuple[list[tuple[list[int], ...]], int]:
+    """Lookup tables relabeling an edge mask by each adjacent transposition.
+
+    The C(n, 2) mask bits split into three chunks of w = ceil(C(n, 2) / 3)
+    bits (the last may be shorter); tables[g][c][val] is the image, with
+    vertices g and g + 1 swapped, of the edges whose bits in chunk c read
+    val.  Each entry is the entry with val's lowest bit cleared, plus that
+    bit's image.  Returns (tables, w).
     """
     pairs = _edge_pairs(n)
-    index = _pair_index(n)
-    npairs = len(pairs)
-    nbytes = (npairs + 7) // 8
+    index = {p: i for i, p in enumerate(pairs)}
+    w = -(-len(pairs) // 3)
     tables = []
     for g in range(n - 1):
-        a, b = g, g + 1
-        perm = list(range(npairs))
-        for k, (u, v) in enumerate(pairs):
-            uu = b if u == a else a if u == b else u
-            vv = b if v == a else a if v == b else v
-            if uu > vv:
-                uu, vv = vv, uu
-            perm[k] = index[(uu, vv)]
-        byte_tables = []
-        for bt in range(nbytes):
-            table = [0] * 256
-            for val in range(1, 256):
-                out = 0
-                for bit in range(8):
-                    if val >> bit & 1:
-                        k = bt * 8 + bit
-                        if k < npairs:
-                            out |= 1 << perm[k]
-                table[val] = out
-            byte_tables.append(table)
-        tables.append(byte_tables)
-    return tables
+        swap = {g: g + 1, g + 1: g}
+        image = [
+            1 << index[min(uu, vv), max(uu, vv)]
+            for uu, vv in ((swap.get(u, u), swap.get(v, v)) for u, v in pairs)
+        ]
+        chunks = []
+        for lo in (0, w, 2 * w):
+            bits = image[lo:lo + w]
+            table = [0] * (1 << len(bits))
+            for val in range(1, len(table)):
+                low = val & -val
+                table[val] = table[val ^ low] | bits[low.bit_length() - 1]
+            chunks.append(table)
+        tables.append(tuple(chunks))
+    return tables, w
 
 
 def _orbit_partition(n: int, masks: set[int]) -> list[tuple[int, int]]:
-    """Split labeled masks into relabeling orbits by permutation search.
+    """Split labeled masks into relabeling orbits, consuming the set.
 
-    Adjacent transpositions generate the full symmetric group, so the BFS
-    closure of a mask under them is its complete isomorphism orbit.  Returns
-    (representative mask, orbit size) pairs, smallest representative first.
+    One walk per orbit: from any mask left, the Trotter-Johnson swaps relabel
+    it through all n! permutations, one chunk-table lookup per step, and the
+    masks it meets are the orbit.  Each orbit must lie in the set (else
+    ValueError: the set is not a union of orbits) and is removed from it, so
+    the orbit sizes add up to the set's size.  Returns (smallest mask, orbit
+    size) pairs, smallest first.
     """
-    tables = _transposition_tables(n)
-    nbytes = len(tables[0])
-    seen: set[int] = set()
+    tables, w = _chunk_tables(n)
+    steps = [tables[g] for g in _trotter_johnson_swaps(n)]
+    low, w2 = (1 << w) - 1, 2 * w
     out = []
-    for start in sorted(masks):
-        if start in seen:
-            continue
-        seen.add(start)
-        stack = [start]
-        orbit_size = 1
-        while stack:
-            x = stack.pop()
-            bytes_x = [(x >> (8 * i)) & 255 for i in range(nbytes)]
-            for byte_tables in tables:
-                y = 0
-                for i in range(nbytes):
-                    y |= byte_tables[i][bytes_x[i]]
-                if y not in seen:
-                    seen.add(y)
-                    orbit_size += 1
-                    stack.append(y)
-        out.append((start, orbit_size))
+    while masks:
+        x = next(iter(masks))
+        orbit = {x}
+        add = orbit.add
+        for t0, t1, t2 in steps:
+            x = t0[x & low] | t1[x >> w & low] | t2[x >> w2]
+            add(x)
+        if not orbit <= masks:
+            raise ValueError("mask set is not closed under relabeling")
+        masks -= orbit
+        out.append((min(orbit), len(orbit)))
+    out.sort()
     return out
 
 
@@ -369,7 +380,8 @@ def labeled_oracle(n: int, kind: str) -> OracleResult:
 
     kind is "trees" or "unicyclic".  Guarded to n <= ORACLE_MAX_ORDER: the
     scan and the orbit partition are exponential in nature and exist to
-    certify the generators, not to replace them.
+    certify the generators, not to replace them.  The scan's mask set is
+    built here and consumed by the orbit partition.
     """
     if kind not in ("trees", "unicyclic"):
         raise ValueError(f"kind must be 'trees' or 'unicyclic', got {kind!r}")
@@ -384,8 +396,6 @@ def labeled_oracle(n: int, kind: str) -> OracleResult:
             raise ValueError(f"order must be >= 3, got {n}")
         masks = _labeled_unicyclic_masks(n)
     total = len(masks)
-    if n == 1:
-        return OracleResult(1, kind, (from_adjacency([[]]),), 1)
     classes = tuple(
         _graph_from_mask(n, rep) for rep, _ in _orbit_partition(n, masks)
     )

@@ -16,7 +16,7 @@ import pytest
 
 import hyperzagreb
 from brute_iso import brute_isomorphic
-from hyperzagreb.canon import canonical_code, cycle_vertices, tree_centroids
+from hyperzagreb.canon import _least_rotation, canonical_code, cycle_vertices, tree_centroids
 from hyperzagreb.enumeration import (
     _graph_from_mask,
     _orbit_partition,
@@ -266,6 +266,28 @@ def test_deep_path_codes_are_exact():
     assert canonical_code(path(3001)) == b"T1(" + half + half + b")"
     half = b"(" * 10000 + b")" * 10000
     assert canonical_code(path(20000)) == b"T2" + half + half
+
+
+def test_least_rotation_is_the_least_of_all_rotations():
+    rng = random.Random(12)
+    keys = [(1, b"\x01\x00"), (2, b"\x01\x01\x00\x00"), (3, b"\x01\x01\x00\x01\x00\x00")]
+    for _ in range(5000):
+        m = rng.randint(1, 13)
+        alphabet = keys[: rng.randint(1, 3)]
+        period = [rng.choice(alphabet) for _ in range(rng.randint(1, m))]
+        s = (period * m)[:m] if rng.random() < 0.5 else [rng.choice(alphabet) for _ in range(m)]
+        assert _least_rotation(s) == min(s[i:] + s[:i] for i in range(m)), s
+
+
+def test_long_cycle_code_is_exact():
+    # 45,000 cycle vertices, a pendant on every third: the least rotation
+    # starts at the two bare vertices before a pendant, whichever way round.
+    m = 45000
+    edges = [(i, (i + 1) % m) for i in range(m)] + [(i, m + i // 3) for i in range(0, m, 3)]
+    g = make_graph(m + m // 3, edges)
+    code = b"U" + m.to_bytes(4, "big") + b"()()(())" * (m // 3)
+    assert canonical_code(g) == code
+    assert canonical_code(_relabel(g, list(reversed(range(g.n))))) == code
 
 
 def test_canonical_code_keeps_no_memory():

@@ -290,6 +290,9 @@ GOLDEN = [
      "b7a22e517cca1bdfb33ff0aa551a048d8ff961f39534bd4738b71e8adc7bde14"),
     ("rank trees 16 -k 25 --format csv", 0,
      "43d9cb6315050ca0a46ad83207cc380038fadc5fb9b8e2f552acf61073fb965d"),
+    # random trees through prufer_edges; pinned while it decoded with a heap
+    ("verify lemmas --seed 0 --trials 10000 --format json", 0,
+     "a6e9f4b0de9248629e8849e3b92d3052b9df493ea4c499d08184dbaa34ab3021"),
 ]
 
 

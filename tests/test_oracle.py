@@ -1,0 +1,145 @@
+"""The labeled oracle's parts against direct references.
+
+The Pruefer decoder against the textbook heap decoder, the Trotter-Johnson
+swap sequence and the chunk-table orbit partition against explicit
+permutations, the labeled totals against Cayley's formula and its
+unicyclic analogue, and the oracle's whole output against a digest.
+"""
+
+import hashlib
+import heapq
+import random
+from itertools import permutations, product
+from math import comb, factorial
+
+import pytest
+
+from hyperzagreb.codec import encode_graph6
+from hyperzagreb.enumeration import (
+    _edge_pairs,
+    _labeled_tree_masks,
+    _labeled_unicyclic_masks,
+    _orbit_partition,
+    _trotter_johnson_swaps,
+    labeled_oracle,
+    prufer_edges,
+)
+
+# sha256 over each labeled_total and the graph6 of each class in order, for
+# trees n = 1..8 then unicyclic graphs n = 3..7; pinned while the orbits
+# were still found by a breadth-first search over every transposition.
+ORACLE_SHA256 = "49d6ea4dc7a62d1ffee3314a8c8332df542e1b0db764396afcc65f0d142951b8"
+
+
+def heap_prufer_edges(seq, n):
+    """Reference decoder: pop the smallest leaf from a heap at each step."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        edges.append((heapq.heappop(leaves), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return edges
+
+
+def permutation_orbits(n, masks):
+    """(smallest mask, orbit size) per orbit, smallest first, each orbit
+    found by applying all n! relabelings to its smallest mask."""
+    pairs = _edge_pairs(n)
+    index = {p: i for i, p in enumerate(pairs)}
+    images = [
+        [index[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs]
+        for p in permutations(range(n))
+    ]
+    left, out = set(masks), []
+    for start in sorted(masks):
+        if start in left:
+            bits = [i for i in range(len(pairs)) if start >> i & 1]
+            orbit = {sum(1 << image[i] for i in bits) for image in images}
+            left -= orbit
+            out.append((start, len(orbit)))
+    return out
+
+
+def unicyclic_labeled_count(n):
+    # a cycle on k chosen vertices, in (k-1)!/2 ways, and a forest of trees
+    # rooted on its vertices spanning the rest, in k * n^(n-k-1) ways
+    return sum(
+        comb(n, k) * factorial(k - 1) // 2 * (k * n ** (n - k - 1) if k < n else 1)
+        for k in range(3, n + 1)
+    )
+
+
+def test_decoder_matches_heap_reference_on_every_sequence():
+    for n in range(2, 8):
+        for seq in product(range(n), repeat=n - 2):
+            assert prufer_edges(seq, n) == heap_prufer_edges(seq, n), seq
+
+
+def test_decoder_matches_heap_reference_on_random_sequences():
+    rng = random.Random(10)
+    for _ in range(2000):
+        n = rng.randint(2, 40)
+        seq = [rng.randrange(n) for _ in range(n - 2)]
+        assert prufer_edges(seq, n) == heap_prufer_edges(seq, n), seq
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_swaps_visit_every_permutation_once(n):
+    swaps = _trotter_johnson_swaps(n)
+    perm = list(range(n))
+    seen = {tuple(perm)}
+    for g in swaps:
+        assert 0 <= g < n - 1
+        perm[g], perm[g + 1] = perm[g + 1], perm[g]
+        seen.add(tuple(perm))
+    assert len(swaps) + 1 == len(seen) == factorial(n)
+
+
+def test_partition_matches_explicit_permutations():
+    for n in range(1, 6):
+        mask_sets = [_labeled_tree_masks(n), set(range(1 << len(_edge_pairs(n))))]
+        if n >= 3:
+            mask_sets.append(_labeled_unicyclic_masks(n))
+        for masks in mask_sets:
+            want = permutation_orbits(n, masks)
+            total = len(masks)
+            got = _orbit_partition(n, masks)
+            assert got == want
+            assert sum(size for _, size in got) == total
+            assert not masks  # consumed
+
+
+def test_partition_refuses_a_set_not_closed_under_relabeling():
+    short = _labeled_tree_masks(5)
+    short.discard(max(short))
+    with pytest.raises(ValueError):
+        _orbit_partition(5, short)
+    extra = _labeled_tree_masks(5) | {1}  # one edge: not a tree
+    with pytest.raises(ValueError):
+        _orbit_partition(5, extra)
+
+
+def test_labeled_totals_match_counting_formulas():
+    assert [unicyclic_labeled_count(n) for n in range(3, 8)] == [1, 15, 222, 3660, 68295]
+    for n in range(1, 8):
+        assert labeled_oracle(n, "trees").labeled_total == (n ** (n - 2) if n > 1 else 1)
+    for n in range(3, 8):
+        assert labeled_oracle(n, "unicyclic").labeled_total == unicyclic_labeled_count(n)
+
+
+def test_oracle_output_pinned():
+    h = hashlib.sha256()
+    runs = [("trees", n) for n in range(1, 9)] + [("unicyclic", n) for n in range(3, 8)]
+    for kind, n in runs:
+        result = labeled_oracle(n, kind)
+        h.update(b"%d\n" % result.labeled_total)
+        for g in result.classes:
+            h.update(encode_graph6(g).encode() + b"\n")
+    assert h.hexdigest() == ORACLE_SHA256
