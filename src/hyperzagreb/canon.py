@@ -4,9 +4,10 @@ Two graphs of these classes receive the same code iff they are isomorphic;
 codes are bytes, so they sort deterministically and serve both as dedup
 keys and as tie-breakers.  Trees use their centroid-rooted form, unicyclic
 graphs a dihedral-minimal necklace of hanging-tree forms.  Each hanging
-tree is ordered by its (size, bracket key) from rooted.hanging_keys, the
-order the form registry uses, and written with the key's bytes as ASCII
-parentheses.  No step recurses, so depth costs no stack.  These are the
+tree is ordered by its (size, bracket key), the order the form registry
+uses, and written with the key's bytes as ASCII parentheses: a graph's
+from rooted.hanging_keys, a class record's from its form ids, with no
+graph built.  No step recurses, so depth costs no stack.  These are the
 only classes the system ranks; any other graph raises GraphError.
 """
 
@@ -23,7 +24,7 @@ if TYPE_CHECKING:
 
 def canonical_code(g: Graph | ClassRecord) -> bytes:
     if not isinstance(g, Graph):
-        g = g.graph()  # an enumerator's class record: code its built graph
+        return _record_code(g)
     if is_tree(g):
         return _tree_code(g)
     if is_unicyclic(g):
@@ -37,8 +38,17 @@ def canonical_code(g: Graph | ClassRecord) -> bytes:
 _ASCII = bytes.maketrans(OPEN + CLOSE, b"()")
 
 
-def _code_bytes(keys: Iterable[tuple[int, bytes]]) -> bytes:
-    return b"".join([key for _, key in keys]).translate(_ASCII)
+def _code(head: bytes, keys: Iterable[bytes]) -> bytes:
+    return head + b"".join(keys).translate(_ASCII)
+
+
+def _record_code(r: ClassRecord) -> bytes:
+    # Ids ascend by (size, key): a bracelet's are least over rotations and
+    # reflections, a centroid's children descend, and halves come in order.
+    keys = [r.tables.keys[f] for f in r.ids]
+    if r.cycle:
+        return _code(b"U" + r.cycle.to_bytes(4, "big"), keys)
+    return _code(b"T2", keys) if r.halves else _code(b"T1", [OPEN, *keys, CLOSE])
 
 
 def tree_centroids(g: Graph) -> list[int]:
@@ -77,7 +87,8 @@ def tree_centroids(g: Graph) -> list[int]:
 def _tree_code(g: Graph) -> bytes:
     # one centroid, or two adjacent ones: their halves, smaller key first
     cents = tree_centroids(g)
-    return b"T%d" % len(cents) + _code_bytes(sorted(hanging_keys(g.adj, cents)))
+    keys = sorted(hanging_keys(g.adj, cents))
+    return _code(b"T%d" % len(cents), [key for _, key in keys])
 
 
 def cycle_vertices(g: Graph) -> list[int]:
@@ -117,7 +128,7 @@ def _unicyclic_code(g: Graph) -> bytes:
     keys = hanging_keys(g.adj, cyc)
     # lexicographic minimum over rotations and reflections
     best = min(_least_rotation(keys), _least_rotation(keys[::-1]))
-    return b"U" + len(cyc).to_bytes(4, "big") + _code_bytes(best)
+    return _code(b"U" + len(cyc).to_bytes(4, "big"), [key for _, key in best])
 
 
 def _least_rotation(s: list) -> list:

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .codec import CodecError, decode_graph6, encode_graph6, parse_edgelist
@@ -194,18 +195,20 @@ def _cmd_enumerate(args) -> int:
     count = 0
     try:
         sink = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
-    except OSError as exc:
-        raise _CliFailure(EXIT_IO, f"cannot write {args.out}: {exc}") from exc
-    try:
         try:
             for record in stream:
                 sink.write(encode_graph6(record.graph()) + "\n")
                 count += 1
-        except ValueError as exc:
-            raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
-    finally:
-        if args.out:
-            sink.close()
+            sink.flush()
+        finally:
+            if args.out:
+                sink.close()
+    except ValueError as exc:
+        raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
+    except OSError as exc:
+        if not args.out:  # stdout is gone: let the flush at exit go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _CliFailure(EXIT_IO, f"cannot write {args.out or 'stdout'}: {exc}") from None
     # keep the graph6 stream clean when it goes to stdout
     (sys.stdout if args.out else sys.stderr).write(f"count: {count}\n")
     return EXIT_OK

@@ -21,9 +21,9 @@ per class, not a Graph: the class's form ids and its exact Hyper-Zagreb
 index, summed from the registry's per-form tables.  A class's index is
 the sum of each hanging form's own edges at its root degree plus the edges
 joining the roots (the cycle edges, the centroid edge or the centroid's
-child edges).  Ranking scores every class this way and builds only the
-graphs it reports, through record.graph(), with the same vertex labels as
-rooted.form_graph.
+child edges).  Ranking scores every class this way, codes it from its ids
+(canon.canonical_code) and builds only the graphs it reports, through
+record.graph() and rooted.form_graph.
 
 The labeled oracle is the independent ground truth used to certify both
 generators at small orders: it scans every labeled graph of the class, as
@@ -42,7 +42,7 @@ from itertools import combinations, product
 from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import Graph, make_graph
-from .rooted import Form, FormTables, cycle_adj, form_graph, form_tables
+from .rooted import FormTables, cycle_adj, form_graph, form_tables
 
 ORACLE_MAX_ORDER = 8
 
@@ -55,8 +55,8 @@ class ClassRecord(NamedTuple):
     `tables`: for a unicyclic graph (cycle its length) the beads hanging from
     the cycle 0..cycle-1 in order; for a tree (cycle 0) the subtrees of its
     single centroid, vertex 0, or the pair of halves of a tree with two
-    centroids.  placements expands them to (root, nested form) pairs and
-    graph() hangs each below its root through rooted.form_graph.
+    centroids.  canon codes a record from these ids, and graph() hangs
+    them through rooted.form_graph.
     """
 
     n: int
@@ -66,28 +66,26 @@ class ClassRecord(NamedTuple):
     tables: FormTables
 
     @property
-    def placements(self) -> tuple[tuple[int, Form], ...]:
-        form = self.tables.form
-        if self.cycle:
-            return tuple(enumerate(map(form, self.ids)))
-        # Two halves hang the second below a new neighbour of vertex 0.  On
-        # an even order a single centroid has three subtrees or more (n = 2
-        # aside, with one): each is below n/2 vertices and they sum to n - 1.
-        if len(self.ids) == 2 and self.n % 2 == 0:
-            i, j = self.ids
-            return ((0, form(i)), (0, (form(j),)))
-        return ((0, tuple(map(form, self.ids))),)
+    def halves(self) -> bool:
+        # On an even order a single centroid has three subtrees or more: each
+        # is below n/2 vertices and they sum to n - 1.
+        return not self.cycle and len(self.ids) == 2 and self.n % 2 == 0
 
     def graph(self) -> Graph:
-        return form_graph(cycle_adj(self.cycle) if self.cycle else [[]], self.placements)
+        ids, children = self.ids, self.tables.children
+        if self.cycle:
+            return form_graph(cycle_adj(self.cycle), enumerate(ids), children)
+        # two halves: the second hangs below a new neighbour of vertex 0
+        placements = ((0, ids[0]), (0, ids[1:])) if self.halves else ((0, ids),)
+        return form_graph([[]], placements, children)
 
 
 def trees(n: int) -> Iterator[ClassRecord]:
     """All free trees on n vertices, one record per class."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if n <= 2:  # one vertex, or one edge with index (1 + 1)^2
-        yield ClassRecord(n, 4 * (n - 1), 0, (0,) * (n - 1), form_tables(1))
+    if n == 1:
+        yield ClassRecord(1, 0, 0, (), form_tables(1))
         return
     tables = form_tables(n // 2)
     hung, ids_by_size = tables.hung, tables.ids_by_size
@@ -119,8 +117,8 @@ def trees(n: int) -> Iterator[ClassRecord]:
         else:
             d = t + 1
             yield ClassRecord(n, a + d * d * d + 2 * d * kk, 0, tuple(ids[:d]), tables)
-    # Two adjacent centroids: unordered pair of rooted halves on n/2 vertices.
-    # The second half hangs below a new neighbour of the first root.
+    # Two adjacent centroids (n = 2 too): unordered pair of rooted halves on
+    # n/2 vertices.  The second half hangs below a new neighbour of the first.
     if n % 2 == 0:
         halves = ids_by_size[n // 2]
         for i in halves:

@@ -89,41 +89,31 @@ def cycle(n: int) -> Graph:
     return form_graph(cycle_adj(n), [])
 
 
-# The broom T^k on `size` vertices rooted at its center.  A subdivided edge
-# hangs a 2-vertex path off the center: path_form(1).
-def _t1_root_form(size: int) -> Form:
-    return tuple([path_form(1)] + [()] * (size - 3))
-
-
-def _t2_root_form(size: int) -> Form:
-    return tuple([star_form(2)] + [()] * (size - 4))
-
-
-def _t3_root_form(size: int) -> Form:
-    return tuple([path_form(1), path_form(1)] + [()] * (size - 5))
-
-
-def _t4_root_form(size: int) -> Form:
-    return tuple([star_form(3)] + [()] * (size - 5))
-
-
-# k -> (smallest order, root form) of T^k
+# k -> (smallest order, the center's subtrees other than leaves) of the broom
+# T^k.  A subdivided edge hangs a 2-vertex path off the center: path_form(1).
 _TREE_T = {
-    1: (4, _t1_root_form),
-    2: (6, _t2_root_form),
-    3: (5, _t3_root_form),
-    4: (6, _t4_root_form),
+    1: (4, (path_form(1),)),
+    2: (6, (star_form(2),)),
+    3: (5, (path_form(1), path_form(1))),
+    4: (6, (star_form(3),)),
 }
+
+
+def _t_root_form(k: int, size: int) -> Form:
+    """T^k on `size` vertices rooted at its center; each subtree above is a
+    path or a star, of 1 + len(f) vertices, and leaves fill the rest."""
+    heads = _TREE_T[k][1]
+    return heads + ((),) * (size - 1 - sum([1 + len(f) for f in heads]))
 
 
 def tree_t_family(k: int, n: int) -> Graph:
     """The broom-family tree T^k_n for k in 1..4."""
     if k not in _TREE_T:
         raise FamilyDomainError(f"tree family index must be 1..4, got {k}")
-    n_min, root_form = _TREE_T[k]
+    n_min = _TREE_T[k][0]
     if n < n_min:
         raise FamilyDomainError(f"T^{k} needs n >= {n_min}, got {n}")
-    return form_graph([[]], [(0, root_form(n))])
+    return form_graph([[]], [(0, _t_root_form(k, n))])
 
 
 def long_broom(n: int) -> Graph:
@@ -191,12 +181,7 @@ def cycle_star_hm_miscounted(m: int, n: int) -> int:
     Kept only as a regression reference: it undercounts each internal cycle
     edge and disagrees with the C_4(n-4) catalog row (2614 vs 2638 at n=15).
     """
-    if m < 3:
-        raise FamilyDomainError(f"cycle length must be >= 3, got {m}")
-    if m > n:
-        raise FamilyDomainError(f"cycle length {m} exceeds order {n}")
-    t = n - m
-    return 4 * (m - 2) + 2 * (t + 4) ** 2 + t * (t + 3) ** 2
+    return cycle_star_hm(m, n) - 12 * (m - 2)
 
 
 @dataclass(frozen=True)
@@ -247,7 +232,7 @@ def _catalog() -> dict[str, CatalogEntry]:
         ),
         CatalogEntry(
             "C_3(T^1_{n-2})", "unicyclic", ClosedFormPoly(1, -4, 11, 20, 6),
-            lambda n: cycle_with_attachments(3, [(0, _t1_root_form(n - 2))]),
+            lambda n: cycle_with_attachments(3, [(0, _t_root_form(1, n - 2))]),
             "triangle carrying the broom T^1 on n-2 vertices at its center",
         ),
         CatalogEntry(
@@ -267,12 +252,12 @@ def _catalog() -> dict[str, CatalogEntry]:
         ),
         CatalogEntry(
             "C_3(T^2_{n-2})", "unicyclic", ClosedFormPoly(1, -7, 24, 26, 8),
-            lambda n: cycle_with_attachments(3, [(0, _t2_root_form(n - 2))]),
+            lambda n: cycle_with_attachments(3, [(0, _t_root_form(2, n - 2))]),
             "triangle carrying the broom T^2 on n-2 vertices at its center",
         ),
         CatalogEntry(
             "C_3(T^3_{n-2})", "unicyclic", ClosedFormPoly(1, -7, 24, 10, 7),
-            lambda n: cycle_with_attachments(3, [(0, _t3_root_form(n - 2))]),
+            lambda n: cycle_with_attachments(3, [(0, _t_root_form(3, n - 2))]),
             "triangle carrying the broom T^3 on n-2 vertices at its center",
         ),
         CatalogEntry(
@@ -292,7 +277,7 @@ def _catalog() -> dict[str, CatalogEntry]:
         ),
         CatalogEntry(
             "C_4(T^1_{n-3})", "unicyclic", ClosedFormPoly(1, -7, 22, 20, 7),
-            lambda n: cycle_with_attachments(4, [(0, _t1_root_form(n - 3))]),
+            lambda n: cycle_with_attachments(4, [(0, _t_root_form(1, n - 3))]),
             "4-cycle carrying the broom T^1 on n-3 vertices at its center",
         ),
         CatalogEntry(
@@ -311,7 +296,7 @@ def _catalog() -> dict[str, CatalogEntry]:
         CatalogEntry(
             "C_3(1,T^1_{n-3})", "unicyclic", ClosedFormPoly(1, -7, 24, 28, 7),
             lambda n: cycle_with_attachments(
-                3, [(0, 1), (1, _t1_root_form(n - 3))]
+                3, [(0, 1), (1, _t_root_form(1, n - 3))]
             ),
             "triangle with one pendant leaf and the broom T^1 on n-3 vertices",
         ),

@@ -7,12 +7,13 @@ ids, and ids ascend by size, then by bracket key.  A form's bracket key is
 OPEN, its children's keys in descending (size, key) order, then CLOSE.
 CLOSE sorts below OPEN, so within one size the byte order of keys is the
 lexicographic order of nested tuples, and comparing id tuples agrees with
-comparing forms.  canon codes graphs from the keys of their hanging trees
-(hanging_keys), computed without recursion however deep the tree.
+comparing forms.  canon codes a class record from the keys of its ids, and
+a graph from the keys of its hanging trees (hanging_keys), computed
+without recursion however deep the tree.
 
-Nested tuples remain the format in which family builders describe forms to
-form_graph: the empty tuple is a single vertex and a node is the tuple of
-its child forms in descending (size, form) order.
+Family builders describe forms to form_graph as nested tuples: the empty
+tuple is a single vertex and a node is the tuple of its child forms in
+descending (size, form) order.  A tuple may also hold registry ids.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ OPEN, CLOSE = b"\x01", b"\x00"  # as a tuple that ends sorts before one that goe
 class FormTables:
     """Registry of every rooted form of size 1..max_size, by integer id.
 
-    children[fid] holds the form's child ids, largest first, and
-    ids_by_size[s] the ids of size s.  A form's own edges are those from its
-    root down.  With c children of degrees d_j (a child's own child count
-    plus one, for the edge up to its parent) and its root at degree d they
-    add up to
+    children[fid] holds the form's child ids, largest first, keys[fid] its
+    bracket key and ids_by_size[s] the ids of size s.  A form's own edges
+    are those from its root down.  With c children of degrees d_j (a child's
+    own child count plus one, for the edge up to its parent) and its root at
+    degree d they add up to
 
         E(f, d) = B + c*d^2 + 2*d*S1 + S2,  S1 = sum d_j,  S2 = sum d_j^2,
 
@@ -47,12 +48,9 @@ class FormTables:
     """
 
     children: list[tuple[int, ...]]
+    keys: list[bytes]
     ids_by_size: list[range]  # index 0 unused
     hung: list[int]
-
-    def form(self, fid: int) -> Form:
-        """The nested tuple of id fid; recursion depth is its size."""
-        return tuple(map(self.form, self.children[fid]))
 
 
 def form_tables(max_size: int) -> FormTables:
@@ -62,7 +60,7 @@ def form_tables(max_size: int) -> FormTables:
     child f has size k is f followed by the children of a form g of size
     s - k whose own first child is at most f.  Each size's ids are indexed
     by their first child, so one bisect finds every g for an f.  The keys
-    only order each new size; they are dropped with the index.
+    order each new size and are kept; the index is dropped.
     """
     children: list[tuple[int, ...]] = [()]
     keys = [OPEN + CLOSE]
@@ -96,7 +94,7 @@ def form_tables(max_size: int) -> FormTables:
         if s < max_size:
             gids = sorted(ids_by_size[s], key=lambda g: children[g][0])
             by_first.append(([children[g][0] for g in gids], gids))
-    return FormTables(children, ids_by_size, hung)
+    return FormTables(children, keys, ids_by_size, hung)
 
 
 def star_form(pendants: int) -> Form:
@@ -162,9 +160,11 @@ def cycle_adj(m: int) -> list[list[int]]:
     return [[(i - 1) % m, (i + 1) % m] for i in range(m)]
 
 
-def form_graph(adj: list[list[int]], placements: Iterable[tuple[int, Form]]) -> Graph:
+def form_graph(adj: list[list[int]], placements: Iterable[tuple[int, Form | int]],
+               children: Sequence[tuple[int, ...]] = ()) -> Graph:
     """Hang each (root, form) of `placements` below existing vertex `root`.
 
+    A form is a tuple of forms, or an id whose children are children[id].
     `adj` is extended in place.  New vertices take consecutive ids from
     len(adj) on, placement by placement; within a form the children of a
     vertex get consecutive ids and subtrees are laid out last child first.
@@ -175,7 +175,7 @@ def form_graph(adj: list[list[int]], placements: Iterable[tuple[int, Form]]) -> 
         stack = [(form, root)]
         while stack:
             f, vid = stack.pop()
-            for child in f:
+            for child in f if isinstance(f, tuple) else children[f]:
                 new = len(adj)
                 adj[vid].append(new)
                 adj.append([vid])

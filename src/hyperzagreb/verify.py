@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .canon import canonical_code, cycle_vertices
+from .canon import canonical_code
 from .codec import encode_graph6
 from .enumeration import ClassRecord, prufer_edges, trees, unicyclic_graphs
 from .families import (
@@ -94,10 +94,10 @@ def rank(
     """Top-k entries by index value, descending, with full tie groups.
 
     The window runs on each record's table index; only the survivors are
-    built and canonicalised, and each reported index is checked against
-    the degree definition.  Ties are ordered by canonical code; the list
-    may exceed k when the k-th value is shared.  Memory stays bounded by
-    the window, not the class.
+    coded (from their form ids) and built, and each reported index is
+    checked against the degree definition.  Ties are ordered by canonical
+    code; the list may exceed k when the k-th value is shared.  Memory
+    stays bounded by the window, not the class.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -119,7 +119,7 @@ def rank(
         built = hyper_zagreb(g)
         if built != hm:
             raise AssertionError(f"scored index {hm} != {built} of the built graph")
-        decorated.append((hm, canonical_code(g), g))
+        decorated.append((hm, canonical_code(record), g))
     decorated.sort(key=lambda t: (-t[0], t[1]))
     out = []
     for i, (hm, code, g) in enumerate(decorated, start=1):
@@ -473,7 +473,7 @@ def _check_single_attachment_max(n_max: int = 10) -> CheckResult:
         for r in unicyclic_graphs(n):
             g = r.graph()
             checked += 1
-            m = len(cycle_vertices(g))
+            m = r.cycle
             bound = cycle_star_hm(m, n)
             hm = hyper_zagreb(g)
             if hm >= global_best:

@@ -16,6 +16,7 @@ import pytest
 
 import hyperzagreb
 from brute_iso import brute_isomorphic
+from hyperzagreb import enumeration, rooted
 from hyperzagreb.canon import _least_rotation, canonical_code, cycle_vertices, tree_centroids
 from hyperzagreb.enumeration import (
     _graph_from_mask,
@@ -140,14 +141,29 @@ def test_rejects_graphs_outside_both_classes(g):
 
 
 def test_code_bytes_pinned_to_n12():
+    # a record's code, read off its ids, is its built graph's code
     digest = hashlib.sha256()
-    for n in range(1, 13):
-        for r in trees(n):
-            digest.update(canonical_code(r).hex().encode() + b"\n")
-    for n in range(3, 13):
-        for r in unicyclic_graphs(n):
-            digest.update(canonical_code(r).hex().encode() + b"\n")
+    streams = [trees(n) for n in range(1, 13)]
+    streams += [unicyclic_graphs(n) for n in range(3, 13)]
+    for stream in streams:
+        for r in stream:
+            code = canonical_code(r)
+            assert code == canonical_code(r.graph()), (r.n, r.cycle, r.ids)
+            digest.update(code.hex().encode() + b"\n")
     assert digest.hexdigest() == CODES_TO_12_SHA256
+
+
+def test_record_code_builds_no_graph(monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("a record's code built a graph")
+
+    monkeypatch.setattr(enumeration, "form_graph", no_graph)
+    monkeypatch.setattr(rooted, "form_graph", no_graph)
+    assert canonical_code(next(iter(trees(1)))) == b"T1()"
+    assert canonical_code(next(iter(trees(2)))) == b"T2()()"
+    assert canonical_code(next(iter(unicyclic_graphs(3)))) == b"U\0\0\0\3()()()"
+    for stream in (trees(10), unicyclic_graphs(9)):
+        assert len({canonical_code(r) for r in stream}) > 100
 
 
 def test_atlas_codes_match_generators():

@@ -1,10 +1,13 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import hyperzagreb
 from hyperzagreb.cli import MAX_OUTPUT_ORDER, main
 from hyperzagreb.codec import encode_graph6
 from hyperzagreb.families import cycle_with_attachments
@@ -116,6 +119,40 @@ def test_enumerate_stdout_count_on_stderr(capsys):
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 2
     assert captured.err == "count: 2\n"
+
+
+def _run_cli(argv, **kwargs):
+    # a fresh interpreter, so write failures reach the process's own exit
+    src = os.path.dirname(os.path.dirname(hyperzagreb.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "hyperzagreb.cli", *argv],
+        env=env, stderr=subprocess.PIPE, text=True, **kwargs
+    )
+
+
+def _one_error_line(err):
+    return len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_enumerate_into_a_closed_pipe_exits_5():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # as `| head -1` leaves it, without the race
+    try:
+        proc = _run_cli(["enumerate", "trees", "14"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 5
+    assert _one_error_line(proc.stderr), proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_enumerate_to_a_full_device_exits_5():
+    proc = _run_cli(["enumerate", "trees", "12", "--out", "/dev/full"],
+                    stdout=subprocess.PIPE)
+    assert proc.returncode == 5
+    assert proc.stdout == ""
+    assert _one_error_line(proc.stderr), proc.stderr
 
 
 @pytest.mark.parametrize(

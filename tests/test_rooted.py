@@ -2,11 +2,12 @@ from hyperzagreb.graphs import hyper_zagreb, make_graph
 from hyperzagreb.rooted import (
     form_graph,
     form_tables,
+    hanging_keys,
     path_form,
     rooted_form,
     star_form,
 )
-from nested_forms import form_key, form_size
+from nested_forms import form_key, form_size, nested_form
 
 
 def rooted_counts(n_max):
@@ -35,10 +36,11 @@ def test_forms_sorted_and_unique():
     # Ids ascend strictly in (size, nested tuple) order, so comparing id
     # tuples agrees with comparing forms; children are listed largest first.
     tables = form_tables(10)
-    keys = [form_key(tables.form(fid)) for fid in range(len(tables.children))]
+    forms = [nested_form(tables, fid) for fid in range(len(tables.children))]
+    keys = [form_key(f) for f in forms]
     assert keys == sorted(set(keys))
     for n in range(1, 11):
-        assert all(form_size(tables.form(fid)) == n for fid in tables.ids_by_size[n])
+        assert all(form_size(forms[fid]) == n for fid in tables.ids_by_size[n])
     assert all(list(kids) == sorted(kids, reverse=True) for kids in tables.children)
 
 
@@ -48,7 +50,7 @@ def test_hung_is_the_index_below_a_parent():
     # from that parent (degree 1) to f's root (its child count plus one).
     tables = form_tables(8)
     for fid, kids in enumerate(tables.children):
-        g = form_graph([[]], [(0, (tables.form(fid),))])
+        g = form_graph([[]], [(0, (nested_form(tables, fid),))])
         assert tables.hung[fid] == hyper_zagreb(g) - (1 + len(kids) + 1) ** 2
 
 
@@ -56,14 +58,24 @@ def test_form_graph_round_trip():
     tables = form_tables(7)
     for n in range(1, 8):
         for fid in tables.ids_by_size[n]:
-            f = tables.form(fid)
+            f = nested_form(tables, fid)
             g = form_graph([[]], [(0, f)])
             assert g.n == n
             assert make_graph(n, list(g.edges())) == g
             assert rooted_form(g.adj, 0) == f
 
 
+def test_ids_hang_and_key_like_their_nested_forms():
+    # form_graph lays out an id exactly as its nested tuple, and keys[fid]
+    # is the bracket key hanging_keys reads off the built tree.
+    tables = form_tables(8)
+    for fid in range(len(tables.children)):
+        g = form_graph([[]], [(0, fid)], tables.children)
+        assert g == form_graph([[]], [(0, nested_form(tables, fid))])
+        assert hanging_keys(g.adj, [0])[0][1] == tables.keys[fid]
+
+
 def test_shorthand_forms():
     assert star_form(3) == ((), (), ())
     assert form_size(path_form(4)) == 5
-    assert form_tables(1).form(0) == ()
+    assert nested_form(form_tables(1), 0) == ()
