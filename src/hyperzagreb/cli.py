@@ -1,11 +1,15 @@
 """Command-line interface.
 
 Subcommands: compute, family, enumerate, rank, verify, transform.
-Exit codes are a stable contract: 0 success (verify: all pass, tie-noted
-counts as pass), 1 ordering-claim failure, 2 input parse failure, 3 unknown
-catalog key, 4 domain error (order below a family floor, a graph6 result
-above MAX_OUTPUT_ORDER vertices and similar), 5 I/O failure.  Output never
-contains timestamps; identical invocations produce identical bytes.
+Each command returns its exit code and its output chunks; ``main`` writes
+the chunks to stdout or ``--out`` and is the one place where an exception
+becomes an exit code.  Exit codes are a stable contract: 0 success (verify:
+all pass, tie-noted counts as pass), 1 ordering-claim failure, 2 input parse
+failure, 3 unknown catalog key, 4 domain error (order below a family floor,
+an order above MAX_OUTPUT_ORDER where a graph is written or audited, and
+similar), 5 I/O failure (an unreadable input, or output that cannot be
+written, stdout included).  Output never contains timestamps; identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -16,17 +20,13 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 from .codec import CodecError, decode_graph6, encode_graph6, parse_edgelist
 from .enumeration import trees, unicyclic_graphs
-from .families import (
-    CATALOG,
-    FamilyDomainError,
-    UnknownFamilyError,
-    build_catalog_member,
-)
-from .graphs import Graph, GraphError, classical_indices, hyper_zagreb
-from .transforms import StructureError, coalesce, reduce_to_single_attachment
+from .families import CATALOG, UnknownFamilyError, build_catalog_member
+from .graphs import Graph, classical_indices, hyper_zagreb
+from .transforms import coalesce, reduce_to_single_attachment
 from .verify import (
     closed_form_audit,
     discover_tree_threshold,
@@ -38,7 +38,9 @@ from .verify import (
 )
 
 # graph6 output is quadratic in the order; writing a graph of this order
-# takes about a second, so family and transform refuse larger ones.
+# takes about a second, so family and transform refuse larger ones.  The
+# closed-form audit builds every family at every order of its range, which
+# is quadratic in the top order, so it refuses a larger top order too.
 MAX_OUTPUT_ORDER = 4000
 
 EXIT_OK = 0
@@ -74,19 +76,16 @@ def _read_text(path: str) -> str:
 
 def _load_graph(path: str, fmt: str) -> Graph:
     text = _read_text(path)
-    try:
-        if fmt == "graph6":
-            return decode_graph6(text)
-        if fmt == "edgelist":
-            return parse_edgelist(text)
-        # auto: a leading digit (the "n m" header) or "#" (a comment) means
-        # an edge list; graph6 never starts with either
-        stripped = text.lstrip()
-        if stripped[:1].isdigit() or stripped.startswith("#"):
-            return parse_edgelist(text)
+    if fmt == "graph6":
         return decode_graph6(text)
-    except CodecError as exc:
-        raise _CliFailure(EXIT_PARSE, f"parse failure: {exc}") from exc
+    if fmt == "edgelist":
+        return parse_edgelist(text)
+    # auto: a leading digit (the "n m" header) or "#" (a comment) means
+    # an edge list; graph6 never starts with either
+    stripped = text.lstrip()
+    if stripped[:1].isdigit() or stripped.startswith("#"):
+        return parse_edgelist(text)
+    return decode_graph6(text)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -103,18 +102,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _CliFailure(EXIT_IO, f"cannot write {out}: {exc}") from exc
+def _check_order(n: int) -> None:
+    """Refuse an order above MAX_OUTPUT_ORDER before building anything."""
+    if n > MAX_OUTPUT_ORDER:
+        raise _CliFailure(EXIT_DOMAIN, f"order {n} exceeds the limit of {MAX_OUTPUT_ORDER}")
 
 
-def _cmd_compute(args) -> int:
+def _cmd_compute(args) -> tuple[int, Iterable[str]]:
     g = _load_graph(args.input, args.input_format)
     hm = hyper_zagreb(g)
     zi = classical_indices(g)
@@ -129,47 +123,28 @@ def _cmd_compute(args) -> int:
             "f": zi.f,
             "identity_hm_eq_f_plus_2m2": identity,
         }
-        _write_out(json.dumps(payload, sort_keys=True) + "\n", args.out)
-    elif args.format == "csv":
+        return EXIT_OK, [json.dumps(payload, sort_keys=True) + "\n"]
+    if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["n", "m", "hm", "m1", "m2", "f", "identity"])
         w.writerow([g.n, g.num_edges, hm, zi.m1, zi.m2, zi.f, identity])
-        _write_out(buf.getvalue(), args.out)
-    else:
-        _write_out(
-            f"n: {g.n}\nm: {g.num_edges}\nhm: {hm}\nm1: {zi.m1}\nm2: {zi.m2}\n"
-            f"f: {zi.f}\nidentity hm = f + 2*m2: {'ok' if identity else 'VIOLATED'}\n",
-            args.out,
-        )
-    return EXIT_OK
+        return EXIT_OK, [buf.getvalue()]
+    return EXIT_OK, [
+        f"n: {g.n}\nm: {g.num_edges}\nhm: {hm}\nm1: {zi.m1}\nm2: {zi.m2}\n"
+        f"f: {zi.f}\nidentity hm = f + 2*m2: {'ok' if identity else 'VIOLATED'}\n"
+    ]
 
 
-def _check_output_order(n: int) -> None:
-    """Refuse a graph6 result above MAX_OUTPUT_ORDER before computing it."""
-    if n > MAX_OUTPUT_ORDER:
-        raise _CliFailure(
-            EXIT_DOMAIN,
-            f"order {n} exceeds the graph6 output limit of {MAX_OUTPUT_ORDER}",
-        )
-
-
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> tuple[int, Iterable[str]]:
     if args.key in CATALOG:
-        _check_output_order(args.n)
-    try:
-        g = build_catalog_member(args.key, args.n)
-    except UnknownFamilyError:
-        known = ", ".join(CATALOG)
-        raise _CliFailure(
-            EXIT_UNKNOWN_KEY, f"unknown family {args.key!r}; known: {known}"
-        ) from None
-    except FamilyDomainError as exc:
-        raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
+        _check_order(args.n)
+    g = build_catalog_member(args.key, args.n)
     hm = hyper_zagreb(g)
     poly = CATALOG[args.key].poly
     value = poly.evaluate(args.n)
     flag = "EQUAL" if hm == value else "MISMATCH"
+    code = EXIT_OK if flag == "EQUAL" else EXIT_CLAIM_FAILED
     if args.format == "json":
         payload = {
             "key": args.key,
@@ -180,61 +155,33 @@ def _cmd_family(args) -> int:
             "coefficients": list(poly.coefficients()),
             "status": flag,
         }
-        _write_out(json.dumps(payload, sort_keys=True) + "\n", args.out)
-    else:
-        _write_out(
-            f"key: {args.key}\nn: {args.n}\ngraph6: {encode_graph6(g)}\n"
-            f"hm: {hm}\npolynomial: {value}\nstatus: {flag}\n",
-            args.out,
-        )
-    return EXIT_OK if flag == "EQUAL" else EXIT_CLAIM_FAILED
+        return code, [json.dumps(payload, sort_keys=True) + "\n"]
+    return code, [
+        f"key: {args.key}\nn: {args.n}\ngraph6: {encode_graph6(g)}\n"
+        f"hm: {hm}\npolynomial: {value}\nstatus: {flag}\n"
+    ]
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
     stream = trees(args.n) if args.klass == "trees" else unicyclic_graphs(args.n)
-    count = 0
-    try:
-        sink = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
-        try:
-            for record in stream:
-                sink.write(encode_graph6(record.graph()) + "\n")
-                count += 1
-            sink.flush()
-        finally:
-            if args.out:
-                sink.close()
-    except ValueError as exc:
-        raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
-    except OSError as exc:
-        if not args.out:  # stdout is gone: let the flush at exit go nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise _CliFailure(EXIT_IO, f"cannot write {args.out or 'stdout'}: {exc}") from None
-    # keep the graph6 stream clean when it goes to stdout
-    (sys.stdout if args.out else sys.stderr).write(f"count: {count}\n")
-    return EXIT_OK
+    return EXIT_OK, (encode_graph6(record.graph()) + "\n" for record in stream)
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> tuple[int, Iterable[str]]:
     kind = "tree" if args.klass == "trees" else "unicyclic"
-    try:
-        fams = family_codes(kind, args.n)
-        stream = trees(args.n) if args.klass == "trees" else unicyclic_graphs(args.n)
-        entries = rank_stream(stream, args.k, fams)
-    except ValueError as exc:
-        raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
+    fams = family_codes(kind, args.n)
+    stream = trees(args.n) if args.klass == "trees" else unicyclic_graphs(args.n)
+    entries = rank_stream(stream, args.k, fams)
     if args.format == "json":
-        payload = [e.to_json_dict() for e in entries]
-        _write_out(json.dumps(payload) + "\n", args.out)
-    elif args.format == "csv":
+        return EXIT_OK, [json.dumps([e.to_json_dict() for e in entries]) + "\n"]
+    if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["rank", "hm", "family", "graph6"])
         for e in entries:
             w.writerow([e.rank, e.hm, e.family_match or "", encode_graph6(e.graph)])
-        _write_out(buf.getvalue(), args.out)
-    else:
-        _write_out("".join(e.to_text() + "\n" for e in entries), args.out)
-    return EXIT_OK
+        return EXIT_OK, [buf.getvalue()]
+    return EXIT_OK, [e.to_text() + "\n" for e in entries]
 
 
 def _render(report, fmt: str) -> str:
@@ -243,69 +190,44 @@ def _render(report, fmt: str) -> str:
     return report.to_text()
 
 
-def _cmd_verify(args) -> int:
-    chunks: list[str] = []
-    ok = True
+def _cmd_verify(args) -> tuple[int, Iterable[str]]:
     if args.klass in ("trees", "unicyclic"):
         lo, hi = _parse_range(args.range or "15")
-        for n in range(lo, hi + 1):
-            try:
-                report = verify_trees(n) if args.klass == "trees" else verify_unicyclic(n)
-            except ValueError as exc:
-                raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
-            ok = ok and report.passed
-            chunks.append(_render(report, args.format))
-        if args.klass == "trees" and args.discover_threshold:
-            thr = discover_tree_threshold(5, hi)
-            chunks.append(
-                f"discovered_threshold: {thr} (smallest n with the top-4 "
-                "ordering; outside the stated claims)\n"
-            )
+        check = verify_trees if args.klass == "trees" else verify_unicyclic
+        reports = [check(n) for n in range(lo, hi + 1)]
     elif args.klass == "lemmas":
-        try:
-            report = lemma_suite(seed=args.seed, trials=args.trials)
-        except ValueError as exc:
-            raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
-        ok = report.passed
-        chunks.append(_render(report, args.format))
+        reports = [lemma_suite(seed=args.seed, trials=args.trials)]
     else:  # closed-forms
         lo, hi = _parse_range(args.range or "15..45")
-        try:
-            report = closed_form_audit(lo, hi)
-        except ValueError as exc:
-            raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
-        ok = report.passed
-        chunks.append(_render(report, args.format))
-    _write_out("".join(chunks), args.out)
-    return EXIT_OK if ok else EXIT_CLAIM_FAILED
+        _check_order(hi)
+        reports = [closed_form_audit(lo, hi)]
+    chunks = [_render(report, args.format) for report in reports]
+    if args.klass == "trees" and args.discover_threshold:
+        thr = discover_tree_threshold(5, hi)
+        chunks.append(
+            f"discovered_threshold: {thr} (smallest n with the top-4 "
+            "ordering; outside the stated claims)\n"
+        )
+    ok = all(report.passed for report in reports)
+    return (EXIT_OK if ok else EXIT_CLAIM_FAILED), chunks
 
 
-def _cmd_transform(args) -> int:
-    if args.which == "reduce":
-        g = _load_graph(args.input, args.input_format)
-        _check_output_order(g.n)
-        try:
-            chain = reduce_to_single_attachment(g)
-        except StructureError as exc:
-            raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
-        lines = [
-            f"step: {i} graph6: {encode_graph6(x)} hm: {hyper_zagreb(x)}"
-            for i, x in enumerate(chain)
-        ]
-        _write_out("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
-    # coalesce
+def _cmd_reduce(args) -> tuple[int, Iterable[str]]:
+    g = _load_graph(args.input, args.input_format)
+    _check_order(g.n)
+    chain = reduce_to_single_attachment(g)
+    return EXIT_OK, [
+        f"step: {i} graph6: {encode_graph6(x)} hm: {hyper_zagreb(x)}\n"
+        for i, x in enumerate(chain)
+    ]
+
+
+def _cmd_coalesce(args) -> tuple[int, Iterable[str]]:
     g = _load_graph(args.input, args.input_format)
     h = _load_graph(args.other, args.input_format)
-    _check_output_order(g.n + h.n - 1)
-    try:
-        merged = coalesce(g, args.at, h, args.to)
-    except GraphError as exc:
-        raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
-    _write_out(
-        f"graph6: {encode_graph6(merged)}\nhm: {hyper_zagreb(merged)}\n", args.out
-    )
-    return EXIT_OK
+    _check_order(g.n + h.n - 1)
+    merged = coalesce(g, args.at, h, args.to)
+    return EXIT_OK, [f"graph6: {encode_graph6(merged)}\nhm: {hyper_zagreb(merged)}\n"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -368,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--input-format", choices=["auto", "graph6", "edgelist"],
                     default="auto", dest="input_format")
     pr.add_argument("--out")
-    pr.set_defaults(func=_cmd_transform, which="reduce")
+    pr.set_defaults(func=_cmd_reduce)
     pc = tsub.add_parser("coalesce", help="identify a vertex of one graph with one of another")
     pc.add_argument("input")
     pc.add_argument("other")
@@ -377,19 +299,50 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--input-format", choices=["auto", "graph6", "edgelist"],
                     default="auto", dest="input_format")
     pc.add_argument("--out")
-    pc.set_defaults(func=_cmd_transform, which="coalesce")
+    pc.set_defaults(func=_cmd_coalesce)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    sink = None
+    written = 0
     try:
-        return args.func(args)
+        code, chunks = args.func(args)
+        try:
+            for chunk in chunks:
+                if sink is None:  # opened late: a command that fails writes no file
+                    sink = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
+                sink.write(chunk)
+                written += 1
+            if sink is not None:
+                sink.flush()
+        finally:
+            if args.out and sink is not None:
+                sink.close()
+        if args.command == "enumerate":  # the count stays off the graph6 stream
+            sink = sys.stdout if args.out else sys.stderr
+            sink.write(f"count: {written}\n")
+            sink.flush()
     except _CliFailure as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return exc.code
+        code, message = exc.code, str(exc)
+    except CodecError as exc:
+        code, message = EXIT_PARSE, f"parse failure: {exc}"
+    except UnknownFamilyError as exc:
+        code = EXIT_UNKNOWN_KEY
+        message = f"unknown family {exc.args[0]!r}; known: {', '.join(CATALOG)}"
+    except ValueError as exc:
+        code, message = EXIT_DOMAIN, str(exc)
+    except OSError as exc:
+        to_stdout = sink is sys.stdout
+        if to_stdout:  # stdout is gone: let the flush at exit go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code, message = EXIT_IO, f"cannot write {'stdout' if to_stdout else args.out}: {exc}"
+    else:
+        return code
+    sys.stderr.write(f"error: {message}\n")
+    return code
 
 
 if __name__ == "__main__":

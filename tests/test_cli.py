@@ -155,6 +155,45 @@ def test_enumerate_to_a_full_device_exits_5():
     assert _one_error_line(proc.stderr), proc.stderr
 
 
+_TRIANGLE = "3 3\n0 1\n1 2\n0 2\n"
+
+
+def _full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    return open("/dev/full", "w")
+
+
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return os.fdopen(write_end, "w")
+
+
+@pytest.mark.parametrize("stdout", [_full_device, _closed_pipe], ids=["full", "closed-pipe"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "compute -", "family S_n 5", "rank trees 10 -k 3", "verify trees 8",
+        "transform reduce -", "enumerate trees 12", "enumerate trees 5 --out {tmp}/t.g6",
+    ],
+)
+def test_failed_stdout_write_exits_5(argv, stdout, tmp_path):
+    with stdout() as sink:
+        proc = _run_cli(argv.format(tmp=tmp_path).split(), stdout=sink, input=_TRIANGLE)
+    assert proc.returncode == 5
+    assert _one_error_line(proc.stderr), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", ["enumerate unicyclic 2", "verify trees 4"])
+def test_failed_command_creates_no_out_file(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv.split(), "--out", str(out)]) == 4
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -164,6 +203,7 @@ def test_enumerate_to_a_full_device_exits_5():
         "verify lemmas --trials 0",
         "family S_n 258048",
         f"family S_n {MAX_OUTPUT_ORDER + 1}",
+        f"verify closed-forms 15..{MAX_OUTPUT_ORDER + 1}",
     ],
 )
 def test_enumerate_and_rank_domain_errors(argv, capsys):
