@@ -26,19 +26,20 @@ child edges).  Ranking scores every class this way, codes it from its ids
 record.graph() and rooted.form_graph.
 
 The labeled oracle is the independent ground truth used to certify both
-generators at small orders: it scans every labeled graph of the class, as
-edge-bit masks decoded from every Pruefer sequence, and partitions them into
-isomorphism classes purely by permutation orbits.  An orbit is formed by one
-walk from any mask not yet placed through all n! relabelings in
-Trotter-Johnson order, one adjacent vertex transposition per step applied
-through three chunk lookup tables; the masks the walk meets are the orbit,
-and are removed from the scan's set.
+generators at small orders: it scans every labeled graph of the class as an
+edge-bit mask (each labeled tree walked once as a parent function toward
+vertex n - 1, a unicyclic graph as a tree plus one edge) and partitions
+them into isomorphism classes purely by permutation orbits.  An orbit is
+formed by one walk from any mask not yet placed through all n! relabelings
+in Trotter-Johnson order, one adjacent vertex transposition per step
+applied through three chunk lookup tables; the masks the walk meets are the
+orbit, and are removed from the scan's set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import Graph, make_graph
@@ -227,6 +228,7 @@ class OracleResult:
     kind: str
     classes: tuple[Graph, ...]
     labeled_total: int
+    orbit_sizes: tuple[int, ...]  # labeled graphs in each class, in order
 
 
 def _edge_pairs(n: int) -> list[tuple[int, int]]:
@@ -234,9 +236,7 @@ def _edge_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
-    pairs = _edge_pairs(n)
-    edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-    return make_graph(n, edges)
+    return make_graph(n, [e for i, e in enumerate(_edge_pairs(n)) if mask >> i & 1])
 
 
 def prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
@@ -266,18 +266,36 @@ def prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
 def _labeled_tree_masks(n: int) -> set[int]:
     """Edge-bit masks of every labeled tree on n vertices.
 
-    Scans the Cayley parametrization: each sequence in [0..n-1]^(n-2) is
-    decoded to its labeled tree, covering all n^(n-2) trees exactly once.
+    Scans every tree as its parent function toward the root n - 1, depth
+    first: vertex v = 0..n-2 takes any parent p whose chain of parents
+    already placed does not lead back to v.  Acyclic parent functions are
+    in bijection with the n^(n-2) labeled trees, so each is met once.
     """
     if n == 1:
         return {0}
     bit = [[0] * n for _ in range(n)]  # bit[u][v]: the mask bit of edge uv
     for i, (u, v) in enumerate(_edge_pairs(n)):
         bit[u][v] = bit[v][u] = 1 << i
-    return {
-        sum([bit[u][v] for u, v in prufer_edges(seq, n)])
-        for seq in product(range(n), repeat=n - 2)
-    }
+    parent, masks, last = [0] * n, set(), n - 2
+
+    def place(v: int, mask: int) -> None:
+        row, level = bit[v], []
+        for p in range(n):
+            x = p
+            while x < v:  # up the placed chain to its first unplaced vertex
+                x = parent[x]
+            if x == v:
+                continue
+            if v < last:
+                parent[v] = p
+                place(v + 1, mask | row[p])
+            else:
+                level.append(mask | row[p])
+        masks.update(level)
+
+    place(0, 0)
+    del place  # it refers to itself; that cycle would hold masks until a gc
+    return masks
 
 
 def _labeled_unicyclic_masks(n: int) -> set[int]:
@@ -394,7 +412,6 @@ def labeled_oracle(n: int, kind: str) -> OracleResult:
             raise ValueError(f"order must be >= 3, got {n}")
         masks = _labeled_unicyclic_masks(n)
     total = len(masks)
-    classes = tuple(
-        _graph_from_mask(n, rep) for rep, _ in _orbit_partition(n, masks)
-    )
-    return OracleResult(n, kind, classes, total)
+    reps, sizes = zip(*_orbit_partition(n, masks))
+    classes = tuple(_graph_from_mask(n, rep) for rep in reps)
+    return OracleResult(n, kind, classes, total, sizes)

@@ -105,8 +105,10 @@ def from_adjacency(adj: list[list[int]]) -> Graph:
     """Trusted fast path for adjacency lists that are simple by construction.
 
     Nothing is validated.  Graphs grown from rooted forms (rooted.form_graph)
-    come this way; edges from outside (codecs, tests) or from rewiring an
-    arbitrary graph go through make_graph instead.
+    come this way, and so do transforms.coalesce and join_vs_identify: they
+    merge one vertex of two simple graphs, or join them by one edge, which
+    adds no loop or parallel edge.  Edges from outside (codecs, tests) go
+    through make_graph instead.
     """
     return Graph(len(adj), tuple(tuple(sorted(a)) for a in adj))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import canonical_code, cycle_vertices
-from .graphs import Graph, GraphError, hyper_zagreb, is_unicyclic, make_graph
+from .graphs import Graph, GraphError, from_adjacency, hyper_zagreb, is_unicyclic
 from .families import cycle_with_stars
 
 
@@ -24,23 +24,19 @@ def coalesce(g: Graph, u: int, h: Graph, z: int) -> Graph:
     """Identify vertex u of g with vertex z of h.
 
     g keeps its vertex ids; h's remaining vertices follow, in id order.  The
-    merged vertex has degree deg_g(u) + deg_h(z).
+    merged vertex has degree deg_g(u) + deg_h(z).  Both inputs are simple
+    and share only the merged vertex, so the result is built unvalidated.
     """
     if not 0 <= u < g.n:
         raise GraphError(f"vertex {u} out of range for g")
     if not 0 <= z < h.n:
         raise GraphError(f"vertex {z} out of range for h")
-    remap = {}
-    nxt = g.n
-    for v in range(h.n):
-        if v == z:
-            remap[v] = u
-        else:
-            remap[v] = nxt
-            nxt += 1
-    edges = list(g.edges())
-    edges.extend((remap[a], remap[b]) for a, b in h.edges())
-    return make_graph(g.n + h.n - 1, edges)
+    # h's vertex x becomes u at x = z, else the next free id past g's
+    remap = [g.n + x - (x > z) if x != z else u for x in range(h.n)]
+    adj = [list(a) for a in g.adj] + [[] for _ in range(h.n - 1)]
+    for x, nbrs in enumerate(h.adj):
+        adj[remap[x]] += [remap[y] for y in nbrs]
+    return from_adjacency(adj)
 
 
 @dataclass(frozen=True)
@@ -110,15 +106,14 @@ def join_vs_identify(g1: Graph, u: int, g2: Graph, v: int) -> JoinIdentifyPair:
     if not 0 <= v < g2.n:
         raise GraphError(f"vertex {v} out of range for g2")
     offset = g1.n
-    joined_edges = list(g1.edges())
-    joined_edges.extend((a + offset, b + offset) for a, b in g2.edges())
-    joined_edges.append((u, v + offset))
-    joined = make_graph(g1.n + g2.n, joined_edges)
+    adj = [list(a) for a in g1.adj] + [[y + offset for y in a] for a in g2.adj]
+    adj[u].append(v + offset)
+    adj[v + offset].append(u)
+    joined = from_adjacency(adj)
 
-    merged = coalesce(g1, u, g2, v)
-    ident_edges = list(merged.edges())
-    ident_edges.append((u, merged.n))
-    identified = make_graph(merged.n + 1, ident_edges)
+    adj = [list(a) for a in coalesce(g1, u, g2, v).adj] + [[u]]
+    adj[u].append(len(adj) - 1)
+    identified = from_adjacency(adj)
 
     applicable = joined.degree(u) >= 2 and joined.degree(v + offset) >= 2
     return JoinIdentifyPair(joined=joined, identified=identified, applicable=applicable)

@@ -31,7 +31,7 @@ from .families import (
     cycle_with_stars,
     tree_t_family,
 )
-from .graphs import Graph, hyper_zagreb, make_graph
+from .graphs import Graph, from_adjacency, hyper_zagreb
 from .transforms import (
     attach_conditions,
     coalesce,
@@ -346,10 +346,12 @@ class SuiteReport:
 
 
 def _random_tree(rng: random.Random, n: int) -> Graph:
-    if n == 1:
-        return make_graph(1, [])
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    return make_graph(n, prufer_edges(seq, n))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    if n > 1:
+        for u, v in prufer_edges([rng.randrange(n) for _ in range(n - 2)], n):
+            adj[u].append(v)
+            adj[v].append(u)
+    return from_adjacency(adj)
 
 
 def _random_base_graph(rng: random.Random, n: int) -> Graph:
@@ -359,9 +361,10 @@ def _random_base_graph(rng: random.Random, n: int) -> Graph:
         while True:
             u, v = rng.randrange(n), rng.randrange(n)
             if u != v and not t.has_edge(u, v):
-                edges = list(t.edges())
-                edges.append((u, v))
-                return make_graph(n, edges)
+                adj = [list(a) for a in t.adj]
+                adj[u].append(v)
+                adj[v].append(u)
+                return from_adjacency(adj)
     return t
 
 

@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import hyperzagreb
-from hyperzagreb.cli import MAX_OUTPUT_ORDER, main
+from hyperzagreb.cli import MAX_AUDIT_ORDER, MAX_OUTPUT_ORDER, main
 from hyperzagreb.codec import encode_graph6
 from hyperzagreb.families import cycle_with_attachments
 from hyperzagreb.rooted import path_form
@@ -211,6 +212,16 @@ def test_enumerate_and_rank_domain_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_closed_form_audit_refuses_a_top_order_above_its_budget(capsys):
+    # the audit is superquadratic in its top order: 15..4000 ran for minutes
+    start = time.perf_counter()
+    assert main(["verify", "closed-forms", "15..4000"]) == 4
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: order 4000 exceeds the limit of {MAX_AUDIT_ORDER}\n"
 
 
 def test_rank_csv(capsys):

@@ -1,9 +1,11 @@
 """The labeled oracle's parts against direct references.
 
-The Pruefer decoder against the textbook heap decoder, the Trotter-Johnson
+The Pruefer decoder against the textbook heap decoder, the parent-function
+tree scan against a scan of every Pruefer sequence, the Trotter-Johnson
 swap sequence and the chunk-table orbit partition against explicit
 permutations, the labeled totals against Cayley's formula and its
-unicyclic analogue, and the oracle's whole output against a digest.
+unicyclic analogue, each class's orbit size against n!/|Aut|, and the
+oracle's whole output against a digest.
 """
 
 import hashlib
@@ -48,6 +50,17 @@ def heap_prufer_edges(seq, n):
     return edges
 
 
+def prufer_tree_masks(n):
+    """Reference scan: the edge-bit mask of each Pruefer sequence's tree."""
+    if n == 1:
+        return {0}
+    index = {p: i for i, p in enumerate(_edge_pairs(n))}
+    return {
+        sum(1 << index[min(e), max(e)] for e in prufer_edges(seq, n))
+        for seq in product(range(n), repeat=n - 2)
+    }
+
+
 def permutation_orbits(n, masks):
     """(smallest mask, orbit size) per orbit, smallest first, each orbit
     found by applying all n! relabelings to its smallest mask."""
@@ -88,6 +101,13 @@ def test_decoder_matches_heap_reference_on_random_sequences():
         n = rng.randint(2, 40)
         seq = [rng.randrange(n) for _ in range(n - 2)]
         assert prufer_edges(seq, n) == heap_prufer_edges(seq, n), seq
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tree_scan_matches_prufer_scan(n):
+    masks = _labeled_tree_masks(n)
+    assert masks == prufer_tree_masks(n)
+    assert len(masks) == (n ** (n - 2) if n > 1 else 1)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -143,3 +163,21 @@ def test_oracle_output_pinned():
         for g in result.classes:
             h.update(encode_graph6(g).encode() + b"\n")
     assert h.hexdigest() == ORACLE_SHA256
+
+
+def test_orbit_sizes_match_automorphism_counts():
+    # A class's labeled graphs number n!/|Aut(G)|; networkx counts the
+    # automorphisms (test-only).
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    runs = [("trees", n) for n in range(1, 8)] + [("unicyclic", n) for n in range(3, 7)]
+    for kind, n in runs:
+        result = labeled_oracle(n, kind)
+        assert len(result.orbit_sizes) == len(result.classes)
+        assert sum(result.orbit_sizes) == result.labeled_total
+        for g, size in zip(result.classes, result.orbit_sizes):
+            h = nx.Graph(list(g.edges()))
+            h.add_nodes_from(range(n))
+            automorphisms = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+            assert size == factorial(n) // automorphisms, (kind, n, encode_graph6(g))

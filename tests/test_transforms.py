@@ -1,11 +1,13 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperzagreb.canon import canonical_code, cycle_vertices
 from hyperzagreb.codec import encode_graph6
-from hyperzagreb.enumeration import unicyclic_graphs
+from hyperzagreb.enumeration import prufer_edges, unicyclic_graphs
 from hyperzagreb.families import (
     cycle,
     cycle_star_hm,
@@ -14,7 +16,7 @@ from hyperzagreb.families import (
     path,
     star,
 )
-from hyperzagreb.graphs import hyper_zagreb, make_graph
+from hyperzagreb.graphs import GraphError, hyper_zagreb, make_graph
 from hyperzagreb.rooted import path_form
 from hyperzagreb.transforms import (
     StructureError,
@@ -25,6 +27,87 @@ from hyperzagreb.transforms import (
     reduce_to_single_attachment,
     star_attachment_profile,
 )
+
+
+BOUNDED = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+def edge_list_coalesce(g, u, h, z):
+    """Reference: relabel h's edges and validate the union through make_graph."""
+    remap = {}
+    nxt = g.n
+    for v in range(h.n):
+        if v == z:
+            remap[v] = u
+        else:
+            remap[v] = nxt
+            nxt += 1
+    edges = list(g.edges())
+    edges.extend((remap[a], remap[b]) for a, b in h.edges())
+    return make_graph(g.n + h.n - 1, edges)
+
+
+def edge_list_join_vs_identify(g1, u, g2, v):
+    """Reference (joined, identified) pair, both built through make_graph."""
+    offset = g1.n
+    joined_edges = list(g1.edges())
+    joined_edges.extend((a + offset, b + offset) for a, b in g2.edges())
+    joined_edges.append((u, v + offset))
+    merged = edge_list_coalesce(g1, u, g2, v)
+    ident_edges = list(merged.edges())
+    ident_edges.append((u, merged.n))
+    return (
+        make_graph(g1.n + g2.n, joined_edges),
+        make_graph(merged.n + 1, ident_edges),
+    )
+
+
+@st.composite
+def small_trees_and_unicyclic(draw):
+    """A Pruefer tree on 1..9 vertices, or such a tree plus one edge."""
+    n = draw(st.integers(1, 9))
+    if n == 1:
+        return make_graph(1, [])
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    edges = prufer_edges(seq, n)
+    if n >= 3 and draw(st.booleans()):
+        present = {frozenset(e) for e in edges}
+        absent = [p for p in combinations(range(n), 2) if frozenset(p) not in present]
+        edges.append(draw(st.sampled_from(absent)))
+    return make_graph(n, edges)
+
+
+@BOUNDED
+@given(small_trees_and_unicyclic(), small_trees_and_unicyclic())
+def test_rewrites_match_edge_list_references(g, h):
+    for u in range(g.n):
+        for z in range(h.n):
+            assert coalesce(g, u, h, z) == edge_list_coalesce(g, u, h, z)
+            pair = join_vs_identify(g, u, h, z)
+            want = edge_list_join_vs_identify(g, u, h, z)
+            assert (pair.joined, pair.identified) == want
+        for z in range(g.n):  # g coalesced with itself
+            assert coalesce(g, u, g, z) == edge_list_coalesce(g, u, g, z)
+
+
+def test_rewrite_edge_cases():
+    g, dot = cycle(4), make_graph(1, [])
+    for u in range(4):
+        for z in range(4):
+            assert coalesce(g, u, g, z) == edge_list_coalesce(g, u, g, z)
+        assert coalesce(g, u, dot, 0) == g
+        assert coalesce(dot, 0, g, u) == edge_list_coalesce(dot, 0, g, u)
+        pair = join_vs_identify(g, u, dot, 0)
+        assert (pair.joined, pair.identified) == edge_list_join_vs_identify(g, u, dot, 0)
+    for bad in (-1, 4):
+        with pytest.raises(GraphError):
+            coalesce(g, bad, dot, 0)
+        with pytest.raises(GraphError):
+            coalesce(dot, 0, g, bad)
+        with pytest.raises(GraphError):
+            join_vs_identify(g, bad, dot, 0)
+        with pytest.raises(GraphError):
+            join_vs_identify(dot, 0, g, bad)
 
 
 def test_coalesce_examples():
