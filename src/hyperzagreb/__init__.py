@@ -22,7 +22,6 @@ from .graphs import (
     Graph,
     ZagrebIndices,
     classical_indices,
-    degree,
     edge_contribution,
     hyper_zagreb,
     is_connected,

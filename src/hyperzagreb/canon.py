@@ -6,9 +6,10 @@ keys and as tie-breakers.  Trees use their centroid-rooted form, unicyclic
 graphs a dihedral-minimal necklace of hanging-tree forms.  Each hanging
 tree is ordered by its (size, bracket key), the order the form registry
 uses, and written with the key's bytes as ASCII parentheses: a graph's
-from rooted.hanging_keys, a class record's from its form ids, with no
-graph built.  No step recurses, so depth costs no stack.  These are the
-only classes the system ranks; any other graph raises GraphError.
+from rooted.hanging_keys, a class record's from its form ids and
+cycle_code's from its caller, with no graph built.  No step recurses, so
+depth costs no stack.  These are the only classes the system ranks; any
+other graph raises GraphError.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def canonical_code(g: Graph | ClassRecord) -> bytes:
     if is_tree(g):
         return _tree_code(g)
     if is_unicyclic(g):
-        return _unicyclic_code(g)
+        return cycle_code(hanging_keys(g.adj, cycle_vertices(g)))
     raise GraphError(
         f"canonical codes cover trees and connected unicyclic graphs only, "
         f"got n={g.n} with {g.num_edges} edges"
@@ -123,12 +124,11 @@ def cycle_vertices(g: Graph) -> list[int]:
     return walk
 
 
-def _unicyclic_code(g: Graph) -> bytes:
-    cyc = cycle_vertices(g)
-    keys = hanging_keys(g.adj, cyc)
-    # lexicographic minimum over rotations and reflections
+def cycle_code(keys: list[tuple[int, bytes]]) -> bytes:
+    """Code of a unicyclic graph from its hanging trees' (size, bracket key)
+    pairs in cycle walk order: their least rotation or reflection."""
     best = min(_least_rotation(keys), _least_rotation(keys[::-1]))
-    return _code(b"U" + len(cyc).to_bytes(4, "big"), [key for _, key in best])
+    return _code(b"U" + len(keys).to_bytes(4, "big"), [key for _, key in best])
 
 
 def _least_rotation(s: list) -> list:

@@ -5,9 +5,8 @@ Each command returns its exit code and its output chunks; ``main`` writes
 the chunks to stdout or ``--out`` and is the one place where an exception
 becomes an exit code.  Exit codes are a stable contract: 0 success (verify:
 all pass, tie-noted counts as pass), 1 ordering-claim failure, 2 input parse
-failure, 3 unknown catalog key, 4 domain error (order below a family floor,
-an order above MAX_OUTPUT_ORDER where a graph is written or above
-MAX_AUDIT_ORDER where the closed forms are audited, and similar), 5 I/O
+failure, 3 unknown catalog key, 4 domain error (an order below a family
+floor, an input above one of the MAX_* limits below, and similar), 5 I/O
 failure (an unreadable input, or output that cannot be written, stdout
 included).  Output never contains timestamps; identical invocations
 produce identical bytes.
@@ -40,10 +39,14 @@ from .verify import (
 
 # graph6 output is quadratic in the order; writing a graph of this order
 # takes about a second, so family and transform refuse larger ones.  The
-# closed-form audit builds every family at every order of its range:
-# 15..1000 takes about 9 s on a 2-core box, so it refuses a larger top order.
+# rest cap work timed on a 2-core box: the audit of 15..1000 (9 s), reduce
+# on 501 vertices, a leaf at every other cycle vertex (11 s), rank trees 20
+# and unicyclic 17 (2 s, 6 s; ~3x per order), 100,000 lemma trials (8 s).
 MAX_OUTPUT_ORDER = 4000
 MAX_AUDIT_ORDER = 1000
+MAX_REDUCE_ORDER = 500
+MAX_CLASS_ORDER = {"trees": 20, "unicyclic": 17}
+MAX_TRIALS = 100_000
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -104,10 +107,10 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _check_order(n: int, limit: int = MAX_OUTPUT_ORDER) -> None:
-    """Refuse an order above limit before building anything."""
+def _check_order(n: int, limit: int = MAX_OUTPUT_ORDER, what: str = "order") -> None:
+    """Refuse an order (or other size) above limit before building anything."""
     if n > limit:
-        raise _CliFailure(EXIT_DOMAIN, f"order {n} exceeds the limit of {limit}")
+        raise _CliFailure(EXIT_DOMAIN, f"{what} {n} exceeds the limit of {limit}")
 
 
 def _cmd_compute(args) -> tuple[int, Iterable[str]]:
@@ -165,11 +168,13 @@ def _cmd_family(args) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
+    _check_order(args.n, MAX_CLASS_ORDER[args.klass])
     stream = trees(args.n) if args.klass == "trees" else unicyclic_graphs(args.n)
     return EXIT_OK, (encode_graph6(record.graph()) + "\n" for record in stream)
 
 
 def _cmd_rank(args) -> tuple[int, Iterable[str]]:
+    _check_order(args.n, MAX_CLASS_ORDER[args.klass])
     kind = "tree" if args.klass == "trees" else "unicyclic"
     fams = family_codes(kind, args.n)
     stream = trees(args.n) if args.klass == "trees" else unicyclic_graphs(args.n)
@@ -195,9 +200,11 @@ def _render(report, fmt: str) -> str:
 def _cmd_verify(args) -> tuple[int, Iterable[str]]:
     if args.klass in ("trees", "unicyclic"):
         lo, hi = _parse_range(args.range or "15")
+        _check_order(hi, MAX_CLASS_ORDER[args.klass])
         check = verify_trees if args.klass == "trees" else verify_unicyclic
         reports = [check(n) for n in range(lo, hi + 1)]
     elif args.klass == "lemmas":
+        _check_order(args.trials, MAX_TRIALS, "trials")
         reports = [lemma_suite(seed=args.seed, trials=args.trials)]
     else:  # closed-forms
         lo, hi = _parse_range(args.range or "15..45")
@@ -217,6 +224,7 @@ def _cmd_verify(args) -> tuple[int, Iterable[str]]:
 def _cmd_reduce(args) -> tuple[int, Iterable[str]]:
     g = _load_graph(args.input, args.input_format)
     _check_order(g.n)
+    _check_order(g.n, MAX_REDUCE_ORDER)
     chain = reduce_to_single_attachment(g)
     return EXIT_OK, [
         f"step: {i} graph6: {encode_graph6(x)} hm: {hyper_zagreb(x)}\n"
@@ -243,37 +251,39 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="Catalog keys: " + ", ".join(CATALOG),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    graph_in = argparse.ArgumentParser(add_help=False, parents=[out])
+    graph_in.add_argument("--input-format", choices=["auto", "graph6", "edgelist"],
+                          default="auto", dest="input_format")
 
-    p = sub.add_parser("compute", help="indices of a graph file (edge list or graph6)")
+    p = sub.add_parser("compute", parents=[graph_in],
+                       help="indices of a graph file (edge list or graph6)")
     p.add_argument("input", help="path or '-' for stdin")
-    p.add_argument("--input-format", choices=["auto", "graph6", "edgelist"],
-                   default="auto", dest="input_format")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("family", help="build a catalog family and audit its value")
+    p = sub.add_parser("family", parents=[out],
+                       help="build a catalog family and audit its value")
     p.add_argument("key")
     p.add_argument("n", type=int)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_family)
 
-    p = sub.add_parser("enumerate", help="emit one graph6 line per class")
+    p = sub.add_parser("enumerate", parents=[out], help="emit one graph6 line per class")
     p.add_argument("klass", choices=["trees", "unicyclic"])
     p.add_argument("n", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("rank", help="top-k classes by index value")
+    p = sub.add_parser("rank", parents=[out], help="top-k classes by index value")
     p.add_argument("klass", choices=["trees", "unicyclic"])
     p.add_argument("n", type=int)
     p.add_argument("-k", type=int, default=8)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("verify", help="check the ordering claims / property suite")
+    p = sub.add_parser("verify", parents=[out],
+                       help="check the ordering claims / property suite")
     p.add_argument("klass", choices=["trees", "unicyclic", "lemmas", "closed-forms"])
     p.add_argument("range", nargs="?", help="N or LO..HI (classes with an order)")
     p.add_argument("--seed", type=int, default=0)
@@ -282,25 +292,20 @@ def _build_parser() -> argparse.ArgumentParser:
                    dest="discover_threshold",
                    help="also report the smallest passing order (trees)")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("transform", help="apply a rewrite to an input graph")
     tsub = p.add_subparsers(dest="which", required=True)
-    pr = tsub.add_parser("reduce", help="monotone chain down to one pendant star")
+    pr = tsub.add_parser("reduce", parents=[graph_in],
+                         help="monotone chain down to one pendant star")
     pr.add_argument("input")
-    pr.add_argument("--input-format", choices=["auto", "graph6", "edgelist"],
-                    default="auto", dest="input_format")
-    pr.add_argument("--out")
     pr.set_defaults(func=_cmd_reduce)
-    pc = tsub.add_parser("coalesce", help="identify a vertex of one graph with one of another")
+    pc = tsub.add_parser("coalesce", parents=[graph_in],
+                         help="identify a vertex of one graph with one of another")
     pc.add_argument("input")
     pc.add_argument("other")
     pc.add_argument("--at", type=int, required=True, help="vertex in the first graph")
     pc.add_argument("--to", type=int, required=True, help="vertex in the second graph")
-    pc.add_argument("--input-format", choices=["auto", "graph6", "edgelist"],
-                    default="auto", dest="input_format")
-    pc.add_argument("--out")
     pc.set_defaults(func=_cmd_coalesce)
 
     return parser

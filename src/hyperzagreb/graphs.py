@@ -113,10 +113,6 @@ def from_adjacency(adj: list[list[int]]) -> Graph:
     return Graph(len(adj), tuple(tuple(sorted(a)) for a in adj))
 
 
-def degree(g: Graph, v: int) -> int:
-    return g.degree(v)
-
-
 def edge_contribution(g: Graph, x: int, y: int) -> int:
     """Squared endpoint-degree sum (d(x) + d(y))**2 of the edge xy."""
     if not g.has_edge(x, y):

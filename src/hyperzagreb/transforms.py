@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import canonical_code, cycle_vertices
+from .canon import cycle_code, cycle_vertices
 from .graphs import Graph, GraphError, from_adjacency, hyper_zagreb, is_unicyclic
 from .families import cycle_with_stars
+from .rooted import star_key
 
 
 class StructureError(GraphError):
@@ -181,6 +182,11 @@ def _move_star(counts: list[int], src: int, tgt: int) -> list[int]:
     return moved
 
 
+def _star_code(counts: list[int]) -> bytes:
+    """canonical_code of cycle_with_stars(len(counts), counts), unbuilt."""
+    return cycle_code([(c + 1, star_key(c)) for c in counts])
+
+
 def merge_adjacent_star(g: Graph, i: int) -> MergeOutcome:
     """Move the i-th attachment's pendants onto an adjacent attachment.
 
@@ -243,34 +249,20 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
         deg = lambda p: 2 + counts[p]
         # Target: the attachment of maximum degree, deterministic tie-break.
         tgt = max(positions, key=lambda p: (counts[p], -p))
-        adjacent_sources = [
-            p for p in positions
-            if p != tgt and (p - tgt) % m in (1, m - 1)
-        ]
-        if adjacent_sources:
-            sources = adjacent_sources
-        else:
+        sources = [p for p in positions if (p - tgt) % m in (1, m - 1)]
+        if not sources:
             # No attachment touches the target: move a star whose dominance
             # conditions hold with the target (one always exists).
-            sources = []
-            for p in positions:
-                if p == tgt:
-                    continue
-                nb = [deg((p + 1) % m), deg((p - 1) % m)]
-                lhs = sum(nb)
-                rhs = deg((tgt + 1) % m) + deg((tgt - 1) % m) + counts[tgt]
-                if lhs <= rhs:
-                    sources.append(p)
+            rhs = deg((tgt + 1) % m) + deg((tgt - 1) % m) + counts[tgt]
+            sources = [
+                p for p in positions
+                if p != tgt and deg((p + 1) % m) + deg((p - 1) % m) <= rhs
+            ]
             assert sources, "no dominance-compatible source attachment"
-        best = None
-        for src in sources:
-            moved = _move_star(counts, src, tgt)
-            cand = cycle_with_stars(m, moved)
-            key = canonical_code(cand)
-            if best is None or key < best[0]:
-                best = (key, cand, moved)
-        assert best is not None
-        _, nxt, counts = best
+        # the least canonical code; min keeps the first of equal codes
+        src = min(sources, key=lambda p: _star_code(_move_star(counts, p, tgt)))
+        counts = _move_star(counts, src, tgt)
+        nxt = cycle_with_stars(m, counts)
         nxt_hm = hyper_zagreb(nxt)
         if nxt_hm <= hm:
             raise AssertionError("merge step failed to increase the index")

@@ -9,9 +9,17 @@ import time
 import pytest
 
 import hyperzagreb
-from hyperzagreb.cli import MAX_AUDIT_ORDER, MAX_OUTPUT_ORDER, main
+from hyperzagreb.cli import (
+    MAX_AUDIT_ORDER,
+    MAX_CLASS_ORDER,
+    MAX_OUTPUT_ORDER,
+    MAX_REDUCE_ORDER,
+    MAX_TRIALS,
+    _build_parser,
+    main,
+)
 from hyperzagreb.codec import encode_graph6
-from hyperzagreb.families import cycle_with_attachments
+from hyperzagreb.families import cycle_with_attachments, cycle_with_stars
 from hyperzagreb.rooted import path_form
 
 
@@ -224,6 +232,59 @@ def test_closed_form_audit_refuses_a_top_order_above_its_budget(capsys):
     assert captured.err == f"error: order 4000 exceeds the limit of {MAX_AUDIT_ORDER}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "rank unicyclic 40",
+        f"rank trees {MAX_CLASS_ORDER['trees'] + 1} -k 3",
+        "enumerate trees 60",
+        f"enumerate unicyclic {MAX_CLASS_ORDER['unicyclic'] + 1} --out {{tmp}}/u.g6",
+        "verify unicyclic 15..60",
+        # the top order is checked first: the lowest alone takes seconds
+        f"verify unicyclic {MAX_CLASS_ORDER['unicyclic']}..{MAX_CLASS_ORDER['unicyclic'] + 1}",
+        f"verify trees {MAX_CLASS_ORDER['trees'] + 1}",
+        "verify lemmas --trials 1000000000",
+    ],
+)
+def test_class_orders_and_trials_are_bounded(argv, tmp_path, capsys):
+    start = time.perf_counter()
+    assert main(argv.format(tmp=tmp_path).split()) == 4
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert not os.listdir(tmp_path)
+
+
+def test_bounds_admit_the_documented_workloads():
+    # README, the tests and the benchmark run trees to 20, unicyclic
+    # graphs to 17 and 10,000 lemma trials
+    assert MAX_CLASS_ORDER["trees"] >= 20 and MAX_CLASS_ORDER["unicyclic"] >= 17
+    assert MAX_TRIALS >= 10_000
+
+
+GRAPH_INPUT_COMMANDS = ["compute g", "transform reduce g", "transform coalesce g h --at 0 --to 0"]
+
+
+@pytest.mark.parametrize("argv", GRAPH_INPUT_COMMANDS + [
+    "family S_n 5", "enumerate trees 5", "rank trees 5", "verify lemmas",
+])
+def test_shared_options_parse_alike(argv):
+    parse = _build_parser().parse_args
+    takes_input = argv in GRAPH_INPUT_COMMANDS
+    args = parse(argv.split())
+    assert args.out is None
+    assert getattr(args, "input_format", None) == ("auto" if takes_input else None)
+    assert parse(argv.split() + ["--out", "o.txt"]).out == "o.txt"
+    if takes_input:
+        for fmt in ("graph6", "edgelist"):
+            assert parse(argv.split() + ["--input-format", fmt]).input_format == fmt
+    for bad in (["--input-format", "dot"], ["--out"]):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv.split() + bad)
+        assert exc.value.code == 2
+
+
 def test_rank_csv(capsys):
     assert main(["rank", "trees", "8", "-k", "3", "--format", "csv"]) == 0
     rows = capsys.readouterr().out.splitlines()
@@ -314,6 +375,21 @@ def test_transform_refuses_graph6_output_above_limit(tmp_path, capsys):
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ") and str(MAX_OUTPUT_ORDER) in captured.err
+
+
+def test_transform_reduce_refuses_an_order_above_its_budget(tmp_path, capsys):
+    # a leaf on every other cycle vertex is reduce's cubic worst case
+    n = MAX_REDUCE_ORDER + 1
+    counts = [1, 0] * (n // 3)
+    counts[0] += n % 3
+    f = tmp_path / "g.g6"
+    f.write_text(encode_graph6(cycle_with_stars(len(counts), counts)) + "\n")
+    start = time.perf_counter()
+    assert main(["transform", "reduce", str(f)]) == 4
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: order {n} exceeds the limit of {MAX_REDUCE_ORDER}\n"
 
 
 def test_transform_coalesce(tmp_path, capsys):

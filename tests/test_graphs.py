@@ -8,7 +8,6 @@ from hyperzagreb.graphs import (
     SelfLoopError,
     VertexRangeError,
     classical_indices,
-    degree,
     edge_contribution,
     hyper_zagreb,
     is_tree,
@@ -40,12 +39,12 @@ def test_make_graph_rejections_are_distinct():
 
 def test_degree():
     c3 = cycle(3)
-    assert all(degree(c3, v) == 2 for v in range(3))
+    assert all(c3.degree(v) == 2 for v in range(3))
     s5 = star(5)
-    assert degree(s5, 0) == 4
-    assert degree(s5, 1) == 1
+    assert s5.degree(0) == 4
+    assert s5.degree(1) == 1
     with pytest.raises(VertexRangeError):
-        degree(s5, 5)
+        s5.degree(5)
 
 
 def test_edge_contribution():

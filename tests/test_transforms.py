@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +17,11 @@ from hyperzagreb.families import (
     star,
 )
 from hyperzagreb.graphs import GraphError, hyper_zagreb, make_graph
+from hyperzagreb import transforms
 from hyperzagreb.rooted import path_form
 from hyperzagreb.transforms import (
     StructureError,
+    _star_code,
     coalesce,
     compare_attachment_sites,
     join_vs_identify,
@@ -220,6 +222,34 @@ def test_reduction_chain_examples():
     assert len(reduce_to_single_attachment(cycle(9))) == 1
     with pytest.raises(StructureError):
         reduce_to_single_attachment(path(6))
+
+
+def test_star_code_is_the_canonical_code_of_the_built_graph():
+    vectors = [list(c) for m in range(3, 7) for c in product(range(4), repeat=m)]
+    rng = random.Random(14)
+    for _ in range(300):
+        m = rng.randint(7, 40)
+        vectors.append([rng.choice((0, 0, 1, 2, rng.randint(0, 30))) for _ in range(m)])
+    for counts in vectors:
+        assert _star_code(counts) == canonical_code(cycle_with_stars(len(counts), counts))
+
+
+def test_reduction_builds_one_graph_per_appended_step(monkeypatch):
+    # a leaf on every other vertex of C_40: every step has several
+    # non-adjacent candidate sources, and only the chosen one is built
+    built = []
+
+    def counting(m, counts):
+        built.append(list(counts))
+        return cycle_with_stars(m, counts)
+
+    monkeypatch.setattr(transforms, "cycle_with_stars", counting)
+    g = cycle_with_stars(40, [1, 0] * 20)
+    chain = reduce_to_single_attachment(g)
+    assert len(chain) == 20
+    assert len(built) == len(chain) - 1
+    assert sorted(built[-1]) == [0] * 39 + [20]
+    assert hyper_zagreb(chain[-1]) == cycle_star_hm(40, 60)
 
 
 def test_reduction_chain_exhaustive_small():
