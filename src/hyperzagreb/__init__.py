@@ -5,9 +5,7 @@ from .codec import decode_graph6, encode_graph6, format_edgelist, parse_edgelist
 from .families import (
     CATALOG,
     ClosedFormPoly,
-    RootedTree,
     build_catalog_member,
-    closed_form,
     cycle,
     cycle_star_hm,
     cycle_with_attachments,
@@ -22,7 +20,6 @@ from .graphs import (
     Graph,
     ZagrebIndices,
     classical_indices,
-    edge_contribution,
     hyper_zagreb,
     is_connected,
     is_tree,
@@ -31,9 +28,7 @@ from .graphs import (
 )
 from .transforms import (
     coalesce,
-    compare_attachment_sites,
     join_vs_identify,
-    merge_adjacent_star,
     reduce_to_single_attachment,
 )
 from .verify import (

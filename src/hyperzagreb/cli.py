@@ -42,10 +42,13 @@ from .verify import (
 # rest cap work timed on a 2-core box: the audit of 15..1000 (9 s), reduce
 # on 501 vertices, a leaf at every other cycle vertex (11 s), rank trees 20
 # and unicyclic 17 (2 s, 6 s; ~3x per order), 100,000 lemma trials (8 s).
+# rank builds every survivor of its window, so k is capped too: at 10,000,
+# trees 20 and unicyclic 17 took 2.5 s / 42 MiB and 6.0 s / 72 MiB.
 MAX_OUTPUT_ORDER = 4000
 MAX_AUDIT_ORDER = 1000
 MAX_REDUCE_ORDER = 500
 MAX_CLASS_ORDER = {"trees": 20, "unicyclic": 17}
+MAX_RANK_K = 10_000
 MAX_TRIALS = 100_000
 
 EXIT_OK = 0
@@ -175,6 +178,7 @@ def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
 
 def _cmd_rank(args) -> tuple[int, Iterable[str]]:
     _check_order(args.n, MAX_CLASS_ORDER[args.klass])
+    _check_order(args.k, MAX_RANK_K, "k")
     kind = "tree" if args.klass == "trees" else "unicyclic"
     fams = family_codes(kind, args.n)
     stream = trees(args.n) if args.klass == "trees" else unicyclic_graphs(args.n)
@@ -213,10 +217,13 @@ def _cmd_verify(args) -> tuple[int, Iterable[str]]:
     chunks = [_render(report, args.format) for report in reports]
     if args.klass == "trees" and args.discover_threshold:
         thr = discover_tree_threshold(5, hi)
-        chunks.append(
-            f"discovered_threshold: {thr} (smallest n with the top-4 "
-            "ordering; outside the stated claims)\n"
-        )
+        if args.format == "json":
+            chunks.append(json.dumps({"discovered_threshold": thr}) + "\n")
+        else:
+            chunks.append(
+                f"discovered_threshold: {thr} (smallest n with the top-4 "
+                "ordering; outside the stated claims)\n"
+            )
     ok = all(report.passed for report in reports)
     return (EXIT_OK if ok else EXIT_CLAIM_FAILED), chunks
 

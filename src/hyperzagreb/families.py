@@ -5,11 +5,13 @@ edge), T^2 (star center adjoining a degree-3 vertex with two leaves),
 T^3 (star with two subdivided edges), T^4 (star center adjoining a
 degree-4 vertex with three leaves), and the long broom (one pendant path
 of three edges).  Unicyclic families: a cycle C_m whose vertices carry
-rooted trees, with integers as shorthand for pendant stars.
+rooted trees, each given as a nested-tuple form (rooted.path_form,
+rooted.star_form) or as an integer, shorthand for a pendant star.
 
 The catalog maps stable string keys to cubic polynomials in n together
-with a validity floor and a builder; every entry is audited against the
-directly computed index of the built graph.
+with a validity floor and a builder; build_catalog_member builds a member
+by key, and every entry is audited against the directly computed index of
+the built graph.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .graphs import Graph, GraphError, is_tree
-from .rooted import Form, cycle_adj, form_graph, path_form, rooted_form, star_form
+from .graphs import Graph, GraphError
+from .rooted import Form, cycle_adj, form_graph, path_form, star_form
 
 
 class FamilyDomainError(GraphError):
@@ -50,22 +52,7 @@ class ClosedFormPoly:
         return (self.a3, self.a2, self.a1, self.a0)
 
 
-@dataclass(frozen=True)
-class RootedTree:
-    """A tree with a distinguished root used as the attachment point."""
-
-    tree: Graph
-    root: int
-
-    def to_form(self) -> Form:
-        if not is_tree(self.tree):
-            raise FamilyDomainError("attachment must be a tree")
-        if not 0 <= self.root < self.tree.n:
-            raise FamilyDomainError(f"root {self.root} out of range")
-        return rooted_form(self.tree.adj, self.root)
-
-
-Attachment = Union[int, Form, RootedTree]
+Attachment = Union[int, Form]
 
 
 def star(n: int) -> Graph:
@@ -124,8 +111,6 @@ def long_broom(n: int) -> Graph:
 
 
 def _as_form(att: Attachment) -> Form:
-    if isinstance(att, RootedTree):
-        return att.to_form()
     if isinstance(att, int):
         if att < 1:
             raise FamilyDomainError(f"star shorthand must be >= 1, got {att}")
@@ -322,14 +307,6 @@ UNICYCLIC_TOP8 = [
 # The one family allowed to tie with the tail of the unicyclic chain (their
 # polynomials differ by 2n - 30, so the tie happens exactly at n = 15).
 UNICYCLIC_TAIL_TIE = "C_3(P_3,n-5)"
-
-
-def closed_form(name: str) -> ClosedFormPoly:
-    """Catalog lookup; raises UnknownFamilyError for unknown keys."""
-    try:
-        return CATALOG[name].poly
-    except KeyError:
-        raise UnknownFamilyError(name) from None
 
 
 def build_catalog_member(name: str, n: int) -> Graph:

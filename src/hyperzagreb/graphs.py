@@ -27,10 +27,6 @@ class DuplicateEdgeError(GraphError):
     """The same unordered edge was given twice."""
 
 
-class NonEdgeError(GraphError):
-    """A queried vertex pair is not an edge."""
-
-
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
@@ -111,13 +107,6 @@ def from_adjacency(adj: list[list[int]]) -> Graph:
     through make_graph instead.
     """
     return Graph(len(adj), tuple(tuple(sorted(a)) for a in adj))
-
-
-def edge_contribution(g: Graph, x: int, y: int) -> int:
-    """Squared endpoint-degree sum (d(x) + d(y))**2 of the edge xy."""
-    if not g.has_edge(x, y):
-        raise NonEdgeError(f"({x},{y}) is not an edge")
-    return (len(g.adj[x]) + len(g.adj[y])) ** 2
 
 
 def hyper_zagreb(g: Graph) -> int:

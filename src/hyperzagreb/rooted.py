@@ -148,18 +148,6 @@ def hanging_keys(adj, roots: Sequence[int]) -> list[tuple[int, bytes]]:
     return [done[r] for r in roots]
 
 
-def rooted_form(adj, root: int) -> Form:
-    """Canonical nested form of the tree hanging from `root` in an adjacency list."""
-    stack: list[list[Form]] = [[]]
-    for b in hanging_keys(adj, [root])[0][1]:
-        if b == OPEN[0]:
-            stack.append([])
-        else:
-            f = tuple(stack.pop())
-            stack[-1].append(f)
-    return stack[0][0]
-
-
 def cycle_adj(m: int) -> list[list[int]]:
     """Adjacency lists of the cycle 0-1-...-(m-1)-0, the base of a unicyclic graph."""
     return [[(i - 1) % m, (i + 1) % m] for i in range(m)]

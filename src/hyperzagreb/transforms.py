@@ -1,10 +1,12 @@
 """Index-monotone graph rewrites.
 
-Each rewrite returns new graphs (inputs are never mutated) and reports the
-degree conditions under which its inequality is guaranteed, so callers can
-use them both constructively and as randomized-test subjects.  Inputs that
-break a hypothesis produce an inapplicable outcome instead of an error;
-inputs outside a rewrite's structural domain raise.
+coalesce hangs one graph on a vertex of another, and attach_conditions
+gives the degree conditions under which moving that attachment to a
+second vertex cannot lower the index.  join_vs_identify spends one vertex
+budget two ways and reports whether its strict inequality is guaranteed.
+reduce_to_single_attachment replays the star-merge chain from a unicyclic
+graph down to one pendant star.  Rewrites return new graphs (inputs are
+never mutated); inputs outside a rewrite's structural domain raise.
 """
 
 from __future__ import annotations
@@ -40,26 +42,6 @@ def coalesce(g: Graph, u: int, h: Graph, z: int) -> Graph:
     return from_adjacency(adj)
 
 
-@dataclass(frozen=True)
-class AttachComparison:
-    """Both ways of hanging h onto g, with the monotonicity conditions.
-
-    g1 coalesces h at u, g2 at w.  When degree_condition (deg(u) <= deg(w))
-    and neighbor_sum_condition (sum of neighbor degrees of u, minus w, at
-    most that of w, minus u) both hold, the index of g2 is >= that of g1,
-    with equality only when both conditions are tight.
-    """
-
-    g1: Graph
-    g2: Graph
-    degree_condition: bool
-    neighbor_sum_condition: bool
-
-    @property
-    def applicable(self) -> bool:
-        return self.degree_condition and self.neighbor_sum_condition
-
-
 def attach_conditions(g: Graph, u: int, w: int) -> tuple[bool, bool, bool, bool]:
     """The two dominance conditions for moving an attachment from u to w.
 
@@ -69,21 +51,6 @@ def attach_conditions(g: Graph, u: int, w: int) -> tuple[bool, bool, bool, bool]
     su = sum(g.degree(x) for x in g.neighbors(u) if x != w)
     sw = sum(g.degree(x) for x in g.neighbors(w) if x != u)
     return (du <= dw, su <= sw, du == dw, su == sw)
-
-
-def compare_attachment_sites(
-    g: Graph, u: int, w: int, h: Graph, z: int
-) -> AttachComparison:
-    """Build g(u)oh(z) and g(w)oh(z) and report the dominance conditions."""
-    if u == w:
-        raise GraphError("u and w must be distinct")
-    cond_a, cond_b, _, _ = attach_conditions(g, u, w)
-    return AttachComparison(
-        g1=coalesce(g, u, h, z),
-        g2=coalesce(g, w, h, z),
-        degree_condition=cond_a,
-        neighbor_sum_condition=cond_b,
-    )
 
 
 @dataclass(frozen=True)
@@ -120,22 +87,6 @@ def join_vs_identify(g1: Graph, u: int, g2: Graph, v: int) -> JoinIdentifyPair:
     return JoinIdentifyPair(joined=joined, identified=identified, applicable=applicable)
 
 
-@dataclass(frozen=True)
-class StarProfile:
-    """Star-attachment shape of a unicyclic graph.
-
-    counts[i] is the number of pendant leaves at the i-th cycle vertex in
-    cycle_vertices walk order.  Present only when every vertex off the
-    cycle is a leaf adjacent to a cycle vertex.
-    """
-
-    counts: tuple[int, ...]
-
-    @property
-    def attachment_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.counts) if c > 0)
-
-
 def _hanging_counts(g: Graph) -> tuple[list[int], bool]:
     """Vertices hanging at each cycle vertex, in cycle_vertices walk order,
     and whether every off-cycle vertex is a leaf (so all trees are stars)."""
@@ -159,21 +110,6 @@ def _hanging_counts(g: Graph) -> tuple[list[int], bool]:
     return counts, stars
 
 
-def star_attachment_profile(g: Graph) -> StarProfile | None:
-    """Recognize C_m(l_1, ..., l_k) structurally; None when trees run deeper."""
-    counts, stars = _hanging_counts(g)
-    return StarProfile(tuple(counts)) if stars else None
-
-
-@dataclass(frozen=True)
-class MergeOutcome:
-    """Result of re-attaching one star's pendants to a neighboring one."""
-
-    applicable: bool
-    result: Graph | None
-    reason: str
-
-
 def _move_star(counts: list[int], src: int, tgt: int) -> list[int]:
     """The pendant counts with those at cycle position src moved onto tgt."""
     moved = counts[:]
@@ -185,43 +121,6 @@ def _move_star(counts: list[int], src: int, tgt: int) -> list[int]:
 def _star_code(counts: list[int]) -> bytes:
     """canonical_code of cycle_with_stars(len(counts), counts), unbuilt."""
     return cycle_code([(c + 1, star_key(c)) for c in counts])
-
-
-def merge_adjacent_star(g: Graph, i: int) -> MergeOutcome:
-    """Move the i-th attachment's pendants onto an adjacent attachment.
-
-    The i-th attachment vertex (in cycle walk order) must have a cycle
-    neighbor that also carries pendants, with degree at least both the
-    source's degree and the degree of the source's other cycle neighbor.
-    The move preserves order and strictly increases the index.
-    """
-    profile = star_attachment_profile(g)
-    if profile is None:
-        raise StructureError("attachments must all be pendant stars")
-    positions = profile.attachment_positions
-    if not 0 <= i < len(positions):
-        raise GraphError(f"attachment index {i} out of range (k={len(positions)})")
-    counts = list(profile.counts)
-    m = len(counts)
-    src = positions[i]
-
-    candidates = []
-    for step in (1, m - 1):
-        tgt = (src + step) % m
-        if tgt != src and counts[tgt] > 0:
-            candidates.append(tgt)
-    if not candidates:
-        return MergeOutcome(False, None, "no adjacent attachment")
-    # Prefer the heavier target; break ties toward the walk successor.
-    candidates.sort(key=lambda t: -counts[t])
-    deg = lambda p: 2 + counts[p]
-    for tgt in candidates:
-        other = (2 * src - tgt) % m  # the source's cycle neighbor away from tgt
-        if deg(src) <= deg(tgt) and deg(other) <= deg(tgt):
-            return MergeOutcome(
-                True, cycle_with_stars(m, _move_star(counts, src, tgt)), ""
-            )
-    return MergeOutcome(False, None, "target degree below source or its neighbor")
 
 
 def reduce_to_single_attachment(g: Graph) -> list[Graph]:

@@ -13,6 +13,7 @@ from hyperzagreb.cli import (
     MAX_AUDIT_ORDER,
     MAX_CLASS_ORDER,
     MAX_OUTPUT_ORDER,
+    MAX_RANK_K,
     MAX_REDUCE_ORDER,
     MAX_TRIALS,
     _build_parser,
@@ -237,6 +238,8 @@ def test_closed_form_audit_refuses_a_top_order_above_its_budget(capsys):
     [
         "rank unicyclic 40",
         f"rank trees {MAX_CLASS_ORDER['trees'] + 1} -k 3",
+        # the window keeps every record and builds every survivor
+        "rank trees 17 -k 1000000000",
         "enumerate trees 60",
         f"enumerate unicyclic {MAX_CLASS_ORDER['unicyclic'] + 1} --out {{tmp}}/u.g6",
         "verify unicyclic 15..60",
@@ -258,9 +261,10 @@ def test_class_orders_and_trials_are_bounded(argv, tmp_path, capsys):
 
 def test_bounds_admit_the_documented_workloads():
     # README, the tests and the benchmark run trees to 20, unicyclic
-    # graphs to 17 and 10,000 lemma trials
+    # graphs to 17, 10,000 lemma trials and rank -k 30
     assert MAX_CLASS_ORDER["trees"] >= 20 and MAX_CLASS_ORDER["unicyclic"] >= 17
     assert MAX_TRIALS >= 10_000
+    assert MAX_RANK_K >= 30
 
 
 GRAPH_INPUT_COMMANDS = ["compute g", "transform reduce g", "transform coalesce g h --at 0 --to 0"]
@@ -320,6 +324,9 @@ def test_verify_lemmas_small(capsys):
 def test_verify_discover_threshold(capsys):
     assert main(["verify", "trees", "6..8", "--discover-threshold"]) == 0
     assert "discovered_threshold: 6" in capsys.readouterr().out
+    assert main(["verify", "trees", "6..7", "--discover-threshold", "--format", "json"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(lines) == 3 and lines[-1] == {"discovered_threshold": 6}
 
 
 def test_transform_reduce(tmp_path, capsys):

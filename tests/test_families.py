@@ -4,10 +4,8 @@ from hyperzagreb.canon import canonical_code
 from hyperzagreb.families import (
     CATALOG,
     FamilyDomainError,
-    RootedTree,
     UnknownFamilyError,
     build_catalog_member,
-    closed_form,
     cycle,
     cycle_star_hm,
     cycle_star_hm_miscounted,
@@ -18,13 +16,8 @@ from hyperzagreb.families import (
     star,
     tree_t_family,
 )
-from hyperzagreb.graphs import (
-    edge_contribution,
-    hyper_zagreb,
-    is_tree,
-    is_unicyclic,
-    make_graph,
-)
+from hyperzagreb.graphs import hyper_zagreb, is_tree, is_unicyclic, make_graph
+from hyperzagreb.rooted import path_form
 
 
 def test_catalog_faithful_over_validity_windows():
@@ -65,11 +58,11 @@ def test_family_point_values():
 
 
 def test_closed_form_lookup():
-    assert closed_form("S_n").coefficients() == (1, -1, 0, 0)
-    assert closed_form("C_3(1,n-4)").coefficients() == (1, -4, 11, 38)
-    assert closed_form("C_3(T^3_{n-2})").evaluate(15) == 2170
+    assert CATALOG["S_n"].poly.coefficients() == (1, -1, 0, 0)
+    assert CATALOG["C_3(1,n-4)"].poly.coefficients() == (1, -4, 11, 38)
+    assert CATALOG["C_3(T^3_{n-2})"].poly.evaluate(15) == 2170
     with pytest.raises(UnknownFamilyError):
-        closed_form("T^9_n")
+        build_catalog_member("T^9_n", 10)
 
 
 def test_family_floors():
@@ -107,12 +100,10 @@ def test_cycle_star_values():
 
 
 def test_rooted_tree_attachment():
-    p3_end = RootedTree(tree=path(3), root=0)
-    g = cycle_with_attachments(3, [(0, p3_end), (1, 10)])
+    # a path of two edges hung by one end
+    g = cycle_with_attachments(3, [(0, path_form(2)), (1, 10)])
     assert g.n == 15
     assert hyper_zagreb(g) == 2170
-    with pytest.raises(FamilyDomainError):
-        RootedTree(tree=cycle(3), root=0).to_form()
     with pytest.raises(FamilyDomainError):
         cycle_with_attachments(3, [(0, 1), (0, 2)])  # duplicate position
     with pytest.raises(FamilyDomainError):
@@ -137,8 +128,9 @@ def test_edge_set_decomposition():
             cycle_edges = {(u, v) for u, v in g.edges() if u < m and v < m}
             tree_edges = set(g.edges()) - cycle_edges
             assert len(cycle_edges) == m
-            total = sum(edge_contribution(g, u, v) for u, v in cycle_edges)
-            total += sum(edge_contribution(g, u, v) for u, v in tree_edges)
+            term = lambda u, v: (g.degree(u) + g.degree(v)) ** 2
+            total = sum(term(u, v) for u, v in cycle_edges)
+            total += sum(term(u, v) for u, v in tree_edges)
             assert total == hyper_zagreb(g)
 
 

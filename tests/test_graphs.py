@@ -4,11 +4,9 @@ import pytest
 
 from hyperzagreb.graphs import (
     DuplicateEdgeError,
-    NonEdgeError,
     SelfLoopError,
     VertexRangeError,
     classical_indices,
-    edge_contribution,
     hyper_zagreb,
     is_tree,
     is_unicyclic,
@@ -48,11 +46,11 @@ def test_degree():
 
 
 def test_edge_contribution():
-    assert edge_contribution(make_graph(2, [(0, 1)]), 0, 1) == 4
-    assert edge_contribution(cycle(3), 0, 1) == 16
-    assert edge_contribution(star(5), 0, 3) == 25
-    with pytest.raises(NonEdgeError):
-        edge_contribution(star(5), 1, 2)
+    # every edge of these graphs joins the same two degrees, so each adds
+    # (d(u) + d(v))**2: 4 on P_2, 16 on a cycle, 25 on S_5
+    assert hyper_zagreb(make_graph(2, [(0, 1)])) == 1 * 4
+    assert hyper_zagreb(cycle(3)) == 3 * 16
+    assert hyper_zagreb(star(5)) == 4 * 25
 
 
 def test_hyper_zagreb_examples():
@@ -93,7 +91,7 @@ def test_edge_sum_order_independence():
         g = _random_graph(rng, rng.randint(2, 10), 0.5)
         edges = list(g.edges())
         rng.shuffle(edges)
-        assert hyper_zagreb(g) == sum(edge_contribution(g, u, v) for u, v in edges)
+        assert hyper_zagreb(g) == sum((g.degree(u) + g.degree(v)) ** 2 for u, v in edges)
 
 
 def test_class_predicates():

@@ -4,7 +4,6 @@ from hyperzagreb.rooted import (
     form_tables,
     hanging_keys,
     path_form,
-    rooted_form,
     star_form,
 )
 from nested_forms import form_key, form_size, nested_form
@@ -62,7 +61,6 @@ def test_form_graph_round_trip():
             g = form_graph([[]], [(0, f)])
             assert g.n == n
             assert make_graph(n, list(g.edges())) == g
-            assert rooted_form(g.adj, 0) == f
 
 
 def test_ids_hang_and_key_like_their_nested_forms():

@@ -26,3 +26,25 @@ def test_src_imports_only_stdlib_and_itself():
                 if top != "hyperzagreb" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno}: {name}")
     assert outside == []
+
+
+def test_src_modules_use_every_name_they_import():
+    # __init__ imports only to re-export; every other module must read each
+    # name it binds by an import (annotations count, __future__ does not)
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == []

@@ -21,13 +21,13 @@ from hyperzagreb import transforms
 from hyperzagreb.rooted import path_form
 from hyperzagreb.transforms import (
     StructureError,
+    _hanging_counts,
+    _move_star,
     _star_code,
+    attach_conditions,
     coalesce,
-    compare_attachment_sites,
     join_vs_identify,
-    merge_adjacent_star,
     reduce_to_single_attachment,
-    star_attachment_profile,
 )
 
 
@@ -128,19 +128,19 @@ def test_coalesce_merged_degree():
 
 
 def test_attachment_comparison_example():
-    cmp = compare_attachment_sites(path(3), 0, 1, star(3), 0)
-    assert cmp.degree_condition and cmp.neighbor_sum_condition
-    assert cmp.applicable
-    assert hyper_zagreb(cmp.g2) >= hyper_zagreb(cmp.g1)
+    g, h = path(3), star(3)
+    holds_a, holds_b, _, _ = attach_conditions(g, 0, 1)
+    assert holds_a and holds_b
+    assert hyper_zagreb(coalesce(g, 1, h, 0)) >= hyper_zagreb(coalesce(g, 0, h, 0))
 
 
 def test_attachment_comparison_symmetric_sites():
     # both endpoints of a path give isomorphic results; conditions are tight
-    cmp = compare_attachment_sites(path(4), 0, 3, star(3), 0)
-    assert hyper_zagreb(cmp.g1) == hyper_zagreb(cmp.g2)
-    assert canonical_code(cmp.g1) == canonical_code(cmp.g2)
-    with pytest.raises(ValueError):
-        compare_attachment_sites(path(4), 2, 2, star(3), 0)
+    g, h = path(4), star(3)
+    assert attach_conditions(g, 0, 3) == (True, True, True, True)
+    g1, g2 = coalesce(g, 0, h, 0), coalesce(g, 3, h, 0)
+    assert hyper_zagreb(g1) == hyper_zagreb(g2)
+    assert canonical_code(g1) == canonical_code(g2)
 
 
 def test_join_vs_identify_examples():
@@ -153,48 +153,34 @@ def test_join_vs_identify_examples():
 
 
 def test_star_profile_recognizer():
-    g = cycle_with_stars(4, [2, 0, 1])
-    prof = star_attachment_profile(g)
-    assert prof is not None
-    assert sorted(prof.counts, reverse=True) == [2, 1, 0, 0]
-    deep = cycle_with_attachments(3, [(0, path_form(2))])
-    assert star_attachment_profile(deep) is None
+    # vertices hanging at each cycle vertex, in cycle walk order, and
+    # whether every one of them is a leaf
+    counts, stars = _hanging_counts(cycle_with_stars(4, [2, 0, 1]))
+    assert stars and sorted(counts, reverse=True) == [2, 1, 0, 0]
+    deep = cycle_with_attachments(3, [(0, path_form(2)), (1, ((), ((),)))])
+    counts, stars = _hanging_counts(deep)
+    assert not stars and sorted(counts, reverse=True) == [3, 2, 0]
     with pytest.raises(StructureError):
-        star_attachment_profile(path(5))
+        _hanging_counts(path(5))
 
 
 def test_merge_examples():
-    g = cycle_with_stars(3, [1, 11])
-    out = merge_adjacent_star(g, 0)
-    assert out.applicable
-    assert (hyper_zagreb(g), hyper_zagreb(out.result)) == (2678, 3228)
-    assert canonical_code(out.result) == canonical_code(cycle_with_stars(3, [12]))
-
-    g = cycle_with_stars(3, [2, 10])
-    out = merge_adjacent_star(g, 0)
-    assert (hyper_zagreb(g), hyper_zagreb(out.result)) == (2228, 3228)
-
-    g = cycle_with_stars(4, [1, 1])
-    out = merge_adjacent_star(g, 0)
-    assert out.applicable and hyper_zagreb(out.result) > hyper_zagreb(g)
-
-
-def test_merge_inapplicable_outcomes():
-    # no adjacent attachment
-    g = cycle_with_stars(5, [2, 0, 3])
-    out = merge_adjacent_star(g, 0)
-    assert not out.applicable and out.result is None and out.reason
-    # moving the big star onto the small one violates the degree dominance
-    g = cycle_with_stars(3, [8, 1])
-    out = merge_adjacent_star(g, 0)
-    assert not out.applicable
-    with pytest.raises(StructureError):
-        merge_adjacent_star(cycle_with_attachments(3, [(0, path_form(2))]), 0)
-    with pytest.raises(ValueError):
-        merge_adjacent_star(cycle_with_stars(3, [1, 1]), 5)
+    # moving one pendant star onto another: C_3(1, 11) and C_3(2, 10) both
+    # become C_3(12)
+    for counts, before in (([1, 11, 0], 2678), ([2, 10, 0], 2228)):
+        moved = _move_star(counts, 0, 1)
+        assert moved == [0, 12, 0]
+        assert hyper_zagreb(cycle_with_stars(3, counts)) == before
+        assert hyper_zagreb(cycle_with_stars(3, moved)) == 3228
+    counts = [1, 1, 0, 0]
+    moved = cycle_with_stars(4, _move_star(counts, 0, 1))
+    assert hyper_zagreb(moved) > hyper_zagreb(cycle_with_stars(4, counts))
 
 
 def test_merge_strict_increase_random():
+    # The adjacent-star lemma: moving the pendants at src onto an adjacent
+    # attachment tgt whose degree is at least that of src and of src's
+    # other cycle neighbor strictly raises the index.
     rng = random.Random(9)
     done = 0
     while done < 300:
@@ -202,13 +188,22 @@ def test_merge_strict_increase_random():
         counts = [rng.randint(0, 4) for _ in range(m)]
         if sum(counts) == 0:
             continue
-        g = cycle_with_stars(m, counts)
-        k = len([c for c in counts if c > 0])
-        out = merge_adjacent_star(g, rng.randrange(k))
-        if not out.applicable:
+        positions = [p for p, c in enumerate(counts) if c > 0]
+        src = positions[rng.randrange(len(positions))]
+        deg = lambda p: 2 + counts[p]
+        targets = sorted(
+            {t for t in ((src + 1) % m, (src - 1) % m) if t != src and counts[t] > 0},
+            key=lambda t: (-counts[t], (t - src) % m != 1),
+        )
+        tgt = next(
+            (t for t in targets if deg(src) <= deg(t) and deg((2 * src - t) % m) <= deg(t)),
+            None,
+        )
+        if tgt is None:
             continue
-        assert out.result.n == g.n
-        assert hyper_zagreb(out.result) > hyper_zagreb(g)
+        moved = cycle_with_stars(m, _move_star(counts, src, tgt))
+        assert moved.n == m + sum(counts)
+        assert hyper_zagreb(moved) > hyper_zagreb(cycle_with_stars(m, counts))
         done += 1
 
 
