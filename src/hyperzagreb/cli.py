@@ -37,8 +37,9 @@ from .verify import (
     verify_unicyclic,
 )
 
-# graph6 output is quadratic in the order; writing a graph of this order
-# takes about a second, so family and transform refuse larger ones.  The
+# graph6 output is quadratic in the order (about 5.5 GB at graph6's limit
+# of 258,047 vertices), so family and transform refuse larger ones; writing
+# a graph of this order takes about 5 ms, and `family S_n 4000` 0.15 s.  The
 # rest cap work timed on a 2-core box: the audit of 15..1000 (9 s), reduce
 # on 501 vertices, a leaf at every other cycle vertex (11 s), rank trees 20
 # and unicyclic 17 (2 s, 6 s; ~3x per order), 100,000 lemma trials (8 s).
@@ -289,17 +290,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("verify", parents=[out],
-                       help="check the ordering claims / property suite")
-    p.add_argument("klass", choices=["trees", "unicyclic", "lemmas", "closed-forms"])
-    p.add_argument("range", nargs="?", help="N or LO..HI (classes with an order)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--discover-threshold", action="store_true",
-                   dest="discover_threshold",
-                   help="also report the smallest passing order (trees)")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_verify)
+    p = sub.add_parser("verify", help="check the ordering claims / property suite")
+    vsub = p.add_subparsers(dest="klass", required=True)
+    report = argparse.ArgumentParser(add_help=False, parents=[out])
+    report.add_argument("--format", choices=["text", "json"], default="text")
+    report.set_defaults(func=_cmd_verify)
+    ranged = argparse.ArgumentParser(add_help=False, parents=[report])
+    ranged.add_argument("range", nargs="?", help="N or LO..HI")
+    pt = vsub.add_parser("trees", parents=[ranged], help="tree ordering claims")
+    pt.add_argument("--discover-threshold", action="store_true",
+                    dest="discover_threshold",
+                    help="also report the smallest passing order")
+    vsub.add_parser("unicyclic", parents=[ranged],
+                    help="unicyclic ordering claims")
+    pl = vsub.add_parser("lemmas", parents=[report], help="randomized lemma checks")
+    pl.add_argument("--seed", type=int, default=0)
+    pl.add_argument("--trials", type=int, default=10_000)
+    vsub.add_parser("closed-forms", parents=[ranged],
+                    help="closed forms of the catalog families")
 
     p = sub.add_parser("transform", help="apply a rewrite to an input graph")
     tsub = p.add_subparsers(dest="which", required=True)

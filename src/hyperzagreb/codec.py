@@ -8,6 +8,9 @@ followed by m lines "u v" with 0-based ids; '#' starts a comment.
 
 from __future__ import annotations
 
+import re
+from math import isqrt
+
 from .graphs import Graph, make_graph
 
 
@@ -17,6 +20,10 @@ class CodecError(ValueError):
 
 _HEADER = ">>graph6<<"
 MAX_ORDER = 258047  # largest order graph6 can write; the edge list shares it
+_TO_TEXT = bytes((b + 63) & 255 for b in range(256))  # 6-bit value -> character
+_SET_BITS = tuple(tuple(k for k in range(6) if x & 32 >> k) for x in range(64))
+_INVALID = re.compile("[^?-~]")  # outside the 64 body characters
+_NONZERO = re.compile("[^?]")
 
 
 def _encode_order(n: int) -> str:
@@ -47,22 +54,16 @@ def _decode_order(s: str) -> tuple[int, int]:
 def encode_graph6(g: Graph) -> str:
     """Encode a graph as a header-free graph6 string."""
     n = g.n
-    out = [_encode_order(n)]
-    bits = 0
-    nbits = 0
-    for v in range(1, n):
-        row = g.adj[v]
-        for u in range(v):
-            bits = (bits << 1) | (1 if u in row else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(bits + 63))
-                bits = 0
-                nbits = 0
-    if nbits:
-        bits <<= 6 - nbits
-        out.append(chr(bits + 63))
-    return "".join(out)
+    head = _encode_order(n)
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for v, row in enumerate(g.adj):
+        base = v * (v - 1) // 2
+        for u in row:  # sorted: the pairs u < v come first
+            if u >= v:
+                break
+            p = base + u
+            body[p // 6] |= 32 >> p % 6
+    return head + body.translate(_TO_TEXT).decode("ascii")
 
 
 def decode_graph6(text: str) -> Graph:
@@ -80,22 +81,24 @@ def decode_graph6(text: str) -> Graph:
         raise CodecError(
             f"graph6 body for n={n} needs {nchars} characters, got {len(body)}"
         )
-    bits = []
-    for c in body:
-        v = ord(c) - 63
-        if not 0 <= v <= 63:
-            raise CodecError(f"invalid graph6 character {c!r}")
-        bits.extend((v >> s6) & 1 for s6 in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
-        raise CodecError("nonzero graph6 padding bits")
-    edges = []
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
-    return make_graph(n, edges)
+    bad = _INVALID.search(body)
+    if bad:
+        raise CodecError(f"invalid graph6 character {bad.group()!r}")
+    # bit p of the body is the pair u < v with p = v(v-1)/2 + u; visiting p in
+    # order appends each vertex's neighbours ascending, and no pair repeats,
+    # so the lists need no sort and the graph no validation
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for m in _NONZERO.finditer(body):
+        first = 6 * m.start()
+        for k in _SET_BITS[ord(m.group()) - 63]:
+            p = first + k
+            if p >= nbits:
+                raise CodecError("nonzero graph6 padding bits")
+            v = (1 + isqrt(1 + 8 * p)) // 2
+            u = p - v * (v - 1) // 2
+            adj[u].append(v)
+            adj[v].append(u)
+    return Graph(n, tuple(map(tuple, adj)))
 
 
 def parse_edgelist(text: str) -> Graph:

@@ -34,7 +34,9 @@ class Graph:
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
         # Internal constructor: build through make_graph (validates an edge
-        # list) or from_adjacency (trusted, simple by construction).
+        # list) or from_adjacency (trusted, simple by construction).  The
+        # graph6 decoder calls it directly: its lists are sorted and simple
+        # by construction.
         self.n = n
         self.adj = adj
 
@@ -103,8 +105,8 @@ def from_adjacency(adj: list[list[int]]) -> Graph:
     Nothing is validated.  Graphs grown from rooted forms (rooted.form_graph)
     come this way, and so do transforms.coalesce and join_vs_identify: they
     merge one vertex of two simple graphs, or join them by one edge, which
-    adds no loop or parallel edge.  Edges from outside (codecs, tests) go
-    through make_graph instead.
+    adds no loop or parallel edge.  Edges from outside (edge lists, tests)
+    go through make_graph instead.
     """
     return Graph(len(adj), tuple(tuple(sorted(a)) for a in adj))
 

@@ -296,6 +296,23 @@ def test_rank_csv(capsys):
     assert rows[1].startswith("1,448,S_n,")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify trees 8 --trials 0 --seed 5",
+        "verify unicyclic 10 --discover-threshold",
+        "verify lemmas 15..20 --trials 10",
+    ],
+)
+def test_verify_rejects_options_its_class_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
 def test_verify_trees_range(capsys):
     assert main(["verify", "trees", "8..10"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -45,15 +46,30 @@ def test_header_accepted():
     assert decode_graph6("  Bw\n") == cycle(3)
 
 
+# each malformed input with its exact message, in the order the checks run
+MALFORMED_GRAPH6 = [
+    ("", "empty graph6 string"),
+    ("\x01w", "invalid graph6 leading character '\\x01'"),
+    ("~??", "truncated graph6 order"),
+    ("~?\x01?", "invalid graph6 order characters"),
+    ("?", "graph6 order 0 not supported"),
+    ("B", "graph6 body for n=3 needs 1 characters, got 0"),
+    ("Bww", "graph6 body for n=3 needs 1 characters, got 2"),
+    ("A\x7f\x7f", "graph6 body for n=2 needs 1 characters, got 2"),
+    ("A\x7f", "invalid graph6 character '\\x7f'"),
+    ("A\u00e9", "invalid graph6 character '\u00e9'"),
+    # n=5: ten bits in two characters, the last four bits padding
+    ("D\x7f@", "invalid graph6 character '\\x7f'"),
+    ("D?@", "nonzero graph6 padding bits"),
+    ("Bx", "nonzero graph6 padding bits"),
+]
+
+
 def test_malformed_graph6():
-    with pytest.raises(CodecError):
-        decode_graph6("")
-    with pytest.raises(CodecError):
-        decode_graph6("B")  # truncated body
-    with pytest.raises(CodecError):
-        decode_graph6("Bww")  # oversized body
-    with pytest.raises(CodecError):
-        decode_graph6("\x1cw")  # invalid order character
+    for text, message in MALFORMED_GRAPH6:
+        with pytest.raises(CodecError) as exc:
+            decode_graph6(text)
+        assert str(exc.value) == message, text
 
 
 def test_edgelist_round_trip():
@@ -76,3 +92,44 @@ def test_edgelist_comments_and_errors():
         parse_edgelist("2 1\n0 2\n")  # id out of range
     with pytest.raises(CodecError):
         parse_edgelist("258048 0\n")  # above the graph6 order limit
+
+
+def test_graph6_agrees_with_networkx():
+    # every order 1..80: n(n-1)/2 mod 6 takes each value it can (0, 1, 3, 4),
+    # and 62/63 straddle the one- and four-character order forms
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(16)
+    remainders = set()
+    for n in range(1, 81):
+        remainders.add(n * (n - 1) // 2 % 6)
+        for density in (0.0, 0.1, 0.5, 1.0, rng.random()):
+            edges = [
+                (u, v) for v in range(n) for u in range(v) if rng.random() < density
+            ]
+            g = make_graph(n, edges)
+            G = nx.Graph()
+            G.add_nodes_from(range(n))
+            G.add_edges_from(edges)
+            text = nx.to_graph6_bytes(G, header=False).decode("ascii").strip()
+            assert encode_graph6(g) == text
+            assert decode_graph6(text) == g  # n and the sorted adj tuples
+            assert decode_graph6(nx.to_graph6_bytes(G).decode("ascii")) == g
+    assert remainders == {0, 1, 3, 4}
+
+
+def _peak_bytes(fn, arg):
+    tracemalloc.start()
+    try:
+        fn(arg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_codec_memory_is_bounded():
+    # a 4000-vertex graph6 body is 1.3 MB of text; the codec works on whole
+    # characters, so neither direction holds a Python object per bit
+    g = path(4000)
+    text = encode_graph6(g)
+    assert _peak_bytes(decode_graph6, text) < 8 * 2**20
+    assert _peak_bytes(encode_graph6, g) < 8 * 2**20
