@@ -19,6 +19,7 @@ class CodecError(ValueError):
 
 
 _HEADER = ">>graph6<<"
+_BLANK = " \t\r\n"  # str.strip() would also drop \x0b, \x0c and \x1c-\x1f
 MAX_ORDER = 258047  # largest order graph6 can write; the edge list shares it
 _TO_TEXT = bytes((b + 63) & 255 for b in range(256))  # 6-bit value -> character
 _SET_BITS = tuple(tuple(k for k in range(6) if x & 32 >> k) for x in range(64))
@@ -67,10 +68,11 @@ def encode_graph6(g: Graph) -> str:
 
 
 def decode_graph6(text: str) -> Graph:
-    """Decode a graph6 string (optional header, surrounding whitespace ok)."""
-    s = text.strip()
+    """Decode a graph6 string (optional header; spaces, tabs, CR and LF
+    around it and after the header ok)."""
+    s = text.strip(_BLANK)
     if s.startswith(_HEADER):
-        s = s[len(_HEADER):].strip()
+        s = s[len(_HEADER):].lstrip(_BLANK)
     n, pos = _decode_order(s)
     if n == 0:
         raise CodecError("graph6 order 0 not supported")

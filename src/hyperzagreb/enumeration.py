@@ -10,10 +10,13 @@ non-increasing sequences of form ids, carrying the score as they grow.
 Unicyclic graphs come cycle-first: a class is a cycle length m plus a
 bracelet (sequence up to rotation and reflection) of rooted-tree forms
 hanging from the cycle positions.  A weighted Fredricksen-Kessler-Maiorana
-walk visits the necklaces of form ids in lexicographic order, and a
-necklace is emitted when no rotation of its reversal is smaller, again
-exactly one per class (Sawada, "Generating bracelets in constant amortized
-time", SIAM J. Comput. 31, 2001).
+walk visits the necklaces of form ids in lexicographic order and emits a
+necklace when no rotation of its reversal is smaller, again exactly one
+per class.  As in Sawada's bracelet scheme ("Generating bracelets in
+constant amortized time", SIAM J. Comput. 31, 2001) the prefix carries the
+reversal test: a prefix whose reversal read back from a copy of the least
+bead is already smaller is dropped with all its completions, and the last
+bead starts at the least id that no palindromic prefix beats.
 
 Both generators walk form ids of the registry rooted.form_tables, built
 once per call, and never build a nested form.  They yield a ClassRecord
@@ -103,6 +106,7 @@ def trees(n: int) -> Iterator[ClassRecord]:
     # top[s]: 1 + the largest id of size <= s that fits beside the centroid
     top = [ids_by_size[min(s, half)].stop for s in range(n)]
     ids, rem, big_a, big_k = [0] * n, [0] * n, [0] * n, [0] * n
+    new = tuple.__new__  # a record without NamedTuple's Python-level __new__
     ids[0], rem[0], t = top[n - 1], n - 1, 0
     while t >= 0:
         fid = ids[t] - 1
@@ -117,7 +121,8 @@ def trees(n: int) -> Iterator[ClassRecord]:
             ids[t], rem[t], big_a[t], big_k[t] = min(fid + 1, top[r]), r, a, kk
         else:
             d = t + 1
-            yield ClassRecord(n, a + d * d * d + 2 * d * kk, 0, tuple(ids[:d]), tables)
+            hm = a + d * d * d + 2 * d * kk
+            yield new(ClassRecord, (n, hm, 0, tuple(ids[:d]), tables))
     # Two adjacent centroids (n = 2 too): unordered pair of rooted halves on
     # n/2 vertices.  The second half hangs below a new neighbour of the first.
     if n % 2 == 0:
@@ -125,7 +130,7 @@ def trees(n: int) -> Iterator[ClassRecord]:
         for i in halves:
             for j in range(i, halves.stop):
                 hm = hung[i] + hung[j] + (k[i] + k[j]) ** 2
-                yield ClassRecord(n, hm, 0, (i, j), tables)
+                yield new(ClassRecord, (n, hm, 0, (i, j), tables))
 
 
 def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
@@ -136,9 +141,14 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
     prefix before it, whose size leaves each later position room for the
     first bead's size (a necklace starts at its smallest bead); the last
     position takes the size that is left.  A necklace (m % p == 0) is a
-    bracelet iff it is <= every rotation of its reversal, and only rotations
-    starting at a bead equal to a[0] can be smaller.  FKM visits necklaces
-    in lexicographic order, so the classes come out ascending by id tuple.
+    bracelet iff it is <= every rotation of its reversal.  Only a rotation
+    starting at a bead a[j] == a[0] can be smaller, and for j < m - 1 it
+    reads a[j], ..., a[0], then the last bead x.  So a prefix with
+    a[t::-1] < a[:t + 1] at such a t is skipped, and x must be at least
+    a[j + 1] for every palindrome a[0..j]: x starts at the largest such
+    bead, and only an x equal to it or to a[0] takes the full test.  FKM
+    visits necklaces in lexicographic order, so the classes come out
+    ascending by id tuple.
     """
     if n < 3:
         raise ValueError(f"order must be >= 3, got {n}")
@@ -154,12 +164,15 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
         for h, d, kids in zip(tables.hung, deg, tables.children)
     ]
     stop = [ids.stop for ids in ids_by_size]  # 1 + largest id of size <= s
+    new = tuple.__new__  # as in trees: no NamedTuple __new__ call per record
     for m in range(3, n + 1):
         # Per position: the id and its size, the prefix's period, the size
-        # left, the prefix's index (own edges plus the cycle edges inside it)
-        # and the id bound.
+        # left, the prefix's index (own edges plus the cycle edges inside it),
+        # the id bound, whether the prefix is a palindrome, and the least
+        # last bead that no reversal rotation read back from a palindromic
+        # prefix beats: the largest a[j + 1] over palindromes a[0..j], j < t.
         a, per, rem, hm, hi = [0] * m, [0] * m, [0] * m, [0] * m, [0] * m
-        sz = [1] * m
+        sz, pal, need = [1] * m, [True] * m, [0] * m
         a[0], hi[0], t, last = -1, stop[n // m], 0, m - 2
         while t >= 0:
             fid = a[t] + 1
@@ -170,10 +183,21 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
             if fid == stop[sz[t]]:  # ids ascend by size, every size has one
                 sz[t] += 1
             if t:
+                if fid == a0:
+                    # The reversal rotation read back from here starts with
+                    # a[t::-1]; if that is smaller, no completion is a
+                    # bracelet, and if equal, the prefix is a palindrome.
+                    back, ahead = a[t::-1], a[:t + 1]
+                    if back < ahead:
+                        continue
+                    pal[t] = back == ahead
+                else:
+                    pal[t] = False
                 p = per[t - 1]
                 per[t] = p if fid == a[t - p] else t + 1
                 rem[t] = rem[t - 1] - sz[t]
                 hm[t] = hm[t - 1] + own[fid] + (deg[a[t - 1]] + deg[fid]) ** 2
+                need[t] = fid if pal[t - 1] and fid > need[t - 1] else need[t - 1]
             else:
                 a0, s0, d0 = fid, sz[0], deg[fid]
                 per[0], rem[0], hm[0] = 1, n - s0, own[fid]
@@ -183,22 +207,24 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
                 a[t], sz[t] = a[t - p] - 1, sz[t - p]
                 hi[t] = stop[rem[t - 1] - (m - t - 1) * s0]
                 continue
-            # The last position: ids of exactly the size left, >= a[m - 1 - p].
+            # The last position: ids of exactly the size left, >= a[m - 1 - p]
+            # and >= need[last]; only one equal to need[last] or to a[0] can
+            # tie a reversal rotation, and only those take the full test.
             p, r, d_prev, base = per[last], rem[last], deg[fid], hm[last]
-            lo, a1 = a[m - 1 - p], a[1]
+            lo, bound = a[m - 1 - p], need[last]
+            first = max(lo, ids_by_size[r].start, bound)
+            if first >= stop[r]:
+                # With an aperiodic prefix lo is a[0]: a larger id here leaves
+                # less size for the last bead and only raises the bound.
+                if p == m - 1:
+                    t -= 1
+                continue
             periodic = m % p == 0
-            # With a[0] nowhere else in the prefix, a last bead other than
-            # a[0] leaves one reversal rotation to beat, the one read back
-            # from a[0]: a[0], a[m - 1], ...  It is smaller iff a[m - 1] < a[1].
-            unique = a0 not in a[1:m - 1]
-            for fid in range(max(lo, ids_by_size[r].start), stop[r]):
+            for fid in range(first, stop[r]):
                 if fid == lo and not periodic:
                     continue
                 a[m - 1] = fid
-                if unique and fid != a0 and fid != a1:
-                    if fid < a1:
-                        continue
-                else:
+                if fid == bound or fid == a0:
                     rev = a[::-1] * 2
                     i = rev.index(a0)
                     while i < m and rev[i:i + m] >= a:
@@ -206,13 +232,8 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
                     if i < m:
                         continue  # a rotation of the reversal is smaller
                 d = deg[fid]
-                yield ClassRecord(
-                    n,
-                    base + own[fid] + (d_prev + d) ** 2 + (d + d0) ** 2,
-                    m,
-                    tuple(a),
-                    tables,
-                )
+                hm_x = base + own[fid] + (d_prev + d) ** 2 + (d + d0) ** 2
+                yield new(ClassRecord, (n, hm_x, m, tuple(a), tables))
 
 
 # ---------------------------------------------------------------------------

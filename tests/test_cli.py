@@ -44,6 +44,16 @@ def test_compute_graph6(tmp_path, capsys):
     assert payload["hm"] == 48 and payload["n"] == 3
 
 
+@pytest.mark.parametrize("text", ["\x1cBw", "Bw\x1f", "\x0bBw"], ids=ascii)
+def test_compute_refuses_graph6_with_control_characters(text, tmp_path, capsys):
+    f = tmp_path / "c3.g6"
+    f.write_text(text)
+    assert main(["compute", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 def test_compute_parse_failure(tmp_path, capsys):
     f = tmp_path / "bad.txt"
     f.write_text("3 9\n0 1\n")

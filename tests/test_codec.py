@@ -44,17 +44,24 @@ def test_round_trip_large_order():
 def test_header_accepted():
     assert decode_graph6(">>graph6<<Bw") == cycle(3)
     assert decode_graph6("  Bw\n") == cycle(3)
+    assert decode_graph6("\tBw\r\n") == cycle(3)
+    assert decode_graph6(">>graph6<< Bw\n") == cycle(3)
 
 
 # each malformed input with its exact message, in the order the checks run
 MALFORMED_GRAPH6 = [
     ("", "empty graph6 string"),
     ("\x01w", "invalid graph6 leading character '\\x01'"),
+    # only space, tab, CR and LF are trimmed, not what else str.strip() drops
+    ("\x1cBw", "invalid graph6 leading character '\\x1c'"),
+    ("\x0bBw", "invalid graph6 leading character '\\x0b'"),
+    (">>graph6<<\x1dBw", "invalid graph6 leading character '\\x1d'"),
     ("~??", "truncated graph6 order"),
     ("~?\x01?", "invalid graph6 order characters"),
     ("?", "graph6 order 0 not supported"),
     ("B", "graph6 body for n=3 needs 1 characters, got 0"),
     ("Bww", "graph6 body for n=3 needs 1 characters, got 2"),
+    ("Bw\x1f", "graph6 body for n=3 needs 1 characters, got 2"),
     ("A\x7f\x7f", "graph6 body for n=2 needs 1 characters, got 2"),
     ("A\x7f", "invalid graph6 character '\\x7f'"),
     ("A\u00e9", "invalid graph6 character '\u00e9'"),

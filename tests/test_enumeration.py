@@ -160,6 +160,34 @@ def test_record_streams_pinned(kind, n):
     assert digest.hexdigest() == RECORD_STREAM_SHA256[kind, n]
 
 
+# sha256 over repr((n, hm, cycle, ids)) of unicyclic_graphs(15), the order the
+# benchmark ranks, measured before the bracelet test moved into the prefix.
+UNICYCLIC_15_IDS_SHA256 = "4147681c689b084bdce46b77b100d6bcf722d5eade7abc4c44bcc158a7b6c3ca"
+
+
+def test_unicyclic_15_ids_stream_pinned():
+    digest = hashlib.sha256()
+    for rec in unicyclic_graphs(15):
+        digest.update(repr((rec.n, rec.hm, rec.cycle, rec.ids)).encode())
+    assert digest.hexdigest() == UNICYCLIC_15_IDS_SHA256
+
+
+def test_unicyclic_records_are_least_bracelets():
+    # Each record's ids are <= every rotation of them and of their reversal,
+    # and no (cycle, ids) pair repeats; with the per-cycle Burnside counts
+    # above, the walk yields exactly one least bracelet per class.
+    for n in range(3, 12):
+        seen = set()
+        for rec in unicyclic_graphs(n):
+            ids, m = rec.ids, rec.cycle
+            assert len(ids) == m
+            for seq in (ids, ids[::-1]):
+                for i in range(m):
+                    assert ids <= seq[i:] + seq[:i], (n, ids)
+            assert (m, ids) not in seen
+            seen.add((m, ids))
+
+
 def test_centroid_children_respect_cap():
     # A single-centroid tree hangs non-increasing subtrees of at most
     # floor((n - 1) / 2) vertices each, n - 1 in all, from vertex 0.  (The
