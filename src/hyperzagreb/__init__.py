@@ -5,15 +5,13 @@ from .codec import decode_graph6, encode_graph6, format_edgelist, parse_edgelist
 from .families import (
     CATALOG,
     ClosedFormPoly,
+    Core,
     build_catalog_member,
     cycle,
     cycle_star_hm,
-    cycle_with_attachments,
     cycle_with_stars,
-    long_broom,
     path,
     star,
-    tree_t_family,
 )
 from .enumeration import ClassRecord, labeled_oracle, trees, unicyclic_graphs
 from .graphs import (

@@ -40,9 +40,11 @@ from .verify import (
 # graph6 output is quadratic in the order (about 5.5 GB at graph6's limit
 # of 258,047 vertices), so family and transform refuse larger ones; writing
 # a graph of this order takes about 5 ms, and `family S_n 4000` 0.15 s.  The
-# rest cap work timed on a 2-core box: the audit of 15..1000 (9 s), reduce
-# on 501 vertices, a leaf at every other cycle vertex (11 s), rank trees 20
-# and unicyclic 17 (2 s, 6 s; ~3x per order), 100,000 lemma trials (8 s).
+# rest cap work timed on a 2-core box: reduce on 501 vertices, a leaf at
+# every other cycle vertex (11 s), rank trees 20 and unicyclic 17 (2 s, 6 s;
+# ~3x per order), 100,000 lemma trials (8 s).  The audit builds one core per
+# family and compares cubics per order (15..1000 in about 11 ms), far below
+# its cap; raising MAX_AUDIT_ORDER is left to a change that measures it.
 # rank builds every survivor of its window, so k is capped too: at 10,000,
 # trees 20 and unicyclic 17 took 2.5 s / 42 MiB and 6.0 s / 72 MiB.
 MAX_OUTPUT_ORDER = 4000

@@ -25,6 +25,8 @@ _TO_TEXT = bytes((b + 63) & 255 for b in range(256))  # 6-bit value -> character
 _SET_BITS = tuple(tuple(k for k in range(6) if x & 32 >> k) for x in range(64))
 _INVALID = re.compile("[^?-~]")  # outside the 64 body characters
 _NONZERO = re.compile("[^?]")
+# An edge list's longest valid prefix: ids, blanks and line ends, '#' comments.
+_EDGELIST_TEXT = re.compile("(?:[0-9 \t\r\n]+|#[^\n]*)*")
 
 
 def _encode_order(n: int) -> str:
@@ -104,34 +106,34 @@ def decode_graph6(text: str) -> Graph:
 
 
 def parse_edgelist(text: str) -> Graph:
-    """Parse the "n m" edge-list format; raises CodecError on any defect."""
+    """Parse the "n m" edge-list format; raises CodecError on any defect.
+
+    Lines end at LF.  Outside a '#' comment a line holds only decimal ids
+    separated by spaces, tabs or CRs, so a CRLF file reads like an LF one.
+    """
+    end = _EDGELIST_TEXT.match(text).end()
+    if end < len(text):
+        line = text.count("\n", 0, end) + 1
+        raise CodecError(f"invalid edge-list character {text[end]!r} on line {line}")
     rows = []
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            rows.append(stripped)
+    for line in text.split("\n"):
+        row = line.split("#", 1)[0].split()
+        if row:
+            rows.append(row)
     if not rows:
         raise CodecError("empty edge list")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise CodecError(f"expected 'n m' header, got {rows[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise CodecError(f"non-integer header {rows[0]!r}") from exc
+    if len(rows[0]) != 2:
+        raise CodecError(f"expected 'n m' header, got {' '.join(rows[0])!r}")
+    n, m = int(rows[0][0]), int(rows[0][1])
     if n > MAX_ORDER:
         raise CodecError(f"order {n} exceeds the limit of {MAX_ORDER} vertices")
     if len(rows) - 1 != m:
         raise CodecError(f"header says {m} edges, found {len(rows) - 1}")
     edges = []
     for row in rows[1:]:
-        parts = row.split()
-        if len(parts) != 2:
-            raise CodecError(f"expected 'u v', got {row!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise CodecError(f"non-integer edge {row!r}") from exc
+        if len(row) != 2:
+            raise CodecError(f"expected 'u v', got {' '.join(row)!r}")
+        edges.append((int(row[0]), int(row[1])))
     try:
         return make_graph(n, edges)
     except ValueError as exc:

@@ -1,25 +1,28 @@
 """Named extremal families and their closed-form index polynomials.
 
-Tree families: the star S_n, the brooms T^1 (star with one subdivided
-edge), T^2 (star center adjoining a degree-3 vertex with two leaves),
-T^3 (star with two subdivided edges), T^4 (star center adjoining a
-degree-4 vertex with three leaves), and the long broom (one pendant path
-of three edges).  Unicyclic families: a cycle C_m whose vertices carry
-rooted trees, each given as a nested-tuple form (rooted.path_form,
-rooted.star_form) or as an integer, shorthand for a pendant star.
+Every family is a fixed core plus leaves on one hub vertex (Core): the
+star S_n is a lone vertex, the brooms T^1 (star with one subdivided edge),
+T^2 (star center adjoining a degree-3 vertex with two leaves), T^3 (star
+with two subdivided edges) and T^4 (star center adjoining a degree-4
+vertex with three leaves) and the long broom (one pendant path of three
+edges) are small rooted trees, and each unicyclic family is a cycle C_m
+whose vertices carry small rooted trees, given as nested-tuple forms
+(rooted.path_form, rooted.star_form).  A member on n vertices adds
+n - |core| leaves at the hub, so its index is a cubic in n that
+Core.cubic derives exactly from the core alone.
 
-The catalog maps stable string keys to cubic polynomials in n together
-with a validity floor and a builder; build_catalog_member builds a member
-by key, and every entry is audited against the directly computed index of
-the built graph.
+The catalog maps stable string keys to the paper's cubic polynomials in n,
+each with a validity floor, and to the core that builds its members;
+build_catalog_member builds a member by key, and the audit checks every
+table polynomial against the cubic derived from its core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, hyper_zagreb
 from .rooted import Form, cycle_adj, form_graph, path_form, star_form
 
 
@@ -52,7 +55,59 @@ class ClosedFormPoly:
         return (self.a3, self.a2, self.a1, self.a0)
 
 
-Attachment = Union[int, Form]
+@dataclass(frozen=True)
+class Core:
+    """A family's fixed part; a member on n vertices adds leaves at the hub.
+
+    cycle is 0 for a tree, else the cycle length m.  forms[p] is the
+    nested-tuple form hung at cycle position p, or for a tree the whole
+    tree's form from its root.  The member on n vertices pads forms[hub]
+    with n - size trailing leaves, so leaves come last among its children.
+    """
+
+    cycle: int
+    forms: tuple[Form, ...]
+    hub: int
+
+    @property
+    def size(self) -> int:
+        """Vertices of the core: the cycle (or the root) and those below it."""
+        count, stack = self.cycle or 1, [c for f in self.forms for c in f]
+        while stack:
+            count += 1
+            stack.extend(stack.pop())
+        return count
+
+    def build(self, n: int) -> Graph:
+        """The member on n >= size vertices, labelled by rooted.form_graph."""
+        leaves = n - self.size
+        if leaves < 0:
+            raise FamilyDomainError(f"core needs n >= {self.size}, got {n}")
+        forms = list(self.forms)
+        forms[self.hub] += ((),) * leaves
+        return form_graph(cycle_adj(self.cycle) if self.cycle else [[]], enumerate(forms))
+
+    def cubic(self) -> tuple[int, int, int, int]:
+        """Coefficients (a3, a2, a1, a0) of hyper_zagreb(build(n)) as a cubic
+        in n, exact for every n >= size.
+
+        L leaves at a hub of core degree a change only the hub's edges: a
+        core neighbour v of degree d_v gives (a + L + d_v)^2 and a leaf
+        (a + L + 1)^2, so with S1 = sum of (a + d_v) over the neighbours
+
+            HM = L^3 + (3a + 2) L^2 + (2 S1 + (a + 1)^2) L + HM(core).
+
+        L = n - size is substituted by Horner's rule in exact integers.
+        """
+        g = self.build(self.size)
+        a = g.degree(self.hub)
+        s1 = sum([a + g.degree(v) for v in g.adj[self.hub]])
+        coeffs: list[int] = []
+        for c in (1, 3 * a + 2, 2 * s1 + (a + 1) ** 2, hyper_zagreb(g)):
+            # times (n - size), then plus the next coefficient in L
+            coeffs = [x - self.size * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+            coeffs[-1] += c
+        return tuple(coeffs)
 
 
 def star(n: int) -> Graph:
@@ -76,74 +131,19 @@ def cycle(n: int) -> Graph:
     return form_graph(cycle_adj(n), [])
 
 
-# k -> (smallest order, the center's subtrees other than leaves) of the broom
-# T^k.  A subdivided edge hangs a 2-vertex path off the center: path_form(1).
-_TREE_T = {
-    1: (4, (path_form(1),)),
-    2: (6, (star_form(2),)),
-    3: (5, (path_form(1), path_form(1))),
-    4: (6, (star_form(3),)),
-}
-
-
-def _t_root_form(k: int, size: int) -> Form:
-    """T^k on `size` vertices rooted at its center; each subtree above is a
-    path or a star, of 1 + len(f) vertices, and leaves fill the rest."""
-    heads = _TREE_T[k][1]
-    return heads + ((),) * (size - 1 - sum([1 + len(f) for f in heads]))
-
-
-def tree_t_family(k: int, n: int) -> Graph:
-    """The broom-family tree T^k_n for k in 1..4."""
-    if k not in _TREE_T:
-        raise FamilyDomainError(f"tree family index must be 1..4, got {k}")
-    n_min = _TREE_T[k][0]
-    if n < n_min:
-        raise FamilyDomainError(f"T^{k} needs n >= {n_min}, got {n}")
-    return form_graph([[]], [(0, _t_root_form(k, n))])
-
-
-def long_broom(n: int) -> Graph:
-    """Star center with n-4 leaves plus one pendant path of three edges."""
-    if n < 5:
-        raise FamilyDomainError(f"long broom needs n >= 5, got {n}")
-    return form_graph([[]], [(0, tuple([path_form(2)] + [()] * (n - 4)))])
-
-
-def _as_form(att: Attachment) -> Form:
-    if isinstance(att, int):
-        if att < 1:
-            raise FamilyDomainError(f"star shorthand must be >= 1, got {att}")
-        return star_form(att)
-    return att
-
-
-def cycle_with_attachments(
-    m: int, attachments: Sequence[tuple[int, Attachment]]
-) -> Graph:
-    """Cycle x_0..x_{m-1} with rooted trees identified at given positions.
-
-    The attachment root merges with its cycle vertex, so that vertex's
-    degree is 2 plus the root's degree inside the tree.
-    """
-    if m < 3:
-        raise FamilyDomainError(f"cycle length must be >= 3, got {m}")
-    positions = [p for p, _ in attachments]
-    if len(set(positions)) != len(positions):
-        raise FamilyDomainError(f"attachment positions must be distinct: {positions}")
-    if any(not 0 <= p < m for p in positions):
-        raise FamilyDomainError(f"attachment positions must lie in 0..{m - 1}")
-    return form_graph(cycle_adj(m), [(p, _as_form(a)) for p, a in attachments])
-
-
 def cycle_with_stars(m: int, pendant_counts: Sequence[int]) -> Graph:
     """C_m(l_1, ..., l_k): pendant stars at the first k cycle positions.
 
-    A zero count means the position carries nothing.
+    A zero count means the position carries nothing.  A star's center is
+    its cycle vertex, whose degree is 2 plus the count.
     """
-    return cycle_with_attachments(
-        m, [(i, l) for i, l in enumerate(pendant_counts) if l != 0]
-    )
+    if m < 3:
+        raise FamilyDomainError(f"cycle length must be >= 3, got {m}")
+    if len(pendant_counts) > m or min(pendant_counts, default=0) < 0:
+        raise FamilyDomainError(
+            f"need at most {m} pendant counts, none negative: {list(pendant_counts)}"
+        )
+    return form_graph(cycle_adj(m), [(p, star_form(c)) for p, c in enumerate(pendant_counts)])
 
 
 def cycle_star_hm(m: int, n: int) -> int:
@@ -171,120 +171,93 @@ def cycle_star_hm_miscounted(m: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named family: its class, closed form, and order-parametric builder."""
+    """A named family: its closed form and the core its members grow from."""
 
     key: str
-    kind: str  # "tree" | "unicyclic"
     poly: ClosedFormPoly
-    builder: Callable[[int], Graph]
+    core: Core
     description: str
+
+    @property
+    def kind(self) -> str:
+        return "unicyclic" if self.core.cycle else "tree"
+
+    def builder(self, n: int) -> Graph:
+        return self.core.build(n)
+
+
+# A pendant edge (a one-leaf star) and a pendant path of two edges, hung by an end.
+_P1, _P2 = path_form(1), path_form(2)
+# The fourth broom: no table row, but the lemma suite keeps it below T^3.
+T4_CORE = Core(0, ((star_form(3),),), 0)
 
 
 def _catalog() -> dict[str, CatalogEntry]:
     entries = [
-        CatalogEntry(
-            "S_n", "tree", ClosedFormPoly(1, -1, 0, 0, 2), star,
-            "star with n-1 leaves",
-        ),
-        CatalogEntry(
-            "T^1_n", "tree", ClosedFormPoly(1, -4, 7, 6, 4),
-            lambda n: tree_t_family(1, n),
-            "star with one edge subdivided",
-        ),
-        CatalogEntry(
-            "T^2_n", "tree", ClosedFormPoly(1, -7, 20, 16, 6),
-            lambda n: tree_t_family(2, n),
-            "center with n-4 leaves joined to a degree-3 vertex carrying 2 leaves",
-        ),
-        CatalogEntry(
-            "T^3_n", "tree", ClosedFormPoly(1, -7, 20, 0, 5),
-            lambda n: tree_t_family(3, n),
-            "star with two edges subdivided",
-        ),
-        CatalogEntry(
-            "broom3_n", "tree", ClosedFormPoly(1, -7, 18, 10, 5), long_broom,
-            "center with n-4 leaves plus a pendant path of three edges",
-        ),
-        CatalogEntry(
-            "C_3(n-3)", "unicyclic", ClosedFormPoly(1, -1, 4, 18, 4),
-            lambda n: cycle_with_stars(3, [n - 3]),
-            "triangle with n-3 pendant leaves at one vertex",
-        ),
-        CatalogEntry(
-            "C_3(1,n-4)", "unicyclic", ClosedFormPoly(1, -4, 11, 38, 5),
-            lambda n: cycle_with_stars(3, [1, n - 4]),
-            "triangle with pendant stars of 1 and n-4 leaves",
-        ),
-        CatalogEntry(
-            "C_3(T^1_{n-2})", "unicyclic", ClosedFormPoly(1, -4, 11, 20, 6),
-            lambda n: cycle_with_attachments(3, [(0, _t_root_form(1, n - 2))]),
-            "triangle carrying the broom T^1 on n-2 vertices at its center",
-        ),
-        CatalogEntry(
-            "C_4(n-4)", "unicyclic", ClosedFormPoly(1, -4, 9, 28, 5),
-            lambda n: cycle_with_stars(4, [n - 4]),
-            "4-cycle with n-4 pendant leaves at one vertex",
-        ),
-        CatalogEntry(
-            "C_3(2,n-5)", "unicyclic", ClosedFormPoly(1, -7, 24, 68, 6),
-            lambda n: cycle_with_stars(3, [2, n - 5]),
-            "triangle with pendant stars of 2 and n-5 leaves",
-        ),
-        CatalogEntry(
-            "C_3(1,1,n-5)", "unicyclic", ClosedFormPoly(1, -7, 24, 48, 6),
-            lambda n: cycle_with_stars(3, [1, 1, n - 5]),
-            "triangle with pendant stars of 1, 1 and n-5 leaves",
-        ),
-        CatalogEntry(
-            "C_3(T^2_{n-2})", "unicyclic", ClosedFormPoly(1, -7, 24, 26, 8),
-            lambda n: cycle_with_attachments(3, [(0, _t_root_form(2, n - 2))]),
-            "triangle carrying the broom T^2 on n-2 vertices at its center",
-        ),
-        CatalogEntry(
-            "C_3(T^3_{n-2})", "unicyclic", ClosedFormPoly(1, -7, 24, 10, 7),
-            lambda n: cycle_with_attachments(3, [(0, _t_root_form(3, n - 2))]),
-            "triangle carrying the broom T^3 on n-2 vertices at its center",
-        ),
-        CatalogEntry(
-            "C_3(3,n-6)", "unicyclic", ClosedFormPoly(1, -10, 43, 108, 7),
-            lambda n: cycle_with_stars(3, [3, n - 6]),
-            "triangle with pendant stars of 3 and n-6 leaves",
-        ),
-        CatalogEntry(
-            "C_3(P_3,n-5)", "unicyclic", ClosedFormPoly(1, -7, 22, 40, 6),
-            lambda n: cycle_with_attachments(3, [(0, path_form(2)), (1, n - 5)]),
-            "triangle with a pendant 2-edge path at one vertex and n-5 leaves at another",
-        ),
-        CatalogEntry(
-            "C_3(1,2,n-6)", "unicyclic", ClosedFormPoly(1, -10, 43, 62, 7),
-            lambda n: cycle_with_stars(3, [1, 2, n - 6]),
-            "triangle with pendant stars of 1, 2 and n-6 leaves",
-        ),
-        CatalogEntry(
-            "C_4(T^1_{n-3})", "unicyclic", ClosedFormPoly(1, -7, 22, 20, 7),
-            lambda n: cycle_with_attachments(4, [(0, _t_root_form(1, n - 3))]),
-            "4-cycle carrying the broom T^1 on n-3 vertices at its center",
-        ),
-        CatalogEntry(
-            "C_4(1,n-5)@alpha=1", "unicyclic", ClosedFormPoly(1, -7, 22, 38, 6),
-            lambda n: cycle_with_stars(4, [1, n - 5]),
-            "4-cycle with pendant stars of 1 and n-5 leaves at adjacent vertices",
-        ),
-        CatalogEntry(
-            "C_5(n-5)", "unicyclic", ClosedFormPoly(1, -7, 20, 30, 6),
-            lambda n: cycle_with_stars(5, [n - 5]),
-            "5-cycle with n-5 pendant leaves at one vertex",
-        ),
+        CatalogEntry("S_n", ClosedFormPoly(1, -1, 0, 0, 2),
+                     Core(0, ((),), 0),
+                     "star with n-1 leaves"),
+        CatalogEntry("T^1_n", ClosedFormPoly(1, -4, 7, 6, 4),
+                     Core(0, ((_P1,),), 0),
+                     "star with one edge subdivided"),
+        CatalogEntry("T^2_n", ClosedFormPoly(1, -7, 20, 16, 6),
+                     Core(0, ((star_form(2),),), 0),
+                     "center with n-4 leaves joined to a degree-3 vertex carrying 2 leaves"),
+        CatalogEntry("T^3_n", ClosedFormPoly(1, -7, 20, 0, 5),
+                     Core(0, ((_P1, _P1),), 0),
+                     "star with two edges subdivided"),
+        CatalogEntry("broom3_n", ClosedFormPoly(1, -7, 18, 10, 5),
+                     Core(0, ((_P2,),), 0),
+                     "center with n-4 leaves plus a pendant path of three edges"),
+        CatalogEntry("C_3(n-3)", ClosedFormPoly(1, -1, 4, 18, 4),
+                     Core(3, ((),), 0),
+                     "triangle with n-3 pendant leaves at one vertex"),
+        CatalogEntry("C_3(1,n-4)", ClosedFormPoly(1, -4, 11, 38, 5),
+                     Core(3, (_P1, ()), 1),
+                     "triangle with pendant stars of 1 and n-4 leaves"),
+        CatalogEntry("C_3(T^1_{n-2})", ClosedFormPoly(1, -4, 11, 20, 6),
+                     Core(3, ((_P1,),), 0),
+                     "triangle carrying the broom T^1 on n-2 vertices at its center"),
+        CatalogEntry("C_4(n-4)", ClosedFormPoly(1, -4, 9, 28, 5),
+                     Core(4, ((),), 0),
+                     "4-cycle with n-4 pendant leaves at one vertex"),
+        CatalogEntry("C_3(2,n-5)", ClosedFormPoly(1, -7, 24, 68, 6),
+                     Core(3, (star_form(2), ()), 1),
+                     "triangle with pendant stars of 2 and n-5 leaves"),
+        CatalogEntry("C_3(1,1,n-5)", ClosedFormPoly(1, -7, 24, 48, 6),
+                     Core(3, (_P1, _P1, ()), 2),
+                     "triangle with pendant stars of 1, 1 and n-5 leaves"),
+        CatalogEntry("C_3(T^2_{n-2})", ClosedFormPoly(1, -7, 24, 26, 8),
+                     Core(3, ((star_form(2),),), 0),
+                     "triangle carrying the broom T^2 on n-2 vertices at its center"),
+        CatalogEntry("C_3(T^3_{n-2})", ClosedFormPoly(1, -7, 24, 10, 7),
+                     Core(3, ((_P1, _P1),), 0),
+                     "triangle carrying the broom T^3 on n-2 vertices at its center"),
+        CatalogEntry("C_3(3,n-6)", ClosedFormPoly(1, -10, 43, 108, 7),
+                     Core(3, (star_form(3), ()), 1),
+                     "triangle with pendant stars of 3 and n-6 leaves"),
+        CatalogEntry("C_3(P_3,n-5)", ClosedFormPoly(1, -7, 22, 40, 6),
+                     Core(3, (_P2, ()), 1),
+                     "triangle with a pendant 2-edge path at one vertex"
+                     " and n-5 leaves at another"),
+        CatalogEntry("C_3(1,2,n-6)", ClosedFormPoly(1, -10, 43, 62, 7),
+                     Core(3, (_P1, star_form(2), ()), 2),
+                     "triangle with pendant stars of 1, 2 and n-6 leaves"),
+        CatalogEntry("C_4(T^1_{n-3})", ClosedFormPoly(1, -7, 22, 20, 7),
+                     Core(4, ((_P1,),), 0),
+                     "4-cycle carrying the broom T^1 on n-3 vertices at its center"),
+        CatalogEntry("C_4(1,n-5)@alpha=1", ClosedFormPoly(1, -7, 22, 38, 6),
+                     Core(4, (_P1, ()), 1),
+                     "4-cycle with pendant stars of 1 and n-5 leaves at adjacent vertices"),
+        CatalogEntry("C_5(n-5)", ClosedFormPoly(1, -7, 20, 30, 6),
+                     Core(5, ((),), 0),
+                     "5-cycle with n-5 pendant leaves at one vertex"),
         # Found by exhaustive ranking: sits strictly between the C_3(1,1,n-5)
         # and C_3(T^2_{n-2}) rows at every order, so the eight-family chain
         # cannot hold as stated.
-        CatalogEntry(
-            "C_3(1,T^1_{n-3})", "unicyclic", ClosedFormPoly(1, -7, 24, 28, 7),
-            lambda n: cycle_with_attachments(
-                3, [(0, 1), (1, _t_root_form(1, n - 3))]
-            ),
-            "triangle with one pendant leaf and the broom T^1 on n-3 vertices",
-        ),
+        CatalogEntry("C_3(1,T^1_{n-3})", ClosedFormPoly(1, -7, 24, 28, 7),
+                     Core(3, (_P1, (_P1,)), 1),
+                     "triangle with one pendant leaf and the broom T^1 on n-3 vertices"),
     ]
     return {e.key: e for e in entries}
 

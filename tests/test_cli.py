@@ -20,13 +20,13 @@ from hyperzagreb.cli import (
     main,
 )
 from hyperzagreb.codec import encode_graph6
-from hyperzagreb.families import cycle_with_attachments, cycle_with_stars
-from hyperzagreb.rooted import path_form
+from hyperzagreb.families import cycle_with_stars
+from hyperzagreb.rooted import cycle_adj, form_graph, path_form, star_form
 
 
 def test_compute_edgelist(tmp_path, capsys):
     # the n = 15 triangle with a 2-edge path and ten leaves
-    g = cycle_with_attachments(3, [(0, path_form(2)), (1, 10)])
+    g = form_graph(cycle_adj(3), [(0, path_form(2)), (1, star_form(10))])
     f = tmp_path / "g.edges"
     lines = [f"{g.n} {g.num_edges}"] + [f"{u} {v}" for u, v in g.edges()]
     f.write_text("\n".join(lines) + "\n")
@@ -92,6 +92,16 @@ def test_edgelist_order_above_graph6_limit(tmp_path, capsys):
     assert main(["compute", str(f)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "258047" in err
+
+
+@pytest.mark.parametrize("text", [b"3 3\x1c0 1\x1d1 2\x1e0 2", b"3 2\n0 +1\n0_0 2\n"])
+def test_edgelist_outside_its_grammar_exits_2(text, tmp_path, capsys):
+    f = tmp_path / "g.edges"
+    f.write_bytes(text)
+    assert main(["compute", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "invalid edge-list character" in captured.err
 
 
 def test_edgelist_with_leading_comment_is_auto_detected(monkeypatch, capsys):

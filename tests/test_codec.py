@@ -101,6 +101,21 @@ def test_edgelist_comments_and_errors():
         parse_edgelist("258048 0\n")  # above the graph6 order limit
 
 
+def test_edgelist_reads_only_its_grammar():
+    # lines end at LF only; ids are plain decimal digits separated by
+    # spaces, tabs or CRs; '#' comments may hold anything but LF
+    assert parse_edgelist("3 3\r\n0 1\r\n1 2\r\n0 2\r\n") == cycle(3)
+    assert parse_edgelist("# c\x1c\n\n3 3 # head\n0\t1\n 1 2\n0 2") == cycle(3)
+    for bad in (
+        "3 3\x1c0 1\x1d1 2\x1e0 2",  # separators str.splitlines breaks at
+        "3 1\n0\x0b1\n", "3 1\n0\x0c1\n", "3 1\n0\x1f1\n",  # blanks to str.split
+        "3 2\n0 +1\n1 2\n", "3 2\n0_0 2\n0 1\n",  # int() takes a sign and '_'
+        "3 1\n0 -1\n", "3 1\n0 \u0661\n",  # a negative id, a non-ASCII digit
+    ):
+        with pytest.raises(CodecError, match="invalid edge-list character"):
+            parse_edgelist(bad)
+
+
 def test_graph6_agrees_with_networkx():
     # every order 1..80: n(n-1)/2 mod 6 takes each value it can (0, 1, 3, 4),
     # and 62/63 straddle the one- and four-character order forms

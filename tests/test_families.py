@@ -1,23 +1,26 @@
+import hashlib
+import random
+
 import pytest
 
 from hyperzagreb.canon import canonical_code
+from hyperzagreb.codec import encode_graph6
 from hyperzagreb.families import (
     CATALOG,
+    T4_CORE,
+    Core,
     FamilyDomainError,
     UnknownFamilyError,
     build_catalog_member,
     cycle,
     cycle_star_hm,
     cycle_star_hm_miscounted,
-    cycle_with_attachments,
     cycle_with_stars,
-    long_broom,
     path,
     star,
-    tree_t_family,
 )
 from hyperzagreb.graphs import hyper_zagreb, is_tree, is_unicyclic, make_graph
-from hyperzagreb.rooted import path_form
+from hyperzagreb.rooted import cycle_adj, form_graph, path_form
 
 
 def test_catalog_faithful_over_validity_windows():
@@ -30,6 +33,56 @@ def test_catalog_faithful_over_validity_windows():
             assert g.n == n, key
             assert (is_tree(g) if entry.kind == "tree" else is_unicyclic(g)), key
             assert hyper_zagreb(g) == entry.poly.evaluate(n), (key, n)
+
+
+def test_every_family_graph6_is_pinned():
+    # The vertex labelling of every catalog row at its first six orders, as
+    # one digest: a change of builder must keep each graph6 byte for byte.
+    lines = [
+        f"{key} {n} {encode_graph6(build_catalog_member(key, n))}"
+        for key, entry in CATALOG.items()
+        for n in range(entry.poly.valid_n_min, entry.poly.valid_n_min + 6)
+    ]
+    assert len(lines) == 120
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "5d373d7d92826e83a9aab4181b132a7d594bf0b2223da84960bf881e916780d0"
+    )
+
+
+def test_core_cubic_equals_the_table():
+    # the cubic derived from each core is the paper's polynomial, and the
+    # core fits below the row's floor, so the cubic covers every valid order
+    for key, entry in CATALOG.items():
+        assert entry.core.cubic() == entry.poly.coefficients(), key
+        assert entry.core.size <= entry.poly.valid_n_min, key
+
+
+def _random_form(rng: random.Random, size: int):
+    # a rooted tree on `size` vertices as nested tuples: vertex i > 0 hangs
+    # below a random earlier vertex, then each vertex takes its children's forms
+    parent = [rng.randrange(i) for i in range(1, size)]
+    kids = [[] for _ in range(size)]
+    for v in range(size - 1, 0, -1):
+        kids[parent[v - 1]].append(tuple(kids[v]))
+    return tuple(kids[0])
+
+
+def test_core_cubic_matches_built_graphs_of_random_cores():
+    rng = random.Random(18)
+    for _ in range(300):
+        m = rng.choice([0, 3, 4, 5, 6])
+        slots = max(m, 1)
+        forms = [
+            _random_form(rng, rng.randint(1, 4)) if m == 0 or rng.random() < 0.5 else ()
+            for _ in range(slots)
+        ]
+        core = Core(m, tuple(forms), rng.randrange(slots))
+        a3, a2, a1, a0 = core.cubic()
+        for n in range(core.size, core.size + 6):
+            g = core.build(n)
+            assert g.n == n
+            assert (is_tree(g) if m == 0 else is_unicyclic(g)), core
+            assert hyper_zagreb(g) == ((a3 * n + a2) * n + a1) * n + a0, (core, n)
 
 
 def test_built_graphs_survive_validation():
@@ -45,13 +98,13 @@ def test_built_graphs_survive_validation():
 
 def test_family_point_values():
     assert hyper_zagreb(star(6)) == 180
-    assert hyper_zagreb(tree_t_family(1, 5)) == 66
-    assert hyper_zagreb(tree_t_family(2, 6)) == 100
-    assert hyper_zagreb(tree_t_family(3, 6)) == 84
-    assert hyper_zagreb(tree_t_family(3, 10)) == 500
-    # no closed form exists for the fourth broom; direct edge sums
-    assert hyper_zagreb(tree_t_family(4, 9)) == 300
-    assert hyper_zagreb(tree_t_family(4, 10)) == 420
+    assert hyper_zagreb(build_catalog_member("T^1_n", 5)) == 66
+    assert hyper_zagreb(build_catalog_member("T^2_n", 6)) == 100
+    assert hyper_zagreb(build_catalog_member("T^3_n", 6)) == 84
+    assert hyper_zagreb(build_catalog_member("T^3_n", 10)) == 500
+    # the fourth broom has no table row; direct edge sums
+    assert hyper_zagreb(T4_CORE.build(9)) == 300
+    assert hyper_zagreb(T4_CORE.build(10)) == 420
     assert hyper_zagreb(cycle_with_stars(3, [12])) == 3228
     assert hyper_zagreb(build_catalog_member("C_3(T^3_{n-2})", 15)) == 2170
     assert hyper_zagreb(build_catalog_member("C_3(P_3,n-5)", 15)) == 2170
@@ -69,15 +122,13 @@ def test_family_floors():
     with pytest.raises(FamilyDomainError):
         star(1)
     with pytest.raises(FamilyDomainError):
-        tree_t_family(2, 5)
+        build_catalog_member("T^2_n", 5)
     with pytest.raises(FamilyDomainError):
-        tree_t_family(4, 5)
-    with pytest.raises(FamilyDomainError):
-        long_broom(4)
+        build_catalog_member("broom3_n", 4)
     with pytest.raises(FamilyDomainError):
         build_catalog_member("C_3(T^2_{n-2})", 7)
     with pytest.raises(FamilyDomainError):
-        tree_t_family(5, 10)
+        T4_CORE.build(4)  # below the core's own five vertices
 
 
 def test_cycle_star_values():
@@ -101,18 +152,21 @@ def test_cycle_star_values():
 
 def test_rooted_tree_attachment():
     # a path of two edges hung by one end
-    g = cycle_with_attachments(3, [(0, path_form(2)), (1, 10)])
+    g = form_graph(cycle_adj(3), [(0, path_form(2)), (1, ((),) * 10)])
     assert g.n == 15
     assert hyper_zagreb(g) == 2170
+    assert g == build_catalog_member("C_3(P_3,n-5)", 15)
     with pytest.raises(FamilyDomainError):
-        cycle_with_attachments(3, [(0, 1), (0, 2)])  # duplicate position
+        cycle_with_stars(3, [1, 0, 0, 2])  # more counts than cycle vertices
     with pytest.raises(FamilyDomainError):
-        cycle_with_attachments(2, [(0, 1)])
+        cycle_with_stars(3, [1, -1])
+    with pytest.raises(FamilyDomainError):
+        cycle_with_stars(2, [1])
 
 
 def test_attachment_merges_root_degree():
     # d(cycle vertex) = 2 + root degree inside the tree
-    g = cycle_with_attachments(4, [(2, ((), (), ()))])
+    g = cycle_with_stars(4, [0, 0, 3])
     assert g.degree(2) == 5
 
 

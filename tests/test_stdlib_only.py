@@ -48,3 +48,26 @@ def test_src_modules_use_every_name_they_import():
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
                    if name not in read]
     assert unused == []
+
+
+def test_src_reads_every_private_module_name():
+    # a module-level _function, _Class or _CONSTANT that nothing in src/
+    # reads is a leftover helper; __dunder__ names are not private
+    defined, read = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined.update((name, f"{path.name}:{node.lineno}") for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+        read |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert len(defined) >= 10
+    assert [f"{where}: {name}" for name, where in defined.items() if name not in read] == []

@@ -11,14 +11,13 @@ from hyperzagreb.enumeration import prufer_edges, unicyclic_graphs
 from hyperzagreb.families import (
     cycle,
     cycle_star_hm,
-    cycle_with_attachments,
     cycle_with_stars,
     path,
     star,
 )
 from hyperzagreb.graphs import GraphError, hyper_zagreb, make_graph
 from hyperzagreb import transforms
-from hyperzagreb.rooted import path_form
+from hyperzagreb.rooted import cycle_adj, form_graph, path_form
 from hyperzagreb.transforms import (
     StructureError,
     _hanging_counts,
@@ -157,7 +156,7 @@ def test_star_profile_recognizer():
     # whether every one of them is a leaf
     counts, stars = _hanging_counts(cycle_with_stars(4, [2, 0, 1]))
     assert stars and sorted(counts, reverse=True) == [2, 1, 0, 0]
-    deep = cycle_with_attachments(3, [(0, path_form(2)), (1, ((), ((),)))])
+    deep = form_graph(cycle_adj(3), [(0, path_form(2)), (1, ((), ((),)))])
     counts, stars = _hanging_counts(deep)
     assert not stars and sorted(counts, reverse=True) == [3, 2, 0]
     with pytest.raises(StructureError):

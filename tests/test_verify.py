@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from hyperzagreb import families
 from hyperzagreb.enumeration import trees, unicyclic_graphs
 from hyperzagreb.families import CATALOG
 from hyperzagreb.verify import (
@@ -109,6 +112,38 @@ def test_closed_form_audit():
     assert report.scale_table_value == 2638
     with pytest.raises(ValueError):
         closed_form_audit(20, 15)
+
+
+@pytest.mark.parametrize("coefficient", ["a3", "a2", "a1", "a0"])
+def test_closed_form_audit_catches_a_forged_coefficient(coefficient, monkeypatch):
+    # the derived cubic must still be able to refute the table: one
+    # coefficient off by one is wrong at every order of the range
+    key = "C_3(T^3_{n-2})"
+    entry = CATALOG[key]
+    poly = dataclasses.replace(entry.poly, **{coefficient: getattr(entry.poly, coefficient) + 1})
+    monkeypatch.setitem(CATALOG, key, dataclasses.replace(entry, poly=poly))
+    report = closed_form_audit(15, 40)
+    assert not report.passed
+    (row,) = [r for r in report.rows if r.key == key]
+    assert row.checked == 26
+    assert [m.split(":")[0] for m in row.mismatches] == [f"n={n}" for n in range(15, 41)]
+    assert all(r.passed for r in report.rows if r.key != key)
+
+
+def test_closed_form_audit_builds_one_core_per_row(monkeypatch):
+    # no graph per order: the largest admitted range builds each core once
+    built = []
+
+    def counting(adj, placements, children=()):
+        built.append(len(adj))
+        return real(adj, placements, children)
+
+    real = families.form_graph
+    monkeypatch.setattr(families, "form_graph", counting)
+    report = closed_form_audit(15, 1000)
+    assert report.passed
+    assert 0 < len(built) <= len(CATALOG)
+    assert [r.checked for r in report.rows] == [986] * len(CATALOG)
 
 
 def test_family_codes_distinct_labels():
