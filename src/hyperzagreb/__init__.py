@@ -7,11 +7,9 @@ from .families import (
     ClosedFormPoly,
     Core,
     build_catalog_member,
-    cycle,
     cycle_star_hm,
     cycle_with_stars,
     path,
-    star,
 )
 from .enumeration import ClassRecord, labeled_oracle, trees, unicyclic_graphs
 from .graphs import (

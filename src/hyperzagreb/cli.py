@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from collections.abc import Iterable
 
@@ -41,14 +42,12 @@ from .verify import (
 # of 258,047 vertices), so family and transform refuse larger ones; writing
 # a graph of this order takes about 5 ms, and `family S_n 4000` 0.15 s.  The
 # rest cap work timed on a 2-core box: reduce on 501 vertices, a leaf at
-# every other cycle vertex (11 s), rank trees 20 and unicyclic 17 (2 s, 6 s;
-# ~3x per order), 100,000 lemma trials (8 s).  The audit builds one core per
-# family and compares cubics per order (15..1000 in about 11 ms), far below
-# its cap; raising MAX_AUDIT_ORDER is left to a change that measures it.
+# every other cycle vertex (11 s), rank trees 20 and unicyclic 17 (1.4 s,
+# 3.1 s; ~3x per order), 100,000 lemma trials (8 s).  The closed-form audit
+# has no cap: it compares one derived cubic per family, whatever its range.
 # rank builds every survivor of its window, so k is capped too: at 10,000,
-# trees 20 and unicyclic 17 took 2.5 s / 42 MiB and 6.0 s / 72 MiB.
+# trees 20 and unicyclic 17 took 2.5 s / 43 MiB and 4.2 s / 71 MiB.
 MAX_OUTPUT_ORDER = 4000
-MAX_AUDIT_ORDER = 1000
 MAX_REDUCE_ORDER = 500
 MAX_CLASS_ORDER = {"trees": 20, "unicyclic": 17}
 MAX_RANK_K = 10_000
@@ -85,18 +84,25 @@ def _read_text(path: str) -> str:
         ) from None
 
 
-def _load_graph(path: str, fmt: str) -> Graph:
+def _load_graph(path: str) -> Graph:
     text = _read_text(path)
-    if fmt == "graph6":
-        return decode_graph6(text)
-    if fmt == "edgelist":
-        return parse_edgelist(text)
-    # auto: a leading digit (the "n m" header) or "#" (a comment) means
-    # an edge list; graph6 never starts with either
+    # a leading digit (the "n m" header) or "#" (a comment) means an edge
+    # list; graph6 never starts with either
     stripped = text.lstrip()
     if stripped[:1].isdigit() or stripped.startswith("#"):
         return parse_edgelist(text)
     return decode_graph6(text)
+
+
+# int() also reads '+', '_', blanks and non-ASCII digits
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """The type of every integer argument: an optional '-', then ASCII digits."""
+    if not _DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -105,8 +111,8 @@ def _parse_range(text: str) -> tuple[int, int]:
     else:
         lo_s = hi_s = text
     try:
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError:
+        lo, hi = _integer(lo_s), _integer(hi_s)
+    except (argparse.ArgumentTypeError, ValueError):
         raise _CliFailure(EXIT_PARSE, f"bad range {text!r}; use N or LO..HI") from None
     if lo > hi:
         raise _CliFailure(EXIT_DOMAIN, f"empty range {text!r}")
@@ -120,7 +126,7 @@ def _check_order(n: int, limit: int = MAX_OUTPUT_ORDER, what: str = "order") -> 
 
 
 def _cmd_compute(args) -> tuple[int, Iterable[str]]:
-    g = _load_graph(args.input, args.input_format)
+    g = _load_graph(args.input)
     hm = hyper_zagreb(g)
     zi = classical_indices(g)
     identity = hm == zi.f + 2 * zi.m2
@@ -215,7 +221,6 @@ def _cmd_verify(args) -> tuple[int, Iterable[str]]:
         reports = [lemma_suite(seed=args.seed, trials=args.trials)]
     else:  # closed-forms
         lo, hi = _parse_range(args.range or "15..45")
-        _check_order(hi, MAX_AUDIT_ORDER)
         reports = [closed_form_audit(lo, hi)]
     chunks = [_render(report, args.format) for report in reports]
     if args.klass == "trees" and args.discover_threshold:
@@ -232,7 +237,7 @@ def _cmd_verify(args) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_reduce(args) -> tuple[int, Iterable[str]]:
-    g = _load_graph(args.input, args.input_format)
+    g = _load_graph(args.input)
     _check_order(g.n)
     _check_order(g.n, MAX_REDUCE_ORDER)
     chain = reduce_to_single_attachment(g)
@@ -243,8 +248,8 @@ def _cmd_reduce(args) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_coalesce(args) -> tuple[int, Iterable[str]]:
-    g = _load_graph(args.input, args.input_format)
-    h = _load_graph(args.other, args.input_format)
+    g = _load_graph(args.input)
+    h = _load_graph(args.other)
     _check_order(g.n + h.n - 1)
     merged = coalesce(g, args.at, h, args.to)
     return EXIT_OK, [f"graph6: {encode_graph6(merged)}\nhm: {hyper_zagreb(merged)}\n"]
@@ -263,11 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out")
-    graph_in = argparse.ArgumentParser(add_help=False, parents=[out])
-    graph_in.add_argument("--input-format", choices=["auto", "graph6", "edgelist"],
-                          default="auto", dest="input_format")
 
-    p = sub.add_parser("compute", parents=[graph_in],
+    p = sub.add_parser("compute", parents=[out],
                        help="indices of a graph file (edge list or graph6)")
     p.add_argument("input", help="path or '-' for stdin")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
@@ -276,19 +278,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", parents=[out],
                        help="build a catalog family and audit its value")
     p.add_argument("key")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("enumerate", parents=[out], help="emit one graph6 line per class")
     p.add_argument("klass", choices=["trees", "unicyclic"])
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("rank", parents=[out], help="top-k classes by index value")
     p.add_argument("klass", choices=["trees", "unicyclic"])
-    p.add_argument("n", type=int)
-    p.add_argument("-k", type=int, default=8)
+    p.add_argument("n", type=_integer)
+    p.add_argument("-k", type=_integer, default=8)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=_cmd_rank)
 
@@ -306,23 +308,23 @@ def _build_parser() -> argparse.ArgumentParser:
     vsub.add_parser("unicyclic", parents=[ranged],
                     help="unicyclic ordering claims")
     pl = vsub.add_parser("lemmas", parents=[report], help="randomized lemma checks")
-    pl.add_argument("--seed", type=int, default=0)
-    pl.add_argument("--trials", type=int, default=10_000)
+    pl.add_argument("--seed", type=_integer, default=0)
+    pl.add_argument("--trials", type=_integer, default=10_000)
     vsub.add_parser("closed-forms", parents=[ranged],
                     help="closed forms of the catalog families")
 
     p = sub.add_parser("transform", help="apply a rewrite to an input graph")
     tsub = p.add_subparsers(dest="which", required=True)
-    pr = tsub.add_parser("reduce", parents=[graph_in],
+    pr = tsub.add_parser("reduce", parents=[out],
                          help="monotone chain down to one pendant star")
     pr.add_argument("input")
     pr.set_defaults(func=_cmd_reduce)
-    pc = tsub.add_parser("coalesce", parents=[graph_in],
+    pc = tsub.add_parser("coalesce", parents=[out],
                          help="identify a vertex of one graph with one of another")
     pc.add_argument("input")
     pc.add_argument("other")
-    pc.add_argument("--at", type=int, required=True, help="vertex in the first graph")
-    pc.add_argument("--to", type=int, required=True, help="vertex in the second graph")
+    pc.add_argument("--at", type=_integer, required=True, help="vertex in the first graph")
+    pc.add_argument("--to", type=_integer, required=True, help="vertex in the second graph")
     pc.set_defaults(func=_cmd_coalesce)
 
     return parser

@@ -110,25 +110,11 @@ class Core:
         return tuple(coeffs)
 
 
-def star(n: int) -> Graph:
-    """S_n: one center adjacent to n-1 leaves."""
-    if n < 2:
-        raise FamilyDomainError(f"star needs n >= 2, got {n}")
-    return form_graph([[]], [(0, star_form(n - 1))])
-
-
 def path(n: int) -> Graph:
     """P_n."""
     if n < 1:
         raise FamilyDomainError(f"path needs n >= 1, got {n}")
     return form_graph([[]], [(0, path_form(n - 1))])
-
-
-def cycle(n: int) -> Graph:
-    """C_n."""
-    if n < 3:
-        raise FamilyDomainError(f"cycle needs n >= 3, got {n}")
-    return form_graph(cycle_adj(n), [])
 
 
 def cycle_with_stars(m: int, pendant_counts: Sequence[int]) -> Graph:

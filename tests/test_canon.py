@@ -26,7 +26,7 @@ from hyperzagreb.enumeration import (
     trees,
     unicyclic_graphs,
 )
-from hyperzagreb.families import cycle, cycle_with_stars, path, star
+from hyperzagreb.families import build_catalog_member, cycle_with_stars, path
 from hyperzagreb.graphs import GraphError, is_tree, is_unicyclic, make_graph
 
 # Class counts per order, trees for n = 1..6 and unicyclic graphs for
@@ -50,8 +50,8 @@ def test_relabeling_invariance_examples():
 
 
 def test_distinguishes_non_isomorphic():
-    assert canonical_code(path(4)) != canonical_code(star(4))
-    assert canonical_code(cycle(4)) != canonical_code(cycle_with_stars(3, [1]))
+    assert canonical_code(path(4)) != canonical_code(build_catalog_member("S_n", 4))
+    assert canonical_code(cycle_with_stars(4, [])) != canonical_code(cycle_with_stars(3, [1]))
 
 
 def _coded_classes(n):
@@ -233,16 +233,16 @@ def test_codes_agree_with_networkx_vf2():
 def test_centroids_and_cycle_helpers():
     assert tree_centroids(path(4)) == [1, 2]
     assert tree_centroids(path(5)) == [2]
-    assert tree_centroids(star(7)) == [0]
+    assert tree_centroids(build_catalog_member("S_n", 7)) == [0]
     assert sorted(cycle_vertices(cycle_with_stars(4, [3, 1]))) == [0, 1, 2, 3]
 
 
 def test_deterministic_across_runs():
     g = cycle_with_stars(5, [2, 0, 3])
     assert canonical_code(g) == canonical_code(g)
-    expected = canonical_code(star(9))
+    expected = canonical_code(build_catalog_member("S_n", 9))
     for _ in range(3):
-        assert canonical_code(star(9)) == expected
+        assert canonical_code(build_catalog_member("S_n", 9)) == expected
 
 
 def _caterpillar(spine):

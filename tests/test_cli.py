@@ -2,6 +2,9 @@ import hashlib
 import io
 import json
 import os
+import pathlib
+import random
+import re
 import subprocess
 import sys
 import time
@@ -9,18 +12,26 @@ import time
 import pytest
 
 import hyperzagreb
+import hyperzagreb.cli
 from hyperzagreb.cli import (
-    MAX_AUDIT_ORDER,
     MAX_CLASS_ORDER,
     MAX_OUTPUT_ORDER,
     MAX_RANK_K,
     MAX_REDUCE_ORDER,
     MAX_TRIALS,
     _build_parser,
+    _load_graph,
     main,
 )
-from hyperzagreb.codec import encode_graph6
+from hyperzagreb.codec import (
+    CodecError,
+    decode_graph6,
+    encode_graph6,
+    format_edgelist,
+    parse_edgelist,
+)
 from hyperzagreb.families import cycle_with_stars
+from hyperzagreb.graphs import make_graph
 from hyperzagreb.rooted import cycle_adj, form_graph, path_form, star_form
 
 
@@ -110,6 +121,31 @@ def test_edgelist_with_leading_comment_is_auto_detected(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text)))
     assert main(["compute", "-"]) == 0
     assert "hm: 48" in capsys.readouterr().out
+
+
+def _valid_graph_files():
+    # seeded graphs written both ways, with each variation a file may carry;
+    # orders 63 and up take graph6's four-character order form
+    rng = random.Random(19)
+    for n in (1, 2, 5, 30, 62, 63, 70):
+        g = make_graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.3])
+        g6, edges = encode_graph6(g), format_edgelist(g)
+        for text in (g6, ">>graph6<<" + g6 + "\n", " \t\r\n" + g6 + " \r\n\n"):
+            yield text, decode_graph6, parse_edgelist
+        for text in (edges, "# seeded\n" + edges, "\n\n" + edges.replace("\n", "\n\n"),
+                     edges.replace("\n", "\r\n")):
+            yield text, parse_edgelist, decode_graph6
+
+
+def test_load_graph_reads_every_valid_file_as_its_own_format(tmp_path):
+    # the format is told apart by the first non-blank character, and no
+    # valid file of one format parses as the other
+    f = tmp_path / "g"
+    for text, parser, other in _valid_graph_files():
+        f.write_bytes(text.encode("ascii"))
+        assert _load_graph(str(f)) == parser(text), ascii(text)
+        with pytest.raises(CodecError):
+            other(text)
 
 
 def test_family_command(capsys):
@@ -233,7 +269,6 @@ def test_failed_command_creates_no_out_file(argv, tmp_path, capsys):
         "verify lemmas --trials 0",
         "family S_n 258048",
         f"family S_n {MAX_OUTPUT_ORDER + 1}",
-        f"verify closed-forms 15..{MAX_OUTPUT_ORDER + 1}",
     ],
 )
 def test_enumerate_and_rank_domain_errors(argv, capsys):
@@ -243,14 +278,16 @@ def test_enumerate_and_rank_domain_errors(argv, capsys):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
-def test_closed_form_audit_refuses_a_top_order_above_its_budget(capsys):
-    # the audit is superquadratic in its top order: 15..4000 ran for minutes
+def test_closed_form_audit_takes_any_range_in_constant_time(capsys):
+    # each row compares two cubics once, so the range's size costs nothing
     start = time.perf_counter()
-    assert main(["verify", "closed-forms", "15..4000"]) == 4
+    assert main(["verify", "closed-forms", "15..1000000000"]) == 0
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: order 4000 exceeds the limit of {MAX_AUDIT_ORDER}\n"
+    assert captured.err == ""
+    rows = [line for line in captured.out.splitlines() if line.startswith("entry: ")]
+    assert len(rows) == 20
+    assert all(row.endswith(" checked: 999999986 status: EQUAL") for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -287,6 +324,20 @@ def test_bounds_admit_the_documented_workloads():
     assert MAX_RANK_K >= 30
 
 
+def test_readme_states_every_limit_with_its_value():
+    # the README names each MAX_* limit with its value, and no other
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    text = re.sub(r"(?<=\d),(?=\d{3})", "", " ".join(text.split()))
+    limits = {k: v for k, v in vars(hyperzagreb.cli).items() if k.startswith("MAX_")}
+    for name, value in limits.items():
+        if isinstance(value, dict):
+            stated = f"`{name}`: " + ", ".join(f"{v} for {k}" for k, v in value.items())
+        else:
+            stated = f"`{name}` = {value}"
+        assert stated in text, stated
+    assert set(re.findall(r"\bMAX_[A-Z_]+", text)) == set(limits)
+
+
 GRAPH_INPUT_COMMANDS = ["compute g", "transform reduce g", "transform coalesce g h --at 0 --to 0"]
 
 
@@ -294,19 +345,47 @@ GRAPH_INPUT_COMMANDS = ["compute g", "transform reduce g", "transform coalesce g
     "family S_n 5", "enumerate trees 5", "rank trees 5", "verify lemmas",
 ])
 def test_shared_options_parse_alike(argv):
+    # a graph file's format is detected, never forced
     parse = _build_parser().parse_args
-    takes_input = argv in GRAPH_INPUT_COMMANDS
-    args = parse(argv.split())
-    assert args.out is None
-    assert getattr(args, "input_format", None) == ("auto" if takes_input else None)
+    assert parse(argv.split()).out is None
     assert parse(argv.split() + ["--out", "o.txt"]).out == "o.txt"
-    if takes_input:
-        for fmt in ("graph6", "edgelist"):
-            assert parse(argv.split() + ["--input-format", fmt]).input_format == fmt
-    for bad in (["--input-format", "dot"], ["--out"]):
+    for bad in (["--input-format", "graph6"], ["--input-format", "edgelist"], ["--out"]):
         with pytest.raises(SystemExit) as exc:
             parse(argv.split() + bad)
         assert exc.value.code == 2
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "trees", "1_0"], ["verify", "trees", "+9"], ["verify", "trees", " 9"],
+        ["rank", "trees", "\u0661\u0660", "-k", "2"], ["rank", "trees", "8", "-k", "+3"],
+        ["family", "S_n", "0_7"], ["verify", "closed-forms", "1_5..2_0"],
+        ["verify", "lemmas", "--seed", "+1"], ["verify", "lemmas", "--trials", "1_0"],
+        ["transform", "coalesce", "g", "h", "--at", "0", "--to", "\u0660"],
+    ],
+    ids=ascii,
+)
+def test_integers_are_ascii_decimal_digits(argv, capsys):
+    # int() reads a sign, '_', blanks and non-ASCII digits as well
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid int value" in captured.err or "bad range" in captured.err
+
+
+def test_negative_integers_still_parse(capsys):
+    assert _exit_code(["verify", "trees", "-3"]) == 4
+    assert _exit_code(["enumerate", "trees", "-1"]) == 4
+    assert _exit_code(["verify", "lemmas", "--seed", "-1", "--trials", "30"]) == 0
+    assert capsys.readouterr().out.startswith("seed: -1\n")
 
 
 def test_rank_csv(capsys):
@@ -439,10 +518,10 @@ def test_transform_reduce_refuses_an_order_above_its_budget(tmp_path, capsys):
 def test_transform_coalesce(tmp_path, capsys):
     f1 = tmp_path / "a.g6"
     f2 = tmp_path / "b.g6"
-    from hyperzagreb.families import cycle, star
+    from hyperzagreb.families import build_catalog_member
 
-    f1.write_text(encode_graph6(cycle(3)) + "\n")
-    f2.write_text(encode_graph6(star(13)) + "\n")
+    f1.write_text(encode_graph6(cycle_with_stars(3, [])) + "\n")
+    f2.write_text(encode_graph6(build_catalog_member("S_n", 13)) + "\n")
     assert main([
         "transform", "coalesce", str(f1), str(f2), "--at", "0", "--to", "0",
     ]) == 0

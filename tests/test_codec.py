@@ -10,14 +10,14 @@ from hyperzagreb.codec import (
     format_edgelist,
     parse_edgelist,
 )
-from hyperzagreb.families import cycle, path, star
+from hyperzagreb.families import build_catalog_member, cycle_with_stars, path
 from hyperzagreb.graphs import make_graph
 
 
 def test_known_encoding():
     # hand-packed: n=3 -> 'B', upper triangle 111 padded to 111000 -> 'w'
-    assert encode_graph6(cycle(3)) == "Bw"
-    assert decode_graph6("Bw") == cycle(3)
+    assert encode_graph6(cycle_with_stars(3, [])) == "Bw"
+    assert decode_graph6("Bw") == cycle_with_stars(3, [])
 
 
 def test_round_trip_identity_labeling():
@@ -37,15 +37,15 @@ def test_round_trip_random():
 
 
 def test_round_trip_large_order():
-    g = star(70)  # needs the long order form
+    g = build_catalog_member("S_n", 70)  # needs the long order form
     assert decode_graph6(encode_graph6(g)) == g
 
 
 def test_header_accepted():
-    assert decode_graph6(">>graph6<<Bw") == cycle(3)
-    assert decode_graph6("  Bw\n") == cycle(3)
-    assert decode_graph6("\tBw\r\n") == cycle(3)
-    assert decode_graph6(">>graph6<< Bw\n") == cycle(3)
+    assert decode_graph6(">>graph6<<Bw") == cycle_with_stars(3, [])
+    assert decode_graph6("  Bw\n") == cycle_with_stars(3, [])
+    assert decode_graph6("\tBw\r\n") == cycle_with_stars(3, [])
+    assert decode_graph6(">>graph6<< Bw\n") == cycle_with_stars(3, [])
 
 
 # each malformed input with its exact message, in the order the checks run
@@ -86,7 +86,7 @@ def test_edgelist_round_trip():
 
 def test_edgelist_comments_and_errors():
     g = parse_edgelist("# a cycle\n3 3\n0 1\n1 2  # second edge\n0 2\n")
-    assert g == cycle(3)
+    assert g == cycle_with_stars(3, [])
     with pytest.raises(CodecError):
         parse_edgelist("")
     with pytest.raises(CodecError):
@@ -104,8 +104,8 @@ def test_edgelist_comments_and_errors():
 def test_edgelist_reads_only_its_grammar():
     # lines end at LF only; ids are plain decimal digits separated by
     # spaces, tabs or CRs; '#' comments may hold anything but LF
-    assert parse_edgelist("3 3\r\n0 1\r\n1 2\r\n0 2\r\n") == cycle(3)
-    assert parse_edgelist("# c\x1c\n\n3 3 # head\n0\t1\n 1 2\n0 2") == cycle(3)
+    assert parse_edgelist("3 3\r\n0 1\r\n1 2\r\n0 2\r\n") == cycle_with_stars(3, [])
+    assert parse_edgelist("# c\x1c\n\n3 3 # head\n0\t1\n 1 2\n0 2") == cycle_with_stars(3, [])
     for bad in (
         "3 3\x1c0 1\x1d1 2\x1e0 2",  # separators str.splitlines breaks at
         "3 1\n0\x0b1\n", "3 1\n0\x0c1\n", "3 1\n0\x1f1\n",  # blanks to str.split

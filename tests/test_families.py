@@ -12,12 +12,10 @@ from hyperzagreb.families import (
     FamilyDomainError,
     UnknownFamilyError,
     build_catalog_member,
-    cycle,
     cycle_star_hm,
     cycle_star_hm_miscounted,
     cycle_with_stars,
     path,
-    star,
 )
 from hyperzagreb.graphs import hyper_zagreb, is_tree, is_unicyclic, make_graph
 from hyperzagreb.rooted import cycle_adj, form_graph, path_form
@@ -88,7 +86,7 @@ def test_core_cubic_matches_built_graphs_of_random_cores():
 def test_built_graphs_survive_validation():
     # The builders skip edge validation, so each graph must come through the
     # validating make_graph unchanged.
-    built = [path(n) for n in range(1, 32)] + [cycle(n) for n in range(3, 34)]
+    built = [path(n) for n in range(1, 32)] + [cycle_with_stars(n, []) for n in range(3, 34)]
     for entry in CATALOG.values():
         lo = entry.poly.valid_n_min
         built += [entry.builder(n) for n in range(lo, lo + 31)]
@@ -97,7 +95,7 @@ def test_built_graphs_survive_validation():
 
 
 def test_family_point_values():
-    assert hyper_zagreb(star(6)) == 180
+    assert hyper_zagreb(build_catalog_member("S_n", 6)) == 180
     assert hyper_zagreb(build_catalog_member("T^1_n", 5)) == 66
     assert hyper_zagreb(build_catalog_member("T^2_n", 6)) == 100
     assert hyper_zagreb(build_catalog_member("T^3_n", 6)) == 84
@@ -120,7 +118,7 @@ def test_closed_form_lookup():
 
 def test_family_floors():
     with pytest.raises(FamilyDomainError):
-        star(1)
+        build_catalog_member("S_n", 1)
     with pytest.raises(FamilyDomainError):
         build_catalog_member("T^2_n", 5)
     with pytest.raises(FamilyDomainError):

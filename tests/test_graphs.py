@@ -12,7 +12,7 @@ from hyperzagreb.graphs import (
     is_unicyclic,
     make_graph,
 )
-from hyperzagreb.families import cycle, path, star
+from hyperzagreb.families import build_catalog_member, cycle_with_stars, path
 
 
 def test_make_graph_examples():
@@ -36,9 +36,9 @@ def test_make_graph_rejections_are_distinct():
 
 
 def test_degree():
-    c3 = cycle(3)
+    c3 = cycle_with_stars(3, [])
     assert all(c3.degree(v) == 2 for v in range(3))
-    s5 = star(5)
+    s5 = build_catalog_member("S_n", 5)
     assert s5.degree(0) == 4
     assert s5.degree(1) == 1
     with pytest.raises(VertexRangeError):
@@ -49,24 +49,22 @@ def test_edge_contribution():
     # every edge of these graphs joins the same two degrees, so each adds
     # (d(u) + d(v))**2: 4 on P_2, 16 on a cycle, 25 on S_5
     assert hyper_zagreb(make_graph(2, [(0, 1)])) == 1 * 4
-    assert hyper_zagreb(cycle(3)) == 3 * 16
-    assert hyper_zagreb(star(5)) == 4 * 25
+    assert hyper_zagreb(cycle_with_stars(3, [])) == 3 * 16
+    assert hyper_zagreb(build_catalog_member("S_n", 5)) == 4 * 25
 
 
 def test_hyper_zagreb_examples():
     assert hyper_zagreb(make_graph(1, [])) == 0
-    assert hyper_zagreb(star(5)) == 100
+    assert hyper_zagreb(build_catalog_member("S_n", 5)) == 100
     assert hyper_zagreb(path(4)) == 34
     # triangle with a 2-edge path at one vertex and ten leaves at another
-    from hyperzagreb.families import build_catalog_member
-
     assert hyper_zagreb(build_catalog_member("C_3(P_3,n-5)", 15)) == 2170
 
 
 def test_classical_indices():
-    ci = classical_indices(cycle(7))
+    ci = classical_indices(cycle_with_stars(7, []))
     assert (ci.m1, ci.m2, ci.f) == (28, 28, 56)
-    ci = classical_indices(star(4))
+    ci = classical_indices(build_catalog_member("S_n", 4))
     assert (ci.m1, ci.m2, ci.f) == (12, 9, 30)
 
 
@@ -96,17 +94,17 @@ def test_edge_sum_order_independence():
 
 def test_class_predicates():
     assert is_tree(path(5)) and not is_unicyclic(path(5))
-    assert is_unicyclic(cycle(4)) and not is_tree(cycle(4))
+    assert is_unicyclic(cycle_with_stars(4, [])) and not is_tree(cycle_with_stars(4, []))
     two_edges = make_graph(4, [(0, 1), (2, 3)])
     assert not is_tree(two_edges) and not is_unicyclic(two_edges)
 
 
 def test_graph_immutability_surface():
-    g = star(4)
+    g = build_catalog_member("S_n", 4)
     assert isinstance(g.adj, tuple)
     assert all(isinstance(a, tuple) for a in g.adj)
 
 
 def test_values_exact_beyond_32_bits():
-    g = star(5000)
+    g = build_catalog_member("S_n", 5000)
     assert hyper_zagreb(g) == 4999 * 5000**2

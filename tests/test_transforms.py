@@ -9,11 +9,10 @@ from hyperzagreb.canon import canonical_code, cycle_vertices
 from hyperzagreb.codec import encode_graph6
 from hyperzagreb.enumeration import prufer_edges, unicyclic_graphs
 from hyperzagreb.families import (
-    cycle,
+    build_catalog_member,
     cycle_star_hm,
     cycle_with_stars,
     path,
-    star,
 )
 from hyperzagreb.graphs import GraphError, hyper_zagreb, make_graph
 from hyperzagreb import transforms
@@ -92,7 +91,7 @@ def test_rewrites_match_edge_list_references(g, h):
 
 
 def test_rewrite_edge_cases():
-    g, dot = cycle(4), make_graph(1, [])
+    g, dot = cycle_with_stars(4, []), make_graph(1, [])
     for u in range(4):
         for z in range(4):
             assert coalesce(g, u, g, z) == edge_list_coalesce(g, u, g, z)
@@ -114,20 +113,20 @@ def test_rewrite_edge_cases():
 def test_coalesce_examples():
     p3 = coalesce(path(2), 1, path(2), 0)
     assert canonical_code(p3) == canonical_code(path(3))
-    s6 = coalesce(star(4), 0, star(3), 0)
-    assert canonical_code(s6) == canonical_code(star(6))
-    g = coalesce(cycle(3), 0, star(13), 0)
+    s6 = coalesce(build_catalog_member("S_n", 4), 0, build_catalog_member("S_n", 3), 0)
+    assert canonical_code(s6) == canonical_code(build_catalog_member("S_n", 6))
+    g = coalesce(cycle_with_stars(3, []), 0, build_catalog_member("S_n", 13), 0)
     assert hyper_zagreb(g) == 3228
     assert g.n == 3 + 13 - 1
 
 
 def test_coalesce_merged_degree():
-    g = coalesce(path(3), 1, star(4), 0)
+    g = coalesce(path(3), 1, build_catalog_member("S_n", 4), 0)
     assert g.degree(1) == 2 + 3
 
 
 def test_attachment_comparison_example():
-    g, h = path(3), star(3)
+    g, h = path(3), build_catalog_member("S_n", 3)
     holds_a, holds_b, _, _ = attach_conditions(g, 0, 1)
     assert holds_a and holds_b
     assert hyper_zagreb(coalesce(g, 1, h, 0)) >= hyper_zagreb(coalesce(g, 0, h, 0))
@@ -135,7 +134,7 @@ def test_attachment_comparison_example():
 
 def test_attachment_comparison_symmetric_sites():
     # both endpoints of a path give isomorphic results; conditions are tight
-    g, h = path(4), star(3)
+    g, h = path(4), build_catalog_member("S_n", 3)
     assert attach_conditions(g, 0, 3) == (True, True, True, True)
     g1, g2 = coalesce(g, 0, h, 0), coalesce(g, 3, h, 0)
     assert hyper_zagreb(g1) == hyper_zagreb(g2)
@@ -213,7 +212,7 @@ def test_reduction_chain_examples():
     assert canonical_code(chain[-1]) == canonical_code(cycle_with_stars(5, [5]))
 
     assert len(reduce_to_single_attachment(cycle_with_stars(3, [12]))) == 1
-    assert len(reduce_to_single_attachment(cycle(9))) == 1
+    assert len(reduce_to_single_attachment(cycle_with_stars(9, []))) == 1
     with pytest.raises(StructureError):
         reduce_to_single_attachment(path(6))
 

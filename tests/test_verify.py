@@ -131,18 +131,25 @@ def test_closed_form_audit_catches_a_forged_coefficient(coefficient, monkeypatch
 
 
 def test_closed_form_audit_builds_one_core_per_row(monkeypatch):
-    # no graph per order: the largest admitted range builds each core once
-    built = []
+    # no graph and no table value per order: each core is built once, and
+    # the table is evaluated only for the one-star scale check
+    built, evaluated = [], []
 
     def counting(adj, placements, children=()):
         built.append(len(adj))
         return real(adj, placements, children)
 
-    real = families.form_graph
+    def evaluate(poly, n):
+        evaluated.append(n)
+        return real_evaluate(poly, n)
+
+    real, real_evaluate = families.form_graph, families.ClosedFormPoly.evaluate
     monkeypatch.setattr(families, "form_graph", counting)
+    monkeypatch.setattr(families.ClosedFormPoly, "evaluate", evaluate)
     report = closed_form_audit(15, 1000)
     assert report.passed
     assert 0 < len(built) <= len(CATALOG)
+    assert evaluated == [15]
     assert [r.checked for r in report.rows] == [986] * len(CATALOG)
 
 
