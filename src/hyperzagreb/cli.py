@@ -24,18 +24,17 @@ import sys
 from collections.abc import Iterable
 
 from .codec import CodecError, decode_graph6, encode_graph6, parse_edgelist
-from .enumeration import trees, unicyclic_graphs
 from .families import CATALOG, UnknownFamilyError, build_catalog_member
 from .graphs import Graph, classical_indices, hyper_zagreb
 from .transforms import coalesce, reduce_to_single_attachment
 from .verify import (
+    class_stream,
     closed_form_audit,
     discover_tree_threshold,
     lemma_suite,
     family_codes,
     rank as rank_stream,
-    verify_trees,
-    verify_unicyclic,
+    verify_class,
 )
 
 # graph6 output is quadratic in the order (about 5.5 GB at graph6's limit
@@ -181,17 +180,15 @@ def _cmd_family(args) -> tuple[int, Iterable[str]]:
 
 def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
     _check_order(args.n, MAX_CLASS_ORDER[args.klass])
-    stream = trees(args.n) if args.klass == "trees" else unicyclic_graphs(args.n)
+    stream = class_stream(args.klass, args.n)
     return EXIT_OK, (encode_graph6(record.graph()) + "\n" for record in stream)
 
 
 def _cmd_rank(args) -> tuple[int, Iterable[str]]:
     _check_order(args.n, MAX_CLASS_ORDER[args.klass])
     _check_order(args.k, MAX_RANK_K, "k")
-    kind = "tree" if args.klass == "trees" else "unicyclic"
-    fams = family_codes(kind, args.n)
-    stream = trees(args.n) if args.klass == "trees" else unicyclic_graphs(args.n)
-    entries = rank_stream(stream, args.k, fams)
+    fams = family_codes(args.klass, args.n)
+    entries = rank_stream(class_stream(args.klass, args.n), args.k, fams)
     if args.format == "json":
         return EXIT_OK, [json.dumps([e.to_json_dict() for e in entries]) + "\n"]
     if args.format == "csv":
@@ -214,8 +211,7 @@ def _cmd_verify(args) -> tuple[int, Iterable[str]]:
     if args.klass in ("trees", "unicyclic"):
         lo, hi = _parse_range(args.range or "15")
         _check_order(hi, MAX_CLASS_ORDER[args.klass])
-        check = verify_trees if args.klass == "trees" else verify_unicyclic
-        reports = [check(n) for n in range(lo, hi + 1)]
+        reports = [verify_class(args.klass, n) for n in range(lo, hi + 1)]
     elif args.klass == "lemmas":
         _check_order(args.trials, MAX_TRIALS, "trials")
         reports = [lemma_suite(seed=args.seed, trials=args.trials)]

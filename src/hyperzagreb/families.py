@@ -166,7 +166,7 @@ class CatalogEntry:
 
     @property
     def kind(self) -> str:
-        return "unicyclic" if self.core.cycle else "tree"
+        return "unicyclic" if self.core.cycle else "trees"
 
     def builder(self, n: int) -> Graph:
         return self.core.build(n)

@@ -1,12 +1,13 @@
 """Ranking and verdicts for the extremal-ordering claims.
 
 rank streams a graph class and keeps the top-k by index value with full tie
-groups.  verify_trees checks that the four tree families head the ranking
-in strict order, verify_unicyclic checks the eight-family unicyclic chain
-(allowing the documented tail tie), lemma_suite runs every randomized and
-exhaustive monotonicity property, and closed_form_audit checks every
-catalog polynomial against the cubic derived from its family's core, which
-covers every order from the row's floor without building a graph per order.
+groups.  verify_class checks one class's family chain against its ranking:
+the four tree families in strict order (verify_trees), or the eight-family
+unicyclic chain with its documented tail tie (verify_unicyclic).
+lemma_suite runs every randomized and exhaustive monotonicity property,
+and closed_form_audit checks every catalog polynomial against the cubic
+derived from its family's core, which covers every order from the row's
+floor without building a graph per order.
 
 All reports are deterministic: identical inputs produce byte-identical
 text and JSON serializations.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .canon import canonical_code
 from .codec import encode_graph6
@@ -40,8 +41,17 @@ from .transforms import (
     reduce_to_single_attachment,
 )
 
-UNICYCLIC_CLAIM_MIN_N = 15  # the eight-family ordering is asserted from here
-TREE_FAMILY_MIN_N = 6  # below this the four tree families do not all exist
+# Per class: its family chain, the one family allowed to tie the chain's
+# tail, the least order ranked, the order the chain is checked from (the
+# tree families all exist from 6; the unicyclic claim starts at 15) and
+# the note of a report below it.
+CLAIMS = {
+    "trees": (TREE_TOP4, None, 5, 6, "below family floor; ordering not evaluated"),
+    "unicyclic": (
+        UNICYCLIC_TOP8, UNICYCLIC_TAIL_TIE, 3, 15,
+        "below the claim threshold; ordering not evaluated",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -185,94 +195,84 @@ def _tie_groups(entries: list[RankEntry]) -> tuple[tuple[int, tuple[str, ...]], 
 
 
 def _evaluate_chain(
-    n: int,
-    entries: list[RankEntry],
-    expected_keys: list[str],
-    allowed_tail_tie: str | None,
-    families: dict[bytes, str],
+    n: int, entries: list[RankEntry], chain: list[str], tail_tie: str | None
 ) -> tuple[str, list[str]]:
     """Compare an observed ranking against an expected strict family chain.
 
-    Each expected family's code comes from the family_codes map.  The last
+    Entries carry the labels rank took from family_codes, whose codes are
+    distinct at every order checked, so a label names one class.  The last
     expected value may be shared with the one designated companion family;
     that demotes pass to tie-noted.  Any other deviation fails.
     """
-    notes: list[str] = []
-    code_of = {key: code for code, key in families.items()}
-    idx = 0
-    for key in expected_keys[:-1]:
+    for idx, key in enumerate(chain[:-1]):
         val = CATALOG[key].poly.evaluate(n)
         if idx >= len(entries):
             return "fail", [f"ranking ended before expected family {key}"]
         e = entries[idx]
-        if e.hm != val or e.code != code_of.get(key):
+        if e.hm != val or e.family_match != key:
             seen = e.family_match or encode_graph6(e.graph)
             return "fail", [
                 f"rank {idx + 1}: observed {seen} (hm {e.hm}) where {key} "
                 f"(hm {val}) was expected"
             ]
-        idx += 1
-    last_key = expected_keys[-1]
+    idx, last_key = len(chain) - 1, chain[-1]
     last_val = CATALOG[last_key].poly.evaluate(n)
     group = [e for e in entries[idx:] if e.hm == last_val]
-    group_codes = {e.code for e in group}
-    if code_of.get(last_key) not in group_codes:
+    labels = {e.family_match for e in group}
+    if last_key not in labels:
         return "fail", [f"{last_key} missing at value {last_val}"]
-    verdict = "pass"
-    extras = group_codes - {code_of[last_key]}
+    extras = labels - {last_key}
+    verdict, notes = "pass", []
     if extras:
-        if allowed_tail_tie is None:
+        if tail_tie is None:
             return "fail", [f"unexpected tie at value {last_val}"]
-        if extras != {code_of.get(allowed_tail_tie)}:
+        if extras != {tail_tie}:
             return "fail", [f"unexpected member in tie at value {last_val}"]
         verdict = "tie-noted"
-        notes.append(
-            f"documented equality: {allowed_tail_tie} matches {last_key} "
-            f"at hm {last_val}"
-        )
+        notes = [f"documented equality: {tail_tie} matches {last_key} at hm {last_val}"]
     idx += len(group)
     if idx < len(entries) and entries[idx].hm >= last_val:
         return "fail", [f"value after the chain is not strictly smaller ({entries[idx].hm})"]
     return verdict, notes
 
 
+def class_stream(klass: str, n: int) -> Iterator[ClassRecord]:
+    """Every class record of order n: "trees" or "unicyclic".
+
+    The generator is looked up in this module at each call, so a wrapper
+    put on verify.trees or verify.unicyclic_graphs sees every class.
+    """
+    return trees(n) if klass == "trees" else unicyclic_graphs(n)
+
+
+def verify_class(klass: str, n: int) -> VerdictReport:
+    """Check one class's family chain at order n, from the CLAIMS table.
+
+    The ranking window is one longer than the chain, so the value after
+    the chain is seen.  Below the class's claim floor the ranking is only
+    reported.
+    """
+    chain, tail_tie, least, floor, below_floor = CLAIMS[klass]
+    if n < least:
+        raise ValueError(f"verify_{klass} needs n >= {least}, got {n}")
+    entries = rank(class_stream(klass, n), len(chain) + 1, family_codes(klass, n))
+    if n < floor:
+        verdict, notes = "report-only", [below_floor]
+    else:
+        verdict, notes = _evaluate_chain(n, entries, chain, tail_tie)
+    return VerdictReport(
+        n, klass, tuple(chain), tuple(entries), verdict, _tie_groups(entries), tuple(notes)
+    )
+
+
 def verify_trees(n: int) -> VerdictReport:
     """Check that the four tree families head the ranking in strict order."""
-    if n < 5:
-        raise ValueError(f"verify_trees needs n >= 5, got {n}")
-    fams = family_codes("tree", n)
-    entries = rank(trees(n), 5, fams)
-    ties = _tie_groups(entries)
-    if n < TREE_FAMILY_MIN_N:
-        return VerdictReport(
-            n, "trees", tuple(TREE_TOP4), tuple(entries), "report-only", ties,
-            ("below family floor; ordering not evaluated",),
-        )
-    verdict, notes = _evaluate_chain(n, entries, TREE_TOP4, None, fams)
-    return VerdictReport(
-        n, "trees", tuple(TREE_TOP4), tuple(entries), verdict, ties, tuple(notes)
-    )
+    return verify_class("trees", n)
 
 
 def verify_unicyclic(n: int) -> VerdictReport:
     """Check the eight-family unicyclic chain; tail tie is pass-equivalent."""
-    if n < 3:
-        raise ValueError(f"verify_unicyclic needs n >= 3, got {n}")
-    fams = family_codes("unicyclic", n)
-    entries = rank(unicyclic_graphs(n), 9, fams)
-    ties = _tie_groups(entries)
-    if n < UNICYCLIC_CLAIM_MIN_N:
-        return VerdictReport(
-            n, "unicyclic", tuple(UNICYCLIC_TOP8), tuple(entries), "report-only",
-            ties, ("below the claim threshold; ordering not evaluated",),
-        )
-    verdict, notes = _evaluate_chain(
-        n, entries, UNICYCLIC_TOP8, UNICYCLIC_TAIL_TIE, fams
-    )
-    return VerdictReport(
-        n, "unicyclic", tuple(UNICYCLIC_TOP8), tuple(entries), verdict, ties,
-        tuple(notes),
-    )
+    return verify_class("unicyclic", n)
 
 
 def discover_tree_threshold(n_lo: int = 5, n_hi: int = 16) -> int | None:

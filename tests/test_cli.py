@@ -13,6 +13,7 @@ import pytest
 
 import hyperzagreb
 import hyperzagreb.cli
+from hyperzagreb import verify
 from hyperzagreb.cli import (
     MAX_CLASS_ORDER,
     MAX_OUTPUT_ORDER,
@@ -338,6 +339,16 @@ def test_readme_states_every_limit_with_its_value():
     assert set(re.findall(r"\bMAX_[A-Z_]+", text)) == set(limits)
 
 
+def test_readme_library_example_runs(capsys):
+    # the Python block under "Library example" runs as written
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert out.startswith("[(1, ") and "verdict: fail\n" in out
+
+
 GRAPH_INPUT_COMMANDS = ["compute g", "transform reduce g", "transform coalesce g h --at 0 --to 0"]
 
 
@@ -386,6 +397,35 @@ def test_negative_integers_still_parse(capsys):
     assert _exit_code(["enumerate", "trees", "-1"]) == 4
     assert _exit_code(["verify", "lemmas", "--seed", "-1", "--trials", "30"]) == 0
     assert capsys.readouterr().out.startswith("seed: -1\n")
+
+
+def test_a_range_with_a_negative_low_end_follows_a_double_dash(capsys):
+    # without "--" argparse reads "-3..5" as an option
+    assert _exit_code(["verify", "trees", "--", "-3..5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: verify_trees needs n >= 5, got -3\n"
+    assert _exit_code(["verify", "closed-forms", "--", "-5..7"]) == 0
+    assert capsys.readouterr().out.endswith("audit_verdict: pass\n")
+
+
+@pytest.mark.parametrize("klass,name", [("trees", "trees"), ("unicyclic", "unicyclic_graphs")])
+@pytest.mark.parametrize("command", ["verify", "rank", "enumerate"])
+def test_class_commands_draw_from_the_verify_generators(command, klass, name, monkeypatch, capsys):
+    # verify's trees and unicyclic_graphs are looked up at call time, so a
+    # wrapper put there (the benchmark counts classes this way) sees every class
+    real = getattr(verify, name)
+    seen = []
+
+    def counting(n):
+        for record in real(n):
+            seen.append(record)
+            yield record
+
+    monkeypatch.setattr(verify, name, counting)
+    assert main([command, klass, "8"]) == 0
+    capsys.readouterr()
+    assert len(seen) == sum(1 for _ in real(8))
 
 
 def test_rank_csv(capsys):

@@ -29,7 +29,7 @@ def test_catalog_faithful_over_validity_windows():
         for n in range(lo, lo + 31):
             g = entry.builder(n)
             assert g.n == n, key
-            assert (is_tree(g) if entry.kind == "tree" else is_unicyclic(g)), key
+            assert (is_tree(g) if entry.kind == "trees" else is_unicyclic(g)), key
             assert hyper_zagreb(g) == entry.poly.evaluate(n), (key, n)
 
 

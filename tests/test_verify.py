@@ -1,10 +1,13 @@
 import dataclasses
+import heapq
+import itertools
 
 import pytest
 
-from hyperzagreb import families
+from hyperzagreb import families, verify
+from hyperzagreb.canon import canonical_code
 from hyperzagreb.enumeration import trees, unicyclic_graphs
-from hyperzagreb.families import CATALOG
+from hyperzagreb.families import CATALOG, build_catalog_member
 from hyperzagreb.verify import (
     closed_form_audit,
     discover_tree_threshold,
@@ -17,12 +20,12 @@ from hyperzagreb.verify import (
 
 
 def test_rank_tree_examples():
-    fams = family_codes("tree", 5)
+    fams = family_codes("trees", 5)
     entries = rank(trees(5), 1, fams)
     assert len(entries) == 1
     assert entries[0].hm == 100 and entries[0].family_match == "S_n"
 
-    fams = family_codes("tree", 15)
+    fams = family_codes("trees", 15)
     entries = rank(trees(15), 4, fams)
     assert [e.hm for e in entries] == [3150, 2586, 2116, 2100]
     assert [e.family_match for e in entries] == ["S_n", "T^1_n", "T^2_n", "T^3_n"]
@@ -154,7 +157,90 @@ def test_closed_form_audit_builds_one_core_per_row(monkeypatch):
 
 
 def test_family_codes_distinct_labels():
-    fams = family_codes("unicyclic", 15)
-    assert len(fams) == sum(
-        1 for e in CATALOG.values() if e.kind == "unicyclic" and e.poly.valid_n_min <= 15
-    )
+    # every order where a chain is evaluated: one code per buildable family,
+    # so a family label names exactly one class
+    for kind, orders in (("trees", range(6, 21)), ("unicyclic", range(15, 18))):
+        for n in orders:
+            fams = family_codes(kind, n)
+            assert len(fams) == sum(
+                1 for e in CATALOG.values() if e.kind == kind and e.poly.valid_n_min <= n
+            ), (kind, n)
+
+
+INTERLOPER = "C_3(1,T^1_{n-3})"
+
+
+def _drop(*keys):
+    """A stream edit that removes the members of the named families."""
+    def keep(r):
+        return not any(
+            r.hm == CATALOG[k].poly.evaluate(r.n)
+            and canonical_code(r) == canonical_code(build_catalog_member(k, r.n))
+            for k in keys
+        )
+    return lambda records: filter(keep, records)
+
+
+def _top(count):
+    """A stream edit that keeps only the count records of largest index."""
+    return lambda records: heapq.nlargest(count, records, key=lambda r: r.hm)
+
+
+def _plus_unicyclic(n, hm):
+    """A stream edit that appends the first unicyclic class of order n and index hm."""
+    def edit(records):
+        extra = next(r for r in unicyclic_graphs(n) if r.hm == hm)
+        return itertools.chain(records, [extra])
+    return edit
+
+
+# class, order, stream edit, catalog row swap (row, source row, fields),
+# verdict, notes: one case per branch of the chain check
+CHAIN_CASES = {
+    "tail-tie-noted": (
+        "unicyclic", 15, _drop(INTERLOPER), None, "tie-noted",
+        ["documented equality: C_3(P_3,n-5) matches C_3(T^3_{n-2}) at hm 2170"],
+    ),
+    "chain-passes": ("unicyclic", 16, _drop(INTERLOPER), None, "pass", []),
+    "tail-missing": (
+        "unicyclic", 16, _drop(INTERLOPER, "C_3(T^3_{n-2})"), None, "fail",
+        ["C_3(T^3_{n-2}) missing at value 2698"],
+    ),
+    "ranking-ends": (
+        "unicyclic", 16, _top(2), None, "fail",
+        ["ranking ended before expected family C_3(T^1_{n-2})"],
+    ),
+    "wrong-family": (
+        "trees", 10, _drop("T^2_n"), None, "fail",
+        ["rank 3: observed T^3_n (hm 500) where T^2_n (hm 516) was expected"],
+    ),
+    "unexpected-tie": (
+        "trees", 9, _plus_unicyclic(9, 342), None, "fail",
+        ["unexpected tie at value 342"],
+    ),
+    "unexpected-member": (
+        "unicyclic", 15, _drop(INTERLOPER), ("C_3(P_3,n-5)", "C_3(3,n-6)", ["core"]),
+        "fail", ["unexpected member in tie at value 2170"],
+    ),
+    "not-strictly-smaller": (
+        "trees", 10, None, ("T^3_n", "broom3_n", ["poly", "core"]), "fail",
+        ["value after the chain is not strictly smaller (490)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES)
+def test_chain_check_verdict_and_note_per_branch(case, monkeypatch):
+    klass, n, edit, swap, verdict, notes = CHAIN_CASES[case]
+    if edit is not None:
+        name = "trees" if klass == "trees" else "unicyclic_graphs"
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda m: edit(real(m)))
+    if swap is not None:
+        key, source, fields = swap
+        changes = {f: getattr(CATALOG[source], f) for f in fields}
+        monkeypatch.setitem(CATALOG, key, dataclasses.replace(CATALOG[key], **changes))
+    check = verify_trees if klass == "trees" else verify_unicyclic
+    rep = check(n)
+    assert (rep.verdict, list(rep.notes)) == (verdict, notes)
+    assert rep.passed == (verdict != "fail")
