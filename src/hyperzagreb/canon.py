@@ -2,14 +2,15 @@
 
 Two graphs of these classes receive the same code iff they are isomorphic;
 codes are bytes, so they sort deterministically and serve both as dedup
-keys and as tie-breakers.  Trees use their centroid-rooted form, unicyclic
-graphs a dihedral-minimal necklace of hanging-tree forms.  Each hanging
-tree is ordered by its (size, bracket key), the order the form registry
-uses, and written with the key's bytes as ASCII parentheses: a graph's
-from rooted.hanging_keys, a class record's from its form ids and
-cycle_code's from its caller, with no graph built.  No step recurses, so
-depth costs no stack.  These are the only classes the system ranks; any
-other graph raises GraphError.
+keys and as tie-breakers.  A graph is read through its core, which
+hanging_trees finds in one leaf strip: a tree is coded by its form rooted
+at the centroid, a unicyclic graph by a dihedral-minimal necklace of its
+hanging-tree forms.  Each hanging tree is ordered by its (size, bracket
+key), the order the form registry uses, and written with the key's bytes
+as ASCII parentheses: a graph's keys come from the strip, a class record's
+from its form ids and cycle_code's from its caller, with no graph built.
+No step recurses, so depth costs no stack.  These are the only classes
+the system ranks; any other graph raises GraphError.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from .graphs import Graph, GraphError, is_tree, is_unicyclic
-from .rooted import CLOSE, OPEN, hanging_keys
+from .rooted import CLOSE, OPEN
 
 if TYPE_CHECKING:
     from .enumeration import ClassRecord
@@ -27,9 +28,11 @@ def canonical_code(g: Graph | ClassRecord) -> bytes:
     if not isinstance(g, Graph):
         return _record_code(g)
     if is_tree(g):
-        return _tree_code(g)
+        # one centroid, or two adjacent ones: their halves, smaller key first
+        halves = sorted(hanging_trees(g).values())
+        return _code(b"T%d" % len(halves), [key for _, key in halves])
     if is_unicyclic(g):
-        return cycle_code(hanging_keys(g.adj, cycle_vertices(g)))
+        return cycle_code(list(hanging_trees(g).values()))
     raise GraphError(
         f"canonical codes cover trees and connected unicyclic graphs only, "
         f"got n={g.n} with {g.num_edges} edges"
@@ -52,76 +55,54 @@ def _record_code(r: ClassRecord) -> bytes:
     return _code(b"T2", keys) if r.halves else _code(b"T1", [OPEN, *keys, CLOSE])
 
 
-def tree_centroids(g: Graph) -> list[int]:
-    """The one or two vertices minimizing the largest hanging subtree."""
-    n = g.n
-    if n == 1:
-        return [0]
-    # Subtree sizes from an arbitrary root via iterative post-order.
-    root = 0
-    parent = [-2] * n
-    parent[root] = -1
-    order = [root]
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in g.adj[u]:
-            if parent[v] == -2:
-                parent[v] = u
-                order.append(v)
-                stack.append(v)
-    size = [1] * n
-    for u in reversed(order):
-        if parent[u] >= 0:
-            size[parent[u]] += size[u]
-    out = []
-    for v in range(n):
-        heaviest = n - size[v]
-        for w in g.adj[v]:
-            if parent[w] == v:
-                heaviest = max(heaviest, size[w])
-        if heaviest <= n // 2:
-            out.append(v)
-    return out
+def hanging_trees(g: Graph) -> dict[int, tuple[int, bytes]]:
+    """The core of a tree or connected unicyclic graph: each core vertex
+    with the (size, bracket key) of the tree hanging from it.
 
-
-def _tree_code(g: Graph) -> bytes:
-    # one centroid, or two adjacent ones: their halves, smaller key first
-    cents = tree_centroids(g)
-    keys = sorted(hanging_keys(g.adj, cents))
-    return _code(b"T%d" % len(cents), [key for _, key in keys])
-
-
-def cycle_vertices(g: Graph) -> list[int]:
-    """The unique cycle of a unicyclic graph, in traversal order.
-
-    Found by repeatedly stripping leaves; the walk starts at the smallest
-    surviving vertex, direction unspecified (callers canonicalize).
+    One stack strips leaves.  A stripped vertex builds its key from its
+    children's and hands its size and key to its one remaining neighbour,
+    so no vertex is keyed before its children and a path holds O(n) bytes
+    at a time.  The edge count picks the core.  In a tree a leaf holding at
+    least n/2 vertices is kept: what remains has only such leaves, so it is
+    the centroid or the two adjacent centroids (Jordan, 1869), in vertex
+    order.  In a unicyclic graph everything off the cycle is stripped, and
+    the cycle is walked from its smallest vertex toward the smaller of its
+    neighbours.  Callers check the class first; the walk needs one cycle.
     """
-    deg = [len(a) for a in g.adj]
-    queue = [v for v in range(g.n) if deg[v] == 1]
-    alive = [True] * g.n
-    while queue:
-        v = queue.pop()
-        alive[v] = False
-        for w in g.adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    queue.append(w)
-    cycle_set = [v for v in range(g.n) if alive[v]]
-    start = cycle_set[0]
-    walk = [start]
-    prev = -1
-    cur = start
-    in_cycle = set(cycle_set)
-    while True:
-        nxt = next(w for w in g.adj[cur] if w in in_cycle and w != prev)
-        if nxt == start:
-            break
-        walk.append(nxt)
-        prev, cur = cur, nxt
-    return walk
+    n, adj = g.n, g.adj
+    deg = [len(a) for a in adj]
+    tree = sum(deg) < 2 * n
+    size = [1] * n
+    below: list = [[] for _ in range(n)]  # (size, key) per child; None once stripped
+    stack = [v for v in range(n) if deg[v] == 1]
+    while stack:
+        v = stack.pop()
+        if tree and 2 * size[v] >= n:
+            continue
+        kids, below[v] = below[v], None
+        for w in adj[v]:  # its one neighbour left
+            if below[w] is not None:
+                break
+        # a leaf's key needs no sort
+        below[w].append((size[v], _key(kids) if kids else OPEN + CLOSE))
+        size[w] += size[v]
+        deg[w] -= 1
+        if deg[w] == 1:
+            stack.append(w)
+    core = [v for v in range(n) if below[v] is not None]
+    if not tree:
+        walk, prev, cur = [], -1, core[0]
+        for _ in core:
+            walk.append(cur)
+            prev, cur = cur, next(x for x in adj[cur] if x != prev and below[x] is not None)
+        core = walk
+    return {v: (size[v], _key(below[v])) for v in core}
+
+
+def _key(kids: list[tuple[int, bytes]]) -> bytes:
+    """Bracket key of a vertex from its children's (size, key) pairs."""
+    kids.sort(reverse=True)
+    return OPEN + b"".join([k for _, k in kids]) + CLOSE
 
 
 def cycle_code(keys: list[tuple[int, bytes]]) -> bytes:

@@ -8,8 +8,8 @@ OPEN, its children's keys in descending (size, key) order, then CLOSE.
 CLOSE sorts below OPEN, so within one size the byte order of keys is the
 lexicographic order of nested tuples, and comparing id tuples agrees with
 comparing forms.  canon codes a class record from the keys of its ids, and
-a graph from the keys of its hanging trees (hanging_keys), computed
-without recursion however deep the tree.
+a graph from the keys of its hanging trees, which canon.hanging_trees
+builds without recursion however deep the tree.
 
 Family builders describe forms to form_graph as nested tuples: the empty
 tuple is a single vertex and a node is the tuple of its child forms in
@@ -113,39 +113,6 @@ def path_form(length_edges: int) -> Form:
     for _ in range(length_edges):
         f = (f,)
     return f
-
-
-def hanging_keys(adj, roots: Sequence[int]) -> list[tuple[int, bytes]]:
-    """(size, bracket key) of the tree hanging from each root.
-
-    One traversal from all roots at once, which never enters a root from
-    another's tree: for the cycle vertices of a unicyclic graph it yields
-    their hanging trees, for two adjacent centroids the two halves.  The
-    region each root reaches must be acyclic.  A vertex's key is dropped
-    once its parent's is built, so a path holds O(n) bytes at a time.
-    """
-    parent = dict.fromkeys(roots, -1)
-    order = list(roots)
-    stack = list(roots)
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in parent:
-                parent[v] = u
-                order.append(v)
-                stack.append(v)
-    below: dict[int, list[tuple[int, bytes]]] = {u: [] for u in order}
-    done = {}
-    for u in reversed(order):
-        kids = below.pop(u)
-        kids.sort(reverse=True)
-        item = (1 + sum([s for s, _ in kids]), OPEN + b"".join([k for _, k in kids]) + CLOSE)
-        p = parent[u]
-        if p < 0:
-            done[u] = item
-        else:
-            below[p].append(item)
-    return [done[r] for r in roots]
 
 
 def cycle_adj(m: int) -> list[list[int]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import cycle_code, cycle_vertices
+from .canon import cycle_code, hanging_trees
 from .graphs import Graph, GraphError, from_adjacency, hyper_zagreb, is_unicyclic
 from .families import cycle_with_stars
 from .rooted import star_key
@@ -88,26 +88,12 @@ def join_vs_identify(g1: Graph, u: int, g2: Graph, v: int) -> JoinIdentifyPair:
 
 
 def _hanging_counts(g: Graph) -> tuple[list[int], bool]:
-    """Vertices hanging at each cycle vertex, in cycle_vertices walk order,
-    and whether every off-cycle vertex is a leaf (so all trees are stars)."""
+    """Vertices hanging at each cycle vertex, in hanging_trees' walk order,
+    and whether every one of them is a leaf (so all trees are stars)."""
     if not is_unicyclic(g):
         raise StructureError("input must be connected and unicyclic")
-    cyc = cycle_vertices(g)
-    seen = set(cyc)
-    counts = []
-    stars = True
-    for v in cyc:
-        count = 0
-        stack = [v]
-        while stack:
-            for y in g.adj[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    count += 1
-                    stars = stars and g.degree(y) == 1
-                    stack.append(y)
-        counts.append(count)
-    return counts, stars
+    hanging = hanging_trees(g).values()
+    return [s - 1 for s, _ in hanging], all(key == star_key(s - 1) for s, key in hanging)
 
 
 def _move_star(counts: list[int], src: int, tgt: int) -> list[int]:
@@ -138,8 +124,9 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
     if not stars:
         # Star-collapse: keep the cycle, flatten each hanging tree.
         chain.append(cycle_with_stars(m, counts))
-    # cycle_with_stars numbers the cycle 0..m-1, the order cycle_vertices
-    # walks it in, so counts stay the profile of the last graph in the chain.
+    # cycle_with_stars numbers the cycle 0..m-1, the order hanging_trees
+    # walks it in (from 0 toward 1), so counts stay the profile of the last
+    # graph in the chain.
     hm = hyper_zagreb(chain[-1])
     while True:
         positions = [p for p, c in enumerate(counts) if c > 0]

@@ -17,7 +17,7 @@ import pytest
 import hyperzagreb
 from brute_iso import brute_isomorphic
 from hyperzagreb import enumeration, rooted
-from hyperzagreb.canon import _least_rotation, canonical_code, cycle_vertices, tree_centroids
+from hyperzagreb.canon import _least_rotation, canonical_code, hanging_trees
 from hyperzagreb.enumeration import (
     _graph_from_mask,
     _orbit_partition,
@@ -230,11 +230,55 @@ def test_codes_agree_with_networkx_vf2():
     assert same >= 80 and hard >= 80
 
 
-def test_centroids_and_cycle_helpers():
-    assert tree_centroids(path(4)) == [1, 2]
-    assert tree_centroids(path(5)) == [2]
-    assert tree_centroids(build_catalog_member("S_n", 7)) == [0]
-    assert sorted(cycle_vertices(cycle_with_stars(4, [3, 1]))) == [0, 1, 2, 3]
+def _largest_component_without(g, v):
+    """Order of the largest component of g - v."""
+    largest = 0
+    for w in g.adj[v]:
+        seen = {v, w}
+        stack = [w]
+        while stack:
+            for y in g.adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        largest = max(largest, len(seen) - 1)
+    return largest
+
+
+def _strip_leaves(g):
+    """The vertices left once degree-1 vertices are deleted until none is."""
+    alive = set(range(g.n))
+    while True:
+        leaves = {v for v in alive if sum(w in alive for w in g.adj[v]) == 1}
+        if not leaves:
+            return alive
+        alive -= leaves
+
+
+def test_hanging_trees_hang_from_the_centroids_or_the_cycle():
+    rng = random.Random(21)
+
+    def relabeled(g):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return _relabel(g, perm)
+
+    for n in range(1, 13):
+        for r in trees(n):
+            g = relabeled(r.graph())
+            hanging = hanging_trees(g)
+            worst = [_largest_component_without(g, v) for v in range(n)]
+            assert list(hanging) == [v for v in range(n) if worst[v] == min(worst)]
+            assert sum(s for s, _ in hanging.values()) == n
+    for n in range(3, 11):
+        for r in unicyclic_graphs(n):
+            g = relabeled(r.graph())
+            hanging = hanging_trees(g)
+            walk = list(hanging)
+            assert sorted(walk) == sorted(_strip_leaves(g))
+            assert walk[0] == min(walk) and walk[1] < walk[-1]
+            assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:] + walk[:1]))
+            assert sum(s for s, _ in hanging.values()) == n
 
 
 def test_deterministic_across_runs():

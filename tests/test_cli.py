@@ -1,8 +1,10 @@
 import hashlib
+import importlib
 import io
 import json
 import os
 import pathlib
+import pkgutil
 import random
 import re
 import subprocess
@@ -337,6 +339,24 @@ def test_readme_states_every_limit_with_its_value():
             stated = f"`{name}` = {value}"
         assert stated in text, stated
     assert set(re.findall(r"\bMAX_[A-Z_]+", text)) == set(limits)
+
+
+def test_readme_names_only_what_the_package_has():
+    # every backticked `module.name...` whose module is one of hyperzagreb's
+    # resolves, attribute by attribute
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    modules = {m.name for m in pkgutil.iter_modules(hyperzagreb.__path__)}
+    refs = [
+        (first, rest.split(".")[1:])
+        for first, rest in re.findall(r"`([a-z_]+)((?:\.\w+)+)", text)
+        if first in modules
+    ]
+    assert len(refs) >= 5
+    for first, attrs in refs:
+        obj = importlib.import_module(f"hyperzagreb.{first}")
+        for attr in attrs:
+            assert hasattr(obj, attr), f"{first}.{'.'.join(attrs)}"
+            obj = getattr(obj, attr)
 
 
 def test_readme_library_example_runs(capsys):

@@ -1,8 +1,9 @@
+from hyperzagreb.canon import hanging_trees
 from hyperzagreb.graphs import hyper_zagreb, make_graph
 from hyperzagreb.rooted import (
+    cycle_adj,
     form_graph,
     form_tables,
-    hanging_keys,
     path_form,
     star_form,
 )
@@ -65,12 +66,14 @@ def test_form_graph_round_trip():
 
 def test_ids_hang_and_key_like_their_nested_forms():
     # form_graph lays out an id exactly as its nested tuple, and keys[fid]
-    # is the bracket key hanging_keys reads off the built tree.
+    # is the bracket key hanging_trees reads off the form hung from vertex 0
+    # of a triangle.
     tables = form_tables(8)
     for fid in range(len(tables.children)):
         g = form_graph([[]], [(0, fid)], tables.children)
         assert g == form_graph([[]], [(0, nested_form(tables, fid))])
-        assert hanging_keys(g.adj, [0])[0][1] == tables.keys[fid]
+        g = form_graph(cycle_adj(3), [(0, fid)], tables.children)
+        assert hanging_trees(g)[0] == (g.n - 2, tables.keys[fid])
 
 
 def test_shorthand_forms():

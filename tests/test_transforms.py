@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperzagreb.canon import canonical_code, cycle_vertices
+from hyperzagreb.canon import canonical_code, hanging_trees
 from hyperzagreb.codec import encode_graph6
 from hyperzagreb.enumeration import prufer_edges, unicyclic_graphs
 from hyperzagreb.families import (
@@ -213,8 +213,13 @@ def test_reduction_chain_examples():
 
     assert len(reduce_to_single_attachment(cycle_with_stars(3, [12]))) == 1
     assert len(reduce_to_single_attachment(cycle_with_stars(9, []))) == 1
-    with pytest.raises(StructureError):
-        reduce_to_single_attachment(path(6))
+    # a tree, two disjoint triangles (n edges) and a bowtie (connected,
+    # n + 1 edges): the class guard refuses each before any leaf is stripped
+    two_triangles = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    bowtie = make_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+    for g in (path(6), two_triangles, bowtie):
+        with pytest.raises(StructureError):
+            reduce_to_single_attachment(g)
 
 
 def test_star_code_is_the_canonical_code_of_the_built_graph():
@@ -262,7 +267,7 @@ def test_reduction_chain_exhaustive_small():
                 assert all(x.n == n and x.num_edges == n for x in chain)
                 hms = [hyper_zagreb(x) for x in chain]
                 assert all(a < b for a, b in zip(hms, hms[1:]))
-                m = len(cycle_vertices(g))
+                m = len(hanging_trees(g))
                 assert hms[-1] == cycle_star_hm(m, n)
                 assert hms[0] <= cycle_star_hm(m, n)
                 for y in chain:
