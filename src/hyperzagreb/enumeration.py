@@ -32,11 +32,15 @@ The labeled oracle is the independent ground truth used to certify both
 generators at small orders: it scans every labeled graph of the class as an
 edge-bit mask (each labeled tree walked once as a parent function toward
 vertex n - 1, a unicyclic graph as a tree plus one edge) and partitions
-them into isomorphism classes purely by permutation orbits.  An orbit is
-formed by one walk from any mask not yet placed through all n! relabelings
-in Trotter-Johnson order, one adjacent vertex transposition per step
-applied through three chunk lookup tables; the masks the walk meets are the
-orbit, and are removed from the scan's set.
+them into isomorphism classes purely by permutation orbits.  A walk
+relabels a mask through the (n - 1)! permutations that fix vertex n - 1 in
+Trotter-Johnson order, one adjacent vertex transposition per step applied
+through three chunk lookup tables.  S_n is the union of the cosets of that
+stabilizer, one per vertex sent to n - 1, so the orbit of any mask not yet
+placed is the union of the walks from its n coset images; an image that an
+earlier walk met is skipped, which leaves one walk per vertex orbit of the
+class's automorphism group.  The orbit's masks are removed from the scan's
+set.
 """
 
 from __future__ import annotations
@@ -386,24 +390,38 @@ def _chunk_tables(n: int) -> tuple[list[tuple[list[int], ...]], int]:
 def _orbit_partition(n: int, masks: set[int]) -> list[tuple[int, int]]:
     """Split labeled masks into relabeling orbits, consuming the set.
 
-    One walk per orbit: from any mask left, the Trotter-Johnson swaps relabel
-    it through all n! permutations, one chunk-table lookup per step, and the
-    masks it meets are the orbit.  Each orbit must lie in the set (else
-    ValueError: the set is not a union of orbits) and is removed from it, so
-    the orbit sizes add up to the set's size.  Returns (smallest mask, orbit
-    size) pairs, smallest first.
+    The Trotter-Johnson swaps of range(n - 1) relabel a mask through the
+    (n - 1)! permutations that fix vertex n - 1, one chunk-table lookup per
+    step, so a walk from y meets the sub-orbit S_(n-1) y.  The right cosets
+    of S_(n-1) in S_n are told apart by the vertex sent to n - 1, and the
+    rotation c_i = s_(n-2) ... s_i (apply s_i first) sends i there, so
+    S_n = S_(n-1) c_0 u ... u S_(n-1) c_(n-1) with c_(n-1) the identity,
+    and the orbit of x is the union of the sub-orbits of its n images c_i x.
+    An image already met lies in a sub-orbit already walked and is skipped,
+    so a class takes one walk per vertex orbit of its automorphism group.
+
+    Each orbit must lie in the set (else ValueError: the set is not a union
+    of orbits) and is removed from it, so the orbit sizes add up to the
+    set's size.  Returns (smallest mask, orbit size) pairs, smallest first.
     """
     tables, w = _chunk_tables(n)
-    steps = [tables[g] for g in _trotter_johnson_swaps(n)]
+    steps = [tables[g] for g in _trotter_johnson_swaps(n - 1)]
     low, w2 = (1 << w) - 1, 2 * w
     out = []
     while masks:
-        x = next(iter(masks))
-        orbit = {x}
+        x0 = next(iter(masks))
+        orbit: set[int] = set()
         add = orbit.add
-        for t0, t1, t2 in steps:
-            x = t0[x & low] | t1[x >> w & low] | t2[x >> w2]
+        for i in range(n - 1, -1, -1):
+            x = x0
+            for t0, t1, t2 in tables[i:]:  # c_i: swap i and i + 1, ..., n - 2 and n - 1
+                x = t0[x & low] | t1[x >> w & low] | t2[x >> w2]
+            if x in orbit:
+                continue
             add(x)
+            for t0, t1, t2 in steps:
+                x = t0[x & low] | t1[x >> w & low] | t2[x >> w2]
+                add(x)
         if not orbit <= masks:
             raise ValueError("mask set is not closed under relabeling")
         masks -= orbit

@@ -35,8 +35,8 @@ class Graph:
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
         # Internal constructor: build through make_graph (validates an edge
         # list) or from_adjacency (trusted, simple by construction).  The
-        # graph6 decoder calls it directly: its lists are sorted and simple
-        # by construction.
+        # graph6 decoder, transforms.coalesce and join_vs_identify call it
+        # directly: they write sorted tuples of a simple graph.
         self.n = n
         self.adj = adj
 
@@ -64,7 +64,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -102,10 +102,9 @@ def make_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def from_adjacency(adj: list[list[int]]) -> Graph:
     """Trusted fast path for adjacency lists that are simple by construction.
 
-    Nothing is validated.  Graphs grown from rooted forms (rooted.form_graph)
-    come this way, and so do transforms.coalesce and join_vs_identify: they
-    merge one vertex of two simple graphs, or join them by one edge, which
-    adds no loop or parallel edge.  Edges from outside (edge lists, tests)
+    Nothing is validated; each list is sorted.  Graphs grown from rooted
+    forms (rooted.form_graph) and the lemma suite's random trees and
+    unicyclic graphs come this way.  Edges from outside (edge lists, tests)
     go through make_graph instead.
     """
     return Graph(len(adj), tuple(tuple(sorted(a)) for a in adj))

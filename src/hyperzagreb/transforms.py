@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import cycle_code, hanging_trees
-from .graphs import Graph, GraphError, from_adjacency, hyper_zagreb, is_unicyclic
+from .graphs import Graph, GraphError, hyper_zagreb, is_unicyclic
 from .families import cycle_with_stars
 from .rooted import star_key
 
@@ -34,12 +34,19 @@ def coalesce(g: Graph, u: int, h: Graph, z: int) -> Graph:
         raise GraphError(f"vertex {u} out of range for g")
     if not 0 <= z < h.n:
         raise GraphError(f"vertex {z} out of range for h")
-    # h's vertex x becomes u at x = z, else the next free id past g's
-    remap = [g.n + x - (x > z) if x != z else u for x in range(h.n)]
-    adj = [list(a) for a in g.adj] + [[] for _ in range(h.n - 1)]
+    # h's vertex x becomes u at x = z, else the next free id past g's.  The
+    # map rises on x != z and u lies below every new id, so each list comes
+    # out sorted: u leads the list of each neighbour of z, and at u the new
+    # ids follow g's.
+    r = [g.n + x - (x > z) for x in range(h.n)]
+    r[z] = u
+    adj = list(g.adj)
+    adj[u] += tuple([r[y] for y in h.adj[z]])
     for x, nbrs in enumerate(h.adj):
-        adj[remap[x]] += [remap[y] for y in nbrs]
-    return from_adjacency(adj)
+        if x != z:
+            mapped = tuple([r[y] for y in nbrs if y != z])
+            adj.append((u, *mapped) if z in nbrs else mapped)
+    return Graph(len(adj), tuple(adj))
 
 
 def attach_conditions(g: Graph, u: int, w: int) -> tuple[bool, bool, bool, bool]:
@@ -73,15 +80,18 @@ def join_vs_identify(g1: Graph, u: int, g2: Graph, v: int) -> JoinIdentifyPair:
         raise GraphError(f"vertex {u} out of range for g1")
     if not 0 <= v < g2.n:
         raise GraphError(f"vertex {v} out of range for g2")
+    # Sorted tuples throughout: g2's ids shift past g1's, so v's new
+    # neighbour u leads its list and u's new neighbour closes its list.
     offset = g1.n
-    adj = [list(a) for a in g1.adj] + [[y + offset for y in a] for a in g2.adj]
-    adj[u].append(v + offset)
-    adj[v + offset].append(u)
-    joined = from_adjacency(adj)
+    adj = list(g1.adj) + [tuple([y + offset for y in a]) for a in g2.adj]
+    adj[u] += (v + offset,)
+    adj[v + offset] = (u, *adj[v + offset])
+    joined = Graph(len(adj), tuple(adj))
 
-    adj = [list(a) for a in coalesce(g1, u, g2, v).adj] + [[u]]
-    adj[u].append(len(adj) - 1)
-    identified = from_adjacency(adj)
+    adj = list(coalesce(g1, u, g2, v).adj)
+    adj[u] += (len(adj),)  # the pendant, the largest id
+    adj.append((u,))
+    identified = Graph(len(adj), tuple(adj))
 
     applicable = joined.degree(u) >= 2 and joined.degree(v + offset) >= 2
     return JoinIdentifyPair(joined=joined, identified=identified, applicable=applicable)

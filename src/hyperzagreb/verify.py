@@ -346,27 +346,31 @@ class SuiteReport:
         }
 
 
-def _random_tree(rng: random.Random, n: int) -> Graph:
+def _random_tree_lists(rng: random.Random, n: int) -> list[list[int]]:
+    """Unsorted adjacency lists of a uniform random labeled tree."""
     adj: list[list[int]] = [[] for _ in range(n)]
     if n > 1:
         for u, v in prufer_edges([rng.randrange(n) for _ in range(n - 2)], n):
             adj[u].append(v)
             adj[v].append(u)
-    return from_adjacency(adj)
+    return adj
+
+
+def _random_tree(rng: random.Random, n: int) -> Graph:
+    return from_adjacency(_random_tree_lists(rng, n))
 
 
 def _random_base_graph(rng: random.Random, n: int) -> Graph:
     """Random tree, or random unicyclic obtained by closing one extra edge."""
-    t = _random_tree(rng, n)
+    adj = _random_tree_lists(rng, n)
     if n >= 3 and rng.random() < 0.5:
         while True:
             u, v = rng.randrange(n), rng.randrange(n)
-            if u != v and not t.has_edge(u, v):
-                adj = [list(a) for a in t.adj]
+            if u != v and v not in adj[u]:
                 adj[u].append(v)
                 adj[v].append(u)
-                return from_adjacency(adj)
-    return t
+                break
+    return from_adjacency(adj)
 
 
 def _pair_g6(a: Graph, b: Graph) -> str:

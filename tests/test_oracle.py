@@ -123,8 +123,10 @@ def test_swaps_visit_every_permutation_once(n):
 
 
 def test_partition_matches_explicit_permutations():
-    for n in range(1, 6):
-        mask_sets = [_labeled_tree_masks(n), set(range(1 << len(_edge_pairs(n))))]
+    for n in range(1, 7):
+        mask_sets = [_labeled_tree_masks(n)]
+        if n <= 5:  # every graph: 2^15 masks at n = 6 is too many to permute
+            mask_sets.append(set(range(1 << len(_edge_pairs(n)))))
         if n >= 3:
             mask_sets.append(_labeled_unicyclic_masks(n))
         for masks in mask_sets:
@@ -137,13 +139,15 @@ def test_partition_matches_explicit_permutations():
 
 
 def test_partition_refuses_a_set_not_closed_under_relabeling():
-    short = _labeled_tree_masks(5)
-    short.discard(max(short))
-    with pytest.raises(ValueError):
-        _orbit_partition(5, short)
-    extra = _labeled_tree_masks(5) | {1}  # one edge: not a tree
-    with pytest.raises(ValueError):
-        _orbit_partition(5, extra)
+    # Drop each mask in turn, so every class loses one, wherever the mask
+    # lies among the stabilizer walks that make up its orbit.
+    for full in (_labeled_tree_masks(5), _labeled_unicyclic_masks(5)):
+        for missing in sorted(full):
+            with pytest.raises(ValueError):
+                _orbit_partition(5, full - {missing})
+        extra = full | {1}  # one edge: neither a tree nor unicyclic
+        with pytest.raises(ValueError):
+            _orbit_partition(5, extra)
 
 
 def test_labeled_totals_match_counting_formulas():

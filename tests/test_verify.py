@@ -1,13 +1,17 @@
 import dataclasses
+import hashlib
 import heapq
 import itertools
+import random
 
 import pytest
 
 from hyperzagreb import families, verify
 from hyperzagreb.canon import canonical_code
+from hyperzagreb.codec import encode_graph6
 from hyperzagreb.enumeration import trees, unicyclic_graphs
 from hyperzagreb.families import CATALOG, build_catalog_member
+from hyperzagreb.graphs import make_graph
 from hyperzagreb.verify import (
     closed_form_audit,
     discover_tree_threshold,
@@ -104,6 +108,23 @@ def test_lemma_suite_smoke():
     # determinism of the seeded run
     again = lemma_suite(seed=0, trials=200)
     assert report.to_text() == again.to_text()
+
+
+# sha256 over the graph6 of the lemma suite's first 500 base graphs and then
+# 500 hanging trees from random.Random(0), drawn as attachment-shift draws
+# them; pinned while both were still built by copying a tree Graph's lists.
+RANDOM_DRAWS_SHA256 = "4a2f6e923c9ade6c26f4647f458e73014359b2faadb2ca689149778ba8010856"
+
+
+def test_lemma_random_draws_pinned():
+    rng = random.Random(0)
+    drawn = [verify._random_base_graph(rng, rng.randint(3, 10)) for _ in range(500)]
+    drawn += [verify._random_tree(rng, rng.randint(2, 8)) for _ in range(500)]
+    h = hashlib.sha256()
+    for g in drawn:
+        assert g == make_graph(g.n, g.edges())
+        h.update(encode_graph6(g).encode() + b"\n")
+    assert h.hexdigest() == RANDOM_DRAWS_SHA256
 
 
 def test_closed_form_audit():
