@@ -7,8 +7,8 @@ hanging_trees finds in one leaf strip: a tree is coded by its form rooted
 at the centroid, a unicyclic graph by a dihedral-minimal necklace of its
 hanging-tree forms.  Each hanging tree is ordered by its (size, bracket
 key), the order the form registry uses, and written with the key's bytes
-as ASCII parentheses: a graph's keys come from the strip, a class record's
-from its form ids and cycle_code's from its caller, with no graph built.
+as ASCII parentheses: a graph's keys come from the strip and a class
+record's from its form ids, with no graph built.
 No step recurses, so depth costs no stack.  These are the only classes
 the system ranks; any other graph raises GraphError.
 """
@@ -32,7 +32,8 @@ def canonical_code(g: Graph | ClassRecord) -> bytes:
         halves = sorted(hanging_trees(g).values())
         return _code(b"T%d" % len(halves), [key for _, key in halves])
     if is_unicyclic(g):
-        return cycle_code(list(hanging_trees(g).values()))
+        walk = dihedral_least(list(hanging_trees(g).values()))
+        return _code(b"U" + len(walk).to_bytes(4, "big"), [key for _, key in walk])
     raise GraphError(
         f"canonical codes cover trees and connected unicyclic graphs only, "
         f"got n={g.n} with {g.num_edges} edges"
@@ -105,11 +106,9 @@ def _key(kids: list[tuple[int, bytes]]) -> bytes:
     return OPEN + b"".join([k for _, k in kids]) + CLOSE
 
 
-def cycle_code(keys: list[tuple[int, bytes]]) -> bytes:
-    """Code of a unicyclic graph from its hanging trees' (size, bracket key)
-    pairs in cycle walk order: their least rotation or reflection."""
-    best = min(_least_rotation(keys), _least_rotation(keys[::-1]))
-    return _code(b"U" + len(keys).to_bytes(4, "big"), [key for _, key in best])
+def dihedral_least(s: list) -> list:
+    """The lexicographically least rotation or reflection of s."""
+    return min(_least_rotation(s), _least_rotation(s[::-1]))
 
 
 def _least_rotation(s: list) -> list:

@@ -40,10 +40,11 @@ from .verify import (
 # graph6 output is quadratic in the order (about 5.5 GB at graph6's limit
 # of 258,047 vertices), so family and transform refuse larger ones; writing
 # a graph of this order takes about 5 ms, and `family S_n 4000` 0.15 s.  The
-# rest cap work timed on a 2-core box: reduce on 501 vertices, a leaf at
-# every other cycle vertex (11 s), rank trees 20 and unicyclic 17 (1.4 s,
-# 3.1 s; ~3x per order), 100,000 lemma trials (8 s).  The closed-form audit
-# has no cap: it compares one derived cubic per family, whatever its range.
+# rest cap work timed on a 2-core box: reduce on 498 vertices, a leaf at
+# every other cycle vertex (3.4-4.1 s, cubic in the order), rank trees 20
+# and unicyclic 17 (1.4 s, 3.1 s; ~3x per order), 100,000 lemma trials
+# (8 s).  The closed-form audit has no cap: it compares one derived cubic
+# per family, whatever its range.
 # rank builds every survivor of its window, so k is capped too: at 10,000,
 # trees 20 and unicyclic 17 took 2.5 s / 43 MiB and 4.2 s / 71 MiB.
 MAX_OUTPUT_ORDER = 4000

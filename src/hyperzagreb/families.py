@@ -121,7 +121,11 @@ def cycle_with_stars(m: int, pendant_counts: Sequence[int]) -> Graph:
     """C_m(l_1, ..., l_k): pendant stars at the first k cycle positions.
 
     A zero count means the position carries nothing.  A star's center is
-    its cycle vertex, whose degree is 2 plus the count.
+    its cycle vertex, whose degree is 2 plus the count.  The labels are
+    rooted.form_graph's: the cycle is 0..m-1, then each star's leaves take
+    the next free ids in position order.  A center's two cycle neighbours
+    come before its leaves, which lie past the cycle, so every list is
+    written sorted and nothing is sorted again.
     """
     if m < 3:
         raise FamilyDomainError(f"cycle length must be >= 3, got {m}")
@@ -129,7 +133,13 @@ def cycle_with_stars(m: int, pendant_counts: Sequence[int]) -> Graph:
         raise FamilyDomainError(
             f"need at most {m} pendant counts, none negative: {list(pendant_counts)}"
         )
-    return form_graph(cycle_adj(m), [(p, star_form(c)) for p, c in enumerate(pendant_counts)])
+    adj = [(p - 1, p + 1) for p in range(m)]
+    adj[0], adj[-1] = (1, m - 1), (0, m - 2)
+    for p, c in enumerate(pendant_counts):
+        if c:
+            adj[p] += tuple(range(len(adj), len(adj) + c))
+            adj += [(p,)] * c
+    return Graph(len(adj), tuple(adj))
 
 
 def cycle_star_hm(m: int, n: int) -> int:

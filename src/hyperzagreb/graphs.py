@@ -35,8 +35,9 @@ class Graph:
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
         # Internal constructor: build through make_graph (validates an edge
         # list) or from_adjacency (trusted, simple by construction).  The
-        # graph6 decoder, transforms.coalesce and join_vs_identify call it
-        # directly: they write sorted tuples of a simple graph.
+        # graph6 decoder, families.cycle_with_stars, transforms.coalesce and
+        # join_vs_identify call it directly: they write sorted tuples of a
+        # simple graph.
         self.n = n
         self.adj = adj
 

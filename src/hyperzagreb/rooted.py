@@ -102,11 +102,6 @@ def star_form(pendants: int) -> Form:
     return ((),) * pendants
 
 
-def star_key(pendants: int) -> bytes:
-    """Bracket key of star_form(pendants)."""
-    return OPEN + (OPEN + CLOSE) * pendants + CLOSE
-
-
 def path_form(length_edges: int) -> Form:
     """Path with the given edge count, rooted at one endpoint."""
     f: Form = ()

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import cycle_code, hanging_trees
+from .canon import dihedral_least, hanging_trees
 from .graphs import Graph, GraphError, hyper_zagreb, is_unicyclic
 from .families import cycle_with_stars
-from .rooted import star_key
 
 
 class StructureError(GraphError):
@@ -102,8 +101,9 @@ def _hanging_counts(g: Graph) -> tuple[list[int], bool]:
     and whether every one of them is a leaf (so all trees are stars)."""
     if not is_unicyclic(g):
         raise StructureError("input must be connected and unicyclic")
-    hanging = hanging_trees(g).values()
-    return [s - 1 for s, _ in hanging], all(key == star_key(s - 1) for s, key in hanging)
+    counts = [s - 1 for s, _ in hanging_trees(g).values()]
+    # every leaf hangs off the cycle, so the two counts agree iff all do
+    return counts, sum(counts) == [len(a) for a in g.adj].count(1)
 
 
 def _move_star(counts: list[int], src: int, tgt: int) -> list[int]:
@@ -114,11 +114,6 @@ def _move_star(counts: list[int], src: int, tgt: int) -> list[int]:
     return moved
 
 
-def _star_code(counts: list[int]) -> bytes:
-    """canonical_code of cycle_with_stars(len(counts), counts), unbuilt."""
-    return cycle_code([(c + 1, star_key(c)) for c in counts])
-
-
 def reduce_to_single_attachment(g: Graph) -> list[Graph]:
     """Monotone chain from a unicyclic graph down to one pendant star.
 
@@ -127,6 +122,16 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
     until one remains.  The index strictly increases at every appended step,
     and the final graph is the cycle with a single pendant star (or the bare
     cycle when there was nothing to move).
+
+    Of the candidate sources, the merge whose result has the least
+    canonical code is taken, the first of equal ones.  It is found from the
+    pendant counts alone.  canonical_code orders a star of c leaves by
+    (c + 1, bracket key), which rises with c, so the rotation or reflection
+    it writes is the dihedral-least one of the counts.  A star's key
+    reads "(" + "()" * c + ")", so two codes of one cycle length first
+    differ where those count lists first differ.  There the larger count
+    writes "(" and the smaller ")", which sorts above it: the least code
+    belongs to the largest dihedral-least count list.
     """
     counts, stars = _hanging_counts(g)
     m = len(counts)
@@ -155,8 +160,8 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
                 if p != tgt and deg((p + 1) % m) + deg((p - 1) % m) <= rhs
             ]
             assert sources, "no dominance-compatible source attachment"
-        # the least canonical code; min keeps the first of equal codes
-        src = min(sources, key=lambda p: _star_code(_move_star(counts, p, tgt)))
+        # the least canonical code (see above); max keeps the first of equal keys
+        src = max(sources, key=lambda p: dihedral_least(_move_star(counts, p, tgt)))
         counts = _move_star(counts, src, tgt)
         nxt = cycle_with_stars(m, counts)
         nxt_hm = hyper_zagreb(nxt)

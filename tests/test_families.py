@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import product
 
 import pytest
 
@@ -18,7 +19,7 @@ from hyperzagreb.families import (
     path,
 )
 from hyperzagreb.graphs import hyper_zagreb, is_tree, is_unicyclic, make_graph
-from hyperzagreb.rooted import cycle_adj, form_graph, path_form
+from hyperzagreb.rooted import cycle_adj, form_graph, path_form, star_form
 
 
 def test_catalog_faithful_over_validity_windows():
@@ -160,6 +161,31 @@ def test_rooted_tree_attachment():
         cycle_with_stars(3, [1, -1])
     with pytest.raises(FamilyDomainError):
         cycle_with_stars(2, [1])
+
+
+def test_cycle_with_stars_keeps_the_form_graph_layout():
+    # the cycle 0..m-1, then each star's leaves in position order, exactly
+    # as form_graph hangs star forms, for short vectors as well as full ones
+    vectors = [
+        (m, list(c)) for m in range(3, 7) for k in range(m + 1)
+        for c in product(range(4), repeat=k)
+    ]
+    rng = random.Random(23)
+    for _ in range(300):
+        m = rng.randint(3, 60)
+        k = rng.randint(0, m)
+        vectors.append((m, [rng.choice((0, 0, 1, 2, rng.randint(0, 40))) for _ in range(k)]))
+    for m, counts in vectors:
+        want = form_graph(cycle_adj(m), [(p, star_form(x)) for p, x in enumerate(counts)])
+        assert cycle_with_stars(m, counts) == want, (m, counts)
+    for m, counts, message in (
+        (2, [1], "cycle length must be >= 3, got 2"),
+        (3, [1, 0, 0, 2], "need at most 3 pendant counts, none negative: [1, 0, 0, 2]"),
+        (4, (0, -1), "need at most 4 pendant counts, none negative: [0, -1]"),
+    ):
+        with pytest.raises(FamilyDomainError) as err:
+            cycle_with_stars(m, counts)
+        assert str(err.value) == message
 
 
 def test_attachment_merges_root_degree():

@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperzagreb.canon import canonical_code, hanging_trees
+from hyperzagreb.canon import canonical_code, dihedral_least, hanging_trees
 from hyperzagreb.codec import encode_graph6
 from hyperzagreb.enumeration import prufer_edges, unicyclic_graphs
 from hyperzagreb.families import (
@@ -21,7 +21,6 @@ from hyperzagreb.transforms import (
     StructureError,
     _hanging_counts,
     _move_star,
-    _star_code,
     attach_conditions,
     coalesce,
     join_vs_identify,
@@ -222,14 +221,27 @@ def test_reduction_chain_examples():
             reduce_to_single_attachment(g)
 
 
-def test_star_code_is_the_canonical_code_of_the_built_graph():
-    vectors = [list(c) for m in range(3, 7) for c in product(range(4), repeat=m)]
+def test_source_order_is_the_canonical_code_order():
+    # reduce takes the largest dihedral-least count list for the least code:
+    # every ordered pair of count vectors of one cycle length compares the
+    # other way round, and equal keys are equal codes
+    groups = [[list(c) for c in product(range(4), repeat=m)] for m in (3, 4)]
     rng = random.Random(14)
-    for _ in range(300):
+    for _ in range(40):
         m = rng.randint(7, 40)
-        vectors.append([rng.choice((0, 0, 1, 2, rng.randint(0, 30))) for _ in range(m)])
-    for counts in vectors:
-        assert _star_code(counts) == canonical_code(cycle_with_stars(len(counts), counts))
+        draw = lambda: [rng.choice((0, 0, 1, 2, rng.randint(0, 30))) for _ in range(m)]
+        group = [draw() for _ in range(6)]
+        # near neighbours too: one merge apart, and a rotated reflection
+        group.append(_move_star(group[0], 0, m - 1))
+        group.append(group[0][::-1][3:] + group[0][::-1][:3])
+        groups.append(group)
+    for group in groups:
+        keyed = [
+            (dihedral_least(c), canonical_code(cycle_with_stars(len(c), c))) for c in group
+        ]
+        for (key_a, code_a), (key_b, code_b) in product(keyed, repeat=2):
+            assert (code_a < code_b) == (key_a > key_b)
+            assert (code_a == code_b) == (key_a == key_b)
 
 
 def test_reduction_builds_one_graph_per_appended_step(monkeypatch):
@@ -287,3 +299,44 @@ def test_reduction_survives_deep_hanging_trees():
         chain = reduce_to_single_attachment(make_graph(n, edges))
         assert len(chain) == 2
         assert hyper_zagreb(chain[-1]) == cycle_star_hm(3, n)
+
+
+def seeded_unicyclic(rng, n):
+    """A unicyclic graph on n vertices with shuffled labels: three draws in
+    ten are stars only, two a leaf on every other vertex of the longest
+    such cycle, and the rest random trees hung on a random cycle."""
+    kind = rng.randrange(10)
+    if kind < 2:
+        m = n - n // 3
+        parents = list(range(0, 2 * (n // 3), 2))
+    else:
+        m = rng.randint(3, n - 1)
+        if kind < 5:
+            sites = rng.sample(range(m), rng.randint(1, m))
+            parents = [rng.choice(sites) for _ in range(n - m)]
+        else:
+            parents = [rng.randrange(v) for v in range(m, n)]
+    edges = [(p, (p + 1) % m) for p in range(m)]
+    edges += [(u, m + i) for i, u in enumerate(parents)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return make_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_reduction_chains_pinned_past_order_nine():
+    # 2,000 seeded graphs on 10..60 vertices, every chain hashed as graph6
+    # lines (one blank line per chain); pinned before reduce chose its
+    # sources by pendant counts.
+    rng = random.Random(23)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        n = rng.randint(10, 60)
+        g = seeded_unicyclic(rng, n)
+        chain = reduce_to_single_attachment(g)
+        assert hyper_zagreb(chain[-1]) == cycle_star_hm(len(hanging_trees(g)), n)
+        for y in chain:
+            digest.update((encode_graph6(y) + "\n").encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == (
+        "c4498d8a73b7faa56bd4f5319be36486a23c3ee7846bcaff0dc62a80b8b0232e"
+    )
