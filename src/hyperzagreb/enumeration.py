@@ -5,7 +5,8 @@ multiset of rooted subtrees of size <= floor((n-1)/2) around a root, and a
 tree with two centroids is an unordered pair of rooted halves of size n/2.
 Both correspondences are bijections, so every isomorphism class is emitted
 exactly once with no dedup pass.  The multisets are walked iteratively as
-non-increasing sequences of form ids, carrying the score as they grow.
+non-increasing sequences of form ids, carrying the score as they grow; a
+sequence that reaches id 0, the single vertex, ends in single vertices.
 
 Unicyclic graphs come cycle-first: a class is a cycle length m plus a
 bracelet (sequence up to rotation and reflection) of rooted-tree forms
@@ -16,7 +17,8 @@ per class.  As in Sawada's bracelet scheme ("Generating bracelets in
 constant amortized time", SIAM J. Comput. 31, 2001) the prefix carries the
 reversal test: a prefix whose reversal read back from a copy of the least
 bead is already smaller is dropped with all its completions, and the last
-bead starts at the least id that no palindromic prefix beats.
+bead starts at the least id that no palindromic prefix beats.  The bead
+before it always leaves the last one a size that meets that bound.
 
 Both generators walk form ids of the registry rooted.form_tables, built
 once per call, and never build a nested form.  They yield a ClassRecord
@@ -45,6 +47,7 @@ set.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
@@ -89,7 +92,10 @@ class ClassRecord(NamedTuple):
 
 
 def trees(n: int) -> Iterator[ClassRecord]:
-    """All free trees on n vertices, one record per class."""
+    """All free trees on n vertices, one record per class.
+
+    A class's tail of single vertices is placed in one step.
+    """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if n == 1:
@@ -110,23 +116,28 @@ def trees(n: int) -> Iterator[ClassRecord]:
     # top[s]: 1 + the largest id of size <= s that fits beside the centroid
     top = [ids_by_size[min(s, half)].stop for s in range(n)]
     ids, rem, big_a, big_k = [0] * n, [0] * n, [0] * n, [0] * n
+    zeros = [(0,) * r for r in range(n)]
     new = tuple.__new__  # a record without NamedTuple's Python-level __new__
-    ids[0], rem[0], t = top[n - 1], n - 1, 0
+    # Id 0 at position t forces rem[t] single vertices: the class is yielded
+    # and the walk backs up, so no id drops below 0 (order 2 has no walk).
+    ids[0], rem[0], t = top[n - 1], n - 1, 0 if half else -1
     while t >= 0:
         fid = ids[t] - 1
-        if fid < 0:
-            t -= 1
-            continue
-        ids[t] = fid
-        r = rem[t] - size[fid]
-        a, kk = big_a[t] + weight[fid], big_k[t] + k[fid]
-        if r:
-            t += 1
-            ids[t], rem[t], big_a[t], big_k[t] = min(fid + 1, top[r]), r, a, kk
+        if fid:
+            ids[t] = fid
+            r = rem[t] - size[fid]
+            a, kk = big_a[t] + weight[fid], big_k[t] + k[fid]
+            if r:
+                t += 1
+                ids[t], rem[t], big_a[t], big_k[t] = min(fid + 1, top[r]), r, a, kk
+                continue
+            d, cls = t + 1, tuple(ids[:t + 1])
         else:
-            d = t + 1
-            hm = a + d * d * d + 2 * d * kk
-            yield new(ClassRecord, (n, hm, 0, tuple(ids[:d]), tables))
+            r = rem[t]
+            d, cls = t + r, tuple(ids[:t]) + zeros[r]
+            a, kk = big_a[t] + r * weight[0], big_k[t] + r * k[0]
+            t -= 1
+        yield new(ClassRecord, (n, a + d * d * d + 2 * d * kk, 0, cls, tables))
     # Two adjacent centroids (n = 2 too): unordered pair of rooted halves on
     # n/2 vertices.  The second half hangs below a new neighbour of the first.
     if n % 2 == 0:
@@ -144,7 +155,8 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
     form ids: position t takes any id >= a[t - p], p the period of the
     prefix before it, whose size leaves each later position room for the
     first bead's size (a necklace starts at its smallest bead); the last
-    position takes the size that is left.  A necklace (m % p == 0) is a
+    position takes the size that is left, which the position before it
+    keeps large enough for the bound below.  A necklace (m % p == 0) is a
     bracelet iff it is <= every rotation of its reversal.  Only a rotation
     starting at a bead a[j] == a[0] can be smaller, and for j < m - 1 it
     reads a[j], ..., a[0], then the last bead x.  So a prefix with
@@ -159,14 +171,12 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
     tables = form_tables(n - 2)
     ids_by_size = tables.ids_by_size
     # On the cycle a form's root has degree D = c + 2 for c children.  Its
-    # own edges add own = E(f, D) = hung + c*(D^2 - (c + 1)^2) + 2*S1 (the
-    # terms in d of FormTables' E, moved from d = c + 1 to d = D), and each
-    # cycle edge adds (D_i + D_{i+1})^2.
+    # own edges add own = E(f, D) = hung + (D - 2)(2D - 1) + 2*S1 (the terms
+    # in d of FormTables' E, moved from d = c + 1 to d = D), and each cycle
+    # edge adds (D_i + D_{i+1})^2.
     deg = [len(kids) + 2 for kids in tables.children]
-    own = [
-        h + (d - 2) * (d * d - (d - 1) ** 2) + 2 * sum([deg[x] - 1 for x in kids])
-        for h, d, kids in zip(tables.hung, deg, tables.children)
-    ]
+    own = [h + (d - 2) * (2 * d - 1) + 2 * s1
+           for h, d, s1 in zip(tables.hung, deg, tables.s1)]
     stop = [ids.stop for ids in ids_by_size]  # 1 + largest id of size <= s
     new = tuple.__new__  # as in trees: no NamedTuple __new__ call per record
     for m in range(3, n + 1):
@@ -207,9 +217,18 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
                 per[0], rem[0], hm[0] = 1, n - s0, own[fid]
             if t < last:
                 t += 1
-                p = per[t - 1]
+                p, r = per[t - 1], rem[t - 1]
                 a[t], sz[t] = a[t - p] - 1, sz[t - p]
-                hi[t] = stop[rem[t - 1] - (m - t - 1) * s0]
+                cap = r - (m - t - 1) * s0  # the largest size a[t] may have
+                if t == last:
+                    # The last bead, of size r - size(a[t]), must reach s0 and
+                    # the size of need[last]: need[t - 1]'s, or a[t]'s own if
+                    # a[t] raises it after a palindrome, so size(a[t]) <= r // 2.
+                    s_nu = bisect_right(stop, need[t - 1])
+                    cap = r - max(s0, s_nu)
+                    if pal[t - 1] and s_nu <= cap:
+                        cap = min(r - s0, r // 2)
+                hi[t] = stop[max(cap, 0)]
                 continue
             # The last position: ids of exactly the size left, >= a[m - 1 - p]
             # and >= need[last]; only one equal to need[last] or to a[0] can
@@ -218,11 +237,7 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
             lo, bound = a[m - 1 - p], need[last]
             first = max(lo, ids_by_size[r].start, bound)
             if first >= stop[r]:
-                # With an aperiodic prefix lo is a[0]: a larger id here leaves
-                # less size for the last bead and only raises the bound.
-                if p == m - 1:
-                    t -= 1
-                continue
+                continue  # a periodic prefix's lo is past the size left
             periodic = m % p == 0
             for fid in range(first, stop[r]):
                 if fid == lo and not periodic:

@@ -7,9 +7,10 @@ ids, and ids ascend by size, then by bracket key.  A form's bracket key is
 OPEN, its children's keys in descending (size, key) order, then CLOSE.
 CLOSE sorts below OPEN, so within one size the byte order of keys is the
 lexicographic order of nested tuples, and comparing id tuples agrees with
-comparing forms.  canon codes a class record from the keys of its ids, and
-a graph from the keys of its hanging trees, which canon.hanging_trees
-builds without recursion however deep the tree.
+comparing forms; form_tables writes each size in that order, unsorted.
+canon codes a class record from the keys of its ids, and a graph from the
+keys of its hanging trees, which canon.hanging_trees builds without
+recursion however deep the tree.
 
 Family builders describe forms to form_graph as nested tuples: the empty
 tuple is a single vertex and a node is the tuple of its child forms in
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import merge
 from typing import Iterable, Sequence
 
 from .graphs import Graph, from_adjacency
@@ -43,14 +45,15 @@ class FormTables:
         E(f, d) = B + c*d^2 + 2*d*S1 + S2,  S1 = sum d_j,  S2 = sum d_j^2,
 
     where B, the index of the edges below the children, is the sum of
-    E(child, d_j).  hung holds E(f, c + 1), the form hanging below a parent;
-    only the terms in d differ at any other root degree.
+    E(child, d_j).  hung holds E(f, c + 1), the form hanging below a parent,
+    and s1 holds S1; only the terms in d differ at any other root degree.
     """
 
     children: list[tuple[int, ...]]
     keys: list[bytes]
     ids_by_size: list[range]  # index 0 unused
     hung: list[int]
+    s1: list[int]
 
 
 def form_tables(max_size: int) -> FormTables:
@@ -58,43 +61,39 @@ def form_tables(max_size: int) -> FormTables:
 
     Built size by size without recursion: a form of size s whose first
     child f has size k is f followed by the children of a form g of size
-    s - k whose own first child is at most f.  Each size's ids are indexed
-    by their first child, so one bisect finds every g for an f.  The keys
-    order each new size and are kept; the index is dropped.
+    s - k whose own first child is at most f; its key is OPEN, f's key and
+    g's key after its OPEN.  No key is a proper prefix of another, so keys
+    order by f's key, then by g's id.  So each size is written in key order
+    with no sort: f runs over every smaller id in key order (one list,
+    merged with each size), and for each f the ids of g ascend.
     """
     children: list[tuple[int, ...]] = [()]
     keys = [OPEN + CLOSE]
     ids_by_size = [range(0), range(1)]
-    hung = [0]
-    deg = [1]  # a form's root degree below a parent
+    hung, s1 = [0], [0]
+    stop, by_key = [0, 1], []  # 1 + largest id of size <= s; smaller ids in key order
     by_first = [([], []), ([-1], [0])]  # per size: first child ids, ascending; the ids
     for s in range(2, max_size + 1):
-        level: dict[bytes, tuple[int, ...]] = {}
-        for k in range(1, s):
-            firsts, gids = by_first[s - k]
-            for f in ids_by_size[k]:
-                key_f, one = OPEN + keys[f], (f,)
-                level.update(
-                    [(key_f + keys[g][1:], one + children[g])
-                     for g in gids[:bisect_right(firsts, f)]]
-                )
-        start = len(children)
-        ids_by_size.append(range(start, start + len(level)))
-        for key in sorted(level):
-            kids = level[key]
-            c = len(kids)
-            s1 = sum([deg[x] for x in kids])
-            hung.append(
-                sum([hung[x] + deg[x] * deg[x] for x in kids])
-                + c * (c + 1) ** 2 + 2 * (c + 1) * s1
-            )
-            deg.append(c + 1)
-            keys.append(key)
-            children.append(kids)
+        by_key = list(merge(by_key, ids_by_size[s - 1], key=keys.__getitem__))
+        for f in by_key:
+            firsts, gids = by_first[s - bisect_right(stop, f)]
+            key_f, one, d_f = OPEN + keys[f], (f,), len(children[f]) + 1
+            for g in sorted(gids[:bisect_right(firsts, f)]):
+                # g's root, at degree d below a parent, gains f: E(g, d + 1) =
+                # hung[g] + (d - 1)(2d + 1) + 2*S1, plus hung[f] and the roots' edge.
+                kids = children[g]
+                d = len(kids) + 1
+                hung.append(hung[g] + (d - 1) * (2 * d + 1) + 2 * s1[g]
+                            + hung[f] + (d + 1 + d_f) ** 2)
+                s1.append(s1[g] + d_f)
+                keys.append(key_f + keys[g][1:])
+                children.append(one + kids)
+        ids_by_size.append(range(stop[-1], len(children)))
+        stop.append(len(children))
         if s < max_size:
             gids = sorted(ids_by_size[s], key=lambda g: children[g][0])
             by_first.append(([children[g][0] for g in gids], gids))
-    return FormTables(children, keys, ids_by_size, hung)
+    return FormTables(children, keys, ids_by_size, hung, s1)
 
 
 def star_form(pendants: int) -> Form:

@@ -136,8 +136,8 @@ def test_unicyclic_formula_large_orders():
 def test_unicyclic_counts_per_cycle_length():
     # Burnside's count for every cycle length m, so periodic necklaces and
     # palindromes are checked length by length, not only in total.
-    r = rooted_count_series(15)
-    for n in range(3, 15):
+    r = rooted_count_series(17)
+    for n in range(3, 17):
         per_cycle = Counter(rec.cycle for rec in unicyclic_graphs(n))
         assert per_cycle == unicyclic_count(n, r), n
 
@@ -170,6 +170,19 @@ def test_unicyclic_15_ids_stream_pinned():
     for rec in unicyclic_graphs(15):
         digest.update(repr((rec.n, rec.hm, rec.cycle, rec.ids)).encode())
     assert digest.hexdigest() == UNICYCLIC_15_IDS_SHA256
+
+
+# sha256 over repr((n, hm, cycle, ids)) of trees(18), the other order the
+# benchmark ranks, measured before the walk took a class's single-vertex tail
+# in one step.
+TREES_18_IDS_SHA256 = "65c7a6c629217ffef90b3a7d69e72ae597812ef4e970649a09f94018316eebc9"
+
+
+def test_trees_18_ids_stream_pinned():
+    digest = hashlib.sha256()
+    for rec in trees(18):
+        digest.update(repr((rec.n, rec.hm, rec.cycle, rec.ids)).encode())
+    assert digest.hexdigest() == TREES_18_IDS_SHA256
 
 
 def test_unicyclic_records_are_least_bracelets():

@@ -1,6 +1,10 @@
+from bisect import bisect_right
+
 from hyperzagreb.canon import hanging_trees
 from hyperzagreb.graphs import hyper_zagreb, make_graph
 from hyperzagreb.rooted import (
+    CLOSE,
+    OPEN,
     cycle_adj,
     form_graph,
     form_tables,
@@ -52,6 +56,53 @@ def test_hung_is_the_index_below_a_parent():
     for fid, kids in enumerate(tables.children):
         g = form_graph([[]], [(0, (nested_form(tables, fid),))])
         assert tables.hung[fid] == hyper_zagreb(g) - (1 + len(kids) + 1) ** 2
+
+
+def reference_form_tables(max_size):
+    """(children, keys, ids_by_size, hung) built the plain way.
+
+    Each size's forms go into a dict keyed by bracket key, in any order,
+    and are then numbered by a sort of the keys; hung sums over each
+    form's children.  form_tables writes them in key order instead.
+    """
+    children, keys, hung, deg = [()], [OPEN + CLOSE], [0], [1]
+    ids_by_size = [range(0), range(1)]
+    by_first = [([], []), ([-1], [0])]
+    for s in range(2, max_size + 1):
+        level = {}
+        for k in range(1, s):
+            firsts, gids = by_first[s - k]
+            for f in ids_by_size[k]:
+                for g in gids[:bisect_right(firsts, f)]:
+                    level[OPEN + keys[f] + keys[g][1:]] = (f,) + children[g]
+        start = len(children)
+        ids_by_size.append(range(start, start + len(level)))
+        for key in sorted(level):
+            kids = level[key]
+            c = len(kids)
+            hung.append(
+                sum(hung[x] + deg[x] ** 2 for x in kids)
+                + c * (c + 1) ** 2 + 2 * (c + 1) * sum(deg[x] for x in kids)
+            )
+            deg.append(c + 1)
+            keys.append(key)
+            children.append(kids)
+        gids = sorted(ids_by_size[s], key=lambda g: children[g][0])
+        by_first.append(([children[g][0] for g in gids], gids))
+    return children, keys, ids_by_size, hung
+
+
+def test_registry_matches_the_sorted_build():
+    ref = reference_form_tables(12)
+    for max_size in range(1, 13):
+        tables = form_tables(max_size)
+        count = ref[2][max_size].stop
+        assert tables.ids_by_size == ref[2][:max_size + 1]
+        assert tables.children == ref[0][:count]
+        assert tables.keys == ref[1][:count]
+        assert tables.hung == ref[3][:count]
+        children = tables.children
+        assert tables.s1 == [sum(len(children[x]) + 1 for x in kids) for kids in children]
 
 
 def test_form_graph_round_trip():
