@@ -39,14 +39,14 @@ from .verify import (
 
 # graph6 output is quadratic in the order (about 5.5 GB at graph6's limit
 # of 258,047 vertices), so family and transform refuse larger ones; writing
-# a graph of this order takes about 5 ms, and `family S_n 4000` 0.15 s.  The
-# rest cap work timed on a 2-core box: reduce on 498 vertices, a leaf at
-# every other cycle vertex (3.4-4.1 s, cubic in the order), rank trees 20
-# and unicyclic 17 (1.4 s, 3.1 s; ~3x per order), 100,000 lemma trials
-# (8 s).  The closed-form audit has no cap: it compares one derived cubic
+# a graph of this order takes about 2.4 ms, and `family S_n 4000` 0.07 s.
+# The rest cap work timed on a 2-core box: reduce on 498 vertices, a leaf
+# at every other cycle vertex (2.0-2.3 s, cubic in the order), rank trees
+# 20 and unicyclic 17 (0.5 s, 1.0 s; ~3x per order), 100,000 lemma trials
+# (2.7 s).  The closed-form audit has no cap: it compares one derived cubic
 # per family, whatever its range.
 # rank builds every survivor of its window, so k is capped too: at 10,000,
-# trees 20 and unicyclic 17 took 2.5 s / 43 MiB and 4.2 s / 71 MiB.
+# trees 20 and unicyclic 17 took 0.8-0.9 s / 32 MiB and 1.2-1.4 s / 65 MiB.
 MAX_OUTPUT_ORDER = 4000
 MAX_REDUCE_ORDER = 500
 MAX_CLASS_ORDER = {"trees": 20, "unicyclic": 17}
@@ -197,7 +197,7 @@ def _cmd_rank(args) -> tuple[int, Iterable[str]]:
         w = csv.writer(buf)
         w.writerow(["rank", "hm", "family", "graph6"])
         for e in entries:
-            w.writerow([e.rank, e.hm, e.family_match or "", encode_graph6(e.graph)])
+            w.writerow([e.rank, e.hm, e.family_match or "", e.graph6])
         return EXIT_OK, [buf.getvalue()]
     return EXIT_OK, [e.to_text() + "\n" for e in entries]
 

@@ -47,13 +47,12 @@ set.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import Graph, make_graph
-from .rooted import FormTables, cycle_adj, form_graph, form_tables
+from .rooted import FormTables, form_graph, form_tables
 
 ORACLE_MAX_ORDER = 8
 
@@ -85,10 +84,10 @@ class ClassRecord(NamedTuple):
     def graph(self) -> Graph:
         ids, children = self.ids, self.tables.children
         if self.cycle:
-            return form_graph(cycle_adj(self.cycle), enumerate(ids), children)
+            return form_graph(self.cycle, enumerate(ids), children)
         # two halves: the second hangs below a new neighbour of vertex 0
         placements = ((0, ids[0]), (0, ids[1:])) if self.halves else ((0, ids),)
-        return form_graph([[]], placements, children)
+        return form_graph(0, placements, children)
 
 
 def trees(n: int) -> Iterator[ClassRecord]:
@@ -102,7 +101,7 @@ def trees(n: int) -> Iterator[ClassRecord]:
         yield ClassRecord(1, 0, 0, (), form_tables(1))
         return
     tables = form_tables(n // 2)
-    hung, ids_by_size = tables.hung, tables.ids_by_size
+    hung, ids_by_size, size = tables.hung, tables.ids_by_size, tables.size
     k = [len(c) + 1 for c in tables.children]  # a hanging form's root degree
     # Single centroid: every hanging subtree has at most floor((n-1)/2)
     # vertices.  (A subtree of exactly n/2 vertices would move the centroid.)
@@ -110,7 +109,6 @@ def trees(n: int) -> Iterator[ClassRecord]:
     # position t holds ids[t] and, before it is placed, the size left and
     # A = sum(hung + k^2), K = sum(k) of the positions before it.  A class
     # whose centroid has degree d scores A + d^3 + 2*d*K.
-    size = [s for s, ids in enumerate(ids_by_size) for _ in ids]
     weight = [h + c * c for h, c in zip(hung, k)]
     half = (n - 1) // 2
     # top[s]: 1 + the largest id of size <= s that fits beside the centroid
@@ -169,7 +167,7 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
     if n < 3:
         raise ValueError(f"order must be >= 3, got {n}")
     tables = form_tables(n - 2)
-    ids_by_size = tables.ids_by_size
+    ids_by_size, size = tables.ids_by_size, tables.size
     # On the cycle a form's root has degree D = c + 2 for c children.  Its
     # own edges add own = E(f, D) = hung + (D - 2)(2D - 1) + 2*S1 (the terms
     # in d of FormTables' E, moved from d = c + 1 to d = D), and each cycle
@@ -180,13 +178,13 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
     stop = [ids.stop for ids in ids_by_size]  # 1 + largest id of size <= s
     new = tuple.__new__  # as in trees: no NamedTuple __new__ call per record
     for m in range(3, n + 1):
-        # Per position: the id and its size, the prefix's period, the size
-        # left, the prefix's index (own edges plus the cycle edges inside it),
-        # the id bound, whether the prefix is a palindrome, and the least
-        # last bead that no reversal rotation read back from a palindromic
-        # prefix beats: the largest a[j + 1] over palindromes a[0..j], j < t.
+        # Per position: the id, the prefix's period, the size left, the
+        # prefix's index (own edges plus the cycle edges inside it), the id
+        # bound, whether the prefix is a palindrome, and the least last bead
+        # that no reversal rotation read back from a palindromic prefix
+        # beats: the largest a[j + 1] over palindromes a[0..j], j < t.
         a, per, rem, hm, hi = [0] * m, [0] * m, [0] * m, [0] * m, [0] * m
-        sz, pal, need = [1] * m, [True] * m, [0] * m
+        pal, need = [True] * m, [0] * m
         a[0], hi[0], t, last = -1, stop[n // m], 0, m - 2
         while t >= 0:
             fid = a[t] + 1
@@ -194,8 +192,6 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
                 t -= 1
                 continue
             a[t] = fid
-            if fid == stop[sz[t]]:  # ids ascend by size, every size has one
-                sz[t] += 1
             if t:
                 if fid == a0:
                     # The reversal rotation read back from here starts with
@@ -209,22 +205,22 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
                     pal[t] = False
                 p = per[t - 1]
                 per[t] = p if fid == a[t - p] else t + 1
-                rem[t] = rem[t - 1] - sz[t]
+                rem[t] = rem[t - 1] - size[fid]
                 hm[t] = hm[t - 1] + own[fid] + (deg[a[t - 1]] + deg[fid]) ** 2
                 need[t] = fid if pal[t - 1] and fid > need[t - 1] else need[t - 1]
             else:
-                a0, s0, d0 = fid, sz[0], deg[fid]
+                a0, s0, d0 = fid, size[fid], deg[fid]
                 per[0], rem[0], hm[0] = 1, n - s0, own[fid]
             if t < last:
                 t += 1
                 p, r = per[t - 1], rem[t - 1]
-                a[t], sz[t] = a[t - p] - 1, sz[t - p]
+                a[t] = a[t - p] - 1
                 cap = r - (m - t - 1) * s0  # the largest size a[t] may have
                 if t == last:
                     # The last bead, of size r - size(a[t]), must reach s0 and
                     # the size of need[last]: need[t - 1]'s, or a[t]'s own if
                     # a[t] raises it after a palindrome, so size(a[t]) <= r // 2.
-                    s_nu = bisect_right(stop, need[t - 1])
+                    s_nu = size[need[t - 1]]
                     cap = r - max(s0, s_nu)
                     if pal[t - 1] and s_nu <= cap:
                         cap = min(r - s0, r // 2)

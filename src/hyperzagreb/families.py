@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Graph, GraphError, hyper_zagreb
-from .rooted import Form, cycle_adj, form_graph, path_form, star_form
+from .rooted import Form, form_graph, path_form, star_form
 
 
 class FamilyDomainError(GraphError):
@@ -85,7 +85,7 @@ class Core:
             raise FamilyDomainError(f"core needs n >= {self.size}, got {n}")
         forms = list(self.forms)
         forms[self.hub] += ((),) * leaves
-        return form_graph(cycle_adj(self.cycle) if self.cycle else [[]], enumerate(forms))
+        return form_graph(self.cycle, enumerate(forms))
 
     def cubic(self) -> tuple[int, int, int, int]:
         """Coefficients (a3, a2, a1, a0) of hyper_zagreb(build(n)) as a cubic
@@ -114,7 +114,7 @@ def path(n: int) -> Graph:
     """P_n."""
     if n < 1:
         raise FamilyDomainError(f"path needs n >= 1, got {n}")
-    return form_graph([[]], [(0, path_form(n - 1))])
+    return form_graph(0, [(0, path_form(n - 1))])
 
 
 def cycle_with_stars(m: int, pendant_counts: Sequence[int]) -> Graph:

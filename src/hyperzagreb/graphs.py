@@ -35,9 +35,9 @@ class Graph:
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
         # Internal constructor: build through make_graph (validates an edge
         # list) or from_adjacency (trusted, simple by construction).  The
-        # graph6 decoder, families.cycle_with_stars, transforms.coalesce and
-        # join_vs_identify call it directly: they write sorted tuples of a
-        # simple graph.
+        # graph6 decoder, rooted.form_graph, families.cycle_with_stars,
+        # transforms.coalesce and join_vs_identify call it directly: they
+        # write sorted tuples of a simple graph.
         self.n = n
         self.adj = adj
 
@@ -103,10 +103,10 @@ def make_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def from_adjacency(adj: list[list[int]]) -> Graph:
     """Trusted fast path for adjacency lists that are simple by construction.
 
-    Nothing is validated; each list is sorted.  Graphs grown from rooted
-    forms (rooted.form_graph) and the lemma suite's random trees and
-    unicyclic graphs come this way.  Edges from outside (edge lists, tests)
-    go through make_graph instead.
+    Nothing is validated; each list is sorted.  Only the lemma suite's
+    random trees and unicyclic graphs come this way: their rows, filled
+    from a Pruefer decoding and a random extra edge, are unsorted.  Edges
+    from outside (edge lists, tests) go through make_graph instead.
     """
     return Graph(len(adj), tuple(tuple(sorted(a)) for a in adj))
 

@@ -15,6 +15,7 @@ recursion however deep the tree.
 Family builders describe forms to form_graph as nested tuples: the empty
 tuple is a single vertex and a node is the tuple of its child forms in
 descending (size, form) order.  A tuple may also hold registry ids.
+form_graph hangs them on a cycle or a lone root, writing each row sorted.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from heapq import merge
 from typing import Iterable, Sequence
 
-from .graphs import Graph, from_adjacency
+from .graphs import Graph
 
 Form = tuple  # nested tuples of Form
 
@@ -37,10 +38,10 @@ class FormTables:
     """Registry of every rooted form of size 1..max_size, by integer id.
 
     children[fid] holds the form's child ids, largest first, keys[fid] its
-    bracket key and ids_by_size[s] the ids of size s.  A form's own edges
-    are those from its root down.  With c children of degrees d_j (a child's
-    own child count plus one, for the edge up to its parent) and its root at
-    degree d they add up to
+    bracket key, size[fid] its vertex count and ids_by_size[s] the ids of
+    size s.  A form's own edges are those from its root down.  With c
+    children of degrees d_j (a child's own child count plus one, for the
+    edge up to its parent) and its root at degree d they add up to
 
         E(f, d) = B + c*d^2 + 2*d*S1 + S2,  S1 = sum d_j,  S2 = sum d_j^2,
 
@@ -52,6 +53,7 @@ class FormTables:
     children: list[tuple[int, ...]]
     keys: list[bytes]
     ids_by_size: list[range]  # index 0 unused
+    size: list[int]
     hung: list[int]
     s1: list[int]
 
@@ -70,13 +72,13 @@ def form_tables(max_size: int) -> FormTables:
     children: list[tuple[int, ...]] = [()]
     keys = [OPEN + CLOSE]
     ids_by_size = [range(0), range(1)]
-    hung, s1 = [0], [0]
-    stop, by_key = [0, 1], []  # 1 + largest id of size <= s; smaller ids in key order
+    size, hung, s1 = [1], [0], [0]
+    by_key: list[int] = []  # the ids of every smaller size, in key order
     by_first = [([], []), ([-1], [0])]  # per size: first child ids, ascending; the ids
     for s in range(2, max_size + 1):
         by_key = list(merge(by_key, ids_by_size[s - 1], key=keys.__getitem__))
         for f in by_key:
-            firsts, gids = by_first[s - bisect_right(stop, f)]
+            firsts, gids = by_first[s - size[f]]
             key_f, one, d_f = OPEN + keys[f], (f,), len(children[f]) + 1
             for g in sorted(gids[:bisect_right(firsts, f)]):
                 # g's root, at degree d below a parent, gains f: E(g, d + 1) =
@@ -88,12 +90,12 @@ def form_tables(max_size: int) -> FormTables:
                 s1.append(s1[g] + d_f)
                 keys.append(key_f + keys[g][1:])
                 children.append(one + kids)
-        ids_by_size.append(range(stop[-1], len(children)))
-        stop.append(len(children))
+        ids_by_size.append(range(len(size), len(children)))
+        size += [s] * len(ids_by_size[s])
         if s < max_size:
             gids = sorted(ids_by_size[s], key=lambda g: children[g][0])
             by_first.append(([children[g][0] for g in gids], gids))
-    return FormTables(children, keys, ids_by_size, hung, s1)
+    return FormTables(children, keys, ids_by_size, size, hung, s1)
 
 
 def star_form(pendants: int) -> Form:
@@ -109,22 +111,21 @@ def path_form(length_edges: int) -> Form:
     return f
 
 
-def cycle_adj(m: int) -> list[list[int]]:
-    """Adjacency lists of the cycle 0-1-...-(m-1)-0, the base of a unicyclic graph."""
-    return [[(i - 1) % m, (i + 1) % m] for i in range(m)]
-
-
-def form_graph(adj: list[list[int]], placements: Iterable[tuple[int, Form | int]],
+def form_graph(cycle: int, placements: Iterable[tuple[int, Form | int]],
                children: Sequence[tuple[int, ...]] = ()) -> Graph:
-    """Hang each (root, form) of `placements` below existing vertex `root`.
+    """Hang each (root, form) of `placements` below a vertex of the base:
+    the cycle 0-1-...-(cycle-1)-0, or a lone root 0 when cycle is 0.
 
     A form is a tuple of forms, or an id whose children are children[id].
-    `adj` is extended in place.  New vertices take consecutive ids from
-    len(adj) on, placement by placement; within a form the children of a
-    vertex get consecutive ids and subtrees are laid out last child first.
-    The result is simple by construction, so it is built through the
-    trusted from_adjacency path.
+    New vertices take consecutive ids from the base's size on, placement by
+    placement; within a form the children of a vertex get consecutive ids
+    and subtrees are laid out last child first.  A new id exceeds every id
+    in the row it joins, so rows are written sorted, and nothing is checked:
+    the graph is simple by construction.
     """
+    adj = [[p - 1, p + 1] for p in range(cycle)] or [[]]
+    if cycle:  # the rows that wrap around
+        adj[0], adj[-1] = [1, cycle - 1], [0, cycle - 2]
     for root, form in placements:
         stack = [(form, root)]
         while stack:
@@ -134,4 +135,4 @@ def form_graph(adj: list[list[int]], placements: Iterable[tuple[int, Form | int]
                 adj[vid].append(new)
                 adj.append([vid])
                 stack.append((child, new))
-    return from_adjacency(adj)
+    return Graph(len(adj), tuple(map(tuple, adj)))

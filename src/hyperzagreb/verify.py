@@ -59,13 +59,18 @@ class RankEntry:
     rank: int
     hm: int
     code: bytes
-    graph: Graph
+    graph6: str
     family_match: str | None
+
+    @property
+    def label(self) -> str:
+        """The family key, else the graph6 text: how ties and failures name it."""
+        return self.family_match or self.graph6
 
     def to_text(self) -> str:
         return (
             f"rank: {self.rank} hm: {self.hm} family: {self.family_match or '-'} "
-            f"graph6: {encode_graph6(self.graph)}"
+            f"graph6: {self.graph6}"
         )
 
     def to_json_dict(self) -> dict:
@@ -73,7 +78,7 @@ class RankEntry:
             "rank": self.rank,
             "hm": self.hm,
             "family": self.family_match,
-            "graph6": encode_graph6(self.graph),
+            "graph6": self.graph6,
             "code": self.code.hex(),
         }
 
@@ -105,10 +110,10 @@ def rank(
     """Top-k entries by index value, descending, with full tie groups.
 
     The window runs on each record's table index; only the survivors are
-    coded (from their form ids) and built, and each reported index is
-    checked against the degree definition.  Ties are ordered by canonical
-    code; the list may exceed k when the k-th value is shared.  Memory
-    stays bounded by the window, not the class.
+    coded (from their form ids), built, checked against the degree
+    definition and encoded as graph6.  Ties are ordered by canonical code;
+    the list may exceed k when the k-th value is shared.  Memory stays
+    bounded by the window, not the class.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -130,12 +135,12 @@ def rank(
         built = hyper_zagreb(g)
         if built != hm:
             raise AssertionError(f"scored index {hm} != {built} of the built graph")
-        decorated.append((hm, canonical_code(record), g))
+        decorated.append((hm, canonical_code(record), encode_graph6(g)))
     decorated.sort(key=lambda t: (-t[0], t[1]))
     out = []
-    for i, (hm, code, g) in enumerate(decorated, start=1):
+    for i, (hm, code, g6) in enumerate(decorated, start=1):
         match = families.get(code) if families else None
-        out.append(RankEntry(rank=i, hm=hm, code=code, graph=g, family_match=match))
+        out.append(RankEntry(rank=i, hm=hm, code=code, graph6=g6, family_match=match))
     return out
 
 
@@ -186,7 +191,7 @@ class VerdictReport:
 def _tie_groups(entries: list[RankEntry]) -> tuple[tuple[int, tuple[str, ...]], ...]:
     groups: dict[int, list[str]] = {}
     for e in entries:
-        groups.setdefault(e.hm, []).append(e.family_match or encode_graph6(e.graph))
+        groups.setdefault(e.hm, []).append(e.label)
     return tuple(
         (hm, tuple(members))
         for hm, members in sorted(groups.items(), reverse=True)
@@ -210,9 +215,8 @@ def _evaluate_chain(
             return "fail", [f"ranking ended before expected family {key}"]
         e = entries[idx]
         if e.hm != val or e.family_match != key:
-            seen = e.family_match or encode_graph6(e.graph)
             return "fail", [
-                f"rank {idx + 1}: observed {seen} (hm {e.hm}) where {key} "
+                f"rank {idx + 1}: observed {e.label} (hm {e.hm}) where {key} "
                 f"(hm {val}) was expected"
             ]
     idx, last_key = len(chain) - 1, chain[-1]
@@ -441,11 +445,11 @@ def _check_cycle_shrink() -> CheckResult:
     return _tally("cycle-shrink", "4 <= m <= n <= 50", checked, failures)
 
 
-def _check_star_max(n_max: int = 12) -> CheckResult:
+def _check_star_max() -> CheckResult:
     """The star is the unique index maximum among trees of each order."""
     failures = []
     checked = 0
-    for n in range(2, n_max + 1):
+    for n in range(2, 13):
         best = CATALOG["S_n"].poly.evaluate(n)
         top = []
         for r in trees(n):
@@ -460,10 +464,10 @@ def _check_star_max(n_max: int = 12) -> CheckResult:
         )
         if not ok:
             failures.append(f"n={n}")
-    return _tally("star-max-trees", f"all trees, n <= {n_max}", checked, failures)
+    return _tally("star-max-trees", "all trees, n <= 12", checked, failures)
 
 
-def _check_single_attachment_max(n_max: int = 10) -> CheckResult:
+def _check_single_attachment_max() -> CheckResult:
     """Per cycle length, one pendant star dominates; equality only there.
 
     Also drives the reduction chain on every graph (strictly increasing,
@@ -472,7 +476,7 @@ def _check_single_attachment_max(n_max: int = 10) -> CheckResult:
     """
     failures = []
     checked = 0
-    for n in range(3, n_max + 1):
+    for n in range(3, 11):
         single_codes = {
             m: canonical_code(cycle_with_stars(m, [n - m])) for m in range(3, n + 1)
         }
@@ -500,23 +504,22 @@ def _check_single_attachment_max(n_max: int = 10) -> CheckResult:
         if best_seen != [(global_best, single_codes[3])]:
             failures.append(f"global maximum at n={n}")
     return _tally(
-        "single-attachment-max", f"all unicyclic graphs, n <= {n_max}", checked,
+        "single-attachment-max", "all unicyclic graphs, n <= 10", checked,
         failures,
     )
 
 
-def _check_tree_poly_chain(n_max: int = 60) -> CheckResult:
+def _check_tree_poly_chain() -> CheckResult:
     """Strict family ordering among the tree polynomials, plus the fourth
     broom staying below the third from order eight onward."""
     failures = []
     checked = 0
-    keys = ["T^3_n", "T^2_n", "T^1_n", "S_n"]
-    for n in range(7, n_max + 1):
-        vals = [CATALOG[k].poly.evaluate(n) for k in keys]
+    for n in range(7, 61):
+        vals = [CATALOG[k].poly.evaluate(n) for k in TREE_TOP4]
         checked += 1
-        if not all(a < b for a, b in zip(vals, vals[1:])):
+        if not all(a > b for a, b in zip(vals, vals[1:])):
             failures.append(f"n={n}")
-    for n in range(8, n_max + 1):
+    for n in range(8, 61):
         checked += 1
         if not hyper_zagreb(T4_CORE.build(n)) < CATALOG["T^3_n"].poly.evaluate(n):
             failures.append(f"T^4 vs T^3 at n={n}")
@@ -526,19 +529,19 @@ def _check_tree_poly_chain(n_max: int = 60) -> CheckResult:
     )
 
 
-def _check_unicyclic_poly_chain(n_max: int = 60) -> CheckResult:
+def _check_unicyclic_poly_chain() -> CheckResult:
     """Strict ordering of the eight unicyclic polynomials from n = 15, and
     the companion family tying the tail exactly at n = 15."""
     failures = []
     checked = 0
-    for n in range(15, n_max + 1):
+    for n in range(15, 61):
         vals = [CATALOG[k].poly.evaluate(n) for k in UNICYCLIC_TOP8]
         checked += 1
         if not all(a > b for a, b in zip(vals, vals[1:])):
             failures.append(f"n={n}")
     tail = CATALOG[UNICYCLIC_TOP8[-1]].poly
     companion = CATALOG[UNICYCLIC_TAIL_TIE].poly
-    for n in range(8, n_max + 1):
+    for n in range(8, 61):
         checked += 1
         equal = tail.evaluate(n) == companion.evaluate(n)
         if equal != (n == 15):

@@ -35,12 +35,12 @@ from hyperzagreb.codec import (
 )
 from hyperzagreb.families import cycle_with_stars
 from hyperzagreb.graphs import make_graph
-from hyperzagreb.rooted import cycle_adj, form_graph, path_form, star_form
+from hyperzagreb.rooted import form_graph, path_form, star_form
 
 
 def test_compute_edgelist(tmp_path, capsys):
     # the n = 15 triangle with a 2-edge path and ten leaves
-    g = form_graph(cycle_adj(3), [(0, path_form(2)), (1, star_form(10))])
+    g = form_graph(3, [(0, path_form(2)), (1, star_form(10))])
     f = tmp_path / "g.edges"
     lines = [f"{g.n} {g.num_edges}"] + [f"{u} {v}" for u, v in g.edges()]
     f.write_text("\n".join(lines) + "\n")

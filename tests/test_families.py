@@ -19,7 +19,7 @@ from hyperzagreb.families import (
     path,
 )
 from hyperzagreb.graphs import hyper_zagreb, is_tree, is_unicyclic, make_graph
-from hyperzagreb.rooted import cycle_adj, form_graph, path_form, star_form
+from hyperzagreb.rooted import form_graph, path_form, star_form
 
 
 def test_catalog_faithful_over_validity_windows():
@@ -151,7 +151,7 @@ def test_cycle_star_values():
 
 def test_rooted_tree_attachment():
     # a path of two edges hung by one end
-    g = form_graph(cycle_adj(3), [(0, path_form(2)), (1, ((),) * 10)])
+    g = form_graph(3, [(0, path_form(2)), (1, ((),) * 10)])
     assert g.n == 15
     assert hyper_zagreb(g) == 2170
     assert g == build_catalog_member("C_3(P_3,n-5)", 15)
@@ -176,7 +176,7 @@ def test_cycle_with_stars_keeps_the_form_graph_layout():
         k = rng.randint(0, m)
         vectors.append((m, [rng.choice((0, 0, 1, 2, rng.randint(0, 40))) for _ in range(k)]))
     for m, counts in vectors:
-        want = form_graph(cycle_adj(m), [(p, star_form(x)) for p, x in enumerate(counts)])
+        want = form_graph(m, [(p, star_form(x)) for p, x in enumerate(counts)])
         assert cycle_with_stars(m, counts) == want, (m, counts)
     for m, counts, message in (
         (2, [1], "cycle length must be >= 3, got 2"),

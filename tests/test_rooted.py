@@ -5,7 +5,6 @@ from hyperzagreb.graphs import hyper_zagreb, make_graph
 from hyperzagreb.rooted import (
     CLOSE,
     OPEN,
-    cycle_adj,
     form_graph,
     form_tables,
     path_form,
@@ -45,6 +44,7 @@ def test_forms_sorted_and_unique():
     assert keys == sorted(set(keys))
     for n in range(1, 11):
         assert all(form_size(forms[fid]) == n for fid in tables.ids_by_size[n])
+    assert tables.size == [form_size(f) for f in forms]
     assert all(list(kids) == sorted(kids, reverse=True) for kids in tables.children)
 
 
@@ -54,7 +54,7 @@ def test_hung_is_the_index_below_a_parent():
     # from that parent (degree 1) to f's root (its child count plus one).
     tables = form_tables(8)
     for fid, kids in enumerate(tables.children):
-        g = form_graph([[]], [(0, (nested_form(tables, fid),))])
+        g = form_graph(0, [(0, (nested_form(tables, fid),))])
         assert tables.hung[fid] == hyper_zagreb(g) - (1 + len(kids) + 1) ** 2
 
 
@@ -98,6 +98,7 @@ def test_registry_matches_the_sorted_build():
         tables = form_tables(max_size)
         count = ref[2][max_size].stop
         assert tables.ids_by_size == ref[2][:max_size + 1]
+        assert tables.size == [s for s, ids in enumerate(ref[2][:max_size + 1]) for _ in ids]
         assert tables.children == ref[0][:count]
         assert tables.keys == ref[1][:count]
         assert tables.hung == ref[3][:count]
@@ -110,9 +111,13 @@ def test_form_graph_round_trip():
     for n in range(1, 8):
         for fid in tables.ids_by_size[n]:
             f = nested_form(tables, fid)
-            g = form_graph([[]], [(0, f)])
+            g = form_graph(0, [(0, f)])
             assert g.n == n
             assert make_graph(n, list(g.edges())) == g
+            # rows come out sorted on a cycle too, wherever the form hangs
+            for m in (3, 4):
+                g = form_graph(m, [(m - 1, f), (0, f)])
+                assert make_graph(g.n, list(g.edges())) == g
 
 
 def test_ids_hang_and_key_like_their_nested_forms():
@@ -121,9 +126,9 @@ def test_ids_hang_and_key_like_their_nested_forms():
     # of a triangle.
     tables = form_tables(8)
     for fid in range(len(tables.children)):
-        g = form_graph([[]], [(0, fid)], tables.children)
-        assert g == form_graph([[]], [(0, nested_form(tables, fid))])
-        g = form_graph(cycle_adj(3), [(0, fid)], tables.children)
+        g = form_graph(0, [(0, fid)], tables.children)
+        assert g == form_graph(0, [(0, nested_form(tables, fid))])
+        g = form_graph(3, [(0, fid)], tables.children)
         assert hanging_trees(g)[0] == (g.n - 2, tables.keys[fid])
 
 

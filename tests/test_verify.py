@@ -159,9 +159,9 @@ def test_closed_form_audit_builds_one_core_per_row(monkeypatch):
     # the table is evaluated only for the one-star scale check
     built, evaluated = [], []
 
-    def counting(adj, placements, children=()):
-        built.append(len(adj))
-        return real(adj, placements, children)
+    def counting(cycle, placements, children=()):
+        built.append(cycle)
+        return real(cycle, placements, children)
 
     def evaluate(poly, n):
         evaluated.append(n)
