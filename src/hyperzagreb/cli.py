@@ -42,11 +42,11 @@ from .verify import (
 # a graph of this order takes about 2.4 ms, and `family S_n 4000` 0.07 s.
 # The rest cap work timed on a 2-core box: reduce on 498 vertices, a leaf
 # at every other cycle vertex (2.0-2.3 s, cubic in the order), rank trees
-# 20 and unicyclic 17 (0.5 s, 1.0 s; ~3x per order), 100,000 lemma trials
-# (2.7 s).  The closed-form audit has no cap: it compares one derived cubic
-# per family, whatever its range.
-# rank builds every survivor of its window, so k is capped too: at 10,000,
-# trees 20 and unicyclic 17 took 0.8-0.9 s / 32 MiB and 1.2-1.4 s / 65 MiB.
+# 20 and unicyclic 17 (0.5 s, 1.3-1.6 s*; ~3x per order), 100,000 lemma
+# trials (2.7 s).  The closed-form audit has no cap: it compares one derived
+# cubic per family, whatever its range.  rank builds every survivor of its
+# window, so k is capped too: at 10,000, trees 20 and unicyclic 17 took
+# 0.8-0.9 s / 32 MiB and 1.5-1.9 s* / 64 MiB (*: on a box run half as fast).
 MAX_OUTPUT_ORDER = 4000
 MAX_REDUCE_ORDER = 500
 MAX_CLASS_ORDER = {"trees": 20, "unicyclic": 17}

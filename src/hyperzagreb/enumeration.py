@@ -17,8 +17,10 @@ per class.  As in Sawada's bracelet scheme ("Generating bracelets in
 constant amortized time", SIAM J. Comput. 31, 2001) the prefix carries the
 reversal test: a prefix whose reversal read back from a copy of the least
 bead is already smaller is dropped with all its completions, and the last
-bead starts at the least id that no palindromic prefix beats.  The bead
-before it always leaves the last one a size that meets that bound.
+bead starts at the least id that no palindromic prefix beats.  One bound
+at every bead before it keeps room for that id (which only grows) at the
+last bead and for the first, least size at each bead between; as each bead
+met its own bound, the next never falls below the first bead's size.
 
 Both generators walk form ids of the registry rooted.form_tables, built
 once per call, and never build a nested form.  They yield a ClassRecord
@@ -151,17 +153,21 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
 
     Cycle length by cycle length, a weighted FKM walk over prenecklaces of
     form ids: position t takes any id >= a[t - p], p the period of the
-    prefix before it, whose size leaves each later position room for the
-    first bead's size (a necklace starts at its smallest bead); the last
-    position takes the size that is left, which the position before it
-    keeps large enough for the bound below.  A necklace (m % p == 0) is a
-    bracelet iff it is <= every rotation of its reversal.  Only a rotation
-    starting at a bead a[j] == a[0] can be smaller, and for j < m - 1 it
-    reads a[j], ..., a[0], then the last bead x.  So a prefix with
-    a[t::-1] < a[:t + 1] at such a t is skipped, and x must be at least
-    a[j + 1] for every palindrome a[0..j]: x starts at the largest such
-    bead, and only an x equal to it or to a[0] takes the full test.  FKM
-    visits necklaces in lexicographic order, so the classes come out
+    prefix before it, and the last position takes the size that is left.
+    A necklace (m % p == 0) is a bracelet iff it is <= every rotation of
+    its reversal.  Only a rotation starting at a bead a[j] == a[0] can be
+    smaller, and for j < m - 1 it reads a[j], ..., a[0], then the last bead
+    x.  So a prefix with a[t::-1] < a[:t + 1] at such a t is skipped, and x
+    must be at least a[j + 1] for every palindrome a[0..j]: x starts at
+    need, the largest such bead, and only an x equal to it or to a[0] takes
+    the full test.  Each t <= m - 2 caps a[t]'s size at R - max(s0, s_nu):
+    s0 = size(a[0]) (a necklace starts at its least bead), R the size left
+    for a[t] and x once the m - t - 2 beads between take s0 each, s_nu =
+    size(need[t - 1]); after a palindrome, if s_nu is within that, the cap
+    is min(R - s0, R // 2), as a larger a[t] raises need to itself.  It is
+    sound as need only grows, x >= need[m - 2] and no bead is below s0, and
+    needs no guard: each bead fit its cap, which leaves the next one >= s0.
+    FKM visits necklaces in lexicographic order, so the classes come out
     ascending by id tuple.
     """
     if n < 3:
@@ -180,9 +186,8 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
     for m in range(3, n + 1):
         # Per position: the id, the prefix's period, the size left, the
         # prefix's index (own edges plus the cycle edges inside it), the id
-        # bound, whether the prefix is a palindrome, and the least last bead
-        # that no reversal rotation read back from a palindromic prefix
-        # beats: the largest a[j + 1] over palindromes a[0..j], j < t.
+        # bound, whether the prefix is a palindrome, and need: the largest
+        # a[j + 1] over palindromes a[0..j], j < t (the least last bead).
         a, per, rem, hm, hi = [0] * m, [0] * m, [0] * m, [0] * m, [0] * m
         pal, need = [True] * m, [0] * m
         a[0], hi[0], t, last = -1, stop[n // m], 0, m - 2
@@ -213,22 +218,16 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
                 per[0], rem[0], hm[0] = 1, n - s0, own[fid]
             if t < last:
                 t += 1
-                p, r = per[t - 1], rem[t - 1]
-                a[t] = a[t - p] - 1
-                cap = r - (m - t - 1) * s0  # the largest size a[t] may have
-                if t == last:
-                    # The last bead, of size r - size(a[t]), must reach s0 and
-                    # the size of need[last]: need[t - 1]'s, or a[t]'s own if
-                    # a[t] raises it after a palindrome, so size(a[t]) <= r // 2.
-                    s_nu = size[need[t - 1]]
-                    cap = r - max(s0, s_nu)
-                    if pal[t - 1] and s_nu <= cap:
-                        cap = min(r - s0, r // 2)
-                hi[t] = stop[max(cap, 0)]
+                a[t] = a[t - per[t - 1]] - 1
+                r = rem[t - 1] - (m - t - 2) * s0  # R in the docstring
+                s_nu = size[need[t - 1]]
+                cap = r - max(s0, s_nu)  # the largest size a[t] may have
+                if pal[t - 1] and s_nu <= cap:
+                    cap = min(r - s0, r // 2)
+                hi[t] = stop[cap]
                 continue
             # The last position: ids of exactly the size left, >= a[m - 1 - p]
-            # and >= need[last]; only one equal to need[last] or to a[0] can
-            # tie a reversal rotation, and only those take the full test.
+            # and >= need[last]; only need[last] or a[0] takes the full test.
             p, r, d_prev, base = per[last], rem[last], deg[fid], hm[last]
             lo, bound = a[m - 1 - p], need[last]
             first = max(lo, ids_by_size[r].start, bound)

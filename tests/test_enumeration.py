@@ -1,6 +1,8 @@
 """Generator certification: independent counting formulas and labeled oracle."""
 
 import hashlib
+import inspect
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -183,6 +185,46 @@ def test_trees_18_ids_stream_pinned():
     for rec in trees(18):
         digest.update(repr((rec.n, rec.hm, rec.cycle, rec.ids)).encode())
     assert digest.hexdigest() == TREES_18_IDS_SHA256
+
+
+def walk_turns(walk, n):
+    """Line events at the `while t >= 0:` head of walk while it yields every
+    record of order n: one per turn, plus the test that ends each loop (one
+    per cycle length in unicyclic_graphs)."""
+    lines, start = inspect.getsourcelines(walk)
+    head = start + [line.strip() for line in lines].index("while t >= 0:")
+    code, turns = walk.__code__, 0
+
+    def local(frame, event, arg):
+        nonlocal turns
+        if event == "line" and frame.f_lineno == head:
+            turns += 1
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        for _ in walk(n):
+            pass
+    finally:
+        sys.settrace(old)
+    return turns
+
+
+# The streams above pin what the walks yield; these pin how much they walk
+# for it, so a bound that lets dead prefixes back in fails even though the
+# stream is unchanged.  Before every position took the last bead's size into
+# its id bound, unicyclic_graphs read 9,146 and 183,166 here.
+WALK_TURNS = {
+    (unicyclic_graphs, 12): 1_872,
+    (unicyclic_graphs, 15): 28_552,
+    (trees, 16): 20_391,
+}
+
+
+@pytest.mark.parametrize("walk, n", list(WALK_TURNS), ids=lambda x: getattr(x, "__name__", None))
+def test_walk_turns_pinned(walk, n):
+    assert walk_turns(walk, n) == WALK_TURNS[walk, n]
 
 
 def test_unicyclic_records_are_least_bracelets():
