@@ -37,16 +37,17 @@ from .verify import (
     verify_class,
 )
 
-# graph6 output is quadratic in the order (about 5.5 GB at graph6's limit
-# of 258,047 vertices), so family and transform refuse larger ones; writing
-# a graph of this order takes about 2.4 ms, and `family S_n 4000` 0.07 s.
-# The rest cap work timed on a 2-core box: reduce on 498 vertices, a leaf
-# at every other cycle vertex (2.0-2.3 s, cubic in the order), rank trees
-# 20 and unicyclic 17 (0.5 s, 1.3-1.6 s*; ~3x per order), 100,000 lemma
-# trials (2.7 s).  The closed-form audit has no cap: it compares one derived
-# cubic per family, whatever its range.  rank builds every survivor of its
-# window, so k is capped too: at 10,000, trees 20 and unicyclic 17 took
-# 0.8-0.9 s / 32 MiB and 1.5-1.9 s* / 64 MiB (*: on a box run half as fast).
+# Each cap bounds a fixed amount of work.  graph6 output is quadratic in the
+# order: 1,333,004 characters at 4000 vertices, about 5.5 GB at graph6's
+# limit of 258,047, so family and transform refuse larger results.  reduce
+# is cubic in the order: on 498 vertices, a 332-cycle with a leaf at every
+# other vertex, it takes 165 steps over 13,695 candidate merges.  A class
+# run visits 823,065 classes at trees 20, and 880,840 at unicyclic 17 over
+# the 141,083-form registry (about 3x per order).  lemmas runs at most
+# 100,000 trials, linear in the trials.  The closed-form audit has no cap:
+# it compares one derived cubic per family, whatever its range.  rank
+# builds every survivor of its window, the k best and their ties, so k is
+# capped at 10,000 too.
 MAX_OUTPUT_ORDER = 4000
 MAX_REDUCE_ORDER = 500
 MAX_CLASS_ORDER = {"trees": 20, "unicyclic": 17}

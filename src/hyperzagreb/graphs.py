@@ -33,11 +33,9 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
-        # Internal constructor: build through make_graph (validates an edge
-        # list) or from_adjacency (trusted, simple by construction).  The
-        # graph6 decoder, rooted.form_graph, families.cycle_with_stars,
-        # transforms.coalesce and join_vs_identify call it directly: they
-        # write sorted tuples of a simple graph.
+        # Unchecked: edges from outside go through make_graph, which
+        # validates them.  A builder that writes the sorted rows of a simple
+        # graph itself passes them here directly.
         self.n = n
         self.adj = adj
 
@@ -98,17 +96,6 @@ def make_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
         neighbor_sets[u].add(v)
         neighbor_sets[v].add(u)
     return Graph(order, tuple(tuple(sorted(s)) for s in neighbor_sets))
-
-
-def from_adjacency(adj: list[list[int]]) -> Graph:
-    """Trusted fast path for adjacency lists that are simple by construction.
-
-    Nothing is validated; each list is sorted.  Only the lemma suite's
-    random trees and unicyclic graphs come this way: their rows, filled
-    from a Pruefer decoding and a random extra edge, are unsorted.  Edges
-    from outside (edge lists, tests) go through make_graph instead.
-    """
-    return Graph(len(adj), tuple(tuple(sorted(a)) for a in adj))
 
 
 def hyper_zagreb(g: Graph) -> int:

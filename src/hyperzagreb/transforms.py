@@ -159,7 +159,8 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
                 p for p in positions
                 if p != tgt and deg((p + 1) % m) + deg((p - 1) % m) <= rhs
             ]
-            assert sources, "no dominance-compatible source attachment"
+            if not sources:
+                raise AssertionError("no dominance-compatible source attachment")
         # the least canonical code (see above); max keeps the first of equal keys
         src = max(sources, key=lambda p: dihedral_least(_move_star(counts, p, tgt)))
         counts = _move_star(counts, src, tgt)

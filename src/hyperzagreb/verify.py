@@ -33,7 +33,7 @@ from .families import (
     cycle_star_hm_miscounted,
     cycle_with_stars,
 )
-from .graphs import Graph, from_adjacency, hyper_zagreb
+from .graphs import Graph, hyper_zagreb
 from .transforms import (
     attach_conditions,
     coalesce,
@@ -118,16 +118,15 @@ def rank(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     buf: list[tuple[int, ClassRecord]] = []
-    total = cutoff = 0  # cutoff: the k-th index of the last compaction
+    cutoff = 0  # the k-th index of the last compaction
     for record in stream:
-        total += 1
         if record.hm < cutoff:  # the cutoff only rises, so it stays out
             continue
         buf.append((record.hm, record))
         if len(buf) >= 4 * k + 64:
             buf = _compact(buf, k)
             cutoff = buf[k - 1][0]
-    if total == 0:
+    if not buf:  # the first record always enters, as no index is below 0
         raise ValueError("empty stream")
     decorated = []
     for hm, record in _compact(buf, k):
@@ -350,31 +349,29 @@ class SuiteReport:
         }
 
 
-def _random_tree_lists(rng: random.Random, n: int) -> list[list[int]]:
-    """Unsorted adjacency lists of a uniform random labeled tree."""
-    adj: list[list[int]] = [[] for _ in range(n)]
+def _random_tree(rng: random.Random, n: int) -> Graph:
+    """A uniform random labeled tree, decoded from a random Pruefer sequence."""
+    rows: list[list[int]] = [[] for _ in range(n)]
     if n > 1:
         for u, v in prufer_edges([rng.randrange(n) for _ in range(n - 2)], n):
-            adj[u].append(v)
-            adj[v].append(u)
-    return adj
-
-
-def _random_tree(rng: random.Random, n: int) -> Graph:
-    return from_adjacency(_random_tree_lists(rng, n))
+            rows[u].append(v)
+            rows[v].append(u)
+    return Graph(n, tuple(tuple(sorted(r)) for r in rows))
 
 
 def _random_base_graph(rng: random.Random, n: int) -> Graph:
     """Random tree, or random unicyclic obtained by closing one extra edge."""
-    adj = _random_tree_lists(rng, n)
+    g = _random_tree(rng, n)
     if n >= 3 and rng.random() < 0.5:
+        adj = g.adj
         while True:
             u, v = rng.randrange(n), rng.randrange(n)
             if u != v and v not in adj[u]:
-                adj[u].append(v)
-                adj[v].append(u)
-                break
-    return from_adjacency(adj)
+                rows = list(adj)
+                rows[u] = tuple(sorted(adj[u] + (v,)))
+                rows[v] = tuple(sorted(adj[v] + (u,)))
+                return Graph(n, tuple(rows))
+    return g
 
 
 def _pair_g6(a: Graph, b: Graph) -> str:

@@ -71,3 +71,14 @@ def test_src_reads_every_private_module_name():
                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert len(defined) >= 10
     assert [f"{where}: {name}" for name, where in defined.items() if name not in read] == []
+
+
+def test_src_has_no_assert_statement():
+    # python -O strips assert statements, so a guard in src/ raises
+    # AssertionError explicitly and holds under every optimization level
+    asserts = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        asserts += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Assert)]
+    assert asserts == []

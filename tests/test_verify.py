@@ -42,6 +42,13 @@ def test_rank_guards():
         rank(trees(5), 0)
 
 
+def test_rank_keeps_a_lone_record_of_index_zero():
+    # the window starts at cutoff 0 and no index is below it, so the first
+    # record always enters; the empty-stream check reads the window alone
+    entries = rank(trees(1), 1)
+    assert [(e.rank, e.hm, e.graph6) for e in entries] == [(1, 0, "@")]
+
+
 def test_rank_includes_full_tie_groups():
     # k = 1 over every class twice: the two copies of the top class tie at
     # the top value and both must be reported
