@@ -50,7 +50,7 @@ def _code(head: bytes, keys: Iterable[bytes]) -> bytes:
 def _record_code(r: ClassRecord) -> bytes:
     # Ids ascend by (size, key): a bracelet's are least over rotations and
     # reflections, a centroid's children descend, and halves come in order.
-    keys = [r.tables.keys[f] for f in r.ids]
+    keys = list(map(r.tables.key, r.ids))
     if r.cycle:
         return _code(b"U" + r.cycle.to_bytes(4, "big"), keys)
     return _code(b"T2", keys) if r.halves else _code(b"T1", [OPEN, *keys, CLOSE])

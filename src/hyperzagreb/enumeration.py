@@ -28,9 +28,9 @@ per class, not a Graph: the class's form ids and its exact Hyper-Zagreb
 index, summed from the registry's per-form tables.  A class's index is
 the sum of each hanging form's own edges at its root degree plus the edges
 joining the roots (the cycle edges, the centroid edge or the centroid's
-child edges).  Ranking scores every class this way, codes it from its ids
-(canon.canonical_code) and builds only the graphs it reports, through
-record.graph() and rooted.form_graph.
+child edges).  Ranking scores every class this way, then codes and builds
+only the classes it reports (canon.canonical_code, record.graph()), which
+read their forms through FormTables.key and FormTables.kids.
 
 The labeled oracle is the independent ground truth used to certify both
 generators at small orders: it scans every labeled graph of the class as an
@@ -84,12 +84,12 @@ class ClassRecord(NamedTuple):
         return not self.cycle and len(self.ids) == 2 and self.n % 2 == 0
 
     def graph(self) -> Graph:
-        ids, children = self.ids, self.tables.children
+        ids, kids = self.ids, self.tables.kids
         if self.cycle:
-            return form_graph(self.cycle, enumerate(ids), children)
+            return form_graph(self.cycle, enumerate(ids), kids)
         # two halves: the second hangs below a new neighbour of vertex 0
         placements = ((0, ids[0]), (0, ids[1:])) if self.halves else ((0, ids),)
-        return form_graph(0, placements, children)
+        return form_graph(0, placements, kids)
 
 
 def trees(n: int) -> Iterator[ClassRecord]:
@@ -104,7 +104,7 @@ def trees(n: int) -> Iterator[ClassRecord]:
         return
     tables = form_tables(n // 2)
     hung, ids_by_size, size = tables.hung, tables.ids_by_size, tables.size
-    k = [len(c) + 1 for c in tables.children]  # a hanging form's root degree
+    k = [c + 1 for c in tables.child_counts()]  # a hanging form's root degree
     # Single centroid: every hanging subtree has at most floor((n-1)/2)
     # vertices.  (A subtree of exactly n/2 vertices would move the centroid.)
     # Walk the non-increasing id sequences of total size n - 1, descending;
@@ -178,7 +178,7 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
     # own edges add own = E(f, D) = hung + (D - 2)(2D - 1) + 2*S1 (the terms
     # in d of FormTables' E, moved from d = c + 1 to d = D), and each cycle
     # edge adds (D_i + D_{i+1})^2.
-    deg = [len(kids) + 2 for kids in tables.children]
+    deg = [c + 2 for c in tables.child_counts()]
     own = [h + (d - 2) * (2 * d - 1) + 2 * s1
            for h, d, s1 in zip(tables.hung, deg, tables.s1)]
     stop = [ids.stop for ids in ids_by_size]  # 1 + largest id of size <= s

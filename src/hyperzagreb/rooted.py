@@ -8,9 +8,9 @@ OPEN, its children's keys in descending (size, key) order, then CLOSE.
 CLOSE sorts below OPEN, so within one size the byte order of keys is the
 lexicographic order of nested tuples, and comparing id tuples agrees with
 comparing forms; form_tables writes each size in that order, unsorted.
-canon codes a class record from the keys of its ids, and a graph from the
-keys of its hanging trees, which canon.hanging_trees builds without
-recursion however deep the tree.
+canon codes a class record from the keys of its ids (FormTables.key), and
+a graph from the keys of its hanging trees, which canon.hanging_trees
+builds without recursion however deep the tree.
 
 Family builders describe forms to form_graph as nested tuples: the empty
 tuple is a single vertex and a node is the tuple of its child forms in
@@ -20,10 +20,11 @@ form_graph hangs them on a cycle or a lone root, writing each row sorted.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import merge
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 from .graphs import Graph
 
@@ -37,11 +38,14 @@ OPEN, CLOSE = b"\x01", b"\x00"  # as a tuple that ends sorts before one that goe
 class FormTables:
     """Registry of every rooted form of size 1..max_size, by integer id.
 
-    children[fid] holds the form's child ids, largest first, keys[fid] its
-    bracket key, size[fid] its vertex count and ids_by_size[s] the ids of
-    size s.  A form's own edges are those from its root down.  With c
-    children of degrees d_j (a child's own child count plus one, for the
-    edge up to its parent) and its root at degree d they add up to
+    size[fid] holds a form's vertex count and ids_by_size[s] the ids of size
+    s.  Below the top size, children[fid] holds its child ids, largest first,
+    and keys[fid] its bracket key; the i-th form of the top size (from 2 on)
+    is its first child first[i] and then the children of rest[i].  kids()
+    and key() serve any id.  A form's own edges are those from its root
+    down.  With c children of degrees d_j (a child's own child count plus
+    one, for the edge up to its parent) and its root at degree d they add
+    up to
 
         E(f, d) = B + c*d^2 + 2*d*S1 + S2,  S1 = sum d_j,  S2 = sum d_j^2,
 
@@ -52,10 +56,27 @@ class FormTables:
 
     children: list[tuple[int, ...]]
     keys: list[bytes]
+    first: array
+    rest: array
     ids_by_size: list[range]  # index 0 unused
     size: list[int]
     hung: list[int]
     s1: list[int]
+
+    def kids(self, fid: int) -> tuple[int, ...]:
+        """The child ids of form fid, largest first."""
+        kids, i = self.children, fid - len(self.children)
+        return kids[fid] if i < 0 else (self.first[i],) + kids[self.rest[i]]
+
+    def key(self, fid: int) -> bytes:
+        """The bracket key of form fid."""
+        keys, i = self.keys, fid - len(self.children)
+        return keys[fid] if i < 0 else OPEN + keys[self.first[i]] + keys[self.rest[i]][1:]
+
+    def child_counts(self) -> list[int]:
+        """Every id's child count, in id order."""
+        return ([len(kids) for kids in self.children]
+                + [len(self.children[g]) + 1 for g in self.rest])
 
 
 def form_tables(max_size: int) -> FormTables:
@@ -67,10 +88,13 @@ def form_tables(max_size: int) -> FormTables:
     g's key after its OPEN.  No key is a proper prefix of another, so keys
     order by f's key, then by g's id.  So each size is written in key order
     with no sort: f runs over every smaller id in key order (one list,
-    merged with each size), and for each f the ids of g ascend.
+    merged with each size), and for each f the ids of g ascend.  No size
+    reads the keys or children of a larger one, so the top size keeps only
+    (f, g) per form.
     """
     children: list[tuple[int, ...]] = [()]
     keys = [OPEN + CLOSE]
+    first, rest = array("l"), array("l")
     ids_by_size = [range(0), range(1)]
     size, hung, s1 = [1], [0], [0]
     by_key: list[int] = []  # the ids of every smaller size, in key order
@@ -88,14 +112,18 @@ def form_tables(max_size: int) -> FormTables:
                 hung.append(hung[g] + (d - 1) * (2 * d + 1) + 2 * s1[g]
                             + hung[f] + (d + 1 + d_f) ** 2)
                 s1.append(s1[g] + d_f)
-                keys.append(key_f + keys[g][1:])
-                children.append(one + kids)
-        ids_by_size.append(range(len(size), len(children)))
+                if s < max_size:
+                    keys.append(key_f + keys[g][1:])
+                    children.append(one + kids)
+                else:
+                    first.append(f)
+                    rest.append(g)
+        ids_by_size.append(range(len(size), len(hung)))
         size += [s] * len(ids_by_size[s])
         if s < max_size:
             gids = sorted(ids_by_size[s], key=lambda g: children[g][0])
             by_first.append(([children[g][0] for g in gids], gids))
-    return FormTables(children, keys, ids_by_size, size, hung, s1)
+    return FormTables(children, keys, first, rest, ids_by_size, size, hung, s1)
 
 
 def star_form(pendants: int) -> Form:
@@ -112,11 +140,11 @@ def path_form(length_edges: int) -> Form:
 
 
 def form_graph(cycle: int, placements: Iterable[tuple[int, Form | int]],
-               children: Sequence[tuple[int, ...]] = ()) -> Graph:
+               kids: Callable[[int], tuple[int, ...]] | None = None) -> Graph:
     """Hang each (root, form) of `placements` below a vertex of the base:
     the cycle 0-1-...-(cycle-1)-0, or a lone root 0 when cycle is 0.
 
-    A form is a tuple of forms, or an id whose children are children[id].
+    A form is a tuple of forms, or an id whose child ids are kids(id).
     New vertices take consecutive ids from the base's size on, placement by
     placement; within a form the children of a vertex get consecutive ids
     and subtrees are laid out last child first.  A new id exceeds every id
@@ -130,7 +158,7 @@ def form_graph(cycle: int, placements: Iterable[tuple[int, Form | int]],
         stack = [(form, root)]
         while stack:
             f, vid = stack.pop()
-            for child in f if isinstance(f, tuple) else children[f]:
+            for child in f if isinstance(f, tuple) else kids(f):
                 new = len(adj)
                 adj[vid].append(new)
                 adj.append([vid])

@@ -19,7 +19,7 @@ def form_key(form):
 
 def nested_form(tables, fid):
     """The nested tuple of registry id fid; recursion depth is its size."""
-    return tuple(nested_form(tables, c) for c in tables.children[fid])
+    return tuple(nested_form(tables, c) for c in tables.kids(fid))
 
 
 def placements(record):

@@ -190,12 +190,12 @@ def test_enumerate_stdout_count_on_stderr(capsys):
     assert captured.err == "count: 2\n"
 
 
-def _run_cli(argv, **kwargs):
+def _run_cli(argv, module="hyperzagreb.cli", **kwargs):
     # a fresh interpreter, so write failures reach the process's own exit
     src = os.path.dirname(os.path.dirname(hyperzagreb.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-m", "hyperzagreb.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         env=env, stderr=subprocess.PIPE, text=True, **kwargs
     )
 
@@ -647,3 +647,9 @@ GOLDEN = [
 def test_golden_output(argv, code, digest, capsys):
     assert main(argv.split()) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_package_runs_as_a_module():
+    argv = "family S_n 7"
+    proc = _run_cli(argv.split(), "hyperzagreb", stdout=subprocess.PIPE)
+    assert (argv, proc.returncode, hashlib.sha256(proc.stdout.encode()).hexdigest()) in GOLDEN

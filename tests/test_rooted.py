@@ -39,13 +39,14 @@ def test_forms_sorted_and_unique():
     # Ids ascend strictly in (size, nested tuple) order, so comparing id
     # tuples agrees with comparing forms; children are listed largest first.
     tables = form_tables(10)
-    forms = [nested_form(tables, fid) for fid in range(len(tables.children))]
+    every = range(len(tables.size))
+    forms = [nested_form(tables, fid) for fid in every]
     keys = [form_key(f) for f in forms]
     assert keys == sorted(set(keys))
     for n in range(1, 11):
         assert all(form_size(forms[fid]) == n for fid in tables.ids_by_size[n])
     assert tables.size == [form_size(f) for f in forms]
-    assert all(list(kids) == sorted(kids, reverse=True) for kids in tables.children)
+    assert all(list(kids) == sorted(kids, reverse=True) for kids in map(tables.kids, every))
 
 
 def test_hung_is_the_index_below_a_parent():
@@ -53,9 +54,9 @@ def test_hung_is_the_index_below_a_parent():
     # a parent: the index of f under one new parent vertex, minus the edge
     # from that parent (degree 1) to f's root (its child count plus one).
     tables = form_tables(8)
-    for fid, kids in enumerate(tables.children):
+    for fid in range(len(tables.size)):
         g = form_graph(0, [(0, (nested_form(tables, fid),))])
-        assert tables.hung[fid] == hyper_zagreb(g) - (1 + len(kids) + 1) ** 2
+        assert tables.hung[fid] == hyper_zagreb(g) - (1 + len(tables.kids(fid)) + 1) ** 2
 
 
 def reference_form_tables(max_size):
@@ -99,11 +100,23 @@ def test_registry_matches_the_sorted_build():
         count = ref[2][max_size].stop
         assert tables.ids_by_size == ref[2][:max_size + 1]
         assert tables.size == [s for s, ids in enumerate(ref[2][:max_size + 1]) for _ in ids]
-        assert tables.children == ref[0][:count]
-        assert tables.keys == ref[1][:count]
+        children = [tables.kids(fid) for fid in range(count)]
+        assert children == ref[0][:count]
+        assert [tables.key(fid) for fid in range(count)] == ref[1][:count]
+        assert tables.child_counts() == [len(kids) for kids in children]
         assert tables.hung == ref[3][:count]
-        children = tables.children
         assert tables.s1 == [sum(len(children[x]) + 1 for x in kids) for kids in children]
+
+
+def test_top_size_keeps_only_first_child_and_rest():
+    # Only the ids below the top size keep a key and a children tuple; a
+    # form of the top size is its first child and the form whose children
+    # follow it.
+    for max_size in range(2, 13):
+        tables = form_tables(max_size)
+        top = tables.ids_by_size[max_size]
+        assert len(tables.keys) == len(tables.children) == top.start
+        assert len(tables.first) == len(tables.rest) == len(top)
 
 
 def test_form_graph_round_trip():
@@ -121,15 +134,15 @@ def test_form_graph_round_trip():
 
 
 def test_ids_hang_and_key_like_their_nested_forms():
-    # form_graph lays out an id exactly as its nested tuple, and keys[fid]
+    # form_graph lays out an id exactly as its nested tuple, and key(fid)
     # is the bracket key hanging_trees reads off the form hung from vertex 0
     # of a triangle.
     tables = form_tables(8)
-    for fid in range(len(tables.children)):
-        g = form_graph(0, [(0, fid)], tables.children)
+    for fid in range(len(tables.size)):
+        g = form_graph(0, [(0, fid)], tables.kids)
         assert g == form_graph(0, [(0, nested_form(tables, fid))])
-        g = form_graph(3, [(0, fid)], tables.children)
-        assert hanging_trees(g)[0] == (g.n - 2, tables.keys[fid])
+        g = form_graph(3, [(0, fid)], tables.kids)
+        assert hanging_trees(g)[0] == (g.n - 2, tables.key(fid))
 
 
 def test_shorthand_forms():
