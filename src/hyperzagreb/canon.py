@@ -114,25 +114,23 @@ def dihedral_least(s: list) -> list:
 def _least_rotation(s: list) -> list:
     """The lexicographically least rotation of s, in linear time.
 
-    Booth's algorithm ("Lexicographically least circular substrings", IPL
-    10, 1980): a Knuth-Morris-Pratt failure function f over s + s, relative
-    to the best start k found so far, which moves k past every start a
-    mismatch proves larger.
+    Two candidate starts i < j are compared over s + s, k entries in.  At
+    a mismatch, say ss[i + k] > ss[j + k], each start i + p with p <= k
+    reads a larger rotation than j + p, so none of them is least: i jumps
+    to max(i + k + 1, j + 1) and the two swap, keeping i < j (a larger
+    ss[j + k] moves j to j + k + 1 the same way).  No start below j but i
+    can then be least.  Each turn raises i + j + k by one or more, so the
+    scan ends within 3n turns: at j >= n, i is the last start left; at
+    k >= n, rotations i and j are equal, so s repeats every j - i entries.
     """
-    ss = s + s
-    f = [-1] * len(ss)
-    k = 0
-    for j in range(1, len(ss)):
-        c = ss[j]
-        i = f[j - k - 1]
-        while i != -1 and c != ss[k + i + 1]:
-            if c < ss[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if i == -1 and c != ss[k]:
-            if c < ss[k]:
-                k = j
-            f[j - k] = -1
+    n, ss = len(s), s + s
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = ss[i + k], ss[j + k]
+        if a == b:
+            k += 1
+        elif a > b:
+            i, j, k = j, max(i + k + 1, j + 1), 0
         else:
-            f[j - k] = i + 1
-    return ss[k:k + len(s)]
+            j, k = j + k + 1, 0
+    return ss[i:i + n]

@@ -161,8 +161,9 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
             ]
             if not sources:
                 raise AssertionError("no dominance-compatible source attachment")
-        # the least canonical code (see above); max keeps the first of equal keys
-        src = max(sources, key=lambda p: dihedral_least(_move_star(counts, p, tgt)))
+        # the least code (see above): max keeps the first of equal keys
+        key = lambda p: dihedral_least(_move_star(counts, p, tgt))
+        src = sources[0] if len(sources) == 1 else max(sources, key=key)
         counts = _move_star(counts, src, tgt)
         nxt = cycle_with_stars(m, counts)
         nxt_hm = hyper_zagreb(nxt)

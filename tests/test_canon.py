@@ -10,14 +10,14 @@ import os
 import random
 import tracemalloc
 from collections import defaultdict
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
 import hyperzagreb
 from brute_iso import brute_isomorphic
 from hyperzagreb import enumeration, rooted
-from hyperzagreb.canon import _least_rotation, canonical_code, hanging_trees
+from hyperzagreb.canon import _least_rotation, canonical_code, dihedral_least, hanging_trees
 from hyperzagreb.enumeration import (
     _graph_from_mask,
     _orbit_partition,
@@ -337,6 +337,59 @@ def test_least_rotation_is_the_least_of_all_rotations():
         period = [rng.choice(alphabet) for _ in range(rng.randint(1, m))]
         s = (period * m)[:m] if rng.random() < 0.5 else [rng.choice(alphabet) for _ in range(m)]
         assert _least_rotation(s) == min(s[i:] + s[:i] for i in range(m)), s
+
+
+def test_least_rotation_matches_brute_force_to_length_9():
+    # every int list over {0, 1, 2} of length 0..9 (29,524 of them)
+    for m in range(10):
+        for s in map(list, product(range(3), repeat=m)):
+            rotations = [s[i:] + s[:i] for i in range(m)] or [[]]
+            assert _least_rotation(s) == min(rotations), s
+            reflected = [r[::-1] for r in rotations]
+            assert dihedral_least(s) == min(rotations + reflected), s
+
+
+class _Counted:
+    """An int that counts every comparison made between two of its kind."""
+
+    compared = 0
+
+    def __init__(self, v):
+        self.v = v
+
+    def __eq__(self, other):
+        _Counted.compared += 1
+        return self.v == other.v
+
+    def __lt__(self, other):
+        _Counted.compared += 1
+        return self.v < other.v
+
+    def __gt__(self, other):
+        _Counted.compared += 1
+        return self.v > other.v
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        [0] * 1999 + [1],
+        [1] + [0] * 1999,
+        [1, 0] * 1000,
+        [2] * 2000,
+        [0, 0, 1] * 667,
+        [random.Random(29).randrange(3) for _ in range(2000)],
+    ],
+    ids=["zeros-then-one", "one-then-zeros", "alternating", "all-equal", "period-3", "random"],
+)
+def test_least_rotation_makes_at_most_6n_comparisons(s):
+    # at most 3n turns, each comparing two entries at most twice
+    counted = [_Counted(v) for v in s]
+    _Counted.compared = 0
+    least = _least_rotation(counted)
+    assert _Counted.compared <= 6 * len(s)
+    m = len(s)
+    assert [c.v for c in least] == min(s[i:] + s[:i] for i in range(m))
 
 
 def test_long_cycle_code_is_exact():

@@ -262,6 +262,23 @@ def test_reduction_builds_one_graph_per_appended_step(monkeypatch):
     assert hyper_zagreb(chain[-1]) == cycle_star_hm(40, 60)
 
 
+def test_lone_source_is_taken_without_a_key(monkeypatch):
+    # the target 0 has one neighbour with stars, 1 and then 2 once 1 has
+    # merged: each merge has a lone source, so no dihedral-least key is
+    # computed (two were before a lone source was taken unkeyed)
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return dihedral_least(s)
+
+    monkeypatch.setattr(transforms, "dihedral_least", counting)
+    chain = reduce_to_single_attachment(cycle_with_stars(7, [2, 1, 1, 0, 0, 0, 0]))
+    assert len(chain) == 3
+    assert _hanging_counts(chain[-1])[0] == [4, 0, 0, 0, 0, 0, 0]
+    assert calls == []
+
+
 def test_reduction_chain_exhaustive_small():
     # Every chain, for each class and a relabelled twin, hashed as graph6
     # lines (one blank line per chain); pinned at the commit before reduce
