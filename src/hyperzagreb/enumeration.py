@@ -49,7 +49,6 @@ set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
@@ -255,8 +254,7 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Isomorphism classes of all labeled graphs of one kind and order."""
 
     n: int

@@ -19,8 +19,7 @@ table polynomial against the cubic derived from its core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import Graph, GraphError, hyper_zagreb
 from .rooted import Form, form_graph, path_form, star_form
@@ -34,8 +33,7 @@ class UnknownFamilyError(KeyError):
     """Catalog key not recognized."""
 
 
-@dataclass(frozen=True)
-class ClosedFormPoly:
+class ClosedFormPoly(NamedTuple):
     """Exact cubic a3*n^3 + a2*n^2 + a1*n + a0 valid from n >= valid_n_min."""
 
     a3: int
@@ -55,8 +53,7 @@ class ClosedFormPoly:
         return (self.a3, self.a2, self.a1, self.a0)
 
 
-@dataclass(frozen=True)
-class Core:
+class Core(NamedTuple):
     """A family's fixed part; a member on n vertices adds leaves at the hub.
 
     cycle is 0 for a tree, else the cycle length m.  forms[p] is the
@@ -165,8 +162,7 @@ def cycle_star_hm_miscounted(m: int, n: int) -> int:
     return cycle_star_hm(m, n) - 12 * (m - 2)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A named family: its closed form and the core its members grow from."""
 
     key: str

@@ -7,8 +7,7 @@ Python int, so every value is exact regardless of size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphError(ValueError):
@@ -111,8 +110,7 @@ def hyper_zagreb(g: Graph) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class ZagrebIndices:
+class ZagrebIndices(NamedTuple):
     """First Zagreb M1, second Zagreb M2 and forgotten index F."""
 
     m1: int

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from heapq import merge
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .graphs import Graph
 
@@ -33,9 +32,7 @@ Form = tuple  # nested tuples of Form
 OPEN, CLOSE = b"\x01", b"\x00"  # as a tuple that ends sorts before one that goes on
 
 
-# Every class record refers to its registry: compare by identity, keep repr short.
-@dataclass(frozen=True, eq=False, repr=False)
-class FormTables:
+class FormTables(NamedTuple):
     """Registry of every rooted form of size 1..max_size, by integer id.
 
     size[fid] holds a form's vertex count and ids_by_size[s] the ids of size
@@ -62,6 +59,10 @@ class FormTables:
     size: list[int]
     hung: list[int]
     s1: list[int]
+
+    # Every class record refers to its registry: compare by identity, keep repr short.
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+    __repr__ = object.__repr__
 
     def kids(self, fid: int) -> tuple[int, ...]:
         """The child ids of form fid, largest first."""

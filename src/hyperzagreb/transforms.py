@@ -11,7 +11,7 @@ never mutated); inputs outside a rewrite's structural domain raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .canon import dihedral_least, hanging_trees
 from .graphs import Graph, GraphError, hyper_zagreb, is_unicyclic
@@ -59,8 +59,7 @@ def attach_conditions(g: Graph, u: int, w: int) -> tuple[bool, bool, bool, bool]
     return (du <= dw, su <= sw, du == dw, su == sw)
 
 
-@dataclass(frozen=True)
-class JoinIdentifyPair:
+class JoinIdentifyPair(NamedTuple):
     """Same vertex budget spent two ways: a bridging edge vs a pendant.
 
     joined adds an edge between u in g1 and v in g2; identified merges u

@@ -16,8 +16,7 @@ text and JSON serializations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .canon import canonical_code
 from .codec import encode_graph6
@@ -54,8 +53,7 @@ CLAIMS = {
 }
 
 
-@dataclass(frozen=True)
-class RankEntry:
+class RankEntry(NamedTuple):
     rank: int
     hm: int
     code: bytes
@@ -143,8 +141,7 @@ def rank(
     return out
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(NamedTuple):
     """Outcome of checking one ordering claim at one order."""
 
     n: int
@@ -295,8 +292,7 @@ def discover_tree_threshold(n_lo: int = 5, n_hi: int = 16) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     scope: str
     checked: int
@@ -308,8 +304,7 @@ class CheckResult:
         return self.violations == 0
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     seed: int
     trials: int
     checks: tuple[CheckResult, ...]
@@ -571,8 +566,7 @@ def lemma_suite(seed: int = 0, trials: int = 10_000) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     key: str
     n_lo: int
     n_hi: int
@@ -584,8 +578,7 @@ class AuditRow:
         return not self.mismatches
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     n_lo: int
     n_hi: int
     rows: tuple[AuditRow, ...]

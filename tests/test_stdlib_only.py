@@ -1,10 +1,23 @@
-"""The runtime is pure standard library: networkx and hypothesis are test-only."""
+"""The runtime is pure standard library: networkx and hypothesis are test-only.
+
+Its records are NamedTuples, so the CLI never imports dataclasses.
+"""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
+import pytest
+
 import hyperzagreb
+from hyperzagreb.enumeration import labeled_oracle, trees, unicyclic_graphs
+from hyperzagreb.families import CATALOG
+from hyperzagreb.graphs import classical_indices
+from hyperzagreb.rooted import FormTables, form_tables
+from hyperzagreb.transforms import join_vs_identify
+from hyperzagreb.verify import closed_form_audit, lemma_suite, verify_trees
 
 PACKAGE = pathlib.Path(hyperzagreb.__file__).parent
 
@@ -82,3 +95,52 @@ def test_src_has_no_assert_statement():
         asserts += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                     if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site .pth files, which may import anything, out of the check
+    src = os.path.dirname(PACKAGE)
+    code = "import sys, hyperzagreb.cli; print({'dataclasses', 'inspect'} & set(sys.modules))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          stdout=subprocess.PIPE, text=True, check=True)
+    assert proc.stdout == "set()\n"
+
+
+# One record of every type src/ defines, built through the public calls.
+RECORDS = {
+    "RankEntry": lambda: verify_trees(8).entries[0],
+    "VerdictReport": lambda: verify_trees(8),
+    "CheckResult": lambda: lemma_suite(1, 20).checks[0],
+    "SuiteReport": lambda: lemma_suite(1, 20),
+    "AuditRow": lambda: closed_form_audit(15, 16).rows[0],
+    "AuditReport": lambda: closed_form_audit(15, 16),
+    "OracleResult": lambda: labeled_oracle(5, "trees"),
+    "ClassRecord": lambda: next(trees(6)),
+    "ClosedFormPoly": lambda: CATALOG["C_3(1,n-4)"].poly,
+    "Core": lambda: CATALOG["C_3(1,n-4)"].core,
+    "CatalogEntry": lambda: CATALOG["C_3(1,n-4)"],
+    "ZagrebIndices": lambda: classical_indices(CATALOG["S_n"].builder(5)),
+    "JoinIdentifyPair": lambda: join_vs_identify(*[CATALOG["S_n"].builder(4), 1] * 2),
+    "FormTables": lambda: form_tables(6),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_frozen_and_hashable(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    for field in type(record).__annotations__:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    assert hash(record) == hash(record)
+
+
+def test_form_tables_compare_by_identity_and_print_short():
+    # every class record refers to its registry, so a registry compares and
+    # hashes as an object, and a record's repr never dumps the registry
+    a, b = form_tables(6), form_tables(6)
+    assert a == a and a != b and not a == b
+    assert hash(a) == object.__hash__(a) != hash(b)
+    record = next(unicyclic_graphs(15))  # its registry is form_tables(13)
+    assert isinstance(record.tables, FormTables) and record.tables.size[-1] == 13
+    assert len(repr(record)) < 300

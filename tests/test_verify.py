@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import heapq
 import itertools
@@ -151,8 +150,8 @@ def test_closed_form_audit_catches_a_forged_coefficient(coefficient, monkeypatch
     # coefficient off by one is wrong at every order of the range
     key = "C_3(T^3_{n-2})"
     entry = CATALOG[key]
-    poly = dataclasses.replace(entry.poly, **{coefficient: getattr(entry.poly, coefficient) + 1})
-    monkeypatch.setitem(CATALOG, key, dataclasses.replace(entry, poly=poly))
+    poly = entry.poly._replace(**{coefficient: getattr(entry.poly, coefficient) + 1})
+    monkeypatch.setitem(CATALOG, key, entry._replace(poly=poly))
     report = closed_form_audit(15, 40)
     assert not report.passed
     (row,) = [r for r in report.rows if r.key == key]
@@ -267,7 +266,7 @@ def test_chain_check_verdict_and_note_per_branch(case, monkeypatch):
     if swap is not None:
         key, source, fields = swap
         changes = {f: getattr(CATALOG[source], f) for f in fields}
-        monkeypatch.setitem(CATALOG, key, dataclasses.replace(CATALOG[key], **changes))
+        monkeypatch.setitem(CATALOG, key, CATALOG[key]._replace(**changes))
     check = verify_trees if klass == "trees" else verify_unicyclic
     rep = check(n)
     assert (rep.verdict, list(rep.notes)) == (verdict, notes)
