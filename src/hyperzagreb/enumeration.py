@@ -43,13 +43,15 @@ through three chunk lookup tables.  S_n is the union of the cosets of that
 stabilizer, one per vertex sent to n - 1, so the orbit of any mask not yet
 placed is the union of the walks from its n coset images; an image that an
 earlier walk met is skipped, which leaves one walk per vertex orbit of the
-class's automorphism group.  The orbit's masks are removed from the scan's
-set.
+class's automorphism group.  The orbit's masks are removed from its set:
+the unicyclic graphs, or the labeled trees of one degree multiset at a time.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from array import array
+from collections import defaultdict
+from itertools import chain, combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import Graph, make_graph
@@ -296,39 +298,44 @@ def prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _labeled_tree_masks(n: int) -> set[int]:
-    """Edge-bit masks of every labeled tree on n vertices.
+def _labeled_tree_masks(n: int) -> dict[int, array]:
+    """Edge-bit masks of every labeled tree on n vertices, by degree multiset.
 
     Scans every tree as its parent function toward the root n - 1, depth
     first: vertex v = 0..n-2 takes any parent p whose chain of parents
     already placed does not lead back to v.  Acyclic parent functions are
-    in bijection with the n^(n-2) labeled trees, so each is met once.
+    in bijection with the n^(n-2) labeled trees, so each is met once.  A
+    mask goes to the array of its degree multiset, coded as sum (n + 1)^deg:
+    a non-root vertex starts at degree 1 and raises its parent's when placed.
     """
     if n == 1:
-        return {0}
+        return {1: array("q", [0])}
     bit = [[0] * n for _ in range(n)]  # bit[u][v]: the mask bit of edge uv
     for i, (u, v) in enumerate(_edge_pairs(n)):
         bit[u][v] = bit[v][u] = 1 << i
-    parent, masks, last = [0] * n, set(), n - 2
+    rise = [n * (n + 1) ** d for d in range(n)]  # the code's step from degree d
+    deg, parent, last = [1] * (n - 1) + [0], [0] * n, n - 2
+    buckets: dict[int, array] = defaultdict(lambda: array("q"))
 
-    def place(v: int, mask: int) -> None:
-        row, level = bit[v], []
+    def place(v: int, mask: int, code: int) -> None:
+        row = bit[v]
         for p in range(n):
             x = p
             while x < v:  # up the placed chain to its first unplaced vertex
                 x = parent[x]
             if x == v:
                 continue
+            d = deg[p]
             if v < last:
-                parent[v] = p
-                place(v + 1, mask | row[p])
+                parent[v], deg[p] = p, d + 1
+                place(v + 1, mask | row[p], code + rise[d])
+                deg[p] = d
             else:
-                level.append(mask | row[p])
-        masks.update(level)
+                buckets[code + rise[d]].append(mask | row[p])
 
-    place(0, 0)
-    del place  # it refers to itself; that cycle would hold masks until a gc
-    return masks
+    place(0, 0, (n - 1) * (n + 1) + 1)
+    del place  # it refers to itself; that cycle would hold the buckets until a gc
+    return buckets
 
 
 def _labeled_unicyclic_masks(n: int) -> set[int]:
@@ -340,7 +347,7 @@ def _labeled_unicyclic_masks(n: int) -> set[int]:
     """
     bits = [1 << i for i in range(n * (n - 1) // 2)]
     masks: set[int] = set()
-    for tmask in _labeled_tree_masks(n):
+    for tmask in chain.from_iterable(_labeled_tree_masks(n).values()):
         masks.update([tmask | bit for bit in bits if not tmask & bit])
     return masks
 
@@ -443,8 +450,8 @@ def labeled_oracle(n: int, kind: str) -> OracleResult:
 
     kind is "trees" or "unicyclic".  Guarded to n <= ORACLE_MAX_ORDER: the
     scan and the orbit partition are exponential in nature and exist to
-    certify the generators, not to replace them.  The scan's mask set is
-    built here and consumed by the orbit partition.
+    certify the generators, not to replace them.  The partition consumes the
+    trees one degree multiset at a time; its closure check covers each one.
     """
     if kind not in ("trees", "unicyclic"):
         raise ValueError(f"kind must be 'trees' or 'unicyclic', got {kind!r}")
@@ -453,12 +460,17 @@ def labeled_oracle(n: int, kind: str) -> OracleResult:
     if kind == "trees":
         if n < 1:
             raise ValueError(f"order must be >= 1, got {n}")
-        masks = _labeled_tree_masks(n)
+        buckets = _labeled_tree_masks(n)
+        mask_sets = (set(buckets.pop(key)) for key in list(buckets))
     else:
         if n < 3:
             raise ValueError(f"order must be >= 3, got {n}")
-        masks = _labeled_unicyclic_masks(n)
-    total = len(masks)
-    reps, sizes = zip(*_orbit_partition(n, masks))
+        mask_sets = [_labeled_unicyclic_masks(n)]
+    total, pairs = 0, []
+    for masks in mask_sets:
+        total += len(masks)
+        pairs += _orbit_partition(n, masks)
+        del masks  # an emptied set keeps its table: free it before the next
+    reps, sizes = zip(*sorted(pairs))
     classes = tuple(_graph_from_mask(n, rep) for rep in reps)
     return OracleResult(n, kind, classes, total, sizes)

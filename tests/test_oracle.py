@@ -1,24 +1,29 @@
 """The labeled oracle's parts against direct references.
 
 The Pruefer decoder against the textbook heap decoder, the parent-function
-tree scan against a scan of every Pruefer sequence, the Trotter-Johnson
-swap sequence and the chunk-table orbit partition against explicit
-permutations, the labeled totals against Cayley's formula and its
-unicyclic analogue, each class's orbit size against n!/|Aut|, and the
-oracle's whole output against a digest.
+tree scan against a scan of every Pruefer sequence, its buckets against
+each tree's degree multiset and the count of trees with that multiset, the
+oracle's one partition per bucket against one partition of the whole scan,
+the Trotter-Johnson swap sequence and the chunk-table orbit partition
+against explicit permutations, the labeled totals against Cayley's formula
+and its unicyclic analogue, each class's orbit size against n!/|Aut|, and
+the oracle's whole output against a digest.
 """
 
 import hashlib
 import heapq
 import random
+from collections import Counter
 from itertools import permutations, product
 from math import comb, factorial
 
 import pytest
 
+from hyperzagreb import enumeration
 from hyperzagreb.codec import encode_graph6
 from hyperzagreb.enumeration import (
     _edge_pairs,
+    _graph_from_mask,
     _labeled_tree_masks,
     _labeled_unicyclic_masks,
     _orbit_partition,
@@ -80,6 +85,35 @@ def permutation_orbits(n, masks):
     return out
 
 
+def tree_masks(n):
+    """The tree scan's masks as one set: the union of its buckets."""
+    return set().union(*_labeled_tree_masks(n).values())
+
+
+def partitions(total, parts):
+    """Partitions of total into at most parts positive parts."""
+    if total == 0:
+        return 1
+    if parts == 0:
+        return 0
+    return partitions(total, parts - 1) + (
+        partitions(total - parts, parts) if total >= parts else 0
+    )
+
+
+def trees_with_degrees(degrees):
+    """Labeled trees whose degree multiset is degrees: (n-2)!/prod (d-1)!
+    trees per assignment of the degrees to vertices, n!/prod m_j! of them."""
+    n = len(degrees)
+    per_sequence = factorial(n - 2)
+    for d in degrees:
+        per_sequence //= factorial(d - 1)
+    sequences = factorial(n)
+    for m in Counter(degrees).values():
+        sequences //= factorial(m)
+    return per_sequence * sequences
+
+
 def unicyclic_labeled_count(n):
     # a cycle on k chosen vertices, in (k-1)!/2 ways, and a forest of trees
     # rooted on its vertices spanning the rest, in k * n^(n-k-1) ways
@@ -105,9 +139,66 @@ def test_decoder_matches_heap_reference_on_random_sequences():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_tree_scan_matches_prufer_scan(n):
-    masks = _labeled_tree_masks(n)
+    masks = tree_masks(n)
     assert masks == prufer_tree_masks(n)
     assert len(masks) == (n ** (n - 2) if n > 1 else 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tree_buckets_split_the_scan_by_degree_multiset(n):
+    # Per byte of a mask, the sum of (n+1)^u + (n+1)^v over its edges uv:
+    # the sum over a mask's bytes holds each vertex's degree as a digit.
+    base, pairs = n + 1, _edge_pairs(n)
+    tables = [
+        [sum(base**u + base**v for i, (u, v) in enumerate(pairs[lo:lo + 8])
+             if val >> i & 1) for val in range(256)]
+        for lo in range(0, len(pairs), 8)
+    ]
+    multiset = {}  # degree-sequence digits -> sorted degrees
+    buckets = _labeled_tree_masks(n)
+    seen = set()
+    for key, bucket in buckets.items():
+        masks = set(bucket)
+        assert len(masks) == len(bucket) and not masks & seen
+        seen |= masks
+        found = set()
+        for mask in bucket:
+            digits = sum(t[mask >> 8 * k & 255] for k, t in enumerate(tables))
+            if digits not in multiset:
+                multiset[digits] = tuple(sorted(digits // base**v % base for v in range(n)))
+            found.add(multiset[digits])
+        (degrees,) = found
+        assert key == sum(base**d for d in degrees)
+        assert len(bucket) == (trees_with_degrees(degrees) if n > 1 else 1)
+    assert len(seen) == (n ** (n - 2) if n > 1 else 1)
+    # every degree multiset of a tree is met: d - 1 >= 0 summing to n - 2
+    assert len(buckets) == (partitions(n - 2, n) if n > 1 else 1)
+    if n == 8:
+        assert len(buckets) == 11 and max(map(len, buckets.values())) == 100_800
+
+
+def test_tree_oracle_partitions_one_bucket_at_a_time(monkeypatch):
+    sizes = []
+    partition = enumeration._orbit_partition
+
+    def spy(n, masks):
+        sizes.append(len(masks))
+        return partition(n, masks)
+
+    monkeypatch.setattr(enumeration, "_orbit_partition", spy)
+    result = labeled_oracle(8, "trees")
+    assert len(sizes) == 11
+    assert max(sizes) == 100_800
+    assert sum(sizes) == 262_144 == result.labeled_total
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bucketed_oracle_matches_one_partition_of_the_scan(n):
+    whole = _orbit_partition(n, tree_masks(n))
+    result = labeled_oracle(n, "trees")
+    assert result.orbit_sizes == tuple(size for _, size in whole)
+    assert result.classes == tuple(_graph_from_mask(n, rep) for rep, _ in whole)
+    assert result.labeled_total == sum(result.orbit_sizes)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -124,7 +215,7 @@ def test_swaps_visit_every_permutation_once(n):
 
 def test_partition_matches_explicit_permutations():
     for n in range(1, 7):
-        mask_sets = [_labeled_tree_masks(n)]
+        mask_sets = [tree_masks(n)]
         if n <= 5:  # every graph: 2^15 masks at n = 6 is too many to permute
             mask_sets.append(set(range(1 << len(_edge_pairs(n)))))
         if n >= 3:
@@ -141,7 +232,7 @@ def test_partition_matches_explicit_permutations():
 def test_partition_refuses_a_set_not_closed_under_relabeling():
     # Drop each mask in turn, so every class loses one, wherever the mask
     # lies among the stabilizer walks that make up its orbit.
-    for full in (_labeled_tree_masks(5), _labeled_unicyclic_masks(5)):
+    for full in (tree_masks(5), _labeled_unicyclic_masks(5)):
         for missing in sorted(full):
             with pytest.raises(ValueError):
                 _orbit_partition(5, full - {missing})
