@@ -33,7 +33,7 @@ from hyperzagreb.codec import (
     format_edgelist,
     parse_edgelist,
 )
-from hyperzagreb.families import cycle_with_stars
+from hyperzagreb.families import CATALOG, cycle_with_stars
 from hyperzagreb.graphs import make_graph
 from hyperzagreb.rooted import form_graph, path_form, star_form
 
@@ -640,6 +640,15 @@ GOLDEN = [
     # random trees through prufer_edges; pinned while it decoded with a heap
     ("verify lemmas --seed 0 --trials 10000 --format json", 0,
      "a6e9f4b0de9248629e8849e3b92d3052b9df493ea4c499d08184dbaa34ab3021"),
+    # pinned before the reports' JSON came from their fields: the one
+    # failing verdict (criterion 4), the bench's closed-forms pin and the
+    # rank JSON in field order
+    ("verify unicyclic 15", 1,
+     "5f71dbf7263a78312f104c2a7dc408ded6661faa0f162cb4c2fa43c57986e768"),
+    ("verify closed-forms 15..45 --format json", 0,
+     "ed6d772a921003280be29b0fc3c394dfd417c8a419176122fcd91ff52d3085de"),
+    ("rank trees 12 -k 5 --format json", 0,
+     "ce3d94d0c132a3532ddc73a68b9da7bd702ae58720d66df3913ba4343d217899"),
 ]
 
 
@@ -647,6 +656,38 @@ GOLDEN = [
 def test_golden_output(argv, code, digest, capsys):
     assert main(argv.split()) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _forged_audit(monkeypatch):
+    # one table coefficient off by one: a MISMATCH row with mismatch lines
+    key = "C_3(T^3_{n-2})"
+    entry = CATALOG[key]
+    monkeypatch.setitem(CATALOG, key, entry._replace(poly=entry.poly._replace(a0=entry.poly.a0 + 1)))
+    return verify.closed_form_audit(15, 20)
+
+
+def _failing_suite(monkeypatch):
+    # one check with a counterexample, one without (counterexample null)
+    return verify.SuiteReport(seed=7, trials=3, checks=(
+        verify._tally("cycle-shrink", "4 <= m <= n <= 6", 6, ["m=5 n=6", "m=6 n=6"]),
+        verify._tally("star-max-trees", "all trees, n <= 4", 5, []),
+    ))
+
+
+# sha256 of the text and then the JSON of two failing reports, pinned before
+# the reports' JSON came from their fields
+FAILING_REPORTS = {
+    _forged_audit: "93f3a4cc15ae3671624696c51bc22d18f62117673c357f05226937e02e8a41e4",
+    _failing_suite: "394881cfcfe6399415e871fb42025e0361142e2bd3c8c4237f826f696fb6c49d",
+}
+
+
+@pytest.mark.parametrize("build", FAILING_REPORTS, ids=lambda f: f.__name__)
+def test_failing_reports_pinned(build, monkeypatch):
+    report = build(monkeypatch)
+    assert not report.passed
+    out = hyperzagreb.cli._render(report, "text") + hyperzagreb.cli._render(report, "json")
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_REPORTS[build]
 
 
 def test_package_runs_as_a_module():
