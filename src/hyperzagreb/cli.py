@@ -33,6 +33,7 @@ from .verify import (
     discover_tree_threshold,
     lemma_suite,
     family_codes,
+    json_data,
     rank as rank_stream,
     verify_class,
 )
@@ -192,20 +193,20 @@ def _cmd_rank(args) -> tuple[int, Iterable[str]]:
     fams = family_codes(args.klass, args.n)
     entries = rank_stream(class_stream(args.klass, args.n), args.k, fams)
     if args.format == "json":
-        return EXIT_OK, [json.dumps([e.to_json_dict() for e in entries]) + "\n"]
+        return EXIT_OK, [json.dumps([json_data(e) for e in entries]) + "\n"]
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["rank", "hm", "family", "graph6"])
         for e in entries:
-            w.writerow([e.rank, e.hm, e.family_match or "", e.graph6])
+            w.writerow([e.rank, e.hm, e.family or "", e.graph6])
         return EXIT_OK, [buf.getvalue()]
     return EXIT_OK, [e.to_text() + "\n" for e in entries]
 
 
 def _render(report, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report.to_json_dict(), sort_keys=True) + "\n"
+        return json.dumps(json_data(report), sort_keys=True) + "\n"
     return report.to_text()
 
 
@@ -222,7 +223,7 @@ def _cmd_verify(args) -> tuple[int, Iterable[str]]:
         reports = [closed_form_audit(lo, hi)]
     chunks = [_render(report, args.format) for report in reports]
     if args.klass == "trees" and args.discover_threshold:
-        thr = discover_tree_threshold(5, hi)
+        thr = discover_tree_threshold(hi)
         if args.format == "json":
             chunks.append(json.dumps({"discovered_threshold": thr}) + "\n")
         else:

@@ -26,17 +26,16 @@ class DuplicateEdgeError(GraphError):
     """The same unordered edge was given twice."""
 
 
-class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+class Graph(NamedTuple):
+    """Immutable simple undirected graph on vertices 0..n-1.
 
-    __slots__ = ("n", "adj")
+    Unchecked: edges from outside go through make_graph, which validates
+    them.  A builder that writes the sorted rows of a simple graph itself
+    passes them here directly.
+    """
 
-    def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
-        # Unchecked: edges from outside go through make_graph, which
-        # validates them.  A builder that writes the sorted rows of a simple
-        # graph itself passes them here directly.
-        self.n = n
-        self.adj = adj
+    n: int
+    adj: tuple[tuple[int, ...], ...]
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -64,13 +63,14 @@ class Graph:
     def num_edges(self) -> int:
         return sum(map(len, self.adj)) // 2
 
+    # equal only to a Graph, never to a plain (n, adj) tuple; hashed as one
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-        )
+        return isinstance(other, Graph) and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"

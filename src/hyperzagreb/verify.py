@@ -53,32 +53,43 @@ CLAIMS = {
 }
 
 
+def json_data(x):
+    """The JSON value of a report, read from its record's fields.
+
+    A record becomes an object of its fields by name, with klass written
+    "class"; the lemma and audit records also carry their passed value.  A
+    tuple becomes a list and a code its hex text.
+    """
+    if isinstance(x, bytes):
+        return x.hex()
+    if not isinstance(x, tuple):
+        return x
+    if not hasattr(x, "_fields"):
+        return [json_data(v) for v in x]
+    out = {"class" if f == "klass" else f: json_data(v) for f, v in zip(x._fields, x)}
+    if isinstance(x, (CheckResult, SuiteReport, AuditRow, AuditReport)):
+        out["passed"] = x.passed
+    return out
+
+
 class RankEntry(NamedTuple):
+    # in the order of rank's JSON, which is dumped unsorted
     rank: int
     hm: int
-    code: bytes
+    family: str | None
     graph6: str
-    family_match: str | None
+    code: bytes
 
     @property
     def label(self) -> str:
         """The family key, else the graph6 text: how ties and failures name it."""
-        return self.family_match or self.graph6
+        return self.family or self.graph6
 
     def to_text(self) -> str:
         return (
-            f"rank: {self.rank} hm: {self.hm} family: {self.family_match or '-'} "
+            f"rank: {self.rank} hm: {self.hm} family: {self.family or '-'} "
             f"graph6: {self.graph6}"
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "hm": self.hm,
-            "family": self.family_match,
-            "graph6": self.graph6,
-            "code": self.code.hex(),
-        }
 
 
 def _compact(buf: list[tuple[int, ClassRecord]], k: int) -> list[tuple[int, ClassRecord]]:
@@ -137,8 +148,13 @@ def rank(
     out = []
     for i, (hm, code, g6) in enumerate(decorated, start=1):
         match = families.get(code) if families else None
-        out.append(RankEntry(rank=i, hm=hm, code=code, graph6=g6, family_match=match))
+        out.append(RankEntry(rank=i, hm=hm, family=match, graph6=g6, code=code))
     return out
+
+
+class Tie(NamedTuple):
+    hm: int
+    members: tuple[str, ...]  # entry labels
 
 
 class VerdictReport(NamedTuple):
@@ -149,7 +165,7 @@ class VerdictReport(NamedTuple):
     expected: tuple[str, ...]
     entries: tuple[RankEntry, ...]
     verdict: str  # "pass" | "tie-noted" | "fail" | "report-only"
-    tie_details: tuple[tuple[int, tuple[str, ...]], ...]  # (hm, member labels)
+    ties: tuple[Tie, ...]
     notes: tuple[str, ...]
 
     @property
@@ -164,32 +180,19 @@ class VerdictReport(NamedTuple):
             f"expected: {', '.join(self.expected)}",
         ]
         lines.extend(e.to_text() for e in self.entries)
-        for hm, members in self.tie_details:
+        for hm, members in self.ties:
             lines.append(f"tie: hm: {hm} members: {', '.join(members)}")
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "class": self.klass,
-            "n": self.n,
-            "verdict": self.verdict,
-            "expected": list(self.expected),
-            "entries": [e.to_json_dict() for e in self.entries],
-            "ties": [
-                {"hm": hm, "members": list(members)} for hm, members in self.tie_details
-            ],
-            "notes": list(self.notes),
-        }
 
-
-def _tie_groups(entries: list[RankEntry]) -> tuple[tuple[int, tuple[str, ...]], ...]:
+def _tie_groups(entries: list[RankEntry]) -> tuple[Tie, ...]:
     groups: dict[int, list[str]] = {}
     for e in entries:
         groups.setdefault(e.hm, []).append(e.label)
     return tuple(
-        (hm, tuple(members))
+        Tie(hm, tuple(members))
         for hm, members in sorted(groups.items(), reverse=True)
         if len(members) >= 2
     )
@@ -210,7 +213,7 @@ def _evaluate_chain(
         if idx >= len(entries):
             return "fail", [f"ranking ended before expected family {key}"]
         e = entries[idx]
-        if e.hm != val or e.family_match != key:
+        if e.hm != val or e.family != key:
             return "fail", [
                 f"rank {idx + 1}: observed {e.label} (hm {e.hm}) where {key} "
                 f"(hm {val}) was expected"
@@ -218,7 +221,7 @@ def _evaluate_chain(
     idx, last_key = len(chain) - 1, chain[-1]
     last_val = CATALOG[last_key].poly.evaluate(n)
     group = [e for e in entries[idx:] if e.hm == last_val]
-    labels = {e.family_match for e in group}
+    labels = {e.family for e in group}
     if last_key not in labels:
         return "fail", [f"{last_key} missing at value {last_val}"]
     extras = labels - {last_key}
@@ -275,13 +278,13 @@ def verify_unicyclic(n: int) -> VerdictReport:
     return verify_class("unicyclic", n)
 
 
-def discover_tree_threshold(n_lo: int = 5, n_hi: int = 16) -> int | None:
-    """Smallest n in [n_lo, n_hi] where the tree top-4 ordering holds.
+def discover_tree_threshold(n_hi: int = 16) -> int | None:
+    """Smallest n in [least, n_hi] where the tree top-4 ordering holds.
 
-    Discovered data, outside any stated claim; the scan is exhaustive per n
-    and deterministic.
+    least is the trees' least order in CLAIMS.  Discovered data, outside any
+    stated claim; the scan is exhaustive per n and deterministic.
     """
-    for n in range(max(n_lo, 5), n_hi + 1):
+    for n in range(CLAIMS["trees"][2], n_hi + 1):
         if verify_trees(n).verdict == "pass":
             return n
     return None
@@ -324,24 +327,6 @@ class SuiteReport(NamedTuple):
             if c.counterexample:
                 lines.append(f"counterexample: {c.name}: {c.counterexample}")
         return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "checks": [
-                {
-                    "name": c.name,
-                    "scope": c.scope,
-                    "checked": c.checked,
-                    "violations": c.violations,
-                    "counterexample": c.counterexample,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-            "passed": self.passed,
-        }
 
 
 def _random_tree(rng: random.Random, n: int) -> Graph:
@@ -568,8 +553,7 @@ def lemma_suite(seed: int = 0, trials: int = 10_000) -> SuiteReport:
 
 class AuditRow(NamedTuple):
     key: str
-    n_lo: int
-    n_hi: int
+    range: tuple[int, int]
     checked: int
     mismatches: tuple[str, ...]
 
@@ -578,61 +562,40 @@ class AuditRow(NamedTuple):
         return not self.mismatches
 
 
+class ScaleCheck(NamedTuple):
+    """The C_4(n-4) table value at n = 15 and the one-star cycle formula's."""
+
+    table: int
+    corrected: int  # the 16(m-2) form, which must equal the table
+    miscounted: int  # the 4(m-2) variant, which must not
+
+
 class AuditReport(NamedTuple):
-    n_lo: int
-    n_hi: int
+    range: tuple[int, int]
     rows: tuple[AuditRow, ...]
-    scale_reference_value: int
-    scale_miscount_value: int
-    scale_table_value: int
+    scale_check: ScaleCheck
 
     @property
     def passed(self) -> bool:
-        return (
-            all(r.passed for r in self.rows)
-            and self.scale_reference_value == self.scale_table_value
-            and self.scale_miscount_value != self.scale_table_value
-        )
+        table, corrected, miscounted = self.scale_check
+        return all(r.passed for r in self.rows) and corrected == table != miscounted
 
     def to_text(self) -> str:
-        lines = [f"audit_range: {self.n_lo}..{self.n_hi}"]
+        lines = ["audit_range: {}..{}".format(*self.range)]
         for r in self.rows:
             status = "EQUAL" if r.passed else "MISMATCH"
-            lines.append(
-                f"entry: {r.key} range: {r.n_lo}..{r.n_hi} checked: {r.checked} "
-                f"status: {status}"
-            )
+            lines.append("entry: {} range: {}..{} checked: {} status: {}".format(
+                r.key, *r.range, r.checked, status
+            ))
             for msg in r.mismatches:
                 lines.append(f"mismatch: {r.key}: {msg}")
+        sc = self.scale_check
         lines.append(
-            "scale_check: C_4(n-4)@15 "
-            f"table: {self.scale_table_value} "
-            f"corrected: {self.scale_reference_value} "
-            f"miscounted: {self.scale_miscount_value}"
+            f"scale_check: C_4(n-4)@15 table: {sc.table} corrected: {sc.corrected} "
+            f"miscounted: {sc.miscounted}"
         )
         lines.append(f"audit_verdict: {'pass' if self.passed else 'fail'}")
         return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "range": [self.n_lo, self.n_hi],
-            "rows": [
-                {
-                    "key": r.key,
-                    "range": [r.n_lo, r.n_hi],
-                    "checked": r.checked,
-                    "mismatches": list(r.mismatches),
-                    "passed": r.passed,
-                }
-                for r in self.rows
-            ],
-            "scale_check": {
-                "table": self.scale_table_value,
-                "corrected": self.scale_reference_value,
-                "miscounted": self.scale_miscount_value,
-            },
-            "passed": self.passed,
-        }
 
 
 def closed_form_audit(n_lo: int, n_hi: int) -> AuditReport:
@@ -663,14 +626,11 @@ def closed_form_audit(n_lo: int, n_hi: int) -> AuditReport:
                     mismatches.append(f"n={n}: built {got} != polynomial {want}")
             if not mismatches:
                 mismatches.append(f"core cubic {cubic} != polynomial")
-        rows.append(AuditRow(key, lo, n_hi, max(0, n_hi + 1 - lo), tuple(mismatches)))
+        rows.append(AuditRow(key, (lo, n_hi), max(0, n_hi + 1 - lo), tuple(mismatches)))
     # One-star cycle formula against the catalog row at the claim threshold.
-    table_value = CATALOG["C_4(n-4)"].poly.evaluate(15)
-    return AuditReport(
-        n_lo=n_lo,
-        n_hi=n_hi,
-        rows=tuple(rows),
-        scale_reference_value=cycle_star_hm(4, 15),
-        scale_miscount_value=cycle_star_hm_miscounted(4, 15),
-        scale_table_value=table_value,
+    scale = ScaleCheck(
+        CATALOG["C_4(n-4)"].poly.evaluate(15),
+        cycle_star_hm(4, 15),
+        cycle_star_hm_miscounted(4, 15),
     )
+    return AuditReport((n_lo, n_hi), tuple(rows), scale)

@@ -142,16 +142,16 @@ def test_criterion_4_unicyclic_ordering_exhaustive():
             _hm_by_definition(n, edges),
             INTERLOPER,
         )
-        if (seventh.code, seventh.hm, seventh.family_match) != built:
+        if (seventh.code, seventh.hm, seventh.family) != built:
             bad.append(("rank 7 is not the interloper", n))
         # Without that one entry: the chain in order at its polynomial
         # values, then the tail row alone or in its one documented tie.
-        rest = [(e.hm, e.family_match) for e in rep.entries if e is not seventh]
+        rest = [(e.hm, e.family) for e in rep.entries if e is not seventh]
         chain = [(CATALOG[key].poly.evaluate(n), key) for key in UNICYCLIC_TOP8]
         if rest[:7] != chain[:7] or chain[7] not in C4_TAIL[n]:
             bad.append(("chain", n, rest))
-        if sorted(rest[7:]) != C4_TAIL[n] or rep.tie_details != C4_TIES[n]:
-            bad.append(("tail", n, rest[7:], rep.tie_details))
+        if sorted(rest[7:]) != C4_TAIL[n] or rep.ties != C4_TIES[n]:
+            bad.append(("tail", n, rest[7:], rep.ties))
     ok = not bad
     detail = (
         f"exhaustive n=15,16: eight-family chain plus exactly one deviation, "
@@ -171,7 +171,7 @@ def test_exhaustive_unicyclic_ordering_discovered():
     and the displaced 2170 tie at ranks 9-10.
     """
     rep = verify_unicyclic(15)
-    observed = [(e.hm, e.family_match) for e in rep.entries]
+    observed = [(e.hm, e.family) for e in rep.entries]
     assert observed == [
         (3228, "C_3(n-3)"),
         (2678, "C_3(1,n-4)"),
@@ -185,7 +185,7 @@ def test_exhaustive_unicyclic_ordering_discovered():
         (2170, "C_3(T^3_{n-2})"),
     ]
     assert rep.verdict == "fail"
-    assert rep.tie_details == ((2170, ("C_3(P_3,n-5)", "C_3(T^3_{n-2})")),)
+    assert rep.ties == ((2170, ("C_3(P_3,n-5)", "C_3(T^3_{n-2})")),)
     # the interloper's closed form, audited like every catalog row
     poly = CATALOG["C_3(1,T^1_{n-3})"].poly
     assert poly.coefficients() == (1, -7, 24, 28)
@@ -244,8 +244,8 @@ def test_criterion_7_scale_regression():
     ok = (
         literal == 2614
         and corrected == table == 2638
-        and audit.scale_miscount_value == 2614
-        and audit.scale_reference_value == 2638
+        and audit.scale_check.miscounted == 2614
+        and audit.scale_check.corrected == 2638
         and audit.passed
     )
     _report(7, ok, f"literal 4(m-2) gives {literal}, corrected 16(m-2) gives {corrected}")
@@ -253,8 +253,8 @@ def test_criterion_7_scale_regression():
 
 
 def test_criterion_8_discovered_threshold():
-    first = discover_tree_threshold(5, 15)
-    second = discover_tree_threshold(5, 15)
+    first = discover_tree_threshold(15)
+    second = discover_tree_threshold(15)
     ok = first == second == 6
     _report(8, ok, f"smallest n >= 5 with the tree top-4 ordering: {first} (discovered)")
     assert ok

@@ -1,9 +1,12 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from hyperzagreb.graphs import (
     DuplicateEdgeError,
+    Graph,
     SelfLoopError,
     VertexRangeError,
     classical_indices,
@@ -103,6 +106,29 @@ def test_graph_immutability_surface():
     g = build_catalog_member("S_n", 4)
     assert isinstance(g.adj, tuple)
     assert all(isinstance(a, tuple) for a in g.adj)
+
+
+def test_graph_refuses_assignment():
+    g = build_catalog_member("S_n", 4)
+    held = {g}
+    for name in ("n", "adj", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    with pytest.raises(AttributeError):
+        g.adj = ((1,), (0,))
+    assert g.n == 4 and g in held and build_catalog_member("S_n", 4) in held
+
+
+def test_graph_equals_only_graphs_and_copies_whole():
+    adj = ((1, 2), (0,), (0,))
+    g = Graph(3, adj)
+    assert g == Graph(3, adj) and hash(g) == hash(Graph(3, adj)) == hash((3, adj))
+    assert g != (3, adj) and not g == (3, adj) and (3, adj) != g
+    assert g != Graph(3, ((1,), (0, 2), (1,))) and repr(g) == "Graph(n=3, m=2)"
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert type(twin) is Graph and twin == g and hash(twin) == hash(g)
 
 
 def test_values_exact_beyond_32_bits():

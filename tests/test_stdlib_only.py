@@ -4,8 +4,10 @@ Its records are NamedTuples, so the CLI never imports dataclasses.
 """
 
 import ast
+import importlib
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -17,7 +19,7 @@ from hyperzagreb.families import CATALOG
 from hyperzagreb.graphs import classical_indices
 from hyperzagreb.rooted import FormTables, form_tables
 from hyperzagreb.transforms import join_vs_identify
-from hyperzagreb.verify import closed_form_audit, lemma_suite, verify_trees
+from hyperzagreb.verify import closed_form_audit, lemma_suite, verify_trees, verify_unicyclic
 
 PACKAGE = pathlib.Path(hyperzagreb.__file__).parent
 
@@ -114,6 +116,8 @@ RECORDS = {
     "SuiteReport": lambda: lemma_suite(1, 20),
     "AuditRow": lambda: closed_form_audit(15, 16).rows[0],
     "AuditReport": lambda: closed_form_audit(15, 16),
+    "ScaleCheck": lambda: closed_form_audit(15, 16).scale_check,
+    "Tie": lambda: verify_unicyclic(15).ties[0],
     "OracleResult": lambda: labeled_oracle(5, "trees"),
     "ClassRecord": lambda: next(trees(6)),
     "ClosedFormPoly": lambda: CATALOG["C_3(1,n-4)"].poly,
@@ -122,7 +126,20 @@ RECORDS = {
     "ZagrebIndices": lambda: classical_indices(CATALOG["S_n"].builder(5)),
     "JoinIdentifyPair": lambda: join_vs_identify(*[CATALOG["S_n"].builder(4), 1] * 2),
     "FormTables": lambda: form_tables(6),
+    "Graph": lambda: CATALOG["S_n"].builder(5),
 }
+
+
+def test_records_hold_every_record_type():
+    # a NamedTuple class of src/ missing here would skip the test below
+    defined = set()
+    for info in pkgutil.iter_modules(hyperzagreb.__path__, "hyperzagreb."):
+        if info.name != "hyperzagreb.__main__":  # importing it runs the CLI
+            module = importlib.import_module(info.name)
+            defined |= {name for name, obj in vars(module).items()
+                        if isinstance(obj, type) and issubclass(obj, tuple)
+                        and hasattr(obj, "_fields") and obj.__module__ == module.__name__}
+    assert defined == set(RECORDS)
 
 
 @pytest.mark.parametrize("name", RECORDS)

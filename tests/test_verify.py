@@ -26,12 +26,12 @@ def test_rank_tree_examples():
     fams = family_codes("trees", 5)
     entries = rank(trees(5), 1, fams)
     assert len(entries) == 1
-    assert entries[0].hm == 100 and entries[0].family_match == "S_n"
+    assert entries[0].hm == 100 and entries[0].family == "S_n"
 
     fams = family_codes("trees", 15)
     entries = rank(trees(15), 4, fams)
     assert [e.hm for e in entries] == [3150, 2586, 2116, 2100]
-    assert [e.family_match for e in entries] == ["S_n", "T^1_n", "T^2_n", "T^3_n"]
+    assert [e.family for e in entries] == ["S_n", "T^1_n", "T^2_n", "T^3_n"]
 
 
 def test_rank_guards():
@@ -74,7 +74,7 @@ def test_rank_checks_reported_index_against_built_graph():
 def test_verify_trees_pass_and_report_only():
     rep = verify_trees(10)
     assert rep.verdict == "pass"
-    assert [e.family_match for e in rep.entries[:4]] == CATALOG_TOP4
+    assert [e.family for e in rep.entries[:4]] == CATALOG_TOP4
     rep = verify_trees(5)
     assert rep.verdict == "report-only"
     with pytest.raises(ValueError):
@@ -85,8 +85,8 @@ CATALOG_TOP4 = ["S_n", "T^1_n", "T^2_n", "T^3_n"]
 
 
 def test_verify_trees_threshold_discovery_deterministic():
-    a = discover_tree_threshold(5, 10)
-    b = discover_tree_threshold(5, 10)
+    a = discover_tree_threshold(10)
+    b = discover_tree_threshold(10)
     assert a == b == 6
 
 
@@ -100,7 +100,7 @@ def test_report_serialization_deterministic():
     rep1 = verify_trees(8)
     rep2 = verify_trees(8)
     assert rep1.to_text() == rep2.to_text()
-    assert rep1.to_json_dict() == rep2.to_json_dict()
+    assert verify.json_data(rep1) == verify.json_data(rep2)
     assert "verdict:" in rep1.to_text()
 
 
@@ -137,9 +137,9 @@ def test_closed_form_audit():
     report = closed_form_audit(15, 25)
     assert report.passed
     assert {r.key for r in report.rows} == set(CATALOG)
-    assert report.scale_reference_value == 2638
-    assert report.scale_miscount_value == 2614
-    assert report.scale_table_value == 2638
+    assert report.scale_check.corrected == 2638
+    assert report.scale_check.miscounted == 2614
+    assert report.scale_check.table == 2638
     with pytest.raises(ValueError):
         closed_form_audit(20, 15)
 
