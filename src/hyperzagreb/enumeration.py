@@ -105,7 +105,7 @@ def trees(n: int) -> Iterator[ClassRecord]:
         return
     tables = form_tables(n // 2)
     hung, ids_by_size, size = tables.hung, tables.ids_by_size, tables.size
-    k = [c + 1 for c in tables.child_counts()]  # a hanging form's root degree
+    k = tables.deg  # a hanging form's root degree
     # Single centroid: every hanging subtree has at most floor((n-1)/2)
     # vertices.  (A subtree of exactly n/2 vertices would move the centroid.)
     # Walk the non-increasing id sequences of total size n - 1, descending;
@@ -179,7 +179,7 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
     # own edges add own = E(f, D) = hung + (D - 2)(2D - 1) + 2*S1 (the terms
     # in d of FormTables' E, moved from d = c + 1 to d = D), and each cycle
     # edge adds (D_i + D_{i+1})^2.
-    deg = [c + 2 for c in tables.child_counts()]
+    deg = [d + 1 for d in tables.deg]
     own = [h + (d - 2) * (2 * d - 1) + 2 * s1
            for h, d, s1 in zip(tables.hung, deg, tables.s1)]
     stop = [ids.stop for ids in ids_by_size]  # 1 + largest id of size <= s

@@ -2,9 +2,9 @@
 
 A rooted tree has one canonical form per rooted isomorphism class.  The
 enumerators name each form by an integer id in the registry that
-form_tables builds: a form is the non-increasing tuple of its children's
-ids, and ids ascend by size, then by bracket key.  A form's bracket key is
-OPEN, its children's keys in descending (size, key) order, then CLOSE.
+form_tables builds: a form is its first child's id and a smaller form
+with the rest, and ids ascend by size, then by bracket key.  Its bracket
+key is OPEN, its children's keys in descending (size, key) order, then CLOSE.
 CLOSE sorts below OPEN, so within one size the byte order of keys is the
 lexicographic order of nested tuples, and comparing id tuples agrees with
 comparing forms; form_tables writes each size in that order, unsorted.
@@ -36,13 +36,13 @@ class FormTables(NamedTuple):
     """Registry of every rooted form of size 1..max_size, by integer id.
 
     size[fid] holds a form's vertex count and ids_by_size[s] the ids of size
-    s.  Below the top size, children[fid] holds its child ids, largest first,
-    and keys[fid] its bracket key; the i-th form of the top size (from 2 on)
-    is its first child first[i] and then the children of rest[i].  kids()
-    and key() serve any id.  A form's own edges are those from its root
-    down.  With c children of degrees d_j (a child's own child count plus
-    one, for the edge up to its parent) and its root at degree d they add
-    up to
+    s.  Every form fid >= 1 is its first child first[fid] followed by the
+    children of the smaller form rest[fid]; id 0, the single vertex, holds
+    the placeholders -1 and 0.  deg[fid] is its root's degree below a
+    parent, its child count plus one.  keys holds the bracket keys of id 0
+    and of every id below the top size; kids() and key() serve any id.  A
+    form's own edges are those from its root down.  With c children of
+    degrees d_j and its root at degree d they add up to
 
         E(f, d) = B + c*d^2 + 2*d*S1 + S2,  S1 = sum d_j,  S2 = sum d_j^2,
 
@@ -51,10 +51,10 @@ class FormTables(NamedTuple):
     and s1 holds S1; only the terms in d differ at any other root degree.
     """
 
-    children: list[tuple[int, ...]]
     keys: list[bytes]
     first: array
     rest: array
+    deg: list[int]
     ids_by_size: list[range]  # index 0 unused
     size: list[int]
     hung: list[int]
@@ -66,18 +66,13 @@ class FormTables(NamedTuple):
 
     def kids(self, fid: int) -> tuple[int, ...]:
         """The child ids of form fid, largest first."""
-        kids, i = self.children, fid - len(self.children)
-        return kids[fid] if i < 0 else (self.first[i],) + kids[self.rest[i]]
+        return (self.first[fid],) + self.kids(self.rest[fid]) if fid else ()
 
     def key(self, fid: int) -> bytes:
         """The bracket key of form fid."""
-        keys, i = self.keys, fid - len(self.children)
-        return keys[fid] if i < 0 else OPEN + keys[self.first[i]] + keys[self.rest[i]][1:]
-
-    def child_counts(self) -> list[int]:
-        """Every id's child count, in id order."""
-        return ([len(kids) for kids in self.children]
-                + [len(self.children[g]) + 1 for g in self.rest])
+        keys = self.keys
+        return keys[fid] if fid < len(keys) else (
+            OPEN + keys[self.first[fid]] + keys[self.rest[fid]][1:])
 
 
 def form_tables(max_size: int) -> FormTables:
@@ -90,41 +85,37 @@ def form_tables(max_size: int) -> FormTables:
     order by f's key, then by g's id.  So each size is written in key order
     with no sort: f runs over every smaller id in key order (one list,
     merged with each size), and for each f the ids of g ascend.  No size
-    reads the keys or children of a larger one, so the top size keeps only
-    (f, g) per form.
+    reads the keys of a larger one, so the top size stores none.
     """
-    children: list[tuple[int, ...]] = [()]
     keys = [OPEN + CLOSE]
-    first, rest = array("l"), array("l")
+    first, rest = array("l", [-1]), array("l", [0])
     ids_by_size = [range(0), range(1)]
-    size, hung, s1 = [1], [0], [0]
+    size, deg, hung, s1 = [1], [1], [0], [0]
     by_key: list[int] = []  # the ids of every smaller size, in key order
     by_first = [([], []), ([-1], [0])]  # per size: first child ids, ascending; the ids
     for s in range(2, max_size + 1):
         by_key = list(merge(by_key, ids_by_size[s - 1], key=keys.__getitem__))
         for f in by_key:
             firsts, gids = by_first[s - size[f]]
-            key_f, one, d_f = OPEN + keys[f], (f,), len(children[f]) + 1
+            key_f, d_f = OPEN + keys[f], deg[f]
             for g in sorted(gids[:bisect_right(firsts, f)]):
                 # g's root, at degree d below a parent, gains f: E(g, d + 1) =
                 # hung[g] + (d - 1)(2d + 1) + 2*S1, plus hung[f] and the roots' edge.
-                kids = children[g]
-                d = len(kids) + 1
+                d = deg[g]
                 hung.append(hung[g] + (d - 1) * (2 * d + 1) + 2 * s1[g]
                             + hung[f] + (d + 1 + d_f) ** 2)
                 s1.append(s1[g] + d_f)
+                first.append(f)
+                rest.append(g)
+                deg.append(d + 1)
                 if s < max_size:
                     keys.append(key_f + keys[g][1:])
-                    children.append(one + kids)
-                else:
-                    first.append(f)
-                    rest.append(g)
         ids_by_size.append(range(len(size), len(hung)))
         size += [s] * len(ids_by_size[s])
         if s < max_size:
-            gids = sorted(ids_by_size[s], key=lambda g: children[g][0])
-            by_first.append(([children[g][0] for g in gids], gids))
-    return FormTables(children, keys, first, rest, ids_by_size, size, hung, s1)
+            gids = sorted(ids_by_size[s], key=first.__getitem__)
+            by_first.append(([first[g] for g in gids], gids))
+    return FormTables(keys, first, rest, deg, ids_by_size, size, hung, s1)
 
 
 def star_form(pendants: int) -> Form:

@@ -68,6 +68,14 @@ def test_compute_refuses_graph6_with_control_characters(text, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
+def test_compute_csv(tmp_path, capsys):
+    # a triangle with one pendant vertex
+    f = tmp_path / "g.edges"
+    f.write_text("4 4\n0 1\n1 2\n2 0\n2 3\n")
+    assert main(["compute", str(f), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "n,m,hm,m1,m2,f,identity\r\n4,4,82,18,19,44,True\r\n"
+
+
 def test_compute_parse_failure(tmp_path, capsys):
     f = tmp_path / "bad.txt"
     f.write_text("3 9\n0 1\n")
@@ -116,6 +124,15 @@ def test_edgelist_outside_its_grammar_exits_2(text, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "invalid edge-list character" in captured.err
+
+
+def test_edgelist_line_with_three_ids_exits_2(tmp_path, capsys):
+    f = tmp_path / "g.edges"
+    f.write_text("3 2\n0 1 2\n1 2\n")
+    assert main(["compute", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: parse failure: expected 'u v', got '0 1 2'\n"
 
 
 def test_edgelist_with_leading_comment_is_auto_detected(monkeypatch, capsys):
@@ -489,6 +506,11 @@ def test_verify_closed_forms(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
     assert payload["scale_check"]["miscounted"] == 2614
+
+
+def test_verify_refuses_an_empty_range(capsys):
+    assert main(["verify", "closed-forms", "5..3"]) == 4
+    assert capsys.readouterr() == ("", "error: empty range '5..3'\n")
 
 
 def test_verify_lemmas_small(capsys):

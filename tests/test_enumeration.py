@@ -352,6 +352,10 @@ def test_oracle_examples():
         labeled_oracle(9, "trees")
     with pytest.raises(ValueError):
         labeled_oracle(5, "multigraphs")
+    with pytest.raises(ValueError):
+        labeled_oracle(0, "trees")
+    with pytest.raises(ValueError):
+        labeled_oracle(2, "unicyclic")
 
 
 def test_oracle_agrees_with_generators_to_7():

@@ -128,6 +128,10 @@ def test_family_floors():
         build_catalog_member("C_3(T^2_{n-2})", 7)
     with pytest.raises(FamilyDomainError):
         T4_CORE.build(4)  # below the core's own five vertices
+    with pytest.raises(FamilyDomainError):
+        path(0)
+    with pytest.raises(FamilyDomainError):
+        CATALOG["S_n"].poly.evaluate(1)  # S_n's cubic holds from n = 2
 
 
 def test_cycle_star_values():

@@ -48,6 +48,19 @@ def test_degree():
         s5.degree(5)
 
 
+def test_neighbors_and_has_edge_refuse_out_of_range_vertices():
+    c3 = cycle_with_stars(3, [])
+    assert c3.neighbors(0) == (1, 2) and c3.has_edge(0, 2)
+    with pytest.raises(VertexRangeError):
+        c3.neighbors(3)
+    with pytest.raises(VertexRangeError):
+        c3.neighbors(-1)
+    with pytest.raises(VertexRangeError):
+        c3.has_edge(0, 3)
+    with pytest.raises(VertexRangeError):
+        c3.has_edge(-1, 0)
+
+
 def test_edge_contribution():
     # every edge of these graphs joins the same two degrees, so each adds
     # (d(u) + d(v))**2: 4 on P_2, 16 on a cycle, 25 on S_5

@@ -103,20 +103,25 @@ def test_registry_matches_the_sorted_build():
         children = [tables.kids(fid) for fid in range(count)]
         assert children == ref[0][:count]
         assert [tables.key(fid) for fid in range(count)] == ref[1][:count]
-        assert tables.child_counts() == [len(kids) for kids in children]
+        assert tables.deg == [len(kids) + 1 for kids in children]
         assert tables.hung == ref[3][:count]
         assert tables.s1 == [sum(len(children[x]) + 1 for x in kids) for kids in children]
 
 
-def test_top_size_keeps_only_first_child_and_rest():
-    # Only the ids below the top size keep a key and a children tuple; a
-    # form of the top size is its first child and the form whose children
-    # follow it.
-    for max_size in range(2, 13):
+def test_every_id_is_its_first_child_and_rest():
+    # Every size, the top one too, stores a form as its first child and the
+    # smaller form whose children follow it; only the ids below the top size
+    # keep a key, and the single vertex, which has no first child, always does.
+    for max_size in range(1, 13):
         tables = form_tables(max_size)
-        top = tables.ids_by_size[max_size]
-        assert len(tables.keys) == len(tables.children) == top.start
-        assert len(tables.first) == len(tables.rest) == len(top)
+        count = len(tables.size)
+        assert len(tables.first) == len(tables.rest) == len(tables.deg) == count
+        assert len(tables.keys) == max(tables.ids_by_size[max_size].start, 1)
+        first, rest, size, deg = tables.first, tables.rest, tables.size, tables.deg
+        for fid in range(1, count):
+            assert tables.kids(fid) == (first[fid],) + tables.kids(rest[fid])
+            assert size[fid] == size[first[fid]] + size[rest[fid]]
+            assert deg[fid] == deg[rest[fid]] + 1
 
 
 def test_form_graph_round_trip():
