@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
+from functools import cache
 from itertools import chain, combinations
 from typing import Iterator, NamedTuple, Sequence
 
@@ -352,9 +353,11 @@ def _labeled_unicyclic_masks(n: int) -> set[int]:
     return masks
 
 
-def _trotter_johnson_swaps(n: int) -> list[int]:
+@cache
+def _trotter_johnson_swaps(n: int) -> tuple[int, ...]:
     """Positions g whose swaps with g + 1 take range(n) through all n!
     permutations, each once (Trotter, "Algorithm 115: Perm", CACM 5, 1962).
+    Cached per order, as a tuple so the shared copy cannot change.
 
     Between consecutive swaps of the first k - 1 elements, element k - 1
     sweeps across all k positions, down and then back up; at the bottom it
@@ -368,17 +371,19 @@ def _trotter_johnson_swaps(n: int) -> list[int]:
             out += up if j % 2 else down
             out.append(g + 1 - j % 2)
         swaps = out + (up if len(swaps) % 2 else down)
-    return swaps
+    return tuple(swaps)
 
 
-def _chunk_tables(n: int) -> tuple[list[tuple[list[int], ...]], int]:
+@cache
+def _chunk_tables(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], int]:
     """Lookup tables relabeling an edge mask by each adjacent transposition.
 
     The C(n, 2) mask bits split into three chunks of w = ceil(C(n, 2) / 3)
     bits (the last may be shorter); tables[g][c][val] is the image, with
     vertices g and g + 1 swapped, of the edges whose bits in chunk c read
     val.  Each entry is the entry with val's lowest bit cleared, plus that
-    bit's image.  Returns (tables, w).
+    bit's image.  Returns (tables, w), all tuples, cached per order: the
+    oracle partitions each order's masks in several calls.
     """
     pairs = _edge_pairs(n)
     index = {p: i for i, p in enumerate(pairs)}
@@ -397,9 +402,9 @@ def _chunk_tables(n: int) -> tuple[list[tuple[list[int], ...]], int]:
             for val in range(1, len(table)):
                 low = val & -val
                 table[val] = table[val ^ low] | bits[low.bit_length() - 1]
-            chunks.append(table)
+            chunks.append(tuple(table))
         tables.append(tuple(chunks))
-    return tables, w
+    return tuple(tables), w
 
 
 def _orbit_partition(n: int, masks: set[int]) -> list[tuple[int, int]]:

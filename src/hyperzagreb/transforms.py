@@ -1,9 +1,11 @@
 """Index-monotone graph rewrites.
 
-coalesce hangs one graph on a vertex of another, and attach_conditions
-gives the degree conditions under which moving that attachment to a
-second vertex cannot lower the index.  join_vs_identify spends one vertex
-budget two ways and reports whether its strict inequality is guaranteed.
+coalesce hangs one graph on a vertex of another, and coalesce_gain reads
+the index that hanging adds off the two graphs' rows, without building
+the result.  attach_conditions gives the degree conditions under which
+moving that attachment to a second vertex cannot lower the index.
+join_vs_identify spends one vertex budget two ways and reports whether
+its strict inequality is guaranteed.
 reduce_to_single_attachment replays the star-merge chain from a unicyclic
 graph down to one pendant star.  Rewrites return new graphs (inputs are
 never mutated); inputs outside a rewrite's structural domain raise.
@@ -14,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .canon import dihedral_least, hanging_trees
-from .graphs import Graph, GraphError, hyper_zagreb, is_unicyclic
+from .graphs import Graph, GraphError, VertexRangeError, hyper_zagreb, is_unicyclic
 from .families import cycle_with_stars
 
 
@@ -48,14 +50,44 @@ def coalesce(g: Graph, u: int, h: Graph, z: int) -> Graph:
     return Graph(len(adj), tuple(adj))
 
 
+def coalesce_gain(g: Graph, u: int, h: Graph, z: int) -> int:
+    """hyper_zagreb(coalesce(g, u, h, z)) - hyper_zagreb(g) - hyper_zagreb(h).
+
+    Only the edges at the merged vertex change their terms: with a = deg_g(u)
+    and b = deg_h(z), an edge ux of g goes from (a + dx)**2 to
+    (a + b + dx)**2, a rise of b * (2 * (a + dx) + b), and an edge zy of h
+    rises by a * (2 * (b + dy) + a).  Summed over the a + b edges, that is
+    3ab(a + b) plus twice b times the degree sum of u's neighbours and a
+    times that of z's.
+    """
+    gadj, hadj = g.adj, h.adj
+    if not 0 <= u < len(gadj):
+        raise GraphError(f"vertex {u} out of range for g")
+    if not 0 <= z < len(hadj):
+        raise GraphError(f"vertex {z} out of range for h")
+    nu, nz = gadj[u], hadj[z]
+    a, b = len(nu), len(nz)
+    su = sum([len(gadj[x]) for x in nu])
+    sz = sum([len(hadj[y]) for y in nz])
+    return 3 * a * b * (a + b) + 2 * (b * su + a * sz)
+
+
 def attach_conditions(g: Graph, u: int, w: int) -> tuple[bool, bool, bool, bool]:
     """The two dominance conditions for moving an attachment from u to w.
 
     Returns (degree holds, sum holds, degree tight, sum tight).
     """
-    du, dw = g.degree(u), g.degree(w)
-    su = sum(g.degree(x) for x in g.neighbors(u) if x != w)
-    sw = sum(g.degree(x) for x in g.neighbors(w) if x != u)
+    adj = g.adj
+    n = len(adj)
+    if not (0 <= u < n and 0 <= w < n):
+        raise VertexRangeError(f"vertices ({u},{w}) out of range 0..{n - 1}")
+    au, aw = adj[u], adj[w]
+    du, dw = len(au), len(aw)
+    su = sum([len(adj[x]) for x in au])
+    sw = sum([len(adj[x]) for x in aw])
+    if w in au:  # each sum leaves out the other site
+        su -= dw
+        sw -= du
     return (du <= dw, su <= sw, du == dw, su == sw)
 
 

@@ -36,6 +36,7 @@ from .graphs import Graph, hyper_zagreb
 from .transforms import (
     attach_conditions,
     coalesce,
+    coalesce_gain,
     join_vs_identify,
     reduce_to_single_attachment,
 )
@@ -380,11 +381,12 @@ def _check_attachment_shift(rng: random.Random, trials: int) -> CheckResult:
             continue
         h = _random_tree(rng, rng.randint(2, 8))
         z = rng.randrange(h.n)
-        g1 = coalesce(g, u, h, z)
-        g2 = coalesce(g, w, h, z)
-        hm1, hm2 = hyper_zagreb(g1), hyper_zagreb(g2)
-        if hm2 < hm1 or (hm2 == hm1 and not (tight_a and tight_b)):
-            failures.append(_pair_g6(g1, g2))
+        # HM(g) + HM(h) is common to both sites, so the gains compare as
+        # the two coalescences' indices do; the graphs are built only for
+        # a failure's witness.
+        gain1, gain2 = coalesce_gain(g, u, h, z), coalesce_gain(g, w, h, z)
+        if gain2 < gain1 or (gain2 == gain1 and not (tight_a and tight_b)):
+            failures.append(_pair_g6(coalesce(g, u, h, z), coalesce(g, w, h, z)))
         done += 1
     return _tally("attachment-shift", "random conditioned instances", done, failures)
 

@@ -14,7 +14,7 @@ from hyperzagreb.families import (
     cycle_with_stars,
     path,
 )
-from hyperzagreb.graphs import GraphError, hyper_zagreb, make_graph
+from hyperzagreb.graphs import GraphError, VertexRangeError, hyper_zagreb, make_graph
 from hyperzagreb import transforms
 from hyperzagreb.rooted import form_graph, path_form
 from hyperzagreb.transforms import (
@@ -23,9 +23,11 @@ from hyperzagreb.transforms import (
     _move_star,
     attach_conditions,
     coalesce,
+    coalesce_gain,
     join_vs_identify,
     reduce_to_single_attachment,
 )
+from hyperzagreb.verify import _random_base_graph, _random_tree
 
 
 BOUNDED = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -138,6 +140,62 @@ def test_attachment_comparison_symmetric_sites():
     g1, g2 = coalesce(g, 0, h, 0), coalesce(g, 3, h, 0)
     assert hyper_zagreb(g1) == hyper_zagreb(g2)
     assert canonical_code(g1) == canonical_code(g2)
+
+
+def test_coalesce_gain_matches_the_built_coalescence():
+    rng = random.Random(34)
+    unicyclic = adjacent = apart = 0
+    dot = make_graph(1, [])
+    for _ in range(150):
+        g = _random_base_graph(rng, rng.randint(3, 10))
+        h = _random_tree(rng, rng.randint(1, 8))
+        unicyclic += g.num_edges == g.n
+        base = hyper_zagreb(g) + hyper_zagreb(h)
+        hm = [[hyper_zagreb(coalesce(g, u, h, z)) for z in range(h.n)] for u in range(g.n)]
+        gain = [[coalesce_gain(g, u, h, z) for z in range(h.n)] for u in range(g.n)]
+        assert [[base + x for x in row] for row in gain] == hm
+        for u in range(g.n):
+            for z in range(g.n):  # g coalesced with itself
+                want = hyper_zagreb(coalesce(g, u, g, z)) - 2 * hyper_zagreb(g)
+                assert coalesce_gain(g, u, g, z) == want
+            assert coalesce_gain(g, u, dot, 0) == coalesce_gain(dot, 0, g, u) == 0
+            # the attachment-shift check compares two sites' gains
+            for w in range(g.n):
+                if w != u:
+                    adjacent += g.has_edge(u, w)
+                    apart += not g.has_edge(u, w)
+                    for z in range(h.n):
+                        assert (gain[w][z] < gain[u][z]) == (hm[w][z] < hm[u][z])
+                        assert (gain[w][z] == gain[u][z]) == (hm[w][z] == hm[u][z])
+    assert unicyclic and adjacent and apart
+    g = cycle_with_stars(4, [])
+    for bad in (-1, 4):
+        with pytest.raises(GraphError):
+            coalesce_gain(g, bad, dot, 0)
+        with pytest.raises(GraphError):
+            coalesce_gain(dot, 0, g, bad)
+
+
+def reference_attach_conditions(g, u, w):
+    """The dominance conditions through the range-checked Graph accessors."""
+    du, dw = g.degree(u), g.degree(w)
+    su = sum(g.degree(x) for x in g.neighbors(u) if x != w)
+    sw = sum(g.degree(x) for x in g.neighbors(w) if x != u)
+    return (du <= dw, su <= sw, du == dw, su == sw)
+
+
+def test_attach_conditions_match_the_accessor_reference():
+    rng = random.Random(35)
+    for _ in range(200):
+        g = _random_base_graph(rng, rng.randint(3, 10))
+        for u in range(g.n):
+            for w in range(g.n):
+                if u != w:
+                    assert attach_conditions(g, u, w) == reference_attach_conditions(g, u, w)
+    g = path(4)
+    for u, w in ((-1, 0), (0, -1), (0, g.n), (g.n, 0)):
+        with pytest.raises(VertexRangeError):
+            attach_conditions(g, u, w)
 
 
 def test_join_vs_identify_examples():

@@ -7,10 +7,10 @@ import pytest
 
 from hyperzagreb import families, verify
 from hyperzagreb.canon import canonical_code
-from hyperzagreb.codec import encode_graph6
+from hyperzagreb.codec import decode_graph6, encode_graph6
 from hyperzagreb.enumeration import trees, unicyclic_graphs
 from hyperzagreb.families import CATALOG, build_catalog_member
-from hyperzagreb.graphs import make_graph
+from hyperzagreb.graphs import hyper_zagreb, make_graph
 from hyperzagreb.verify import (
     closed_form_audit,
     discover_tree_threshold,
@@ -131,6 +131,18 @@ def test_lemma_random_draws_pinned():
         assert g == make_graph(g.n, g.edges())
         h.update(encode_graph6(g).encode() + b"\n")
     assert h.hexdigest() == RANDOM_DRAWS_SHA256
+
+
+def test_attachment_shift_failure_path_pinned(monkeypatch):
+    # Conditions forced to hold but never tight: every instance whose two
+    # coalescences tie in the index, or fall, is a failure, and only then
+    # are the two coalescences built, for the witness.
+    monkeypatch.setattr(verify, "attach_conditions", lambda g, u, w: (True, True, False, False))
+    result = verify._check_attachment_shift(random.Random(0), 2000)
+    assert (result.checked, result.violations) == (2000, 619)
+    assert result.counterexample == "MO_AOKW???_`?A?C? MO_AOKW???a@?A?C?"
+    g1, g2 = map(decode_graph6, result.counterexample.split())
+    assert hyper_zagreb(g2) <= hyper_zagreb(g1)
 
 
 def test_closed_form_audit():
