@@ -1,9 +1,7 @@
 """Generator certification: independent counting formulas and labeled oracle."""
 
 import hashlib
-import inspect
-import sys
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations
 
 import pytest
@@ -18,6 +16,7 @@ from hyperzagreb.enumeration import (
     unicyclic_graphs,
 )
 from hyperzagreb.graphs import hyper_zagreb, is_tree, is_unicyclic, make_graph
+from line_events import line_events
 from nested_forms import form_key, form_size, placements
 
 
@@ -191,24 +190,7 @@ def walk_turns(walk, n):
     """Line events at the `while t >= 0:` head of walk while it yields every
     record of order n: one per turn, plus the test that ends each loop (one
     per cycle length in unicyclic_graphs)."""
-    lines, start = inspect.getsourcelines(walk)
-    head = start + [line.strip() for line in lines].index("while t >= 0:")
-    code, turns = walk.__code__, 0
-
-    def local(frame, event, arg):
-        nonlocal turns
-        if event == "line" and frame.f_lineno == head:
-            turns += 1
-        return local
-
-    old = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
-    try:
-        for _ in walk(n):
-            pass
-    finally:
-        sys.settrace(old)
-    return turns
+    return line_events(walk, "while t >= 0:", lambda: deque(walk(n), 0))
 
 
 # The streams above pin what the walks yield; these pin how much they walk

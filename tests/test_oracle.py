@@ -5,7 +5,8 @@ tree scan against a scan of every Pruefer sequence, its buckets against
 each tree's degree multiset and the count of trees with that multiset, the
 oracle's one partition per bucket against one partition of the whole scan,
 the Trotter-Johnson swap sequence and the chunk-table orbit partition
-against explicit permutations, the labeled totals against Cayley's formula
+against explicit permutations, the partition's relabelings against a
+pinned count, the labeled totals against Cayley's formula
 and its unicyclic analogue, each class's orbit size against n!/|Aut|, and
 the oracle's whole output against a digest.
 """
@@ -31,6 +32,7 @@ from hyperzagreb.enumeration import (
     labeled_oracle,
     prufer_edges,
 )
+from line_events import line_events
 
 # sha256 over each labeled_total and the graph6 of each class in order, for
 # trees n = 1..8 then unicyclic graphs n = 3..7; pinned while the orbits
@@ -214,7 +216,9 @@ def test_swaps_visit_every_permutation_once(n):
 
 
 def test_partition_matches_explicit_permutations():
-    for n in range(1, 7):
+    # n = 7 is the first order whose partition walks S_4 below all three
+    # coset levels; below n = 4 the walk group is S_1.
+    for n in range(1, 8):
         mask_sets = [tree_masks(n)]
         if n <= 5:  # every graph: 2^15 masks at n = 6 is too many to permute
             mask_sets.append(set(range(1 << len(_edge_pairs(n)))))
@@ -229,9 +233,40 @@ def test_partition_matches_explicit_permutations():
             assert not masks  # consumed
 
 
+# The partition's output is pinned above; these pin how much its walks
+# relabel for it, so a walk that a met image should have skipped, or a
+# shallower chain, fails even though the orbits are unchanged.  With one
+# coset level above an S_(n-1) walk the counts read 34,560 and 118,080.
+WALK_RELABELINGS = {"trees": 21_312, "unicyclic": 82_896}
+
+
+@pytest.mark.parametrize("kind", list(WALK_RELABELINGS))
+def test_walk_relabelings_pinned(kind):
+    # Line events at the two `add(x)` lines: one per mask a walk meets, its
+    # start included.
+    masks = tree_masks(7) if kind == "trees" else _labeled_unicyclic_masks(7)
+    count = line_events(_orbit_partition, "add(x)", lambda: _orbit_partition(7, masks))
+    assert count == WALK_RELABELINGS[kind]
+
+
+def degree_orbit(n, masks, degrees):
+    """The masks whose sorted degree sequence is degrees."""
+    pairs = _edge_pairs(n)
+    out = set()
+    for mask in masks:
+        deg = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                deg[u] += 1
+                deg[v] += 1
+        if sorted(deg) == degrees:
+            out.add(mask)
+    return out
+
+
 def test_partition_refuses_a_set_not_closed_under_relabeling():
-    # Drop each mask in turn, so every class loses one, wherever the mask
-    # lies among the stabilizer walks that make up its orbit.
+    # At n = 5 drop each mask in turn, so every class loses one, wherever
+    # the mask lies among the stabilizer walks that make up its orbit.
     for full in (tree_masks(5), _labeled_unicyclic_masks(5)):
         for missing in sorted(full):
             with pytest.raises(ValueError):
@@ -239,6 +274,21 @@ def test_partition_refuses_a_set_not_closed_under_relabeling():
         extra = full | {1}  # one edge: neither a tree nor unicyclic
         with pytest.raises(ValueError):
             _orbit_partition(5, extra)
+    # At n = 7, where three coset levels run above an S_4 walk: each of the
+    # star's 7 masks, and masks spread over the path's 2,520 and C_7's 360.
+    trees7, cycles7 = tree_masks(7), _labeled_unicyclic_masks(7)
+    star = degree_orbit(7, trees7, [1] * 6 + [6])
+    path = degree_orbit(7, trees7, [1, 1] + [2] * 5)
+    ring = degree_orbit(7, cycles7, [2] * 7)
+    assert (len(star), len(path), len(ring)) == (7, 2520, 360)
+    for full, orbit in ((trees7, sorted(star)), (trees7, sorted(path)[::360]),
+                        (cycles7, sorted(ring)[::60])):
+        for missing in orbit:
+            with pytest.raises(ValueError):
+                _orbit_partition(7, full - {missing})
+    for full in (trees7, cycles7):
+        with pytest.raises(ValueError):
+            _orbit_partition(7, full | {1})
 
 
 def test_labeled_totals_match_counting_formulas():
