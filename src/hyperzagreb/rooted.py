@@ -21,8 +21,6 @@ form_graph hangs them on a cycle or a lone root, writing each row sorted.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
-from heapq import merge
 from typing import Callable, Iterable, NamedTuple
 
 from .graphs import Graph
@@ -80,25 +78,23 @@ def form_tables(max_size: int) -> FormTables:
 
     Built size by size without recursion: a form of size s whose first
     child f has size k is f followed by the children of a form g of size
-    s - k whose own first child is at most f; its key is OPEN, f's key and
+    s - k whose first child is at most f; its key is OPEN, f's key, then
     g's key after its OPEN.  No key is a proper prefix of another, so keys
-    order by f's key, then by g's id.  So each size is written in key order
-    with no sort: f runs over every smaller id in key order (one list,
-    merged with each size), and for each f the ids of g ascend.  No size
-    reads the keys of a larger one, so the top size stores none.
+    order by f's key, then by g's id: f runs over every smaller id sorted
+    by key, g over the ids of size s - k, skipping each whose first child
+    exceeds f.  A skip is no stop: ids order by size first, keys do not.
+    No size reads the keys of a larger one, so the top size stores none.
     """
     keys = [OPEN + CLOSE]
     first, rest = array("l", [-1]), array("l", [0])
     ids_by_size = [range(0), range(1)]
     size, deg, hung, s1 = [1], [1], [0], [0]
-    by_key: list[int] = []  # the ids of every smaller size, in key order
-    by_first = [([], []), ([-1], [0])]  # per size: first child ids, ascending; the ids
     for s in range(2, max_size + 1):
-        by_key = list(merge(by_key, ids_by_size[s - 1], key=keys.__getitem__))
-        for f in by_key:
-            firsts, gids = by_first[s - size[f]]
+        for f in sorted(range(len(size)), key=keys.__getitem__):
             key_f, d_f = OPEN + keys[f], deg[f]
-            for g in sorted(gids[:bisect_right(firsts, f)]):
+            for g in ids_by_size[s - size[f]]:
+                if first[g] > f:
+                    continue
                 # g's root, at degree d below a parent, gains f: E(g, d + 1) =
                 # hung[g] + (d - 1)(2d + 1) + 2*S1, plus hung[f] and the roots' edge.
                 d = deg[g]
@@ -112,9 +108,6 @@ def form_tables(max_size: int) -> FormTables:
                     keys.append(key_f + keys[g][1:])
         ids_by_size.append(range(len(size), len(hung)))
         size += [s] * len(ids_by_size[s])
-        if s < max_size:
-            gids = sorted(ids_by_size[s], key=first.__getitem__)
-            by_first.append(([first[g] for g in gids], gids))
     return FormTables(keys, first, rest, deg, ids_by_size, size, hung, s1)
 
 

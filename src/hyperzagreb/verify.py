@@ -280,12 +280,12 @@ def verify_unicyclic(n: int) -> VerdictReport:
 
 
 def discover_tree_threshold(n_hi: int = 16) -> int | None:
-    """Smallest n in [least, n_hi] where the tree top-4 ordering holds.
+    """Smallest n in [floor, n_hi] where the tree top-4 ordering holds.
 
-    least is the trees' least order in CLAIMS.  Discovered data, outside any
-    stated claim; the scan is exhaustive per n and deterministic.
+    floor is the trees' claim floor in CLAIMS; below it no order is checked.
+    Discovered data, outside any stated claim; exhaustive per n, deterministic.
     """
-    for n in range(CLAIMS["trees"][2], n_hi + 1):
+    for n in range(CLAIMS["trees"][3], n_hi + 1):
         if verify_trees(n).verdict == "pass":
             return n
     return None

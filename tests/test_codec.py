@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from hyperzagreb.codec import (
+    MAX_ORDER,
     CodecError,
     decode_graph6,
     encode_graph6,
@@ -11,7 +12,7 @@ from hyperzagreb.codec import (
     parse_edgelist,
 )
 from hyperzagreb.families import build_catalog_member, cycle_with_stars, path
-from hyperzagreb.graphs import make_graph
+from hyperzagreb.graphs import Graph, make_graph
 
 
 def test_known_encoding():
@@ -99,6 +100,8 @@ def test_edgelist_comments_and_errors():
         parse_edgelist("2 1\n0 2\n")  # id out of range
     with pytest.raises(CodecError):
         parse_edgelist("258048 0\n")  # above the graph6 order limit
+    with pytest.raises(CodecError, match="at most 258047 vertices"):
+        encode_graph6(Graph(MAX_ORDER + 1, ((),) * (MAX_ORDER + 1)))
 
 
 def test_edgelist_reads_only_its_grammar():

@@ -11,6 +11,7 @@ from hyperzagreb.graphs import (
     VertexRangeError,
     classical_indices,
     hyper_zagreb,
+    is_connected,
     is_tree,
     is_unicyclic,
     make_graph,
@@ -113,6 +114,7 @@ def test_class_predicates():
     assert is_unicyclic(cycle_with_stars(4, [])) and not is_tree(cycle_with_stars(4, []))
     two_edges = make_graph(4, [(0, 1), (2, 3)])
     assert not is_tree(two_edges) and not is_unicyclic(two_edges)
+    assert not is_connected(Graph(0, ()))  # the empty graph is not connected
 
 
 def test_graph_immutability_surface():

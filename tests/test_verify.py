@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hyperzagreb import families, verify
+from hyperzagreb import families, transforms, verify
 from hyperzagreb.canon import canonical_code
 from hyperzagreb.codec import decode_graph6, encode_graph6
 from hyperzagreb.enumeration import trees, unicyclic_graphs
@@ -90,6 +90,21 @@ def test_verify_trees_threshold_discovery_deterministic():
     assert a == b == 6
 
 
+def test_tree_threshold_scan_starts_at_the_claim_floor(monkeypatch):
+    # below the floor a report is report-only, so the scan starts there
+    scanned = []
+
+    def spy(n):
+        scanned.append(n)
+        return real(n)
+
+    real = verify.verify_trees
+    monkeypatch.setattr(verify, "verify_trees", spy)
+    assert discover_tree_threshold(10) == 6
+    assert scanned == [verify.CLAIMS["trees"][3]] == [6]
+    assert discover_tree_threshold(5) is None
+
+
 def test_verify_unicyclic_report_only_below_threshold():
     rep = verify_unicyclic(10)
     assert rep.verdict == "report-only"
@@ -143,6 +158,83 @@ def test_attachment_shift_failure_path_pinned(monkeypatch):
     assert result.counterexample == "MO_AOKW???_`?A?C? MO_AOKW???a@?A?C?"
     g1, g2 = map(decode_graph6, result.counterexample.split())
     assert hyper_zagreb(g2) <= hyper_zagreb(g1)
+
+
+def _swapped_pair(*args):
+    pair = transforms.join_vs_identify(*args)
+    return pair._replace(joined=pair.identified, identified=pair.joined)
+
+
+def _set(name, value):
+    return lambda monkeypatch: monkeypatch.setattr(verify, name, value)
+
+
+# Per lemma check: a patch that breaks what it checks, then the check's
+# name, violations and first witness.
+LEMMA_FAILURES = {
+    "cycle-shrink": (
+        _set("cycle_star_hm", lambda m, n: 0), verify._check_cycle_shrink,
+        ("cycle-shrink", 1128, "m=4 n=4"),
+    ),
+    "star-max": (
+        _set("build_catalog_member", lambda key, n: families.path(n)), verify._check_star_max,
+        ("star-max-trees", 9, "n=4"),
+    ),
+    "join-vs-identify": (
+        _set("join_vs_identify", _swapped_pair), verify._check_join_identify,
+        ("join-vs-identify", 4096, "Cs Cp"),
+    ),
+    # the eight "global maximum at n=" failures count once per order, on top
+    # of the 1040 graphs checked
+    "single-attachment-max": (
+        _set("cycle_star_hm", lambda m, n: families.cycle_star_hm(m, n) - 1),
+        verify._check_single_attachment_max,
+        ("single-attachment-max", 1048, "Bw"),
+    ),
+    "tree-order": (
+        _set("TREE_TOP4", families.TREE_TOP4[::-1]), verify._check_tree_poly_chain,
+        ("tree-chain", 54, "n=7"),
+    ),
+    "fourth-broom": (
+        _set("T4_CORE", families.Core(0, ((),), 0)), verify._check_tree_poly_chain,
+        ("tree-chain", 53, "T^4 vs T^3 at n=8"),
+    ),
+    "unicyclic-order": (
+        _set("UNICYCLIC_TOP8", families.UNICYCLIC_TOP8[::-1]), verify._check_unicyclic_poly_chain,
+        ("unicyclic-chain", 47, "n=15"),
+    ),
+    "tail-tie": (
+        _set("UNICYCLIC_TAIL_TIE", "C_3(1,2,n-6)"), verify._check_unicyclic_poly_chain,
+        ("unicyclic-chain", 1, "tail tie at n=15"),
+    ),
+    "attachment-shift": (
+        _set("coalesce_gain", lambda g, u, h, z: -g.degree(u)),
+        lambda: verify._check_attachment_shift(random.Random(0), 200),
+        ("attachment-shift", 144, "I?qi_C??W I?qi_G??W"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LEMMA_FAILURES)
+def test_every_lemma_check_can_fail(case, monkeypatch):
+    patch, check, expected = LEMMA_FAILURES[case]
+    patch(monkeypatch)
+    result = check()
+    assert (result.name, result.violations, result.counterexample) == expected
+    assert not result.passed
+
+
+def test_closed_form_audit_flags_a_cubic_off_below_its_floor(monkeypatch):
+    # the range holds no order of the row, so the differing cubic itself is
+    # the one mismatch
+    key = "T^1_n"
+    entry = CATALOG[key]
+    monkeypatch.setitem(CATALOG, key, entry._replace(poly=entry.poly._replace(a0=entry.poly.a0 + 1)))
+    report = closed_form_audit(2, 3)
+    (row,) = [r for r in report.rows if r.key == key]
+    assert (row.range, row.checked) == ((4, 3), 0)
+    assert row.mismatches == ("core cubic (1, -4, 7, 6) != polynomial",)
+    assert not report.passed
 
 
 def test_closed_form_audit():
