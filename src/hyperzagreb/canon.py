@@ -7,10 +7,10 @@ hanging_trees finds in one leaf strip: a tree is coded by its form rooted
 at the centroid, a unicyclic graph by a dihedral-minimal necklace of its
 hanging-tree forms.  Each hanging tree is ordered by its (size, bracket
 key), the order the form registry uses, and written with the key's bytes
-as ASCII parentheses: a graph's keys come from the strip and a class
-record's from its form ids, with no graph built.
-No step recurses, so depth costs no stack.  These are the only classes
-the system ranks; any other graph raises GraphError.
+as ASCII parentheses: a graph's keys come from the strip, which never
+recurses, and a record's from FormTables.key, which recurses on first
+children only, to the form's height, with no graph built.  These are the
+only classes the system ranks; any other graph raises GraphError.
 """
 
 from __future__ import annotations

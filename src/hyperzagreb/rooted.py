@@ -7,10 +7,10 @@ with the rest, and ids ascend by size, then by bracket key.  Its bracket
 key is OPEN, its children's keys in descending (size, key) order, then CLOSE.
 CLOSE sorts below OPEN, so within one size the byte order of keys is the
 lexicographic order of nested tuples, and comparing id tuples agrees with
-comparing forms; form_tables writes each size in that order, unsorted.
-canon codes a class record from the keys of its ids (FormTables.key), and
-a graph from the keys of its hanging trees, which canon.hanging_trees
-builds without recursion however deep the tree.
+comparing forms.  The registry stores integers only; FormTables.key
+builds a key when a code needs one.  canon codes a class record from the
+keys of its ids, and a graph from the keys of its hanging trees, which
+canon.hanging_trees builds without recursion however deep the tree.
 
 Family builders describe forms to form_graph as nested tuples: the empty
 tuple is a single vertex and a node is the tuple of its child forms in
@@ -37,8 +37,8 @@ class FormTables(NamedTuple):
     s.  Every form fid >= 1 is its first child first[fid] followed by the
     children of the smaller form rest[fid]; id 0, the single vertex, holds
     the placeholders -1 and 0.  deg[fid] is its root's degree below a
-    parent, its child count plus one.  keys holds the bracket keys of id 0
-    and of every id below the top size; kids() and key() serve any id.  A
+    parent, its child count plus one.  kids() and key() read a form's
+    children and bracket key off first and rest; no column holds a key.  A
     form's own edges are those from its root down.  With c children of
     degrees d_j and its root at degree d they add up to
 
@@ -49,7 +49,6 @@ class FormTables(NamedTuple):
     and s1 holds S1; only the terms in d differ at any other root degree.
     """
 
-    keys: list[bytes]
     first: array
     rest: array
     deg: list[int]
@@ -67,10 +66,12 @@ class FormTables(NamedTuple):
         return (self.first[fid],) + self.kids(self.rest[fid]) if fid else ()
 
     def key(self, fid: int) -> bytes:
-        """The bracket key of form fid."""
-        keys = self.keys
-        return keys[fid] if fid < len(keys) else (
-            OPEN + keys[self.first[fid]] + keys[self.rest[fid]][1:])
+        """The bracket key of form fid, recursing on first children only."""
+        parts = [OPEN]
+        while fid:
+            parts.append(self.key(self.first[fid]))
+            fid = self.rest[fid]
+        return b"".join(parts) + CLOSE
 
 
 def form_tables(max_size: int) -> FormTables:
@@ -80,18 +81,18 @@ def form_tables(max_size: int) -> FormTables:
     child f has size k is f followed by the children of a form g of size
     s - k whose first child is at most f; its key is OPEN, f's key, then
     g's key after its OPEN.  No key is a proper prefix of another, so keys
-    order by f's key, then by g's id: f runs over every smaller id sorted
-    by key, g over the ids of size s - k, skipping each whose first child
-    exceeds f.  A skip is no stop: ids order by size first, keys do not.
-    No size reads the keys of a larger one, so the top size stores none.
+    compare like f's keys, then g's: f runs over order, every smaller id
+    in key order, g over the ids of size s - k, skipping each whose first
+    child exceeds f (ids order by size first, keys do not).  Below the top
+    size, order takes in the new ids by the ranks of their f and g in it.
     """
-    keys = [OPEN + CLOSE]
     first, rest = array("l", [-1]), array("l", [0])
     ids_by_size = [range(0), range(1)]
     size, deg, hung, s1 = [1], [1], [0], [0]
+    order = [0]  # every id of a smaller size, in key order
     for s in range(2, max_size + 1):
-        for f in sorted(range(len(size)), key=keys.__getitem__):
-            key_f, d_f = OPEN + keys[f], deg[f]
+        for f in order:
+            d_f = deg[f]
             for g in ids_by_size[s - size[f]]:
                 if first[g] > f:
                     continue
@@ -104,11 +105,14 @@ def form_tables(max_size: int) -> FormTables:
                 first.append(f)
                 rest.append(g)
                 deg.append(d + 1)
-                if s < max_size:
-                    keys.append(key_f + keys[g][1:])
         ids_by_size.append(range(len(size), len(hung)))
         size += [s] * len(ids_by_size[s])
-    return FormTables(keys, first, rest, deg, ids_by_size, size, hung, s1)
+        if s < max_size:  # id 0, OPEN CLOSE, stays least
+            rank = {x: i for i, x in enumerate(order)}
+            order[1:] = sorted([*order[1:], *ids_by_size[s]],
+                               key=lambda x: (rank[first[x]], rank[rest[x]]))
+            del rank  # the top size's scan needs no ranks
+    return FormTables(first, rest, deg, ids_by_size, size, hung, s1)
 
 
 def star_form(pendants: int) -> Form:

@@ -27,6 +27,7 @@ from .families import (
     TREE_TOP4,
     UNICYCLIC_TAIL_TIE,
     UNICYCLIC_TOP8,
+    ClosedFormPoly,
     build_catalog_member,
     cycle_star_hm,
     cycle_star_hm_miscounted,
@@ -488,16 +489,17 @@ def _check_single_attachment_max() -> CheckResult:
     )
 
 
+def _strict_chain(keys: tuple[str, ...], lo: int) -> tuple[int, list[str]]:
+    """Orders checked, and each n in lo..60 where the polynomials of keys,
+    in turn, do not strictly fall."""
+    vals = {n: [CATALOG[k].poly.evaluate(n) for k in keys] for n in range(lo, 61)}
+    return len(vals), [f"n={n}" for n, v in vals.items() if any(a <= b for a, b in zip(v, v[1:]))]
+
+
 def _check_tree_poly_chain() -> CheckResult:
     """Strict family ordering among the tree polynomials, plus the fourth
     broom staying below the third from order eight onward."""
-    failures = []
-    checked = 0
-    for n in range(7, 61):
-        vals = [CATALOG[k].poly.evaluate(n) for k in TREE_TOP4]
-        checked += 1
-        if not all(a > b for a, b in zip(vals, vals[1:])):
-            failures.append(f"n={n}")
+    checked, failures = _strict_chain(TREE_TOP4, 7)
     for n in range(8, 61):
         checked += 1
         if not hyper_zagreb(T4_CORE.build(n)) < CATALOG["T^3_n"].poly.evaluate(n):
@@ -511,13 +513,7 @@ def _check_tree_poly_chain() -> CheckResult:
 def _check_unicyclic_poly_chain() -> CheckResult:
     """Strict ordering of the eight unicyclic polynomials from n = 15, and
     the companion family tying the tail exactly at n = 15."""
-    failures = []
-    checked = 0
-    for n in range(15, 61):
-        vals = [CATALOG[k].poly.evaluate(n) for k in UNICYCLIC_TOP8]
-        checked += 1
-        if not all(a > b for a, b in zip(vals, vals[1:])):
-            failures.append(f"n={n}")
+    checked, failures = _strict_chain(UNICYCLIC_TOP8, 15)
     tail = CATALOG[UNICYCLIC_TOP8[-1]].poly
     companion = CATALOG[UNICYCLIC_TAIL_TIE].poly
     for n in range(8, 61):
@@ -620,10 +616,9 @@ def closed_form_audit(n_lo: int, n_hi: int) -> AuditReport:
         lo = max(n_lo, entry.poly.valid_n_min)
         mismatches = []
         if cubic != entry.poly.coefficients():
-            a3, a2, a1, a0 = cubic
+            derived = ClosedFormPoly(*cubic, lo)
             for n in range(lo, n_hi + 1):
-                got = ((a3 * n + a2) * n + a1) * n + a0
-                want = entry.poly.evaluate(n)
+                got, want = derived.evaluate(n), entry.poly.evaluate(n)
                 if got != want:
                     mismatches.append(f"n={n}: built {got} != polynomial {want}")
             if not mismatches:

@@ -5,6 +5,7 @@ from hyperzagreb.graphs import hyper_zagreb, make_graph
 from hyperzagreb.rooted import (
     CLOSE,
     OPEN,
+    FormTables,
     form_graph,
     form_tables,
     path_form,
@@ -110,13 +111,13 @@ def test_registry_matches_the_sorted_build():
 
 def test_every_id_is_its_first_child_and_rest():
     # Every size, the top one too, stores a form as its first child and the
-    # smaller form whose children follow it; only the ids below the top size
-    # keep a key, and the single vertex, which has no first child, always does.
+    # smaller form whose children follow it, in integer columns only: no
+    # column holds a bracket key.
+    assert FormTables._fields == ("first", "rest", "deg", "ids_by_size", "size", "hung", "s1")
     for max_size in range(1, 13):
         tables = form_tables(max_size)
         count = len(tables.size)
         assert len(tables.first) == len(tables.rest) == len(tables.deg) == count
-        assert len(tables.keys) == max(tables.ids_by_size[max_size].start, 1)
         first, rest, size, deg = tables.first, tables.rest, tables.size, tables.deg
         for fid in range(1, count):
             assert tables.kids(fid) == (first[fid],) + tables.kids(rest[fid])
@@ -148,6 +149,17 @@ def test_ids_hang_and_key_like_their_nested_forms():
         assert g == form_graph(0, [(0, nested_form(tables, fid))])
         g = form_graph(3, [(0, fid)], tables.kids)
         assert hanging_trees(g)[0] == (g.n - 2, tables.key(fid))
+
+
+def test_deepest_form_keys_like_its_hanging_tree():
+    # key() recurses once per level: the path on 13 vertices is the deepest
+    # form of form_tables(13), each level its one child and nothing after it.
+    tables = form_tables(13)
+    first, rest, path = tables.first, tables.rest, 0
+    for s in range(2, 14):
+        path = next(f for f in tables.ids_by_size[s] if (first[f], rest[f]) == (path, 0))
+    g = form_graph(3, [(0, path)], tables.kids)
+    assert hanging_trees(g)[0] == (13, tables.key(path)) == (13, OPEN * 13 + CLOSE * 13)
 
 
 def test_shorthand_forms():
