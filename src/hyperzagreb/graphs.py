@@ -38,19 +38,22 @@ class Graph(NamedTuple):
     adj: tuple[tuple[int, ...], ...]
 
     def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
+        adj = self.adj
+        if not 0 <= v < len(adj):
             raise VertexRangeError(f"vertex {v} out of range 0..{self.n - 1}")
-        return len(self.adj[v])
+        return len(adj[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        if not 0 <= v < self.n:
+        adj = self.adj
+        if not 0 <= v < len(adj):
             raise VertexRangeError(f"vertex {v} out of range 0..{self.n - 1}")
-        return self.adj[v]
+        return adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
+        adj = self.adj
+        if not (0 <= u < len(adj) and 0 <= v < len(adj)):
             raise VertexRangeError(f"edge ({u},{v}) out of range 0..{self.n - 1}")
-        return v in self.adj[u]
+        return v in adj[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""

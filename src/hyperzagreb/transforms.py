@@ -1,11 +1,10 @@
 """Index-monotone graph rewrites.
 
-coalesce hangs one graph on a vertex of another, and coalesce_gain reads
-the index that hanging adds off the two graphs' rows, without building
-the result.  attach_conditions gives the degree conditions under which
-moving that attachment to a second vertex cannot lower the index.
-join_vs_identify spends one vertex budget two ways and reports whether
-its strict inequality is guaranteed.
+coalesce hangs one graph on a vertex of another; coalesce_gain reads what
+that adds to the index off the merged vertices, without building the result.
+attach_conditions gives the degree conditions under which moving that
+attachment to a second vertex cannot lower the index.  join_vs_identify
+spends one vertex budget two ways; join_identify_gap reads the gap.
 reduce_to_single_attachment replays the star-merge chain from a unicyclic
 graph down to one pendant star.  Rewrites return new graphs (inputs are
 never mutated); inputs outside a rewrite's structural domain raise.
@@ -50,26 +49,32 @@ def coalesce(g: Graph, u: int, h: Graph, z: int) -> Graph:
     return Graph(len(adj), tuple(adj))
 
 
-def coalesce_gain(g: Graph, u: int, h: Graph, z: int) -> int:
-    """hyper_zagreb(coalesce(g, u, h, z)) - hyper_zagreb(g) - hyper_zagreb(h).
+def site(g: Graph, v: int, name: str = "g") -> tuple[int, int]:
+    """v's degree and its neighbours' degree sum: all that a merge at v reads."""
+    adj = g.adj
+    if not 0 <= v < len(adj):
+        raise GraphError(f"vertex {v} out of range for {name}")
+    return len(adj[v]), sum([len(adj[x]) for x in adj[v]])
 
-    Only the edges at the merged vertex change their terms: with a = deg_g(u)
-    and b = deg_h(z), an edge ux of g goes from (a + dx)**2 to
-    (a + b + dx)**2, a rise of b * (2 * (a + dx) + b), and an edge zy of h
-    rises by a * (2 * (b + dy) + a).  Summed over the a + b edges, that is
-    3ab(a + b) plus twice b times the degree sum of u's neighbours and a
-    times that of z's.
-    """
-    gadj, hadj = g.adj, h.adj
-    if not 0 <= u < len(gadj):
-        raise GraphError(f"vertex {u} out of range for g")
-    if not 0 <= z < len(hadj):
-        raise GraphError(f"vertex {z} out of range for h")
-    nu, nz = gadj[u], hadj[z]
-    a, b = len(nu), len(nz)
-    su = sum([len(gadj[x]) for x in nu])
-    sz = sum([len(hadj[y]) for y in nz])
-    return 3 * a * b * (a + b) + 2 * (b * su + a * sz)
+
+def site_gain(a: int, sa: int, b: int, sb: int) -> int:
+    """The index that merging sites (a, sa) and (b, sb) adds: an edge ux at
+    the first rises from (a + dx)**2 to (a + b + dx)**2, by
+    b * (2 * (a + dx) + b), likewise at the second, so 3ab(a + b) + 2(b sa + a sb)."""
+    return 3 * a * b * (a + b) + 2 * (b * sa + a * sb)
+
+
+def coalesce_gain(g: Graph, u: int, h: Graph, z: int) -> int:
+    """hyper_zagreb(coalesce(g, u, h, z)) - hyper_zagreb(g) - hyper_zagreb(h)."""
+    return site_gain(*site(g, u), *site(h, z, "h"))
+
+
+def join_identify_gap(g1: Graph, u: int, g2: Graph, v: int) -> int:
+    """hyper_zagreb(identified) - hyper_zagreb(joined) of join_vs_identify:
+    the bridge and the pendant score alike, and as u and v have one edge more
+    in both graphs, each edge at u adds 2b to site_gain's rise and at v 2a."""
+    (a, su), (b, sv) = site(g1, u, "g1"), site(g2, v, "g2")
+    return site_gain(a, su, b, sv) + 4 * a * b
 
 
 def attach_conditions(g: Graph, u: int, w: int) -> tuple[bool, bool, bool, bool]:
@@ -96,8 +101,11 @@ class JoinIdentifyPair(NamedTuple):
 
     joined adds an edge between u in g1 and v in g2; identified merges u
     with v and attaches one new pendant to the merged vertex.  Both graphs
-    have order n(g1) + n(g2).  When both merged endpoints have degree >= 2
-    in joined, the identified graph has the strictly larger index.
+    have order n(g1) + n(g2).  With a = deg(u), b = deg(v) and S_u, S_v
+    their neighbours' degree sums, identified exceeds joined in the index by
+    ab(3(a + b) + 4) + 2(b S_u + a S_v) (join_identify_gap).  That is > 0
+    when a, b >= 1, as its first term is > 0 and the sums are >= 0; then
+    both merged endpoints have degree >= 2 in joined, and applicable holds.
     """
 
     joined: Graph
@@ -106,10 +114,7 @@ class JoinIdentifyPair(NamedTuple):
 
 
 def join_vs_identify(g1: Graph, u: int, g2: Graph, v: int) -> JoinIdentifyPair:
-    if not 0 <= u < g1.n:
-        raise GraphError(f"vertex {u} out of range for g1")
-    if not 0 <= v < g2.n:
-        raise GraphError(f"vertex {v} out of range for g2")
+    (du, _), (dv, _) = site(g1, u, "g1"), site(g2, v, "g2")
     # Sorted tuples throughout: g2's ids shift past g1's, so v's new
     # neighbour u leads its list and u's new neighbour closes its list.
     offset = g1.n
@@ -123,8 +128,7 @@ def join_vs_identify(g1: Graph, u: int, g2: Graph, v: int) -> JoinIdentifyPair:
     adj.append((u,))
     identified = Graph(len(adj), tuple(adj))
 
-    applicable = joined.degree(u) >= 2 and joined.degree(v + offset) >= 2
-    return JoinIdentifyPair(joined=joined, identified=identified, applicable=applicable)
+    return JoinIdentifyPair(joined=joined, identified=identified, applicable=du >= 1 and dv >= 1)
 
 
 def _hanging_counts(g: Graph) -> tuple[list[int], bool]:

@@ -16,6 +16,7 @@ text and JSON serializations.
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .canon import canonical_code
@@ -37,9 +38,11 @@ from .graphs import Graph, hyper_zagreb
 from .transforms import (
     attach_conditions,
     coalesce,
-    coalesce_gain,
+    join_identify_gap,
     join_vs_identify,
     reduce_to_single_attachment,
+    site,
+    site_gain,
 )
 
 # Per class: its family chain, the one family allowed to tie the chain's
@@ -331,14 +334,30 @@ class SuiteReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _random_tree(rng: random.Random, n: int) -> Graph:
-    """A uniform random labeled tree, decoded from a random Pruefer sequence."""
+def _prufer_tree(seq: list[int], n: int) -> Graph:
+    """The labeled tree on n vertices with Pruefer sequence seq."""
     rows: list[list[int]] = [[] for _ in range(n)]
     if n > 1:
-        for u, v in prufer_edges([rng.randrange(n) for _ in range(n - 2)], n):
+        for u, v in prufer_edges(seq, n):
             rows[u].append(v)
             rows[v].append(u)
     return Graph(n, tuple(tuple(sorted(r)) for r in rows))
+
+
+def _random_tree(rng: random.Random, n: int) -> Graph:
+    """A uniform random labeled tree, decoded from a random Pruefer sequence."""
+    return _prufer_tree([rng.randrange(n) for _ in range(n - 2)], n)
+
+
+def _hanging_site(rng: random.Random) -> tuple[list[int], int, tuple[int, int]]:
+    """The Pruefer sequence of a tree h, a vertex z and site(h, z), drawn as
+    h = _random_tree(rng, rng.randint(2, 8)) and z = rng.randrange(h.n) are,
+    without building h: a degree is one more than a count in the sequence."""
+    n = rng.randint(2, 8)
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    z = rng.randrange(n)
+    nbrs = [x + y - z for x, y in prufer_edges(seq, n) if z in (x, y)]
+    return seq, z, (len(nbrs), sum([seq.count(y) for y in nbrs]) + len(nbrs))
 
 
 def _random_base_graph(rng: random.Random, n: int) -> Graph:
@@ -380,13 +399,13 @@ def _check_attachment_shift(rng: random.Random, trials: int) -> CheckResult:
         cond_a, cond_b, tight_a, tight_b = attach_conditions(g, u, w)
         if not (cond_a and cond_b):
             continue
-        h = _random_tree(rng, rng.randint(2, 8))
-        z = rng.randrange(h.n)
+        seq, z, at_z = _hanging_site(rng)
         # HM(g) + HM(h) is common to both sites, so the gains compare as
-        # the two coalescences' indices do; the graphs are built only for
-        # a failure's witness.
-        gain1, gain2 = coalesce_gain(g, u, h, z), coalesce_gain(g, w, h, z)
+        # the two coalescences' indices do; h and the coalescences, like the
+        # join-vs-identify pairs, are built only for a failure's witness.
+        gain1, gain2 = site_gain(*site(g, u), *at_z), site_gain(*site(g, w), *at_z)
         if gain2 < gain1 or (gain2 == gain1 and not (tight_a and tight_b)):
+            h = _prufer_tree(seq, len(seq) + 2)
             failures.append(_pair_g6(coalesce(g, u, h, z), coalesce(g, w, h, z)))
         done += 1
     return _tally("attachment-shift", "random conditioned instances", done, failures)
@@ -401,11 +420,11 @@ def _check_join_identify() -> CheckResult:
         for t2 in pool:
             for u in range(t1.n):
                 for v in range(t2.n):
-                    pair = join_vs_identify(t1, u, t2, v)
-                    if not pair.applicable:
+                    if not (t1.adj[u] and t2.adj[v]):  # as pair.applicable
                         continue
                     checked += 1
-                    if hyper_zagreb(pair.joined) >= hyper_zagreb(pair.identified):
+                    if join_identify_gap(t1, u, t2, v) <= 0:
+                        pair = join_vs_identify(t1, u, t2, v)
                         failures.append(_pair_g6(pair.joined, pair.identified))
     return _tally(
         "join-vs-identify", "all tree pairs <= 6 vertices, all roots", checked,
@@ -456,6 +475,7 @@ def _check_single_attachment_max() -> CheckResult:
     """
     failures = []
     checked = 0
+    final_code = cache(canonical_code)  # chains of order n end on <= n graphs
     for n in range(3, 11):
         single_codes = {
             m: canonical_code(cycle_with_stars(m, [n - m])) for m in range(3, n + 1)
@@ -477,7 +497,7 @@ def _check_single_attachment_max() -> CheckResult:
                 and (hm < bound or canonical_code(g) == single_codes[m])
                 and all(a < b for a, b in zip(hms, hms[1:]))
                 and hms[-1] == bound
-                and canonical_code(chain[-1]) == single_codes[m]
+                and final_code(chain[-1]) == single_codes[m]
             )
             if not ok:
                 failures.append(encode_graph6(g))

@@ -671,6 +671,11 @@ GOLDEN = [
      "ed6d772a921003280be29b0fc3c394dfd417c8a419176122fcd91ff52d3085de"),
     ("rank trees 12 -k 5 --format json", 0,
      "ce3d94d0c132a3532ddc73a68b9da7bd702ae58720d66df3913ba4343d217899"),
+    # pinned while every lemma check still built the graphs it measured
+    ("verify lemmas --seed 3101 --trials 10000", 0,
+     "70f66d85e6313822bb6759278d9b9997a7992726bbd8ee6efd6e77bca825b694"),
+    ("verify lemmas --seed 7 --trials 10000 --format json", 0,
+     "4dfe37dd2482b96f0e6a45c5eaa9f639e288ebc024396a9bb92f188722e8d5e7"),
 ]
 
 

@@ -49,6 +49,21 @@ def test_degree():
         s5.degree(5)
 
 
+def test_accessors_refuse_minus_one_and_n():
+    g = path(4)
+    for bad in (-1, 4):
+        message = f"vertex {bad} out of range 0..3"
+        with pytest.raises(VertexRangeError, match=message):
+            g.degree(bad)
+        with pytest.raises(VertexRangeError, match=message):
+            g.neighbors(bad)
+        for u, v in ((bad, 0), (0, bad)):
+            with pytest.raises(VertexRangeError, match=rf"edge \({u},{v}\) out of range 0\.\.3"):
+                g.has_edge(u, v)
+    assert [g.degree(v) for v in range(4)] == [1, 2, 2, 1]
+    assert g.neighbors(3) == (2,) and g.has_edge(3, 2) and not g.has_edge(0, 3)
+
+
 def test_neighbors_and_has_edge_refuse_out_of_range_vertices():
     c3 = cycle_with_stars(3, [])
     assert c3.neighbors(0) == (1, 2) and c3.has_edge(0, 2)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyperzagreb.canon import canonical_code, dihedral_least, hanging_trees
 from hyperzagreb.codec import encode_graph6
-from hyperzagreb.enumeration import prufer_edges, unicyclic_graphs
+from hyperzagreb.enumeration import prufer_edges, trees, unicyclic_graphs
 from hyperzagreb.families import (
     build_catalog_member,
     cycle_star_hm,
@@ -24,6 +24,7 @@ from hyperzagreb.transforms import (
     attach_conditions,
     coalesce,
     coalesce_gain,
+    join_identify_gap,
     join_vs_identify,
     reduce_to_single_attachment,
 )
@@ -174,6 +175,39 @@ def test_coalesce_gain_matches_the_built_coalescence():
             coalesce_gain(g, bad, dot, 0)
         with pytest.raises(GraphError):
             coalesce_gain(dot, 0, g, bad)
+
+
+def _built_gap(g1, u, g2, v):
+    pair = join_vs_identify(g1, u, g2, v)
+    return hyper_zagreb(pair.identified) - hyper_zagreb(pair.joined)
+
+
+def test_join_identify_gap_matches_the_built_pair():
+    # every pair of the lemma check's pool at every root pair, then seeded
+    # random trees (from one vertex on) and unicyclic graphs
+    pool = [t.graph() for n in range(2, 7) for t in trees(n)]
+    for g1, g2 in product(pool, repeat=2):
+        for u, v in product(range(g1.n), range(g2.n)):
+            assert join_identify_gap(g1, u, g2, v) == _built_gap(g1, u, g2, v)
+    rng = random.Random(38)
+    dot = make_graph(1, [])
+    orders = set()
+    for _ in range(150):
+        g = _random_base_graph(rng, rng.randint(3, 10))
+        h = _random_tree(rng, rng.randint(1, 8))
+        orders.add(h.n)
+        for g1, g2 in ((g, h), (h, g), (g, g), (h, dot)):
+            for u, v in product(range(g1.n), range(g2.n)):
+                gap = join_identify_gap(g1, u, g2, v)
+                assert gap == _built_gap(g1, u, g2, v)
+                assert (gap > 0) == join_vs_identify(g1, u, g2, v).applicable
+    assert orders == set(range(1, 9))
+    g = cycle_with_stars(4, [])
+    for bad in (-1, 4):
+        with pytest.raises(GraphError):
+            join_identify_gap(g, bad, dot, 0)
+        with pytest.raises(GraphError):
+            join_identify_gap(dot, 0, g, bad)
 
 
 def reference_attach_conditions(g, u, w):

@@ -148,6 +148,21 @@ def test_lemma_random_draws_pinned():
     assert h.hexdigest() == RANDOM_DRAWS_SHA256
 
 
+def test_hanging_site_reads_the_tree_it_does_not_build():
+    # the same draws as a built hanging tree and its vertex, which leave the
+    # generator in the same state, and the site that tree has at z
+    orders = set()
+    for seed in range(300):
+        r1, r2 = random.Random(seed), random.Random(seed)
+        seq, z, at_z = verify._hanging_site(r1)
+        h = verify._random_tree(r2, r2.randint(2, 8))
+        assert (z, at_z) == (r2.randrange(h.n), transforms.site(h, z))
+        assert verify._prufer_tree(seq, len(seq) + 2) == h
+        assert r1.getstate() == r2.getstate()
+        orders.add(h.n)
+    assert orders == set(range(2, 9))
+
+
 def test_attachment_shift_failure_path_pinned(monkeypatch):
     # Conditions forced to hold but never tight: every instance whose two
     # coalescences tie in the index, or fall, is a failure, and only then
@@ -160,9 +175,16 @@ def test_attachment_shift_failure_path_pinned(monkeypatch):
     assert hyper_zagreb(g2) <= hyper_zagreb(g1)
 
 
-def _swapped_pair(*args):
-    pair = transforms.join_vs_identify(*args)
-    return pair._replace(joined=pair.identified, identified=pair.joined)
+def test_join_identify_failure_path_pinned(monkeypatch):
+    # Every gap forced to 0: each of the 4,096 cases is a violation, and
+    # only then is the pair built, for the witness: its joined then its
+    # identified graph.
+    monkeypatch.setattr(verify, "join_identify_gap", lambda g1, u, g2, v: 0)
+    result = verify._check_join_identify()
+    assert (result.checked, result.violations) == (4096, 4096)
+    assert result.counterexample == "Cp Cs"
+    joined, identified = map(decode_graph6, result.counterexample.split())
+    assert hyper_zagreb(joined) < hyper_zagreb(identified)
 
 
 def _set(name, value):
@@ -181,8 +203,9 @@ LEMMA_FAILURES = {
         ("star-max-trees", 9, "n=4"),
     ),
     "join-vs-identify": (
-        _set("join_vs_identify", _swapped_pair), verify._check_join_identify,
-        ("join-vs-identify", 4096, "Cs Cp"),
+        _set("join_identify_gap", lambda *args: -transforms.join_identify_gap(*args)),
+        verify._check_join_identify,
+        ("join-vs-identify", 4096, "Cp Cs"),
     ),
     # the eight "global maximum at n=" failures count once per order, on top
     # of the 1040 graphs checked
@@ -208,7 +231,7 @@ LEMMA_FAILURES = {
         ("unicyclic-chain", 1, "tail tie at n=15"),
     ),
     "attachment-shift": (
-        _set("coalesce_gain", lambda g, u, h, z: -g.degree(u)),
+        _set("site_gain", lambda a, sa, b, sb: -a),
         lambda: verify._check_attachment_shift(random.Random(0), 200),
         ("attachment-shift", 144, "I?qi_C??W I?qi_G??W"),
     ),
