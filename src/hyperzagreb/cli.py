@@ -100,11 +100,20 @@ def _load_graph(path: str) -> Graph:
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
+def _shown(text: str) -> str:
+    """An argument as an error quotes it: at most its first 20 characters."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def _integer(text: str) -> int:
-    """The type of every integer argument: an optional '-', then ASCII digits."""
-    if not _DECIMAL.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    """The type of every integer argument: an optional '-', then ASCII digits
+    (int() also refuses more than sys.get_int_max_str_digits() of them)."""
+    if _DECIMAL.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -115,9 +124,9 @@ def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = _integer(lo_s), _integer(hi_s)
     except (argparse.ArgumentTypeError, ValueError):
-        raise _CliFailure(EXIT_PARSE, f"bad range {text!r}; use N or LO..HI") from None
+        raise _CliFailure(EXIT_PARSE, f"bad range {_shown(text)}; use N or LO..HI") from None
     if lo > hi:
-        raise _CliFailure(EXIT_DOMAIN, f"empty range {text!r}")
+        raise _CliFailure(EXIT_DOMAIN, f"empty range {_shown(text)}")
     return lo, hi
 
 

@@ -1,18 +1,21 @@
 """Index-monotone graph rewrites.
 
 coalesce hangs one graph on a vertex of another; coalesce_gain reads what
-that adds to the index off the merged vertices, without building the result.
-attach_conditions gives the degree conditions under which moving that
-attachment to a second vertex cannot lower the index.  join_vs_identify
-spends one vertex budget two ways; join_identify_gap reads the gap.
-reduce_to_single_attachment replays the star-merge chain from a unicyclic
-graph down to one pendant star.  Rewrites return new graphs (inputs are
-never mutated); inputs outside a rewrite's structural domain raise.
+that adds to the index off the merged vertices' sites, without building the
+result.  attach_conditions gives the degree conditions under which moving
+that attachment to a second vertex cannot lower the index.  site and
+attach_conditions read only neighbour rows (a Graph's adj, or unsorted
+lists), so a caller that has not built a Graph passes its rows.
+join_vs_identify spends one vertex budget two ways; join_identify_gap reads
+the gap.  reduce_to_single_attachment replays the star-merge chain from a
+unicyclic graph down to one pendant star.  Rewrites return new graphs
+(inputs are never mutated); inputs outside a rewrite's structural domain
+raise.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .canon import dihedral_least, hanging_trees
 from .graphs import Graph, GraphError, VertexRangeError, hyper_zagreb, is_unicyclic
@@ -49,9 +52,8 @@ def coalesce(g: Graph, u: int, h: Graph, z: int) -> Graph:
     return Graph(len(adj), tuple(adj))
 
 
-def site(g: Graph, v: int, name: str = "g") -> tuple[int, int]:
+def site(adj: Sequence[Sequence[int]], v: int, name: str = "g") -> tuple[int, int]:
     """v's degree and its neighbours' degree sum: all that a merge at v reads."""
-    adj = g.adj
     if not 0 <= v < len(adj):
         raise GraphError(f"vertex {v} out of range for {name}")
     return len(adj[v]), sum([len(adj[x]) for x in adj[v]])
@@ -66,23 +68,24 @@ def site_gain(a: int, sa: int, b: int, sb: int) -> int:
 
 def coalesce_gain(g: Graph, u: int, h: Graph, z: int) -> int:
     """hyper_zagreb(coalesce(g, u, h, z)) - hyper_zagreb(g) - hyper_zagreb(h)."""
-    return site_gain(*site(g, u), *site(h, z, "h"))
+    return site_gain(*site(g.adj, u), *site(h.adj, z, "h"))
 
 
 def join_identify_gap(g1: Graph, u: int, g2: Graph, v: int) -> int:
     """hyper_zagreb(identified) - hyper_zagreb(joined) of join_vs_identify:
     the bridge and the pendant score alike, and as u and v have one edge more
     in both graphs, each edge at u adds 2b to site_gain's rise and at v 2a."""
-    (a, su), (b, sv) = site(g1, u, "g1"), site(g2, v, "g2")
+    (a, su), (b, sv) = site(g1.adj, u, "g1"), site(g2.adj, v, "g2")
     return site_gain(a, su, b, sv) + 4 * a * b
 
 
-def attach_conditions(g: Graph, u: int, w: int) -> tuple[bool, bool, bool, bool]:
+def attach_conditions(
+    adj: Sequence[Sequence[int]], u: int, w: int
+) -> tuple[bool, bool, bool, bool]:
     """The two dominance conditions for moving an attachment from u to w.
 
     Returns (degree holds, sum holds, degree tight, sum tight).
     """
-    adj = g.adj
     n = len(adj)
     if not (0 <= u < n and 0 <= w < n):
         raise VertexRangeError(f"vertices ({u},{w}) out of range 0..{n - 1}")
@@ -114,7 +117,7 @@ class JoinIdentifyPair(NamedTuple):
 
 
 def join_vs_identify(g1: Graph, u: int, g2: Graph, v: int) -> JoinIdentifyPair:
-    (du, _), (dv, _) = site(g1, u, "g1"), site(g2, v, "g2")
+    (du, _), (dv, _) = site(g1.adj, u, "g1"), site(g2.adj, v, "g2")
     # Sorted tuples throughout: g2's ids shift past g1's, so v's new
     # neighbour u leads its list and u's new neighbour closes its list.
     offset = g1.n

@@ -334,25 +334,31 @@ class SuiteReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _prufer_tree(seq: list[int], n: int) -> Graph:
-    """The labeled tree on n vertices with Pruefer sequence seq."""
+def _sorted_graph(rows: list[list[int]]) -> Graph:
+    """The Graph of unsorted neighbour rows."""
+    return Graph(len(rows), tuple([tuple(sorted(r)) for r in rows]))
+
+
+def _prufer_rows(seq: list[int], n: int) -> list[list[int]]:
+    """Unsorted neighbour rows of the labeled tree on n vertices with
+    Pruefer sequence seq."""
     rows: list[list[int]] = [[] for _ in range(n)]
     if n > 1:
         for u, v in prufer_edges(seq, n):
             rows[u].append(v)
             rows[v].append(u)
-    return Graph(n, tuple(tuple(sorted(r)) for r in rows))
+    return rows
 
 
-def _random_tree(rng: random.Random, n: int) -> Graph:
-    """A uniform random labeled tree, decoded from a random Pruefer sequence."""
-    return _prufer_tree([rng.randrange(n) for _ in range(n - 2)], n)
+def _prufer_tree(seq: list[int], n: int) -> Graph:
+    """The labeled tree on n vertices with Pruefer sequence seq."""
+    return _sorted_graph(_prufer_rows(seq, n))
 
 
 def _hanging_site(rng: random.Random) -> tuple[list[int], int, tuple[int, int]]:
-    """The Pruefer sequence of a tree h, a vertex z and site(h, z), drawn as
-    h = _random_tree(rng, rng.randint(2, 8)) and z = rng.randrange(h.n) are,
-    without building h: a degree is one more than a count in the sequence."""
+    """The Pruefer sequence of a uniform random labeled tree h on 2..8
+    vertices, a random vertex z and site(h, z), without building h: a
+    degree is one more than a count in the sequence."""
     n = rng.randint(2, 8)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     z = rng.randrange(n)
@@ -360,19 +366,18 @@ def _hanging_site(rng: random.Random) -> tuple[list[int], int, tuple[int, int]]:
     return seq, z, (len(nbrs), sum([seq.count(y) for y in nbrs]) + len(nbrs))
 
 
-def _random_base_graph(rng: random.Random, n: int) -> Graph:
-    """Random tree, or random unicyclic obtained by closing one extra edge."""
-    g = _random_tree(rng, n)
+def _random_base_rows(rng: random.Random, n: int) -> list[list[int]]:
+    """Unsorted neighbour rows of a random tree, or half the time (n >= 3)
+    of a random unicyclic graph, the tree with one absent edge closed."""
+    rows = _prufer_rows([rng.randrange(n) for _ in range(n - 2)], n)
     if n >= 3 and rng.random() < 0.5:
-        adj = g.adj
         while True:
             u, v = rng.randrange(n), rng.randrange(n)
-            if u != v and v not in adj[u]:
-                rows = list(adj)
-                rows[u] = tuple(sorted(adj[u] + (v,)))
-                rows[v] = tuple(sorted(adj[v] + (u,)))
-                return Graph(n, tuple(rows))
-    return g
+            if u != v and v not in rows[u]:
+                rows[u].append(v)
+                rows[v].append(u)
+                break
+    return rows
 
 
 def _pair_g6(a: Graph, b: Graph) -> str:
@@ -392,20 +397,21 @@ def _check_attachment_shift(rng: random.Random, trials: int) -> CheckResult:
     failures = []
     done = 0
     while done < trials:
-        g = _random_base_graph(rng, rng.randint(3, 10))
-        u, w = rng.sample(range(g.n), 2)
-        if g.degree(u) > g.degree(w):
+        n = rng.randint(3, 10)
+        rows = _random_base_rows(rng, n)
+        u, w = rng.sample(range(n), 2)
+        if len(rows[u]) > len(rows[w]):
             u, w = w, u
-        cond_a, cond_b, tight_a, tight_b = attach_conditions(g, u, w)
+        cond_a, cond_b, tight_a, tight_b = attach_conditions(rows, u, w)
         if not (cond_a and cond_b):
             continue
         seq, z, at_z = _hanging_site(rng)
         # HM(g) + HM(h) is common to both sites, so the gains compare as
-        # the two coalescences' indices do; h and the coalescences, like the
-        # join-vs-identify pairs, are built only for a failure's witness.
-        gain1, gain2 = site_gain(*site(g, u), *at_z), site_gain(*site(g, w), *at_z)
+        # the two coalescences' indices do; g, h and the coalescences, like
+        # the join-vs-identify pairs, are built only for a failure's witness.
+        gain1, gain2 = site_gain(*site(rows, u), *at_z), site_gain(*site(rows, w), *at_z)
         if gain2 < gain1 or (gain2 == gain1 and not (tight_a and tight_b)):
-            h = _prufer_tree(seq, len(seq) + 2)
+            g, h = _sorted_graph(rows), _prufer_tree(seq, len(seq) + 2)
             failures.append(_pair_g6(coalesce(g, u, h, z), coalesce(g, w, h, z)))
         done += 1
     return _tally("attachment-shift", "random conditioned instances", done, failures)
@@ -452,15 +458,11 @@ def _check_star_max() -> CheckResult:
         best = CATALOG["S_n"].poly.evaluate(n)
         top = []
         for r in trees(n):
-            t = r.graph()
             checked += 1
-            hm = hyper_zagreb(t)
-            if hm >= best:
-                top.append((hm, t))
+            if r.hm >= best:
+                top.append(r)
         star_code = canonical_code(build_catalog_member("S_n", n))
-        ok = len(top) == 1 and top[0][0] == best and (
-            canonical_code(top[0][1]) == star_code
-        )
+        ok = len(top) == 1 and top[0].hm == best and canonical_code(top[0]) == star_code
         if not ok:
             failures.append(f"n={n}")
     return _tally("star-max-trees", "all trees, n <= 12", checked, failures)
@@ -487,14 +489,14 @@ def _check_single_attachment_max() -> CheckResult:
             checked += 1
             m = r.cycle
             bound = cycle_star_hm(m, n)
-            hm = hyper_zagreb(g)
-            if hm >= global_best:
-                best_seen.append((hm, canonical_code(g)))
             chain = reduce_to_single_attachment(g)
             hms = [hyper_zagreb(x) for x in chain]
+            hm = hms[0]
+            if hm >= global_best:
+                best_seen.append((hm, canonical_code(r)))
             ok = (
                 hm <= bound
-                and (hm < bound or canonical_code(g) == single_codes[m])
+                and (hm < bound or canonical_code(r) == single_codes[m])
                 and all(a < b for a, b in zip(hms, hms[1:]))
                 and hms[-1] == bound
                 and final_code(chain[-1]) == single_codes[m]

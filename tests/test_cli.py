@@ -418,8 +418,10 @@ def _exit_code(argv):
         ["family", "S_n", "0_7"], ["verify", "closed-forms", "1_5..2_0"],
         ["verify", "lemmas", "--seed", "+1"], ["verify", "lemmas", "--trials", "1_0"],
         ["transform", "coalesce", "g", "h", "--at", "0", "--to", "\u0660"],
+        # past int()'s 4,300-digit limit
+        ["verify", "lemmas", "--seed", "9" * 5000], ["verify", "closed-forms", "1.." + "9" * 5000],
     ],
-    ids=ascii,
+    ids=lambda argv: ascii(argv)[:80],
 )
 def test_integers_are_ascii_decimal_digits(argv, capsys):
     # int() reads a sign, '_', blanks and non-ASCII digits as well
@@ -427,6 +429,8 @@ def test_integers_are_ascii_decimal_digits(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid int value" in captured.err or "bad range" in captured.err
+    # no helper's name, and at most a short prefix of the argument
+    assert "_integer" not in captured.err and "9" * 21 not in captured.err
 
 
 def test_negative_integers_still_parse(capsys):

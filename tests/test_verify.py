@@ -8,7 +8,7 @@ import pytest
 from hyperzagreb import families, transforms, verify
 from hyperzagreb.canon import canonical_code
 from hyperzagreb.codec import decode_graph6, encode_graph6
-from hyperzagreb.enumeration import trees, unicyclic_graphs
+from hyperzagreb.enumeration import ClassRecord, trees, unicyclic_graphs
 from hyperzagreb.families import CATALOG, build_catalog_member
 from hyperzagreb.graphs import hyper_zagreb, make_graph
 from hyperzagreb.verify import (
@@ -20,6 +20,7 @@ from hyperzagreb.verify import (
     verify_trees,
     verify_unicyclic,
 )
+from random_graphs import random_base_graph, random_tree
 
 
 def test_rank_tree_examples():
@@ -139,8 +140,9 @@ RANDOM_DRAWS_SHA256 = "4a2f6e923c9ade6c26f4647f458e73014359b2faadb2ca689149778ba
 
 def test_lemma_random_draws_pinned():
     rng = random.Random(0)
-    drawn = [verify._random_base_graph(rng, rng.randint(3, 10)) for _ in range(500)]
-    drawn += [verify._random_tree(rng, rng.randint(2, 8)) for _ in range(500)]
+    drawn = [verify._sorted_graph(verify._random_base_rows(rng, rng.randint(3, 10)))
+             for _ in range(500)]
+    drawn += [random_tree(rng, rng.randint(2, 8)) for _ in range(500)]
     h = hashlib.sha256()
     for g in drawn:
         assert g == make_graph(g.n, g.edges())
@@ -155,12 +157,61 @@ def test_hanging_site_reads_the_tree_it_does_not_build():
     for seed in range(300):
         r1, r2 = random.Random(seed), random.Random(seed)
         seq, z, at_z = verify._hanging_site(r1)
-        h = verify._random_tree(r2, r2.randint(2, 8))
-        assert (z, at_z) == (r2.randrange(h.n), transforms.site(h, z))
+        h = random_tree(r2, r2.randint(2, 8))
+        assert (z, at_z) == (r2.randrange(h.n), transforms.site(h.adj, z))
         assert verify._prufer_tree(seq, len(seq) + 2) == h
         assert r1.getstate() == r2.getstate()
         orders.add(h.n)
     assert orders == set(range(2, 9))
+
+
+def test_base_rows_make_the_base_graph_draws():
+    # the same draws as a base graph built from a tree Graph's tuples, which
+    # leave the generator in the same state, and the same rows once sorted
+    unicyclic = 0
+    for seed in range(500):
+        r1, r2 = random.Random(seed), random.Random(seed)
+        rows = verify._random_base_rows(r1, r1.randint(3, 10))
+        g = random_base_graph(r2, r2.randint(3, 10))
+        assert tuple(tuple(sorted(r)) for r in rows) == g.adj
+        assert r1.getstate() == r2.getstate()
+        unicyclic += g.num_edges == g.n
+    assert 0 < unicyclic < 500
+
+
+def test_a_passing_suite_builds_nothing_it_only_reads(monkeypatch):
+    # hyper_zagreb scores only the reduce chains (the first graph of each
+    # included) and the fourth brooms; records are built for the join pool
+    # and the reduce chains; base graphs and hanging trees are never built
+    calls = dict.fromkeys(["hyper_zagreb", "graph", "_sorted_graph", "_prufer_tree"], 0)
+
+    def counted(owner, name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(verify, "hyper_zagreb", verify.hyper_zagreb)
+    counted(transforms, "hyper_zagreb", transforms.hyper_zagreb)
+    counted(ClassRecord, "graph", ClassRecord.graph)
+    counted(verify, "_sorted_graph", verify._sorted_graph)
+    counted(verify, "_prufer_tree", verify._prufer_tree)
+    for seed in (0, 7):
+        for name in calls:
+            calls[name] = 0
+        assert lemma_suite(seed, 10000).passed
+        assert calls == {
+            "hyper_zagreb": 4908, "graph": 1053, "_sorted_graph": 0, "_prufer_tree": 0,
+        }
+
+
+def test_star_max_scores_records_without_building_a_tree(monkeypatch):
+    def refuse(record):
+        raise AssertionError("a tree was built")
+
+    monkeypatch.setattr(ClassRecord, "graph", refuse)
+    result = verify._check_star_max()
+    assert result.passed and result.checked == 986
 
 
 def test_attachment_shift_failure_path_pinned(monkeypatch):
