@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .graphs import Graph, GraphError, hyper_zagreb
+from .graphs import Graph, GraphError, hyper_zagreb, site
 from .rooted import Form, form_graph, path_form, star_form
 
 
@@ -91,16 +91,16 @@ class Core(NamedTuple):
         L leaves at a hub of core degree a change only the hub's edges: a
         core neighbour v of degree d_v gives (a + L + d_v)^2 and a leaf
         (a + L + 1)^2, so with S1 = sum of (a + d_v) over the neighbours
+        (a^2 + S for the hub's site (a, S))
 
             HM = L^3 + (3a + 2) L^2 + (2 S1 + (a + 1)^2) L + HM(core).
 
         L = n - size is substituted by Horner's rule in exact integers.
         """
         g = self.build(self.size)
-        a = g.degree(self.hub)
-        s1 = sum([a + g.degree(v) for v in g.adj[self.hub]])
+        a, s = site(g.adj, self.hub)
         coeffs: list[int] = []
-        for c in (1, 3 * a + 2, 2 * s1 + (a + 1) ** 2, hyper_zagreb(g)):
+        for c in (1, 3 * a + 2, 2 * (a * a + s) + (a + 1) ** 2, hyper_zagreb(g)):
             # times (n - size), then plus the next coefficient in L
             coeffs = [x - self.size * y for x, y in zip(coeffs + [0], [0] + coeffs)]
             coeffs[-1] += c

@@ -7,7 +7,7 @@ Python int, so every value is exact regardless of size.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -98,6 +98,14 @@ def make_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
         neighbor_sets[u].add(v)
         neighbor_sets[v].add(u)
     return Graph(order, tuple(tuple(sorted(s)) for s in neighbor_sets))
+
+
+def site(adj: Sequence[Sequence[int]], v: int, name: str = "g") -> tuple[int, int]:
+    """v's degree and its neighbours' degree sum, all that a merge at v
+    reads, from a Graph's adj or from unsorted neighbour lists."""
+    if not 0 <= v < len(adj):
+        raise VertexRangeError(f"vertex {v} out of range for {name}")
+    return len(adj[v]), sum([len(adj[x]) for x in adj[v]])
 
 
 def hyper_zagreb(g: Graph) -> int:

@@ -1,24 +1,23 @@
 """Index-monotone graph rewrites.
 
-coalesce hangs one graph on a vertex of another; coalesce_gain reads what
-that adds to the index off the merged vertices' sites, without building the
-result.  attach_conditions gives the degree conditions under which moving
-that attachment to a second vertex cannot lower the index.  site and
-attach_conditions read only neighbour rows (a Graph's adj, or unsorted
-lists), so a caller that has not built a Graph passes its rows.
-join_vs_identify spends one vertex budget two ways; join_identify_gap reads
-the gap.  reduce_to_single_attachment replays the star-merge chain from a
-unicyclic graph down to one pendant star.  Rewrites return new graphs
+coalesce hangs one graph on a vertex of another.  The lemma kernels are
+arithmetic on sites (graphs.site: a vertex's degree and its neighbours'
+degree sum): site_gain is what a coalescence at two sites adds to the
+index, attach_conditions gives the degree conditions under which moving
+that attachment to a second site cannot lower it, and join_identify_gap is
+how far identifying two sites beats joining them (join_vs_identify builds
+that pair).  reduce_to_single_attachment replays the star-merge chain from
+a unicyclic graph down to one pendant star.  Rewrites return new graphs
 (inputs are never mutated); inputs outside a rewrite's structural domain
 raise.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .canon import dihedral_least, hanging_trees
-from .graphs import Graph, GraphError, VertexRangeError, hyper_zagreb, is_unicyclic
+from .graphs import Graph, GraphError, hyper_zagreb, is_unicyclic, site
 from .families import cycle_with_stars
 
 
@@ -52,13 +51,6 @@ def coalesce(g: Graph, u: int, h: Graph, z: int) -> Graph:
     return Graph(len(adj), tuple(adj))
 
 
-def site(adj: Sequence[Sequence[int]], v: int, name: str = "g") -> tuple[int, int]:
-    """v's degree and its neighbours' degree sum: all that a merge at v reads."""
-    if not 0 <= v < len(adj):
-        raise GraphError(f"vertex {v} out of range for {name}")
-    return len(adj[v]), sum([len(adj[x]) for x in adj[v]])
-
-
 def site_gain(a: int, sa: int, b: int, sb: int) -> int:
     """The index that merging sites (a, sa) and (b, sb) adds: an edge ux at
     the first rises from (a + dx)**2 to (a + b + dx)**2, by
@@ -66,34 +58,24 @@ def site_gain(a: int, sa: int, b: int, sb: int) -> int:
     return 3 * a * b * (a + b) + 2 * (b * sa + a * sb)
 
 
-def coalesce_gain(g: Graph, u: int, h: Graph, z: int) -> int:
-    """hyper_zagreb(coalesce(g, u, h, z)) - hyper_zagreb(g) - hyper_zagreb(h)."""
-    return site_gain(*site(g.adj, u), *site(h.adj, z, "h"))
-
-
-def join_identify_gap(g1: Graph, u: int, g2: Graph, v: int) -> int:
-    """hyper_zagreb(identified) - hyper_zagreb(joined) of join_vs_identify:
-    the bridge and the pendant score alike, and as u and v have one edge more
-    in both graphs, each edge at u adds 2b to site_gain's rise and at v 2a."""
-    (a, su), (b, sv) = site(g1.adj, u, "g1"), site(g2.adj, v, "g2")
-    return site_gain(a, su, b, sv) + 4 * a * b
+def join_identify_gap(at_u: tuple[int, int], at_v: tuple[int, int]) -> int:
+    """hyper_zagreb(identified) - hyper_zagreb(joined) of join_vs_identify at
+    sites at_u and at_v: the bridge and the pendant score alike, and as u and
+    v have one edge more in both graphs, each edge at u adds 2b to
+    site_gain's rise and at v 2a."""
+    return site_gain(*at_u, *at_v) + 4 * at_u[0] * at_v[0]
 
 
 def attach_conditions(
-    adj: Sequence[Sequence[int]], u: int, w: int
+    at_u: tuple[int, int], at_w: tuple[int, int], adjacent: bool
 ) -> tuple[bool, bool, bool, bool]:
-    """The two dominance conditions for moving an attachment from u to w.
+    """The two dominance conditions for moving an attachment from site at_u
+    to site at_w; adjacent says whether their two vertices are.
 
     Returns (degree holds, sum holds, degree tight, sum tight).
     """
-    n = len(adj)
-    if not (0 <= u < n and 0 <= w < n):
-        raise VertexRangeError(f"vertices ({u},{w}) out of range 0..{n - 1}")
-    au, aw = adj[u], adj[w]
-    du, dw = len(au), len(aw)
-    su = sum([len(adj[x]) for x in au])
-    sw = sum([len(adj[x]) for x in aw])
-    if w in au:  # each sum leaves out the other site
+    (du, su), (dw, sw) = at_u, at_w
+    if adjacent:  # each sum leaves out the other site
         su -= dw
         sw -= du
     return (du <= dw, su <= sw, du == dw, su == sw)

@@ -34,14 +34,13 @@ from .families import (
     cycle_star_hm_miscounted,
     cycle_with_stars,
 )
-from .graphs import Graph, hyper_zagreb
+from .graphs import Graph, hyper_zagreb, site
 from .transforms import (
     attach_conditions,
     coalesce,
     join_identify_gap,
     join_vs_identify,
     reduce_to_single_attachment,
-    site,
     site_gain,
 )
 
@@ -400,16 +399,17 @@ def _check_attachment_shift(rng: random.Random, trials: int) -> CheckResult:
         n = rng.randint(3, 10)
         rows = _random_base_rows(rng, n)
         u, w = rng.sample(range(n), 2)
-        if len(rows[u]) > len(rows[w]):
-            u, w = w, u
-        cond_a, cond_b, tight_a, tight_b = attach_conditions(rows, u, w)
+        at_u, at_w = site(rows, u), site(rows, w)
+        if at_u[0] > at_w[0]:
+            u, w, at_u, at_w = w, u, at_w, at_u
+        cond_a, cond_b, tight_a, tight_b = attach_conditions(at_u, at_w, w in rows[u])
         if not (cond_a and cond_b):
             continue
         seq, z, at_z = _hanging_site(rng)
         # HM(g) + HM(h) is common to both sites, so the gains compare as
         # the two coalescences' indices do; g, h and the coalescences, like
         # the join-vs-identify pairs, are built only for a failure's witness.
-        gain1, gain2 = site_gain(*site(rows, u), *at_z), site_gain(*site(rows, w), *at_z)
+        gain1, gain2 = site_gain(*at_u, *at_z), site_gain(*at_w, *at_z)
         if gain2 < gain1 or (gain2 == gain1 and not (tight_a and tight_b)):
             g, h = _sorted_graph(rows), _prufer_tree(seq, len(seq) + 2)
             failures.append(_pair_g6(coalesce(g, u, h, z), coalesce(g, w, h, z)))
@@ -420,16 +420,17 @@ def _check_attachment_shift(rng: random.Random, trials: int) -> CheckResult:
 def _check_join_identify() -> CheckResult:
     """Exhaustive over tree pairs on up to 6 vertices and all root choices."""
     pool = [t.graph() for n in range(2, 7) for t in trees(n)]
+    sites = [[site(t.adj, v) for v in range(t.n)] for t in pool]
     failures = []
     checked = 0
-    for t1 in pool:
-        for t2 in pool:
-            for u in range(t1.n):
-                for v in range(t2.n):
-                    if not (t1.adj[u] and t2.adj[v]):  # as pair.applicable
+    for t1, sites1 in zip(pool, sites):
+        for t2, sites2 in zip(pool, sites):
+            for u, at_u in enumerate(sites1):
+                for v, at_v in enumerate(sites2):
+                    if not (at_u[0] and at_v[0]):  # as pair.applicable
                         continue
                     checked += 1
-                    if join_identify_gap(t1, u, t2, v) <= 0:
+                    if join_identify_gap(at_u, at_v) <= 0:
                         pair = join_vs_identify(t1, u, t2, v)
                         failures.append(_pair_g6(pair.joined, pair.identified))
     return _tally(

@@ -358,9 +358,15 @@ def test_readme_states_every_limit_with_its_value():
     assert set(re.findall(r"\bMAX_[A-Z_]+", text)) == set(limits)
 
 
+# names the README places in a module that imports them: verify looks
+# them up at each call, so a wrapper put there sees every class
+README_IMPORTED_NAMES = {"verify.trees", "verify.unicyclic_graphs"}
+
+
 def test_readme_names_only_what_the_package_has():
     # every backticked `module.name...` whose module is one of hyperzagreb's
-    # resolves, attribute by attribute
+    # resolves, attribute by attribute, and a function or class it names
+    # first is defined in that module, not merely imported there
     text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
     modules = {m.name for m in pkgutil.iter_modules(hyperzagreb.__path__)}
     refs = [
@@ -370,10 +376,15 @@ def test_readme_names_only_what_the_package_has():
     ]
     assert len(refs) >= 5
     for first, attrs in refs:
-        obj = importlib.import_module(f"hyperzagreb.{first}")
+        module = f"hyperzagreb.{first}"
+        obj = importlib.import_module(module)
         for attr in attrs:
             assert hasattr(obj, attr), f"{first}.{'.'.join(attrs)}"
             obj = getattr(obj, attr)
+        home = getattr(getattr(sys.modules[module], attrs[0]), "__module__", module)
+        assert home == module or f"{first}.{attrs[0]}" in README_IMPORTED_NAMES, (
+            f"{first}.{attrs[0]} is defined in {home}"
+        )
 
 
 def test_readme_library_example_runs(capsys):

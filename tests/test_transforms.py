@@ -14,7 +14,7 @@ from hyperzagreb.families import (
     cycle_with_stars,
     path,
 )
-from hyperzagreb.graphs import GraphError, VertexRangeError, hyper_zagreb, make_graph
+from hyperzagreb.graphs import GraphError, VertexRangeError, hyper_zagreb, make_graph, site
 from hyperzagreb import transforms
 from hyperzagreb.rooted import form_graph, path_form
 from hyperzagreb.transforms import (
@@ -23,10 +23,10 @@ from hyperzagreb.transforms import (
     _move_star,
     attach_conditions,
     coalesce,
-    coalesce_gain,
     join_identify_gap,
     join_vs_identify,
     reduce_to_single_attachment,
+    site_gain,
 )
 from random_graphs import random_base_graph, random_tree
 
@@ -129,7 +129,7 @@ def test_coalesce_merged_degree():
 
 def test_attachment_comparison_example():
     g, h = path(3), build_catalog_member("S_n", 3)
-    holds_a, holds_b, _, _ = attach_conditions(g.adj, 0, 1)
+    holds_a, holds_b, _, _ = attach_conditions(site(g.adj, 0), site(g.adj, 1), g.has_edge(0, 1))
     assert holds_a and holds_b
     assert hyper_zagreb(coalesce(g, 1, h, 0)) >= hyper_zagreb(coalesce(g, 0, h, 0))
 
@@ -137,10 +137,16 @@ def test_attachment_comparison_example():
 def test_attachment_comparison_symmetric_sites():
     # both endpoints of a path give isomorphic results; conditions are tight
     g, h = path(4), build_catalog_member("S_n", 3)
-    assert attach_conditions(g.adj, 0, 3) == (True, True, True, True)
+    at_0, at_3 = site(g.adj, 0), site(g.adj, 3)
+    assert attach_conditions(at_0, at_3, g.has_edge(0, 3)) == (True, True, True, True)
     g1, g2 = coalesce(g, 0, h, 0), coalesce(g, 3, h, 0)
     assert hyper_zagreb(g1) == hyper_zagreb(g2)
     assert canonical_code(g1) == canonical_code(g2)
+
+
+def merge_gain(g, u, h, z):
+    """What coalesce(g, u, h, z) adds to the index, from the two sites."""
+    return site_gain(*site(g.adj, u), *site(h.adj, z, "h"))
 
 
 def test_coalesce_gain_matches_the_built_coalescence():
@@ -153,13 +159,13 @@ def test_coalesce_gain_matches_the_built_coalescence():
         unicyclic += g.num_edges == g.n
         base = hyper_zagreb(g) + hyper_zagreb(h)
         hm = [[hyper_zagreb(coalesce(g, u, h, z)) for z in range(h.n)] for u in range(g.n)]
-        gain = [[coalesce_gain(g, u, h, z) for z in range(h.n)] for u in range(g.n)]
+        gain = [[merge_gain(g, u, h, z) for z in range(h.n)] for u in range(g.n)]
         assert [[base + x for x in row] for row in gain] == hm
         for u in range(g.n):
             for z in range(g.n):  # g coalesced with itself
                 want = hyper_zagreb(coalesce(g, u, g, z)) - 2 * hyper_zagreb(g)
-                assert coalesce_gain(g, u, g, z) == want
-            assert coalesce_gain(g, u, dot, 0) == coalesce_gain(dot, 0, g, u) == 0
+                assert merge_gain(g, u, g, z) == want
+            assert merge_gain(g, u, dot, 0) == merge_gain(dot, 0, g, u) == 0
             # the attachment-shift check compares two sites' gains
             for w in range(g.n):
                 if w != u:
@@ -171,10 +177,10 @@ def test_coalesce_gain_matches_the_built_coalescence():
     assert unicyclic and adjacent and apart
     g = cycle_with_stars(4, [])
     for bad in (-1, 4):
-        with pytest.raises(GraphError):
-            coalesce_gain(g, bad, dot, 0)
-        with pytest.raises(GraphError):
-            coalesce_gain(dot, 0, g, bad)
+        with pytest.raises(GraphError, match="out of range for g$"):
+            site(g.adj, bad)
+        with pytest.raises(GraphError, match="out of range for h$"):
+            site(g.adj, bad, "h")
 
 
 def _built_gap(g1, u, g2, v):
@@ -188,7 +194,8 @@ def test_join_identify_gap_matches_the_built_pair():
     pool = [t.graph() for n in range(2, 7) for t in trees(n)]
     for g1, g2 in product(pool, repeat=2):
         for u, v in product(range(g1.n), range(g2.n)):
-            assert join_identify_gap(g1, u, g2, v) == _built_gap(g1, u, g2, v)
+            gap = join_identify_gap(site(g1.adj, u), site(g2.adj, v))
+            assert gap == _built_gap(g1, u, g2, v)
     rng = random.Random(38)
     dot = make_graph(1, [])
     orders = set()
@@ -198,16 +205,16 @@ def test_join_identify_gap_matches_the_built_pair():
         orders.add(h.n)
         for g1, g2 in ((g, h), (h, g), (g, g), (h, dot)):
             for u, v in product(range(g1.n), range(g2.n)):
-                gap = join_identify_gap(g1, u, g2, v)
+                gap = join_identify_gap(site(g1.adj, u), site(g2.adj, v))
                 assert gap == _built_gap(g1, u, g2, v)
                 assert (gap > 0) == join_vs_identify(g1, u, g2, v).applicable
     assert orders == set(range(1, 9))
     g = cycle_with_stars(4, [])
     for bad in (-1, 4):
-        with pytest.raises(GraphError):
-            join_identify_gap(g, bad, dot, 0)
-        with pytest.raises(GraphError):
-            join_identify_gap(dot, 0, g, bad)
+        with pytest.raises(GraphError, match="out of range for g1$"):
+            site(g.adj, bad, "g1")
+        with pytest.raises(GraphError, match="out of range for g2$"):
+            site(g.adj, bad, "g2")
 
 
 def reference_attach_conditions(g, u, w):
@@ -225,11 +232,12 @@ def test_attach_conditions_match_the_accessor_reference():
         for u in range(g.n):
             for w in range(g.n):
                 if u != w:
-                    assert attach_conditions(g.adj, u, w) == reference_attach_conditions(g, u, w)
+                    got = attach_conditions(site(g.adj, u), site(g.adj, w), g.has_edge(u, w))
+                    assert got == reference_attach_conditions(g, u, w)
     g = path(4)
     for u, w in ((-1, 0), (0, -1), (0, g.n), (g.n, 0)):
         with pytest.raises(VertexRangeError):
-            attach_conditions(g.adj, u, w)
+            attach_conditions(site(g.adj, u), site(g.adj, w), g.has_edge(u, w))
 
 
 def test_join_vs_identify_examples():

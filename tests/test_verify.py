@@ -10,7 +10,7 @@ from hyperzagreb.canon import canonical_code
 from hyperzagreb.codec import decode_graph6, encode_graph6
 from hyperzagreb.enumeration import ClassRecord, trees, unicyclic_graphs
 from hyperzagreb.families import CATALOG, build_catalog_member
-from hyperzagreb.graphs import hyper_zagreb, make_graph
+from hyperzagreb.graphs import hyper_zagreb, make_graph, site
 from hyperzagreb.verify import (
     closed_form_audit,
     discover_tree_threshold,
@@ -158,7 +158,7 @@ def test_hanging_site_reads_the_tree_it_does_not_build():
         r1, r2 = random.Random(seed), random.Random(seed)
         seq, z, at_z = verify._hanging_site(r1)
         h = random_tree(r2, r2.randint(2, 8))
-        assert (z, at_z) == (r2.randrange(h.n), transforms.site(h.adj, z))
+        assert (z, at_z) == (r2.randrange(h.n), site(h.adj, z))
         assert verify._prufer_tree(seq, len(seq) + 2) == h
         assert r1.getstate() == r2.getstate()
         orders.add(h.n)
@@ -205,6 +205,34 @@ def test_a_passing_suite_builds_nothing_it_only_reads(monkeypatch):
         }
 
 
+def test_a_passing_suite_reads_each_neighbourhood_once(monkeypatch):
+    # a trial reads its two endpoints' sites once, and the join check each
+    # pool vertex's site once: 2R + 64 for R base graphs drawn
+    counted = [
+        (verify, "site"), (verify, "attach_conditions"), (verify, "_random_base_rows"),
+        (transforms, "site"),
+    ]
+    calls = dict.fromkeys(counted, 0)
+
+    def count(key, real):
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+        return wrapper
+
+    for owner, name in counted:
+        monkeypatch.setattr(owner, name, count((owner, name), getattr(owner, name)))
+    for seed in (0, 7):
+        calls.update(dict.fromkeys(counted, 0))
+        assert lemma_suite(seed, 10000).passed
+        draws = calls[verify, "_random_base_rows"]
+        assert calls[verify, "site"] == 2 * draws + 64
+        assert calls[verify, "attach_conditions"] == draws
+        assert calls[transforms, "site"] == 0
+        if seed == 0:
+            assert calls[verify, "site"] == 21754
+
+
 def test_star_max_scores_records_without_building_a_tree(monkeypatch):
     def refuse(record):
         raise AssertionError("a tree was built")
@@ -218,7 +246,9 @@ def test_attachment_shift_failure_path_pinned(monkeypatch):
     # Conditions forced to hold but never tight: every instance whose two
     # coalescences tie in the index, or fall, is a failure, and only then
     # are the two coalescences built, for the witness.
-    monkeypatch.setattr(verify, "attach_conditions", lambda g, u, w: (True, True, False, False))
+    monkeypatch.setattr(
+        verify, "attach_conditions", lambda at_u, at_w, adjacent: (True, True, False, False)
+    )
     result = verify._check_attachment_shift(random.Random(0), 2000)
     assert (result.checked, result.violations) == (2000, 619)
     assert result.counterexample == "MO_AOKW???_`?A?C? MO_AOKW???a@?A?C?"
@@ -230,7 +260,7 @@ def test_join_identify_failure_path_pinned(monkeypatch):
     # Every gap forced to 0: each of the 4,096 cases is a violation, and
     # only then is the pair built, for the witness: its joined then its
     # identified graph.
-    monkeypatch.setattr(verify, "join_identify_gap", lambda g1, u, g2, v: 0)
+    monkeypatch.setattr(verify, "join_identify_gap", lambda at_u, at_v: 0)
     result = verify._check_join_identify()
     assert (result.checked, result.violations) == (4096, 4096)
     assert result.counterexample == "Cp Cs"
