@@ -3,12 +3,12 @@
 Two graphs of these classes receive the same code iff they are isomorphic;
 codes are bytes, so they sort deterministically and serve both as dedup
 keys and as tie-breakers.  A graph is read through its core, which
-hanging_trees finds in one leaf strip: a tree is coded by its form rooted
-at the centroid, a unicyclic graph by a dihedral-minimal necklace of its
-hanging-tree forms.  Each hanging tree is ordered by its (size, bracket
-key), the order the form registry uses, and written with the key's bytes
-as ASCII parentheses: a graph's keys come from the strip, which never
-recurses, and a record's from FormTables.key, which recurses on first
+leaf_strip finds: a tree is coded by its form rooted at the centroid, a
+unicyclic graph by a dihedral-minimal necklace of its hanging-tree forms.
+Each hanging tree is ordered by its (size, bracket key), the order the
+form registry uses, and written with the key's bytes as ASCII
+parentheses: a graph's keys come from hanging_trees, in strip order with
+no recursion, and a record's from FormTables.key, which recurses on first
 children only, to the form's height, with no graph built.  These are the
 only classes the system ranks; any other graph raises GraphError.
 """
@@ -56,47 +56,61 @@ def _record_code(r: ClassRecord) -> bytes:
     return _code(b"T2", keys) if r.halves else _code(b"T1", [OPEN, *keys, CLOSE])
 
 
-def hanging_trees(g: Graph) -> dict[int, tuple[int, bytes]]:
-    """The core of a tree or connected unicyclic graph: each core vertex
-    with the (size, bracket key) of the tree hanging from it.
+def leaf_strip(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(size, core, up, order): the core of a tree or connected unicyclic
+    graph, each vertex's size (itself and all hanging below it), up[v], the
+    vertex v was stripped onto (-1 on the core), and the stripped vertices
+    in strip order, each after its children.
 
-    One stack strips leaves.  A stripped vertex builds its key from its
-    children's and hands its size and key to its one remaining neighbour,
-    so no vertex is keyed before its children and a path holds O(n) bytes
-    at a time.  The edge count picks the core.  In a tree a leaf holding at
-    least n/2 vertices is kept: what remains has only such leaves, so it is
-    the centroid or the two adjacent centroids (Jordan, 1869), in vertex
-    order.  In a unicyclic graph everything off the cycle is stripped, and
-    the cycle is walked from its smallest vertex toward the smaller of its
-    neighbours.  Callers check the class first; the walk needs one cycle.
+    One stack strips leaves; the edge count picks the core.  A tree keeps a
+    leaf holding at least n/2 vertices, so what remains has only such
+    leaves: the centroid or the two adjacent centroids (Jordan, 1869), in
+    vertex order.  A unicyclic graph keeps its cycle, walked from its
+    smallest vertex toward the smaller of its neighbours.  Callers check
+    the class first; the walk needs one cycle.
     """
     n, adj = g.n, g.adj
     deg = [len(a) for a in adj]
     tree = sum(deg) < 2 * n
-    size = [1] * n
-    below: list = [[] for _ in range(n)]  # (size, key) per child; None once stripped
+    size, up, order = [1] * n, [-1] * n, []
     stack = [v for v in range(n) if deg[v] == 1]
     while stack:
         v = stack.pop()
         if tree and 2 * size[v] >= n:
             continue
-        kids, below[v] = below[v], None
         for w in adj[v]:  # its one neighbour left
-            if below[w] is not None:
+            if up[w] < 0:
                 break
-        # a leaf's key needs no sort
-        below[w].append((size[v], _key(kids) if kids else OPEN + CLOSE))
+        up[v] = w
+        order.append(v)
         size[w] += size[v]
         deg[w] -= 1
         if deg[w] == 1:
             stack.append(w)
-    core = [v for v in range(n) if below[v] is not None]
+    core = [v for v in range(n) if up[v] < 0]
     if not tree:
         walk, prev, cur = [], -1, core[0]
         for _ in core:
             walk.append(cur)
-            prev, cur = cur, next(x for x in adj[cur] if x != prev and below[x] is not None)
+            for x in adj[cur]:
+                if x != prev and up[x] < 0:
+                    break
+            prev, cur = cur, x
         core = walk
+    return size, core, up, order
+
+
+def hanging_trees(g: Graph) -> dict[int, tuple[int, bytes]]:
+    """Each core vertex of leaf_strip, in its order, with the (size, bracket
+    key) of the tree hanging from it.  Keys are built in strip order, and a
+    vertex drops its children's keys once its own is built, so a path holds
+    O(n) bytes at a time."""
+    size, core, up, order = leaf_strip(g)
+    below: list = [[] for _ in size]  # (size, key) per child; None once keyed
+    for v in order:
+        kids, below[v] = below[v], None
+        # a leaf's key needs no sort
+        below[up[v]].append((size[v], _key(kids) if kids else OPEN + CLOSE))
     return {v: (size[v], _key(below[v])) for v in core}
 
 

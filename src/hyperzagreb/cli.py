@@ -250,8 +250,8 @@ def _cmd_reduce(args) -> tuple[int, Iterable[str]]:
     _check_order(g.n, MAX_REDUCE_ORDER)
     chain = reduce_to_single_attachment(g)
     return EXIT_OK, [
-        f"step: {i} graph6: {encode_graph6(x)} hm: {hyper_zagreb(x)}\n"
-        for i, x in enumerate(chain)
+        f"step: {i} graph6: {encode_graph6(x)} hm: {hm}\n"
+        for i, (x, hm) in enumerate(zip(chain, [hyper_zagreb(g), *chain.hms]))
     ]
 
 

@@ -7,17 +7,17 @@ index, attach_conditions gives the degree conditions under which moving
 that attachment to a second site cannot lower it, and join_identify_gap is
 how far identifying two sites beats joining them (join_vs_identify builds
 that pair).  reduce_to_single_attachment replays the star-merge chain from
-a unicyclic graph down to one pendant star.  Rewrites return new graphs
-(inputs are never mutated); inputs outside a rewrite's structural domain
-raise.
+a unicyclic graph down to one pendant star on its pendant counts, and
+scores each graph from them.  Rewrites return new graphs (inputs are never
+mutated); inputs outside a rewrite's structural domain raise.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .canon import dihedral_least, hanging_trees
-from .graphs import Graph, GraphError, hyper_zagreb, is_unicyclic, site
+from .canon import dihedral_least, leaf_strip
+from .graphs import Graph, GraphError, is_unicyclic, site
 from .families import cycle_with_stars
 
 
@@ -117,11 +117,12 @@ def join_vs_identify(g1: Graph, u: int, g2: Graph, v: int) -> JoinIdentifyPair:
 
 
 def _hanging_counts(g: Graph) -> tuple[list[int], bool]:
-    """Vertices hanging at each cycle vertex, in hanging_trees' walk order,
+    """Vertices hanging at each cycle vertex, in leaf_strip's walk order,
     and whether every one of them is a leaf (so all trees are stars)."""
     if not is_unicyclic(g):
         raise StructureError("input must be connected and unicyclic")
-    counts = [s - 1 for s, _ in hanging_trees(g).values()]
+    size, walk, _, _ = leaf_strip(g)
+    counts = [size[v] - 1 for v in walk]
     # every leaf hangs off the cycle, so the two counts agree iff all do
     return counts, sum(counts) == [len(a) for a in g.adj].count(1)
 
@@ -134,6 +135,20 @@ def _move_star(counts: list[int], src: int, tgt: int) -> list[int]:
     return moved
 
 
+def _star_hm(counts: list[int], at: Iterable[int]) -> int:
+    """The terms of hyper_zagreb(cycle_with_stars(len(counts), counts)) that
+    the cycle positions at own: p owns cycle edge p, p + 1 and its pendants."""
+    m = len(counts)
+    return sum([
+        (4 + counts[p] + counts[(p + 1) % m]) ** 2 + counts[p] * (3 + counts[p]) ** 2
+        for p in at
+    ])
+
+
+class Chain(list):
+    """A list of graphs; hms holds the index of each one after the first."""
+
+
 def reduce_to_single_attachment(g: Graph) -> list[Graph]:
     """Monotone chain from a unicyclic graph down to one pendant star.
 
@@ -141,7 +156,7 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
     count, then repeatedly merge stars into the currently largest attachment
     until one remains.  The index strictly increases at every appended step,
     and the final graph is the cycle with a single pendant star (or the bare
-    cycle when there was nothing to move).
+    cycle when there was nothing to move), returned as a scored Chain.
 
     Of the candidate sources, the merge whose result has the least
     canonical code is taken, the first of equal ones.  It is found from the
@@ -155,14 +170,15 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
     """
     counts, stars = _hanging_counts(g)
     m = len(counts)
-    chain = [g]
+    chain = Chain([g])
+    chain.hms = []
+    hm = _star_hm(counts, range(m))
     if not stars:
         # Star-collapse: keep the cycle, flatten each hanging tree.
         chain.append(cycle_with_stars(m, counts))
-    # cycle_with_stars numbers the cycle 0..m-1, the order hanging_trees
-    # walks it in (from 0 toward 1), so counts stay the profile of the last
-    # graph in the chain.
-    hm = hyper_zagreb(chain[-1])
+        chain.hms.append(hm)
+    # cycle_with_stars numbers the cycle 0..m-1 in leaf_strip's walk order,
+    # so counts stay the profile of the chain's last graph.
     while True:
         positions = [p for p, c in enumerate(counts) if c > 0]
         if len(positions) <= 1:
@@ -184,11 +200,12 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
         # the least code (see above): max keeps the first of equal keys
         key = lambda p: dihedral_least(_move_star(counts, p, tgt))
         src = sources[0] if len(sources) == 1 else max(sources, key=key)
-        counts = _move_star(counts, src, tgt)
-        nxt = cycle_with_stars(m, counts)
-        nxt_hm = hyper_zagreb(nxt)
-        if nxt_hm <= hm:
+        moved = _move_star(counts, src, tgt)
+        owners = {src, tgt, (src - 1) % m, (tgt - 1) % m}  # of every term it changes
+        gain = _star_hm(moved, owners) - _star_hm(counts, owners)
+        if gain <= 0:
             raise AssertionError("merge step failed to increase the index")
-        chain.append(nxt)
-        hm = nxt_hm
+        counts, hm = moved, hm + gain
+        chain.append(cycle_with_stars(m, counts))
+        chain.hms.append(hm)
     return chain

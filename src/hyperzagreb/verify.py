@@ -491,13 +491,12 @@ def _check_single_attachment_max() -> CheckResult:
             m = r.cycle
             bound = cycle_star_hm(m, n)
             chain = reduce_to_single_attachment(g)
-            hms = [hyper_zagreb(x) for x in chain]
-            hm = hms[0]
-            if hm >= global_best:
-                best_seen.append((hm, canonical_code(r)))
+            hms = [r.hm, *chain.hms]  # the record's own index, then the chain's
+            if r.hm >= global_best:
+                best_seen.append((r.hm, canonical_code(r)))
             ok = (
-                hm <= bound
-                and (hm < bound or canonical_code(r) == single_codes[m])
+                r.hm <= bound
+                and (r.hm < bound or canonical_code(r) == single_codes[m])
                 and all(a < b for a, b in zip(hms, hms[1:]))
                 and hms[-1] == bound
                 and final_code(chain[-1]) == single_codes[m]

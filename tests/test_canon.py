@@ -403,6 +403,25 @@ def test_long_cycle_code_is_exact():
     assert canonical_code(_relabel(g, list(reversed(range(g.n))))) == code
 
 
+@pytest.mark.parametrize("deep", ["path-20000", "triangle-tail-5000"])
+def test_deep_codes_hold_little_memory(deep):
+    # A vertex drops its children's keys once its own is built, so a path
+    # holds O(n) key bytes at a time; a strip that kept every stripped
+    # vertex's child keys peaks at about 196 and 25 MiB on these graphs.
+    if deep == "path-20000":
+        g = path(20000)
+    else:
+        n = 5000
+        g = make_graph(n, [(0, 1), (1, 2), (0, 2)] + [(v - 1, v) for v in range(3, n)])
+    tracemalloc.start()
+    try:
+        canonical_code(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
 def test_canonical_code_keeps_no_memory():
     # No cache outlives a call: coding a second round of fresh random trees
     # must not grow the memory that the library's own frames hold.

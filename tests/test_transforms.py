@@ -15,12 +15,13 @@ from hyperzagreb.families import (
     path,
 )
 from hyperzagreb.graphs import GraphError, VertexRangeError, hyper_zagreb, make_graph, site
-from hyperzagreb import transforms
+from hyperzagreb import canon, transforms
 from hyperzagreb.rooted import form_graph, path_form
 from hyperzagreb.transforms import (
     StructureError,
     _hanging_counts,
     _move_star,
+    _star_hm,
     attach_conditions,
     coalesce,
     join_identify_gap,
@@ -304,6 +305,35 @@ def test_merge_strict_increase_random():
         done += 1
 
 
+def test_star_scores_match_the_one_star_closed_form():
+    # a lone star of n - m leaves on C_m, scored from its counts over the
+    # whole cycle, wherever on the cycle it sits
+    for n in range(3, 61):
+        for m in range(3, n + 1):
+            counts = [n - m] + [0] * (m - 1)
+            assert _star_hm(counts, range(m)) == cycle_star_hm(m, n)
+            assert _star_hm(counts[::-1], range(m)) == cycle_star_hm(m, n)
+
+
+def test_reduction_keys_no_tree_and_scores_no_graph(monkeypatch):
+    # reduce reads the pendant counts off the leaf strip without keying a
+    # hanging tree; canonical_code keys them through the same function
+    keyed = []
+    real = canon._key
+
+    def counting(kids):
+        keyed.append(len(kids))
+        return real(kids)
+
+    monkeypatch.setattr(canon, "_key", counting)
+    g = form_graph(5, [(0, path_form(3)), (2, ((), ((),))), (3, ())])
+    chain = reduce_to_single_attachment(g)
+    assert len(chain) == 3 and keyed == []
+    assert not hasattr(transforms, "hyper_zagreb")
+    canonical_code(g)
+    assert keyed
+
+
 def test_reduction_chain_examples():
     chain = reduce_to_single_attachment(cycle_with_stars(5, [1, 1, 1, 1, 1]))
     hms = [hyper_zagreb(g) for g in chain]
@@ -395,6 +425,7 @@ def test_reduction_chain_exhaustive_small():
                 chain = reduce_to_single_attachment(start)
                 assert all(x.n == n and x.num_edges == n for x in chain)
                 hms = [hyper_zagreb(x) for x in chain]
+                assert chain.hms == hms[1:]
                 assert all(a < b for a, b in zip(hms, hms[1:]))
                 m = len(hanging_trees(g))
                 assert hms[-1] == cycle_star_hm(m, n)
@@ -450,6 +481,7 @@ def test_reduction_chains_pinned_past_order_nine():
         n = rng.randint(10, 60)
         g = seeded_unicyclic(rng, n)
         chain = reduce_to_single_attachment(g)
+        assert chain.hms == [hyper_zagreb(x) for x in chain[1:]]
         assert hyper_zagreb(chain[-1]) == cycle_star_hm(len(hanging_trees(g)), n)
         for y in chain:
             digest.update((encode_graph6(y) + "\n").encode())
