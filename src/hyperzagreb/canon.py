@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from .graphs import Graph, GraphError, is_tree, is_unicyclic
+from .graphs import Graph, GraphError
 from .rooted import CLOSE, OPEN
 
 if TYPE_CHECKING:
@@ -27,12 +27,13 @@ if TYPE_CHECKING:
 def canonical_code(g: Graph | ClassRecord) -> bytes:
     if not isinstance(g, Graph):
         return _record_code(g)
-    if is_tree(g):
+    core = list(hanging_trees(g).values())
+    if 0 < len(core) <= 2:
         # one centroid, or two adjacent ones: their halves, smaller key first
-        halves = sorted(hanging_trees(g).values())
-        return _code(b"T%d" % len(halves), [key for _, key in halves])
-    if is_unicyclic(g):
-        walk = dihedral_least(list(hanging_trees(g).values()))
+        core.sort()
+        return _code(b"T%d" % len(core), [key for _, key in core])
+    if core:
+        walk = dihedral_least(core)
         return _code(b"U" + len(walk).to_bytes(4, "big"), [key for _, key in walk])
     raise GraphError(
         f"canonical codes cover trees and connected unicyclic graphs only, "
@@ -60,18 +61,25 @@ def leaf_strip(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
     """(size, core, up, order): the core of a tree or connected unicyclic
     graph, each vertex's size (itself and all hanging below it), up[v], the
     vertex v was stripped onto (-1 on the core), and the stripped vertices
-    in strip order, each after its children.
+    in strip order, each after its children.  Any other graph gets four
+    empty lists: the strip is the class check.
 
-    One stack strips leaves; the edge count picks the core.  A tree keeps a
-    leaf holding at least n/2 vertices, so what remains has only such
-    leaves: the centroid or the two adjacent centroids (Jordan, 1869), in
-    vertex order.  A unicyclic graph keeps its cycle, walked from its
-    smallest vertex toward the smaller of its neighbours.  Callers check
-    the class first; the walk needs one cycle.
+    A graph with neither n - 1 nor n edges is refused before any leaf is
+    stripped.  One stack strips leaves; the edge count picks the core.  A
+    tree keeps a leaf holding at least n/2 vertices, so what remains has
+    only such leaves: the centroid or the two adjacent centroids (Jordan,
+    1869), in vertex order; with n - 1 edges, g is a tree iff at most two
+    remain, as a cycle never strips.  A unicyclic graph keeps its cycle,
+    walked from its smallest vertex toward the smaller of its neighbours;
+    with n edges, g is one iff every vertex left has two neighbours left
+    and the walk meets them all before it returns to its start.
     """
     n, adj = g.n, g.adj
     deg = [len(a) for a in adj]
-    tree = sum(deg) < 2 * n
+    ends = sum(deg)  # twice the edge count
+    tree = ends == 2 * n - 2
+    if n == 0 or not tree and ends != 2 * n:
+        return [], [], [], []
     size, up, order = [1] * n, [-1] * n, []
     stack = [v for v in range(n) if deg[v] == 1]
     while stack:
@@ -88,23 +96,25 @@ def leaf_strip(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
         if deg[w] == 1:
             stack.append(w)
     core = [v for v in range(n) if up[v] < 0]
-    if not tree:
-        walk, prev, cur = [], -1, core[0]
-        for _ in core:
-            walk.append(cur)
-            for x in adj[cur]:
-                if x != prev and up[x] < 0:
-                    break
-            prev, cur = cur, x
-        core = walk
-    return size, core, up, order
+    if tree:
+        return (size, core, up, order) if len(core) <= 2 else ([], [], [], [])
+    walk, prev, cur = [], -1, core[0]
+    while deg[cur] == 2:
+        walk.append(cur)
+        for x in adj[cur]:
+            if x != prev and up[x] < 0:
+                break
+        prev, cur = cur, x
+        if cur == core[0]:
+            break
+    return (size, walk, up, order) if len(walk) == len(core) else ([], [], [], [])
 
 
 def hanging_trees(g: Graph) -> dict[int, tuple[int, bytes]]:
     """Each core vertex of leaf_strip, in its order, with the (size, bracket
-    key) of the tree hanging from it.  Keys are built in strip order, and a
-    vertex drops its children's keys once its own is built, so a path holds
-    O(n) bytes at a time."""
+    key) of the tree hanging from it; empty for a graph of neither class.
+    Keys are built in strip order, and a vertex drops its children's keys
+    once its own is built, so a path holds O(n) bytes at a time."""
     size, core, up, order = leaf_strip(g)
     below: list = [[] for _ in size]  # (size, key) per child; None once keyed
     for v in order:

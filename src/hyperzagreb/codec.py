@@ -9,7 +9,6 @@ followed by m lines "u v" with 0-based ids; '#' starts a comment.
 from __future__ import annotations
 
 import re
-from math import isqrt
 
 from .graphs import Graph, make_graph
 
@@ -27,6 +26,7 @@ _INVALID = re.compile("[^?-~]")  # outside the 64 body characters
 _NONZERO = re.compile("[^?]")
 # An edge list's longest valid prefix: ids, blanks and line ends, '#' comments.
 _EDGELIST_TEXT = re.compile("(?:[0-9 \t\r\n]+|#[^\n]*)*")
+_COMMENT = re.compile("#[^\n]*")
 
 
 def _encode_order(n: int) -> str:
@@ -90,16 +90,20 @@ def decode_graph6(text: str) -> Graph:
         raise CodecError(f"invalid graph6 character {bad.group()!r}")
     # bit p of the body is the pair u < v with p = v(v-1)/2 + u; visiting p in
     # order appends each vertex's neighbours ascending, and no pair repeats,
-    # so the lists need no sort and the graph no validation
+    # so the lists need no sort and the graph no validation.  Column v ends
+    # before bit end = v(v+1)/2; as p rises, v only moves forward.
     adj: list[list[int]] = [[] for _ in range(n)]
+    v = end = 0
     for m in _NONZERO.finditer(body):
         first = 6 * m.start()
         for k in _SET_BITS[ord(m.group()) - 63]:
             p = first + k
             if p >= nbits:
                 raise CodecError("nonzero graph6 padding bits")
-            v = (1 + isqrt(1 + 8 * p)) // 2
-            u = p - v * (v - 1) // 2
+            while p >= end:
+                v += 1
+                end += v
+            u = p - end + v
             adj[u].append(v)
             adj[v].append(u)
     return Graph(n, tuple(map(tuple, adj)))
@@ -115,11 +119,9 @@ def parse_edgelist(text: str) -> Graph:
     if end < len(text):
         line = text.count("\n", 0, end) + 1
         raise CodecError(f"invalid edge-list character {text[end]!r} on line {line}")
-    rows = []
-    for line in text.split("\n"):
-        row = line.split("#", 1)[0].split()
-        if row:
-            rows.append(row)
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    rows = [row for row in map(str.split, text.split("\n")) if row]
     if not rows:
         raise CodecError("empty edge list")
     if len(rows[0]) != 2:

@@ -87,17 +87,22 @@ def make_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if order < 1:
         raise VertexRangeError(f"order must be >= 1, got {order}")
-    neighbor_sets: list[set[int]] = [set() for _ in range(order)]
+    adj: list[list[int]] = [[] for _ in range(order)]
+    pairs = set()  # u * order + v for each edge, u < v
     for u, v in edges:
         if not (0 <= u < order and 0 <= v < order):
             raise VertexRangeError(f"edge ({u},{v}) out of range 0..{order - 1}")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        if v in neighbor_sets[u]:
+        pair = u * order + v if u < v else v * order + u
+        if pair in pairs:
             raise DuplicateEdgeError(f"duplicate edge ({u},{v})")
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
-    return Graph(order, tuple(tuple(sorted(s)) for s in neighbor_sets))
+        pairs.add(pair)
+        adj[u].append(v)
+        adj[v].append(u)
+    for row in adj:
+        row.sort()
+    return Graph(order, tuple(map(tuple, adj)))
 
 
 def site(adj: Sequence[Sequence[int]], v: int, name: str = "g") -> tuple[int, int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .canon import dihedral_least, leaf_strip
-from .graphs import Graph, GraphError, is_unicyclic, site
+from .graphs import Graph, GraphError, site
 from .families import cycle_with_stars
 
 
@@ -119,9 +119,9 @@ def join_vs_identify(g1: Graph, u: int, g2: Graph, v: int) -> JoinIdentifyPair:
 def _hanging_counts(g: Graph) -> tuple[list[int], bool]:
     """Vertices hanging at each cycle vertex, in leaf_strip's walk order,
     and whether every one of them is a leaf (so all trees are stars)."""
-    if not is_unicyclic(g):
-        raise StructureError("input must be connected and unicyclic")
     size, walk, _, _ = leaf_strip(g)
+    if len(walk) < 3:  # a tree's core, or no graph of the two classes
+        raise StructureError("input must be connected and unicyclic")
     counts = [size[v] - 1 for v in walk]
     # every leaf hangs off the cycle, so the two counts agree iff all do
     return counts, sum(counts) == [len(a) for a in g.adj].count(1)

@@ -17,6 +17,7 @@ import pytest
 import hyperzagreb
 from brute_iso import brute_isomorphic
 from hyperzagreb import enumeration, rooted
+from hyperzagreb import graphs as graphs_module
 from hyperzagreb.canon import _least_rotation, canonical_code, dihedral_least, hanging_trees
 from hyperzagreb.enumeration import (
     _graph_from_mask,
@@ -27,7 +28,8 @@ from hyperzagreb.enumeration import (
     unicyclic_graphs,
 )
 from hyperzagreb.families import build_catalog_member, cycle_with_stars, path
-from hyperzagreb.graphs import GraphError, is_tree, is_unicyclic, make_graph
+from hyperzagreb.graphs import Graph, GraphError, is_tree, is_unicyclic, make_graph
+from hyperzagreb.transforms import StructureError, reduce_to_single_attachment
 
 # Class counts per order, trees for n = 1..6 and unicyclic graphs for
 # n = 1..6 (OEIS A000055 and A001429).
@@ -138,6 +140,65 @@ def _complete(n):
 def test_rejects_graphs_outside_both_classes(g):
     with pytest.raises(GraphError):
         canonical_code(g)
+
+
+def _connected_edges(rng, labels, extra):
+    """A random labeled tree on labels plus `extra` edges it lacks."""
+    k = len(labels)
+    pairs = prufer_edges([rng.randrange(k) for _ in range(k - 2)], k) if k > 1 else []
+    absent = sorted(set(combinations(range(k), 2)) - {tuple(sorted(e)) for e in pairs})
+    pairs += rng.sample(absent, extra)
+    return [(labels[a], labels[b]) for a, b in pairs]
+
+
+def _guard_cases(rng, n):
+    """Graphs on n vertices with n - 1 or n edges, connected or not, with
+    their vertices shuffled so that no part sits at the low ids."""
+    v = rng.sample(range(n), n)
+    k = rng.randint(4, n - 3)
+    theta = [(v[i], v[(i + 1) % (n - 2)]) for i in range(n - 2)]
+    return [
+        _connected_edges(rng, v, 0),  # a tree
+        _connected_edges(rng, v, 1),  # connected unicyclic
+        _connected_edges(rng, v[:k], 1) + _connected_edges(rng, v[k:], 0),  # cycle + tree
+        _connected_edges(rng, v[:k], 1) + _connected_edges(rng, v[k:], 1),  # two cycles
+        _connected_edges(rng, v[:k], 2) + _connected_edges(rng, v[k:], 0),  # two cycles + tree
+        theta + [(v[0], v[(n - 2) // 2]), (v[-2], v[-1])],  # theta + K2
+        _connected_edges(rng, v[1:], 1),  # an isolated vertex + unicyclic
+        _connected_edges(rng, v[2:], 1) + [(v[0], v[1])],  # K2 + unicyclic
+    ]
+
+
+def test_leaf_strip_is_the_class_check(monkeypatch):
+    # canonical_code refuses exactly the graphs that are neither trees nor
+    # connected unicyclic, and reduce exactly those that are not unicyclic,
+    # with is_tree / is_unicyclic as the reference and no BFS of their own
+    rng = random.Random(42)
+    graphs = [Graph(0, ())]
+    for n in range(7, 41):
+        for _ in range(3):
+            graphs += [make_graph(n, edges) for edges in _guard_cases(rng, n)]
+    expected = [(is_tree(g) or is_unicyclic(g), is_unicyclic(g)) for g in graphs]
+    assert sum(coded for coded, _ in expected) == 2 * 34 * 3
+    assert all(g.num_edges in (g.n - 1, g.n) for g in graphs)
+
+    def no_bfs(g):
+        raise AssertionError("the class check ran a BFS")
+
+    monkeypatch.setattr(graphs_module, "is_connected", no_bfs)
+    for g, (coded, unicyclic) in zip(graphs, expected):
+        try:
+            code = canonical_code(g)
+        except GraphError as exc:
+            assert not coded and "cover trees and connected unicyclic" in str(exc), g
+        else:
+            assert coded and code[:1] == (b"U" if unicyclic else b"T"), g
+        try:
+            chain = reduce_to_single_attachment(g)
+        except StructureError as exc:
+            assert not unicyclic and str(exc) == "input must be connected and unicyclic", g
+        else:
+            assert unicyclic and chain[0] is g, g
 
 
 def test_code_bytes_pinned_to_n12():

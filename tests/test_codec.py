@@ -85,21 +85,33 @@ def test_edgelist_round_trip():
     assert parse_edgelist(format_edgelist(g)) == g
 
 
+# each malformed edge list with its exact message; the edges are checked in
+# input order, each for its range, then a self-loop, then a repeat
+MALFORMED_EDGELIST = [
+    ("", "empty edge list"),
+    ("# only a comment\n", "empty edge list"),
+    ("3\n0 1\n", "expected 'n m' header, got '3'"),
+    ("3 2\n0 1\n", "header says 2 edges, found 1"),
+    ("3 1\n0 x\n", "invalid edge-list character 'x' on line 2"),
+    ("3 1\n0 1 2\n", "expected 'u v', got '0 1 2'"),
+    ("2 1\n0 2\n", "edge (0,2) out of range 0..1"),
+    ("258048 0\n", "order 258048 exceeds the limit of 258047 vertices"),
+    ("0 0\n", "order must be >= 1, got 0"),
+    ("3 1\n2 2\n", "self-loop at vertex 2"),
+    ("3 2\n0 1\n1 0\n", "duplicate edge (1,0)"),  # named as given, reversed
+    ("3 2 # h\n0 1 # e\n0 1\n", "duplicate edge (0,1)"),
+    ("3 3\n0 1\n1 0\n0 5\n", "duplicate edge (1,0)"),  # the first defect wins
+    ("3 3\n0 5\n0 1\n1 0\n", "edge (0,5) out of range 0..2"),
+]
+
+
 def test_edgelist_comments_and_errors():
     g = parse_edgelist("# a cycle\n3 3\n0 1\n1 2  # second edge\n0 2\n")
     assert g == cycle_with_stars(3, [])
-    with pytest.raises(CodecError):
-        parse_edgelist("")
-    with pytest.raises(CodecError):
-        parse_edgelist("3\n0 1\n")
-    with pytest.raises(CodecError):
-        parse_edgelist("3 2\n0 1\n")  # edge count mismatch
-    with pytest.raises(CodecError):
-        parse_edgelist("3 1\n0 x\n")
-    with pytest.raises(CodecError):
-        parse_edgelist("2 1\n0 2\n")  # id out of range
-    with pytest.raises(CodecError):
-        parse_edgelist("258048 0\n")  # above the graph6 order limit
+    for text, message in MALFORMED_EDGELIST:
+        with pytest.raises(CodecError) as exc:
+            parse_edgelist(text)
+        assert str(exc.value) == message, text
     with pytest.raises(CodecError, match="at most 258047 vertices"):
         encode_graph6(Graph(MAX_ORDER + 1, ((),) * (MAX_ORDER + 1)))
 
@@ -158,3 +170,5 @@ def test_codec_memory_is_bounded():
     text = encode_graph6(g)
     assert _peak_bytes(decode_graph6, text) < 8 * 2**20
     assert _peak_bytes(encode_graph6, g) < 8 * 2**20
+    # the largest order with no edge: one empty neighbour list per vertex
+    assert _peak_bytes(parse_edgelist, f"{MAX_ORDER} 0\n") < 24 * 2**20

@@ -343,7 +343,7 @@ def test_reduction_chain_examples():
     assert len(reduce_to_single_attachment(cycle_with_stars(3, [12]))) == 1
     assert len(reduce_to_single_attachment(cycle_with_stars(9, []))) == 1
     # a tree, two disjoint triangles (n edges) and a bowtie (connected,
-    # n + 1 edges): the class guard refuses each before any leaf is stripped
+    # n + 1 edges): the leaf strip refuses each, the bowtie by its edge count
     two_triangles = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     bowtie = make_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
     for g in (path(6), two_triangles, bowtie):
