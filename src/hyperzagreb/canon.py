@@ -7,10 +7,10 @@ leaf_strip finds: a tree is coded by its form rooted at the centroid, a
 unicyclic graph by a dihedral-minimal necklace of its hanging-tree forms.
 Each hanging tree is ordered by its (size, bracket key), the order the
 form registry uses, and written with the key's bytes as ASCII
-parentheses: a graph's keys come from hanging_trees, in strip order with
-no recursion, and a record's from FormTables.key, which recurses on first
-children only, to the form's height, with no graph built.  These are the
-only classes the system ranks; any other graph raises GraphError.
+parentheses.  The keys come from hanging_trees, in strip order with no
+recursion; this is the one writer of bracket keys, and a class record is
+coded through the graph it builds.  These are the only classes the
+system ranks; any other graph raises GraphError.
 """
 
 from __future__ import annotations
@@ -18,15 +18,18 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from .graphs import Graph, GraphError
-from .rooted import CLOSE, OPEN
 
 if TYPE_CHECKING:
     from .enumeration import ClassRecord
 
+# A bracket key is OPEN, its children's keys in descending (size, key)
+# order, then CLOSE: as a tuple that ends sorts before one that goes on.
+OPEN, CLOSE = b"\x01", b"\x00"
+
 
 def canonical_code(g: Graph | ClassRecord) -> bytes:
     if not isinstance(g, Graph):
-        return _record_code(g)
+        g = g.graph()
     core = list(hanging_trees(g).values())
     if 0 < len(core) <= 2:
         # one centroid, or two adjacent ones: their halves, smaller key first
@@ -46,15 +49,6 @@ _ASCII = bytes.maketrans(OPEN + CLOSE, b"()")
 
 def _code(head: bytes, keys: Iterable[bytes]) -> bytes:
     return head + b"".join(keys).translate(_ASCII)
-
-
-def _record_code(r: ClassRecord) -> bytes:
-    # Ids ascend by (size, key): a bracelet's are least over rotations and
-    # reflections, a centroid's children descend, and halves come in order.
-    keys = list(map(r.tables.key, r.ids))
-    if r.cycle:
-        return _code(b"U" + r.cycle.to_bytes(4, "big"), keys)
-    return _code(b"T2", keys) if r.halves else _code(b"T1", [OPEN, *keys, CLOSE])
 
 
 def leaf_strip(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:

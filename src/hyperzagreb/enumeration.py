@@ -28,9 +28,9 @@ per class, not a Graph: the class's form ids and its exact Hyper-Zagreb
 index, summed from the registry's per-form tables.  A class's index is
 the sum of each hanging form's own edges at its root degree plus the edges
 joining the roots (the cycle edges, the centroid edge or the centroid's
-child edges).  Ranking scores every class this way, then codes and builds
-only the classes it reports (canon.canonical_code, record.graph()), which
-read their forms through FormTables.key and FormTables.kids.
+child edges).  Ranking scores every class this way, then builds and codes
+only the classes it reports: record.graph() reads their forms through
+FormTables.kids, and canon.canonical_code codes the graph it builds.
 
 The labeled oracle is the independent ground truth used to certify both
 generators at small orders: it scans every labeled graph of the class as an
@@ -69,8 +69,8 @@ class ClassRecord(NamedTuple):
     `tables`: for a unicyclic graph (cycle its length) the beads hanging from
     the cycle 0..cycle-1 in order; for a tree (cycle 0) the subtrees of its
     single centroid, vertex 0, or the pair of halves of a tree with two
-    centroids.  canon codes a record from these ids, and graph() hangs
-    them through rooted.form_graph.
+    centroids.  graph() hangs them through rooted.form_graph, and canon
+    codes a record through that graph.
     """
 
     n: int

@@ -174,9 +174,6 @@ class CatalogEntry(NamedTuple):
     def kind(self) -> str:
         return "unicyclic" if self.core.cycle else "trees"
 
-    def builder(self, n: int) -> Graph:
-        return self.core.build(n)
-
 
 # A pendant edge (a one-leaf star) and a pendant path of two edges, hung by an end.
 _P1, _P2 = path_form(1), path_form(2)
@@ -283,4 +280,4 @@ def build_catalog_member(name: str, n: int) -> Graph:
         raise FamilyDomainError(
             f"{name} needs n >= {entry.poly.valid_n_min}, got {n}"
         )
-    return entry.builder(n)
+    return entry.core.build(n)

@@ -1,16 +1,15 @@
-"""Rooted-tree forms: integer ids, bracket keys and nested tuples.
+"""Rooted-tree forms: integer ids and nested tuples.
 
 A rooted tree has one canonical form per rooted isomorphism class.  The
 enumerators name each form by an integer id in the registry that
 form_tables builds: a form is its first child's id and a smaller form
-with the rest, and ids ascend by size, then by bracket key.  Its bracket
-key is OPEN, its children's keys in descending (size, key) order, then CLOSE.
-CLOSE sorts below OPEN, so within one size the byte order of keys is the
-lexicographic order of nested tuples, and comparing id tuples agrees with
-comparing forms.  The registry stores integers only; FormTables.key
-builds a key when a code needs one.  canon codes a class record from the
-keys of its ids, and a graph from the keys of its hanging trees, which
-canon.hanging_trees builds without recursion however deep the tree.
+with the rest, and ids ascend by size, then by bracket key.  A form's
+bracket key (canon.OPEN, its children's keys in descending (size, key)
+order, then canon.CLOSE) orders forms of one size as the lexicographic
+order of nested tuples, so comparing id tuples agrees with comparing
+forms.  The registry stores integers only and writes no key: canon
+writes the keys of a graph's hanging trees, and a class record is coded
+through the graph form_graph hangs from its ids.
 
 Family builders describe forms to form_graph as nested tuples: the empty
 tuple is a single vertex and a node is the tuple of its child forms in
@@ -27,8 +26,6 @@ from .graphs import Graph
 
 Form = tuple  # nested tuples of Form
 
-OPEN, CLOSE = b"\x01", b"\x00"  # as a tuple that ends sorts before one that goes on
-
 
 class FormTables(NamedTuple):
     """Registry of every rooted form of size 1..max_size, by integer id.
@@ -37,10 +34,10 @@ class FormTables(NamedTuple):
     s.  Every form fid >= 1 is its first child first[fid] followed by the
     children of the smaller form rest[fid]; id 0, the single vertex, holds
     the placeholders -1 and 0.  deg[fid] is its root's degree below a
-    parent, its child count plus one.  kids() and key() read a form's
-    children and bracket key off first and rest; no column holds a key.  A
-    form's own edges are those from its root down.  With c children of
-    degrees d_j and its root at degree d they add up to
+    parent, its child count plus one.  kids() reads a form's children off
+    first and rest; no column holds a key.  A form's own edges are those
+    from its root down.  With c children of degrees d_j and its root at
+    degree d they add up to
 
         E(f, d) = B + c*d^2 + 2*d*S1 + S2,  S1 = sum d_j,  S2 = sum d_j^2,
 
@@ -65,26 +62,19 @@ class FormTables(NamedTuple):
         """The child ids of form fid, largest first."""
         return (self.first[fid],) + self.kids(self.rest[fid]) if fid else ()
 
-    def key(self, fid: int) -> bytes:
-        """The bracket key of form fid, recursing on first children only."""
-        parts = [OPEN]
-        while fid:
-            parts.append(self.key(self.first[fid]))
-            fid = self.rest[fid]
-        return b"".join(parts) + CLOSE
-
 
 def form_tables(max_size: int) -> FormTables:
     """The registry of rooted forms on 1..max_size >= 1 vertices.
 
     Built size by size without recursion: a form of size s whose first
     child f has size k is f followed by the children of a form g of size
-    s - k whose first child is at most f; its key is OPEN, f's key, then
-    g's key after its OPEN.  No key is a proper prefix of another, so keys
-    compare like f's keys, then g's: f runs over order, every smaller id
-    in key order, g over the ids of size s - k, skipping each whose first
-    child exceeds f (ids order by size first, keys do not).  Below the top
-    size, order takes in the new ids by the ranks of their f and g in it.
+    s - k whose first child is at most f; its bracket key opens, then
+    holds f's key and g's key after g's opening.  No key is a proper
+    prefix of another, so keys compare like f's keys, then g's: f runs
+    over order, every smaller id in key order, g over the ids of size
+    s - k, skipping each whose first child exceeds f (ids order by size
+    first, keys do not).  Below the top size, order takes in the new ids
+    by the ranks of their f and g in it.
     """
     first, rest = array("l", [-1]), array("l", [0])
     ids_by_size = [range(0), range(1)]
@@ -107,7 +97,7 @@ def form_tables(max_size: int) -> FormTables:
                 deg.append(d + 1)
         ids_by_size.append(range(len(size), len(hung)))
         size += [s] * len(ids_by_size[s])
-        if s < max_size:  # id 0, OPEN CLOSE, stays least
+        if s < max_size:  # id 0, the single vertex, stays least
             rank = {x: i for i, x in enumerate(order)}
             order[1:] = sorted([*order[1:], *ids_by_size[s]],
                                key=lambda x: (rank[first[x]], rank[rest[x]]))

@@ -110,7 +110,7 @@ def family_codes(kind: str, n: int) -> dict[bytes, str]:
     for key, entry in CATALOG.items():
         if entry.kind != kind or n < entry.poly.valid_n_min:
             continue
-        code = canonical_code(entry.builder(n))
+        code = canonical_code(entry.core.build(n))
         out.setdefault(code, key)
     return out
 
@@ -123,10 +123,10 @@ def rank(
     """Top-k entries by index value, descending, with full tie groups.
 
     The window runs on each record's table index; only the survivors are
-    coded (from their form ids), built, checked against the degree
-    definition and encoded as graph6.  Ties are ordered by canonical code;
-    the list may exceed k when the k-th value is shared.  Memory stays
-    bounded by the window, not the class.
+    built, checked against the degree definition, coded and encoded as
+    graph6.  Ties are ordered by canonical code; the list may exceed k
+    when the k-th value is shared.  Memory stays bounded by the window,
+    not the class.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -147,7 +147,7 @@ def rank(
         built = hyper_zagreb(g)
         if built != hm:
             raise AssertionError(f"scored index {hm} != {built} of the built graph")
-        decorated.append((hm, canonical_code(record), encode_graph6(g)))
+        decorated.append((hm, canonical_code(g), encode_graph6(g)))
     decorated.sort(key=lambda t: (-t[0], t[1]))
     out = []
     for i, (hm, code, g6) in enumerate(decorated, start=1):
@@ -463,7 +463,8 @@ def _check_star_max() -> CheckResult:
             if r.hm >= best:
                 top.append(r)
         star_code = canonical_code(build_catalog_member("S_n", n))
-        ok = len(top) == 1 and top[0].hm == best and canonical_code(top[0]) == star_code
+        ok = (len(top) == 1 and top[0].hm == best
+              and canonical_code(top[0].graph()) == star_code)
         if not ok:
             failures.append(f"n={n}")
     return _tally("star-max-trees", "all trees, n <= 12", checked, failures)
@@ -493,10 +494,10 @@ def _check_single_attachment_max() -> CheckResult:
             chain = reduce_to_single_attachment(g)
             hms = [r.hm, *chain.hms]  # the record's own index, then the chain's
             if r.hm >= global_best:
-                best_seen.append((r.hm, canonical_code(r)))
+                best_seen.append((r.hm, canonical_code(g)))
             ok = (
                 r.hm <= bound
-                and (r.hm < bound or canonical_code(r) == single_codes[m])
+                and (r.hm < bound or canonical_code(g) == single_codes[m])
                 and all(a < b for a, b in zip(hms, hms[1:]))
                 and hms[-1] == bound
                 and final_code(chain[-1]) == single_codes[m]

@@ -3,7 +3,7 @@
 A form is the tuple of its child forms, largest (size, form) first; the
 empty tuple is a single vertex.  The form registry's ids are checked
 against this order, and class records are expanded to nested forms here
-only: the library codes and builds them from their ids.
+only: the library builds them from their ids and codes the built graph.
 """
 
 

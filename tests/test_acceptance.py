@@ -43,7 +43,7 @@ def test_criterion_1_closed_form_audit():
     for key in TABLE_TREE_ROWS + TABLE_UNICYCLIC_ROWS:
         entry = CATALOG[key]
         for n in range(15, 46):
-            got = hyper_zagreb(entry.builder(n))
+            got = hyper_zagreb(entry.core.build(n))
             want = entry.poly.evaluate(n)
             if got != want:
                 bad.append((key, n, got, want))
@@ -256,5 +256,5 @@ def test_criterion_8_discovered_threshold():
     first = discover_tree_threshold(15)
     second = discover_tree_threshold(15)
     ok = first == second == 6
-    _report(8, ok, f"smallest n >= 5 with the tree top-4 ordering: {first} (discovered)")
+    _report(8, ok, f"smallest n >= 6 with the tree top-4 ordering: {first} (discovered)")
     assert ok

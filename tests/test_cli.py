@@ -366,9 +366,27 @@ README_IMPORTED_NAMES = {"verify.trees", "verify.unicyclic_graphs"}
 def test_readme_names_only_what_the_package_has():
     # every backticked `module.name...` whose module is one of hyperzagreb's
     # resolves, attribute by attribute, and a function or class it names
-    # first is defined in that module, not merely imported there
+    # first is defined in that module, not merely imported there; so does
+    # every backticked `Class.name...` of a class defined in the package
     text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
     modules = {m.name for m in pkgutil.iter_modules(hyperzagreb.__path__)}
+    classes = {
+        name: obj
+        for m in modules if not m.startswith("_")
+        for name, obj in vars(importlib.import_module(f"hyperzagreb.{m}")).items()
+        if isinstance(obj, type) and obj.__module__ == f"hyperzagreb.{m}"
+    }
+    class_refs = [
+        (first, rest.split(".")[1:])
+        for first, rest in re.findall(r"`([A-Z]\w*)((?:\.\w+)+)", text)
+        if first in classes
+    ]
+    assert len(class_refs) >= 6
+    for first, attrs in class_refs:
+        obj = classes[first]
+        for attr in attrs:
+            assert hasattr(obj, attr), f"{first}.{'.'.join(attrs)}"
+            obj = getattr(obj, attr)
     refs = [
         (first, rest.split(".")[1:])
         for first, rest in re.findall(r"`([a-z_]+)((?:\.\w+)+)", text)

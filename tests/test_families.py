@@ -28,7 +28,7 @@ def test_catalog_faithful_over_validity_windows():
     for key, entry in CATALOG.items():
         lo = entry.poly.valid_n_min
         for n in range(lo, lo + 31):
-            g = entry.builder(n)
+            g = entry.core.build(n)
             assert g.n == n, key
             assert (is_tree(g) if entry.kind == "trees" else is_unicyclic(g)), key
             assert hyper_zagreb(g) == entry.poly.evaluate(n), (key, n)
@@ -90,7 +90,7 @@ def test_built_graphs_survive_validation():
     built = [path(n) for n in range(1, 32)] + [cycle_with_stars(n, []) for n in range(3, 34)]
     for entry in CATALOG.values():
         lo = entry.poly.valid_n_min
-        built += [entry.builder(n) for n in range(lo, lo + 31)]
+        built += [entry.core.build(n) for n in range(lo, lo + 31)]
     for g in built:
         assert make_graph(g.n, list(g.edges())) == g
 
@@ -206,7 +206,7 @@ def test_edge_set_decomposition():
         entry = CATALOG[key]
         m = 4 if key.startswith("C_4") else 3
         for n in (12, 15, 20):
-            g = entry.builder(n)
+            g = entry.core.build(n)
             cycle_edges = {(u, v) for u, v in g.edges() if u < m and v < m}
             tree_edges = set(g.edges()) - cycle_edges
             assert len(cycle_edges) == m

@@ -1,10 +1,8 @@
 from bisect import bisect_right
 
-from hyperzagreb.canon import hanging_trees
+from hyperzagreb.canon import CLOSE, OPEN, hanging_trees
 from hyperzagreb.graphs import hyper_zagreb, make_graph
 from hyperzagreb.rooted import (
-    CLOSE,
-    OPEN,
     FormTables,
     form_graph,
     form_tables,
@@ -103,7 +101,12 @@ def test_registry_matches_the_sorted_build():
         assert tables.size == [s for s, ids in enumerate(ref[2][:max_size + 1]) for _ in ids]
         children = [tables.kids(fid) for fid in range(count)]
         assert children == ref[0][:count]
-        assert [tables.key(fid) for fid in range(count)] == ref[1][:count]
+        # each id's bracket key, as canon writes it for the form hung from
+        # vertex 0 of a triangle
+        keys = [
+            hanging_trees(form_graph(3, [(0, fid)], tables.kids))[0][1] for fid in range(count)
+        ]
+        assert keys == ref[1][:count]
         assert tables.deg == [len(kids) + 1 for kids in children]
         assert tables.hung == ref[3][:count]
         assert tables.s1 == [sum(len(children[x]) + 1 for x in kids) for kids in children]
@@ -140,26 +143,28 @@ def test_form_graph_round_trip():
 
 
 def test_ids_hang_and_key_like_their_nested_forms():
-    # form_graph lays out an id exactly as its nested tuple, and key(fid)
-    # is the bracket key hanging_trees reads off the form hung from vertex 0
-    # of a triangle.
+    # form_graph lays out an id exactly as its nested tuple, and the (size,
+    # bracket key) hanging_trees reads off the form hung from vertex 0 of a
+    # triangle rises with the id: ids order as their keys do.
     tables = form_tables(8)
+    hung = []
     for fid in range(len(tables.size)):
         g = form_graph(0, [(0, fid)], tables.kids)
         assert g == form_graph(0, [(0, nested_form(tables, fid))])
-        g = form_graph(3, [(0, fid)], tables.kids)
-        assert hanging_trees(g)[0] == (g.n - 2, tables.key(fid))
+        hung.append(hanging_trees(form_graph(3, [(0, fid)], tables.kids))[0])
+    assert hung == sorted(set(hung))
+    assert [size for size, _ in hung] == tables.size
 
 
 def test_deepest_form_keys_like_its_hanging_tree():
-    # key() recurses once per level: the path on 13 vertices is the deepest
-    # form of form_tables(13), each level its one child and nothing after it.
+    # the path on 13 vertices is the deepest form of form_tables(13), each
+    # level its one child and nothing after it: its key nests 13 deep.
     tables = form_tables(13)
     first, rest, path = tables.first, tables.rest, 0
     for s in range(2, 14):
         path = next(f for f in tables.ids_by_size[s] if (first[f], rest[f]) == (path, 0))
     g = form_graph(3, [(0, path)], tables.kids)
-    assert hanging_trees(g)[0] == (13, tables.key(path)) == (13, OPEN * 13 + CLOSE * 13)
+    assert hanging_trees(g)[0] == (13, OPEN * 13 + CLOSE * 13)
 
 
 def test_shorthand_forms():

@@ -123,10 +123,10 @@ RECORDS = {
     "ClosedFormPoly": lambda: CATALOG["C_3(1,n-4)"].poly,
     "Core": lambda: CATALOG["C_3(1,n-4)"].core,
     "CatalogEntry": lambda: CATALOG["C_3(1,n-4)"],
-    "ZagrebIndices": lambda: classical_indices(CATALOG["S_n"].builder(5)),
-    "JoinIdentifyPair": lambda: join_vs_identify(*[CATALOG["S_n"].builder(4), 1] * 2),
+    "ZagrebIndices": lambda: classical_indices(CATALOG["S_n"].core.build(5)),
+    "JoinIdentifyPair": lambda: join_vs_identify(*[CATALOG["S_n"].core.build(4), 1] * 2),
     "FormTables": lambda: form_tables(6),
-    "Graph": lambda: CATALOG["S_n"].builder(5),
+    "Graph": lambda: CATALOG["S_n"].core.build(5),
 }
 
 

@@ -182,8 +182,9 @@ def test_base_rows_make_the_base_graph_draws():
 def test_a_passing_suite_builds_nothing_it_only_reads(monkeypatch):
     # hyper_zagreb scores only the fourth brooms: a reduce chain's first
     # graph takes its record's hm and the rest the chain's own scores, and
-    # transforms cannot score at all; records are built for the join pool
-    # and the reduce chains; base graphs and hanging trees are never built
+    # transforms cannot score at all; records are built for the join pool,
+    # the reduce chains and star max's one top tree per order; base graphs
+    # and hanging trees are never built
     calls = dict.fromkeys(["hyper_zagreb", "graph", "_sorted_graph", "_prufer_tree"], 0)
 
     def counted(owner, name, real):
@@ -202,7 +203,7 @@ def test_a_passing_suite_builds_nothing_it_only_reads(monkeypatch):
             calls[name] = 0
         assert lemma_suite(seed, 10000).passed
         assert calls == {
-            "hyper_zagreb": 53, "graph": 1053, "_sorted_graph": 0, "_prufer_tree": 0,
+            "hyper_zagreb": 53, "graph": 1064, "_sorted_graph": 0, "_prufer_tree": 0,
         }
 
 
@@ -234,13 +235,20 @@ def test_a_passing_suite_reads_each_neighbourhood_once(monkeypatch):
             assert calls[verify, "site"] == 21754
 
 
-def test_star_max_scores_records_without_building_a_tree(monkeypatch):
-    def refuse(record):
-        raise AssertionError("a tree was built")
+def test_star_max_builds_only_the_top_tree_per_order(monkeypatch):
+    # every tree is scored by its record's hm; only the one record at the
+    # star's value is built, to be coded, once per order n = 2..12
+    built = []
 
-    monkeypatch.setattr(ClassRecord, "graph", refuse)
+    def graph(record):
+        built.append(record.n)
+        return real(record)
+
+    real = ClassRecord.graph
+    monkeypatch.setattr(ClassRecord, "graph", graph)
     result = verify._check_star_max()
     assert result.passed and result.checked == 986
+    assert built == list(range(2, 13))
 
 
 def test_attachment_shift_failure_path_pinned(monkeypatch):
