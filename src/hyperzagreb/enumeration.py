@@ -5,8 +5,8 @@ multiset of rooted subtrees of size <= floor((n-1)/2) around a root, and a
 tree with two centroids is an unordered pair of rooted halves of size n/2.
 Both correspondences are bijections, so every isomorphism class is emitted
 exactly once with no dedup pass.  The multisets are walked iteratively as
-non-increasing sequences of form ids, carrying the score as they grow; a
-sequence that reaches id 0, the single vertex, ends in single vertices.
+non-increasing sequences of form ids, carrying the score as they grow;
+once at most floor((n-1)/2) vertices are left, a table gives every ending.
 
 Unicyclic graphs come cycle-first: a class is a cycle length m plus a
 bracelet (sequence up to rotation and reflection) of rooted-tree forms
@@ -97,7 +97,8 @@ class ClassRecord(NamedTuple):
 def trees(n: int) -> Iterator[ClassRecord]:
     """All free trees on n vertices, one record per class.
 
-    A class's tail of single vertices is placed in one step.
+    The last subtrees of a class, at most floor((n-1)/2) vertices in all,
+    come from a table of such tails built once per call.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
@@ -107,39 +108,48 @@ def trees(n: int) -> Iterator[ClassRecord]:
     tables = form_tables(n // 2)
     hung, ids_by_size, size = tables.hung, tables.ids_by_size, tables.size
     k = tables.deg  # a hanging form's root degree
-    # Single centroid: every hanging subtree has at most floor((n-1)/2)
+    # Single centroid: every hanging subtree has at most half = floor((n-1)/2)
     # vertices.  (A subtree of exactly n/2 vertices would move the centroid.)
     # Walk the non-increasing id sequences of total size n - 1, descending;
     # position t holds ids[t] and, before it is placed, the size left and
-    # A = sum(hung + k^2), K = sum(k) of the positions before it.  A class
-    # whose centroid has degree d scores A + d^3 + 2*d*K.
+    # A = sum(hung + k^2), K = sum(k) of the positions before it.  Once at
+    # most half vertices are left, the prefix and each tail of them that
+    # fits after it make a class; with A and K over both, its centroid has
+    # degree d = t + 1 + the tail's length and it scores A + d^3 + 2*d*K.
     weight = [h + c * c for h, c in zip(hung, k)]
     half = (n - 1) // 2
     # top[s]: 1 + the largest id of size <= s that fits beside the centroid
     top = [ids_by_size[min(s, half)].stop for s in range(n)]
+    # tails[r]: every non-increasing id sequence of size r <= half in the
+    # walk's order, first ids falling, with its sum(hung + k^2), sum(k) and
+    # length; those whose first id is at most fid are tails[r][start[r][fid]:].
+    tails = [[((), 0, 0, 0)]] + [[] for _ in range(half)]
+    start = [[0] * top[half] for _ in range(half + 1)]
+    for r in range(1, half + 1):
+        for f in reversed(range(top[r])):
+            start[r][f], s = len(tails[r]), r - size[f]
+            tails[r] += [((f,) + tail, weight[f] + w, k[f] + kt, ln + 1)
+                         for tail, w, kt, ln in tails[s][start[s][f]:]]
     ids, rem, big_a, big_k = [0] * n, [0] * n, [0] * n, [0] * n
-    zeros = [(0,) * r for r in range(n)]
     new = tuple.__new__  # a record without NamedTuple's Python-level __new__
-    # Id 0 at position t forces rem[t] single vertices: the class is yielded
-    # and the walk backs up, so no id drops below 0 (order 2 has no walk).
-    ids[0], rem[0], t = top[n - 1], n - 1, 0 if half else -1
+    ids[0], rem[0], t = top[n - 1], n - 1, 0 if half else -1  # order 2 has no walk
     while t >= 0:
         fid = ids[t] - 1
-        if fid:
-            ids[t] = fid
-            r = rem[t] - size[fid]
-            a, kk = big_a[t] + weight[fid], big_k[t] + k[fid]
-            if r:
-                t += 1
-                ids[t], rem[t], big_a[t], big_k[t] = min(fid + 1, top[r]), r, a, kk
-                continue
-            d, cls = t + 1, tuple(ids[:t + 1])
-        else:
-            r = rem[t]
-            d, cls = t + r, tuple(ids[:t]) + zeros[r]
-            a, kk = big_a[t] + r * weight[0], big_k[t] + r * k[0]
+        if fid < 0:
             t -= 1
-        yield new(ClassRecord, (n, a + d * d * d + 2 * d * kk, 0, cls, tables))
+            continue
+        ids[t] = fid
+        r = rem[t] - size[fid]
+        a, kk = big_a[t] + weight[fid], big_k[t] + k[fid]
+        if r > half:
+            t += 1
+            ids[t], rem[t], big_a[t], big_k[t] = min(fid + 1, top[r]), r, a, kk
+            continue
+        prefix, t1 = tuple(ids[:t + 1]), t + 1
+        for tail, w, kt, ln in tails[r][start[r][fid]:]:
+            d = t1 + ln
+            hm = a + w + d * d * d + 2 * d * (kk + kt)
+            yield new(ClassRecord, (n, hm, 0, prefix + tail, tables))
     # Two adjacent centroids (n = 2 too): unordered pair of rooted halves on
     # n/2 vertices.  The second half hangs below a new neighbour of the first.
     if n % 2 == 0:
