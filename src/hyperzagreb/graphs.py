@@ -29,9 +29,9 @@ class DuplicateEdgeError(GraphError):
 class Graph(NamedTuple):
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Unchecked: edges from outside go through make_graph, which validates
-    them.  A builder that writes the sorted rows of a simple graph itself
-    passes them here directly.
+    Unchecked: make_graph validates edges; the other builders that write
+    sorted rows themselves (rooted.form_graph, codec.decode_graph6,
+    families.cycle_with_stars, verify._sorted_graph) call it directly.
     """
 
     n: int

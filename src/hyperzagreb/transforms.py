@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .canon import dihedral_least, leaf_strip
-from .graphs import Graph, GraphError, site
+from .graphs import Graph, GraphError, VertexRangeError, make_graph, site
 from .families import cycle_with_stars
 
 
@@ -29,26 +29,16 @@ def coalesce(g: Graph, u: int, h: Graph, z: int) -> Graph:
     """Identify vertex u of g with vertex z of h.
 
     g keeps its vertex ids; h's remaining vertices follow, in id order.  The
-    merged vertex has degree deg_g(u) + deg_h(z).  Both inputs are simple
-    and share only the merged vertex, so the result is built unvalidated.
+    merged vertex has degree deg_g(u) + deg_h(z).
     """
     if not 0 <= u < g.n:
-        raise GraphError(f"vertex {u} out of range for g")
+        raise VertexRangeError(f"vertex {u} out of range for g")
     if not 0 <= z < h.n:
-        raise GraphError(f"vertex {z} out of range for h")
-    # h's vertex x becomes u at x = z, else the next free id past g's.  The
-    # map rises on x != z and u lies below every new id, so each list comes
-    # out sorted: u leads the list of each neighbour of z, and at u the new
-    # ids follow g's.
+        raise VertexRangeError(f"vertex {z} out of range for h")
+    # h's vertex x becomes u at x = z, else the next free id past g's
     r = [g.n + x - (x > z) for x in range(h.n)]
     r[z] = u
-    adj = list(g.adj)
-    adj[u] += tuple([r[y] for y in h.adj[z]])
-    for x, nbrs in enumerate(h.adj):
-        if x != z:
-            mapped = tuple([r[y] for y in nbrs if y != z])
-            adj.append((u, *mapped) if z in nbrs else mapped)
-    return Graph(len(adj), tuple(adj))
+    return make_graph(g.n + h.n - 1, [*g.edges(), *[(r[x], r[y]) for x, y in h.edges()]])
 
 
 def site_gain(a: int, sa: int, b: int, sb: int) -> int:
@@ -100,20 +90,14 @@ class JoinIdentifyPair(NamedTuple):
 
 def join_vs_identify(g1: Graph, u: int, g2: Graph, v: int) -> JoinIdentifyPair:
     (du, _), (dv, _) = site(g1.adj, u, "g1"), site(g2.adj, v, "g2")
-    # Sorted tuples throughout: g2's ids shift past g1's, so v's new
-    # neighbour u leads its list and u's new neighbour closes its list.
-    offset = g1.n
-    adj = list(g1.adj) + [tuple([y + offset for y in a]) for a in g2.adj]
-    adj[u] += (v + offset,)
-    adj[v + offset] = (u, *adj[v + offset])
-    joined = Graph(len(adj), tuple(adj))
-
-    adj = list(coalesce(g1, u, g2, v).adj)
-    adj[u] += (len(adj),)  # the pendant, the largest id
-    adj.append((u,))
-    identified = Graph(len(adj), tuple(adj))
-
-    return JoinIdentifyPair(joined=joined, identified=identified, applicable=du >= 1 and dv >= 1)
+    offset = g1.n  # g2's ids shift past g1's
+    shifted = [(x + offset, y + offset) for x, y in g2.edges()]
+    merged = coalesce(g1, u, g2, v)
+    return JoinIdentifyPair(
+        joined=make_graph(g1.n + g2.n, [*g1.edges(), *shifted, (u, v + offset)]),
+        identified=make_graph(merged.n + 1, [*merged.edges(), (u, merged.n)]),
+        applicable=du >= 1 and dv >= 1,
+    )
 
 
 def _hanging_counts(g: Graph) -> tuple[list[int], bool]:

@@ -418,7 +418,8 @@ def _check_attachment_shift(rng: random.Random, trials: int) -> CheckResult:
 
 
 def _check_join_identify() -> CheckResult:
-    """Exhaustive over tree pairs on up to 6 vertices and all root choices."""
+    """Exhaustive over tree pairs on up to 6 vertices and all root choices;
+    with no lone vertex in the pool, every pair is applicable."""
     pool = [t.graph() for n in range(2, 7) for t in trees(n)]
     sites = [[site(t.adj, v) for v in range(t.n)] for t in pool]
     failures = []
@@ -427,8 +428,6 @@ def _check_join_identify() -> CheckResult:
         for t2, sites2 in zip(pool, sites):
             for u, at_u in enumerate(sites1):
                 for v, at_v in enumerate(sites2):
-                    if not (at_u[0] and at_v[0]):  # as pair.applicable
-                        continue
                     checked += 1
                     if join_identify_gap(at_u, at_v) <= 0:
                         pair = join_vs_identify(t1, u, t2, v)

@@ -99,6 +99,36 @@ def test_src_has_no_assert_statement():
     assert asserts == []
 
 
+# The builders that write a Graph's sorted rows themselves; every other
+# graph goes through make_graph, which validates its edges.
+ROW_WRITERS = {
+    "graphs.make_graph",
+    "rooted.form_graph",
+    "codec.decode_graph6",
+    "families.cycle_with_stars",
+    "verify._sorted_graph",
+}
+
+
+def graph_calls(node, owner):
+    """The innermost enclosing function of each direct Graph(...) call below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            f = child.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "Graph":
+                yield owner
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        yield from graph_calls(child, inner)
+
+
+def test_only_the_row_writers_call_graph():
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        callers += [f"{path.stem}.{owner}" for owner in graph_calls(tree, "<module>")]
+    assert sorted(callers) == sorted(ROW_WRITERS)
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # -S keeps site .pth files, which may import anything, out of the check
     src = os.path.dirname(PACKAGE)

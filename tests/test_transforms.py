@@ -103,13 +103,13 @@ def test_rewrite_edge_cases():
         pair = join_vs_identify(g, u, dot, 0)
         assert (pair.joined, pair.identified) == edge_list_join_vs_identify(g, u, dot, 0)
     for bad in (-1, 4):
-        with pytest.raises(GraphError):
+        with pytest.raises(VertexRangeError, match="^vertex -?[0-9]+ out of range for g$"):
             coalesce(g, bad, dot, 0)
-        with pytest.raises(GraphError):
+        with pytest.raises(VertexRangeError, match="^vertex -?[0-9]+ out of range for h$"):
             coalesce(dot, 0, g, bad)
-        with pytest.raises(GraphError):
+        with pytest.raises(VertexRangeError, match="out of range for g1$"):
             join_vs_identify(g, bad, dot, 0)
-        with pytest.raises(GraphError):
+        with pytest.raises(VertexRangeError, match="out of range for g2$"):
             join_vs_identify(dot, 0, g, bad)
 
 
