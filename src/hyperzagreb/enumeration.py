@@ -171,8 +171,8 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
     smaller, and for j < m - 1 it reads a[j], ..., a[0], then the last bead
     x.  So a prefix with a[t::-1] < a[:t + 1] at such a t is skipped, and x
     must be at least a[j + 1] for every palindrome a[0..j]: x starts at
-    need, the largest such bead, and only an x equal to it or to a[0] takes
-    the full test.  Each t <= m - 2 caps a[t]'s size at R - max(s0, s_nu):
+    need, the largest such bead, or past it, and only the first x can equal
+    it or a[0] and take the full test.  Each t <= m - 2 caps a[t]'s size at R - max(s0, s_nu):
     s0 = size(a[0]) (a necklace starts at its least bead), R the size left
     for a[t] and x once the m - t - 2 beads between take s0 each, s_nu =
     size(need[t - 1]); after a palindrome, if s_nu is within that, the cap
@@ -187,17 +187,18 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
     tables = form_tables(n - 2)
     ids_by_size, size = tables.ids_by_size, tables.size
     # On the cycle a form's root has degree D = c + 2 for c children.  Its
-    # own edges add own = E(f, D) = hung + (D - 2)(2D - 1) + 2*S1 (the terms
-    # in d of FormTables' E, moved from d = c + 1 to d = D), and each cycle
-    # edge adds (D_i + D_{i+1})^2.
+    # own edges add E(f, D) = hung + (D - 2)(2D - 1) + 2*S1 (the terms in d
+    # of FormTables' E, moved from d = c + 1 to d = D), and each cycle edge
+    # adds (D_i + D_{i+1})^2.  A root meets two cycle edges, so own = E(f, D)
+    # + 2D^2 takes their square terms and a cycle edge adds 2 * D_i * D_{i+1}.
     deg = [d + 1 for d in tables.deg]
-    own = [h + (d - 2) * (2 * d - 1) + 2 * s1
+    own = [h + (d - 2) * (2 * d - 1) + 2 * s1 + 2 * d * d
            for h, d, s1 in zip(tables.hung, deg, tables.s1)]
     stop = [ids.stop for ids in ids_by_size]  # 1 + largest id of size <= s
     new = tuple.__new__  # as in trees: no NamedTuple __new__ call per record
     for m in range(3, n + 1):
         # Per position: the id, the prefix's period, the size left, the
-        # prefix's index (own edges plus the cycle edges inside it), the id
+        # prefix's score (own terms plus the cycle edges inside it), the id
         # bound, whether the prefix is a palindrome, and need: the largest
         # a[j + 1] over palindromes a[0..j], j < t (the least last bead).
         a, per, rem, hm, hi = [0] * m, [0] * m, [0] * m, [0] * m, [0] * m
@@ -223,7 +224,7 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
                 p = per[t - 1]
                 per[t] = p if fid == a[t - p] else t + 1
                 rem[t] = rem[t - 1] - size[fid]
-                hm[t] = hm[t - 1] + own[fid] + (deg[a[t - 1]] + deg[fid]) ** 2
+                hm[t] = hm[t - 1] + own[fid] + 2 * deg[a[t - 1]] * deg[fid]
                 need[t] = fid if pal[t - 1] and fid > need[t - 1] else need[t - 1]
             else:
                 a0, s0, d0 = fid, size[fid], deg[fid]
@@ -238,28 +239,25 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
                     cap = min(r - s0, r // 2)
                 hi[t] = stop[cap]
                 continue
-            # The last position: ids of exactly the size left, >= a[m - 1 - p]
-            # and >= need[last]; only need[last] or a[0] takes the full test.
-            p, r, d_prev, base = per[last], rem[last], deg[fid], hm[last]
-            lo, bound = a[m - 1 - p], need[last]
+            # The last position: ids of exactly the size left, from first,
+            # which is >= lo = a[m - 1 - p], need[last] and a0: only first can
+            # be an aperiodic prefix's lo, skipped, or take the full test.
+            p, r, base, bound = per[last], rem[last], hm[last], need[last]
+            lo = a[m - 1 - p]
             first = max(lo, ids_by_size[r].start, bound)
             if first >= stop[r]:
                 continue  # a periodic prefix's lo is past the size left
-            periodic = m % p == 0
-            for fid in range(first, stop[r]):
-                if fid == lo and not periodic:
-                    continue
-                a[m - 1] = fid
-                if fid == bound or fid == a0:
-                    rev = a[::-1] * 2
-                    i = rev.index(a0)
-                    while i < m and rev[i:i + m] >= a:
-                        i = rev.index(a0, i + 1)
-                    if i < m:
-                        continue  # a rotation of the reversal is smaller
-                d = deg[fid]
-                hm_x = base + own[fid] + (d_prev + d) ** 2 + (d + d0) ** 2
-                yield new(ClassRecord, (n, hm_x, m, tuple(a), tables))
+            a[m - 1], c = first, 2 * (deg[fid] + d0)  # its cycle edges add c * D
+            keep = first != lo or m % p == 0
+            if keep and (first == bound or first == a0):
+                rev = a[::-1] * 2
+                i = rev.index(a0)
+                while i < m and rev[i:i + m] >= a:
+                    i = rev.index(a0, i + 1)
+                keep = i >= m  # else a rotation of the reversal is smaller
+            for x in range(first if keep else first + 1, stop[r]):
+                a[m - 1] = x
+                yield new(ClassRecord, (n, base + own[x] + c * deg[x], m, tuple(a), tables))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .canon import canonical_code
 from .codec import encode_graph6
@@ -354,24 +354,38 @@ def _prufer_tree(seq: list[int], n: int) -> Graph:
     return _sorted_graph(_prufer_rows(seq, n))
 
 
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """Random.randrange(n)'s draw, read straight from bits = getrandbits:
+    n.bit_length() bits at a time until they are below n."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _hanging_site(rng: random.Random) -> tuple[list[int], int, tuple[int, int]]:
     """The Pruefer sequence of a uniform random labeled tree h on 2..8
     vertices, a random vertex z and site(h, z), without building h: a
-    degree is one more than a count in the sequence."""
-    n = rng.randint(2, 8)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    z = rng.randrange(n)
+    degree is one more than a count in the sequence.  The same draws as
+    randint(2, 8), then randrange(n) for each entry and for z."""
+    bits = rng.getrandbits
+    n = 2 + _below(bits, 7)
+    seq = [_below(bits, n) for _ in range(n - 2)]
+    z = _below(bits, n)
     nbrs = [x + y - z for x, y in prufer_edges(seq, n) if z in (x, y)]
     return seq, z, (len(nbrs), sum([seq.count(y) for y in nbrs]) + len(nbrs))
 
 
 def _random_base_rows(rng: random.Random, n: int) -> list[list[int]]:
     """Unsorted neighbour rows of a random tree, or half the time (n >= 3)
-    of a random unicyclic graph, the tree with one absent edge closed."""
-    rows = _prufer_rows([rng.randrange(n) for _ in range(n - 2)], n)
+    of a random unicyclic graph, the tree with one absent edge closed; each
+    Pruefer entry and endpoint is the draw of randrange(n)."""
+    bits = rng.getrandbits
+    rows = _prufer_rows([_below(bits, n) for _ in range(n - 2)], n)
     if n >= 3 and rng.random() < 0.5:
         while True:
-            u, v = rng.randrange(n), rng.randrange(n)
+            u, v = _below(bits, n), _below(bits, n)
             if u != v and v not in rows[u]:
                 rows[u].append(v)
                 rows[v].append(u)
@@ -393,12 +407,14 @@ def _tally(name: str, scope: str, checked: int, failures: list[str]) -> CheckRes
 def _check_attachment_shift(rng: random.Random, trials: int) -> CheckResult:
     """Random conditioned instances: moving h to the dominant site never
     lowers the index, and equality forces both conditions tight."""
+    bits = rng.getrandbits
     failures = []
     done = 0
     while done < trials:
-        n = rng.randint(3, 10)
+        n = 3 + _below(bits, 8)  # the draws of randint(3, 10)
         rows = _random_base_rows(rng, n)
-        u, w = rng.sample(range(n), 2)
+        u, j = _below(bits, n), _below(bits, n - 1)
+        w = n - 1 if j == u else j  # sample(range(n), 2): n - 1 replaces u
         at_u, at_w = site(rows, u), site(rows, w)
         if at_u[0] > at_w[0]:
             u, w, at_u, at_w = w, u, at_w, at_u

@@ -709,6 +709,10 @@ GOLDEN = [
      "70f66d85e6313822bb6759278d9b9997a7992726bbd8ee6efd6e77bca825b694"),
     ("verify lemmas --seed 7 --trials 10000 --format json", 0,
      "4dfe37dd2482b96f0e6a45c5eaa9f639e288ebc024396a9bb92f188722e8d5e7"),
+    # the trial cap, MAX_TRIALS; pinned while the suite drew through
+    # randrange, randint and sample
+    ("verify lemmas --seed 0 --trials 100000 --format json", 0,
+     "90a6939165647bec3968db94c516640522380f19b46cd4a5aad3102cddb0dcb4"),
 ]
 
 

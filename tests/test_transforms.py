@@ -80,6 +80,26 @@ def small_trees_and_unicyclic(draw):
     return make_graph(n, edges)
 
 
+def check_rewrite_counts_and_scores(g, u, h, z):
+    """What coalesce and join_vs_identify give whatever h's labels: their
+    orders and sizes, u's degree, the index each rewrite adds (read off the
+    two sites), and g's edges under their own labels."""
+    merged, pair = coalesce(g, u, h, z), join_vs_identify(g, u, h, z)
+    at_u, at_z = site(g.adj, u), site(h.adj, z)
+    assert (merged.n, merged.num_edges) == (g.n + h.n - 1, g.num_edges + h.num_edges)
+    assert merged.degree(u) == at_u[0] + at_z[0]
+    assert hyper_zagreb(merged) - hyper_zagreb(g) - hyper_zagreb(h) == site_gain(*at_u, *at_z)
+    for built in pair.joined, pair.identified:
+        assert (built.n, built.num_edges) == (g.n + h.n, g.num_edges + h.num_edges + 1)
+    assert (pair.joined.degree(u), pair.identified.degree(u)) == (
+        at_u[0] + 1, at_u[0] + at_z[0] + 1
+    )
+    gap = hyper_zagreb(pair.identified) - hyper_zagreb(pair.joined)
+    assert gap == join_identify_gap(at_u, at_z)
+    kept = set(g.edges())
+    assert all(kept <= set(b.edges()) for b in (merged, pair.joined, pair.identified))
+
+
 @BOUNDED
 @given(small_trees_and_unicyclic(), small_trees_and_unicyclic())
 def test_rewrites_match_edge_list_references(g, h):
@@ -89,8 +109,10 @@ def test_rewrites_match_edge_list_references(g, h):
             pair = join_vs_identify(g, u, h, z)
             want = edge_list_join_vs_identify(g, u, h, z)
             assert (pair.joined, pair.identified) == want
+            check_rewrite_counts_and_scores(g, u, h, z)
         for z in range(g.n):  # g coalesced with itself
             assert coalesce(g, u, g, z) == edge_list_coalesce(g, u, g, z)
+            check_rewrite_counts_and_scores(g, u, g, z)
 
 
 def test_rewrite_edge_cases():

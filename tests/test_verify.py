@@ -179,6 +179,36 @@ def test_base_rows_make_the_base_graph_draws():
     assert 0 < unicyclic < 500
 
 
+def test_below_makes_the_draws_of_random():
+    # randrange(n), randint(3, 10), randint(2, 8) and sample(range(n), 2)
+    # as the lemma suite makes them from getrandbits, leaving the generator
+    # where the stdlib calls leave it
+    below = verify._below
+    for seed in range(200):
+        r1, r2 = random.Random(seed), random.Random(seed)
+        bits = r1.getrandbits
+        drawn = [below(bits, n) for n in range(1, 13)]
+        drawn += [3 + below(bits, 8), 2 + below(bits, 7)]
+        for n in range(3, 11):
+            u, j = below(bits, n), below(bits, n - 1)
+            drawn.append([u, n - 1 if j == u else j])
+        want = [r2.randrange(n) for n in range(1, 13)] + [r2.randint(3, 10), r2.randint(2, 8)]
+        want += [r2.sample(range(n), 2) for n in range(3, 11)]
+        assert drawn == want
+        assert r1.getstate() == r2.getstate()
+
+
+def test_a_passing_suite_draws_only_from_getrandbits_and_random(monkeypatch):
+    # the suite's bytes hang on no Python-level draw of random.Random
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Python-level draw of random.Random")
+
+    for name in ("randrange", "randint", "sample"):
+        monkeypatch.setattr(random.Random, name, refuse)
+    for seed in (0, 7):
+        assert lemma_suite(seed, 10000).passed
+
+
 def test_a_passing_suite_builds_nothing_it_only_reads(monkeypatch):
     # hyper_zagreb scores only the fourth brooms: a reduce chain's first
     # graph takes its record's hm and the rest the chain's own scores, and
