@@ -42,7 +42,8 @@ from .verify import (
 # order: 1,333,004 characters at 4000 vertices, about 5.5 GB at graph6's
 # limit of 258,047, so family and transform refuse larger results.  reduce
 # is cubic in the order: on 498 vertices, a 332-cycle with a leaf at every
-# other vertex, it takes 165 steps over 13,695 candidate merges.  A class
+# other vertex, it takes 165 steps over 13,695 candidate merges and keys
+# 6,938 of them, 0.53-0.57 s as a command (README's limits, [L]).  A class
 # run visits 823,065 classes at trees 20, and 880,840 at unicyclic 17 over
 # the 141,083-form registry (about 3x per order).  lemmas runs at most
 # 100,000 trials, linear in the trials.  The closed-form audit has no cap:

@@ -142,6 +142,11 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
     and the final graph is the cycle with a single pendant star (or the bare
     cycle when there was nothing to move), returned as a scored Chain.
 
+    The target is picked once, the largest count, the first of equal ones:
+    each merge adds a positive count to it, so it stays the unique largest.
+    Each merge is scored from the terms it changes, its two stars and the
+    cycle edges at either end.
+
     Of the candidate sources, the merge whose result has the least
     canonical code is taken, the first of equal ones.  It is found from the
     pendant counts alone.  canonical_code orders a star of c leaves by
@@ -150,7 +155,12 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
     reads "(" + "()" * c + ")", so two codes of one cycle length first
     differ where those count lists first differ.  There the larger count
     writes "(" and the smaller ")", which sorts above it: the least code
-    belongs to the largest dihedral-least count list.
+    belongs to the largest dihedral-least count list.  A merged list has a
+    zero at its source and a positive target, so its dihedral-least form
+    starts with exactly its longest cyclic run of zeros and then a positive
+    count: a longer run makes a smaller list.  When no star sits beside the
+    target, only the candidates whose merge leaves the shortest such run
+    are keyed.
     """
     counts, stars = _hanging_counts(g)
     m = len(counts)
@@ -163,33 +173,42 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
         chain.hms.append(hm)
     # cycle_with_stars numbers the cycle 0..m-1 in leaf_strip's walk order,
     # so counts stay the profile of the chain's last graph.
-    while True:
-        positions = [p for p, c in enumerate(counts) if c > 0]
-        if len(positions) <= 1:
-            break
-        deg = lambda p: 2 + counts[p]
-        # Target: the attachment of maximum degree, deterministic tie-break.
-        tgt = max(positions, key=lambda p: (counts[p], -p))
-        sources = [p for p in positions if (p - tgt) % m in (1, m - 1)]
+    positions = [p for p, c in enumerate(counts) if c > 0]
+    tgt = max(positions, key=lambda p: (counts[p], -p), default=0)
+    sides = sorted({(tgt - 1) % m, (tgt + 1) % m})
+    while len(positions) > 1:
+        sources = [p for p in sides if counts[p]]
         if not sources:
             # No attachment touches the target: move a star whose dominance
-            # conditions hold with the target (one always exists).
-            rhs = deg((tgt + 1) % m) + deg((tgt - 1) % m) + counts[tgt]
-            sources = [
-                p for p in positions
-                if p != tgt and deg((p + 1) % m) + deg((p - 1) % m) <= rhs
-            ]
-            if not sources:
+            # conditions hold with the target (one always exists); with the
+            # target's neighbours bare, they compare the neighbours' counts.
+            k = len(positions)
+            gap = [(positions[i] - positions[i - 1] - 1) % m for i in range(k)]
+            longest = max(gap)
+            run = {  # the longest zero run once p's star has moved
+                p: max(longest, gap[i] + 1 + gap[(i + 1) % k])
+                for i, p in enumerate(positions)
+                if p != tgt and counts[(p + 1) % m] + counts[(p - 1) % m] <= counts[tgt]
+            }
+            if not run:
                 raise AssertionError("no dominance-compatible source attachment")
+            least = min(run.values())
+            sources = [p for p in run if run[p] == least]
         # the least code (see above): max keeps the first of equal keys
         key = lambda p: dihedral_least(_move_star(counts, p, tgt))
         src = sources[0] if len(sources) == 1 else max(sources, key=key)
-        moved = _move_star(counts, src, tgt)
-        owners = {src, tgt, (src - 1) % m, (tgt - 1) % m}  # of every term it changes
-        gain = _star_hm(moved, owners) - _star_hm(counts, owners)
+        a, t = counts[src], counts[tgt]
+        gain = (t + a) * (3 + t + a) ** 2 - t * (3 + t) ** 2 - a * (3 + a) ** 2
+        for x in ((src - 1) % m, (src + 1) % m):  # an edge joining the two keeps its sum
+            if x != tgt:
+                gain -= a * (8 + 2 * counts[x] + a)
+        for y in sides:
+            if y != src:
+                gain += a * (8 + 2 * (counts[y] + t) + a)
         if gain <= 0:
             raise AssertionError("merge step failed to increase the index")
-        counts, hm = moved, hm + gain
+        counts[tgt], counts[src], hm = t + a, 0, hm + gain
+        positions.remove(src)
         chain.append(cycle_with_stars(m, counts))
         chain.hms.append(hm)
     return chain

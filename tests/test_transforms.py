@@ -511,3 +511,90 @@ def test_reduction_chains_pinned_past_order_nine():
     assert digest.hexdigest() == (
         "c4498d8a73b7faa56bd4f5319be36486a23c3ee7846bcaff0dc62a80b8b0232e"
     )
+
+
+@pytest.mark.parametrize("m, digest", [
+    (160, "62118b9c2fd3d4addc7983b2a59815dd880ed899863632f26190ba5ffd7986d3"),
+    (332, "a28688e700306da4e5b6641f57d629a3e6cd6d214547bfdb39563cc716f715f2"),
+], ids=["240-vertices", "498-vertices"])
+def test_worst_case_chains_pinned(m, digest):
+    # a leaf on every other vertex of C_m (240 and 498 vertices), the input
+    # that bounds MAX_REDUCE_ORDER: the chain's newline-joined graph6 lines,
+    # pinned before reduce picked its target once
+    chain = reduce_to_single_attachment(cycle_with_stars(m, [1, 0] * (m // 2)))
+    lines = "\n".join(encode_graph6(y) for y in chain)
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
+
+
+def test_worst_case_keys_only_the_shortest_zero_runs(monkeypatch):
+    # on C_160 with a leaf on every other vertex, half the candidates leave
+    # a longer zero run and are never keyed (3,159 keys when all were)
+    calls = []
+
+    def counting(s):
+        calls.append(len(s))
+        return dihedral_least(s)
+
+    monkeypatch.setattr(transforms, "dihedral_least", counting)
+    chain = reduce_to_single_attachment(cycle_with_stars(160, [1, 0] * 80))
+    assert len(chain) == 80
+    assert len(calls) == 1591
+
+
+def longest_zero_run(counts):
+    """The longest cyclic run of zeros in counts, which has a positive entry."""
+    longest = run = 0
+    for c in counts + counts:
+        run = 0 if c else run + 1
+        longest = max(longest, run)
+    return longest
+
+
+def keyed_reduction(counts):
+    """The count lists reduce merges through, every candidate source keyed:
+    the target's neighbours if either has stars, else each star whose two
+    neighbours hold no more than the target."""
+    m, steps = len(counts), []
+    while True:
+        positions = [p for p, c in enumerate(counts) if c]
+        if len(positions) <= 1:
+            return steps
+        tgt = max(positions, key=lambda p: (counts[p], -p))
+        sources = [p for p in positions if (p - tgt) % m in (1, m - 1)] or [
+            p for p in positions
+            if p != tgt and counts[(p + 1) % m] + counts[(p - 1) % m] <= counts[tgt]
+        ]
+        src = max(sources, key=lambda p: dihedral_least(_move_star(counts, p, tgt)))
+        counts = _move_star(counts, src, tgt)
+        steps.append(counts)
+
+
+def test_zero_runs_rule_out_merges():
+    # A moved count list has a zero at its source and a positive target, so
+    # its dihedral-least form is its longest zero run, then a positive
+    # count: keying only the candidates of the shortest run picks the same
+    # source as keying them all, and so does reduce.
+    rng = random.Random(48)
+    tied = 0
+    for _ in range(400):
+        m = rng.randint(3, 30)
+        counts = [rng.choice((0, 0, 0, 1, 2, rng.randint(1, 9))) for _ in range(m)]
+        positions = [p for p, c in enumerate(counts) if c]
+        if len(positions) < 2:
+            continue
+        tgt = max(positions, key=lambda p: (counts[p], -p))
+        runs, keys = {}, {}
+        for src in positions:
+            if src == tgt:
+                continue
+            moved = _move_star(counts, src, tgt)
+            run, keys[src] = longest_zero_run(moved), dihedral_least(moved)
+            assert keys[src][:run] == [0] * run and keys[src][run] > 0
+            runs[src] = run
+        shortest = min(runs.values())
+        kept = [p for p in runs if runs[p] == shortest]
+        assert max(runs, key=keys.get) == max(kept, key=keys.get)
+        tied += len(kept) > 1
+        chain = reduce_to_single_attachment(cycle_with_stars(m, counts))
+        assert [_hanging_counts(x)[0] for x in chain[1:]] == keyed_reduction(counts)
+    assert tied > 200
