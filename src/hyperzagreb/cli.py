@@ -43,7 +43,7 @@ from .verify import (
 # limit of 258,047, so family and transform refuse larger results.  reduce
 # is cubic in the order: on 498 vertices, a 332-cycle with a leaf at every
 # other vertex, it takes 165 steps over 13,695 candidate merges and keys
-# 6,938 of them, 0.53-0.57 s as a command (README's limits, [L]).  A class
+# 6,938 of them, 0.54-0.60 s as a command (README's limits, [M]).  A class
 # run visits 823,065 classes at trees 20, and 880,840 at unicyclic 17 over
 # the 141,083-form registry (about 3x per order).  lemmas runs at most
 # 100,000 trials, linear in the trials.  The closed-form audit has no cap:
@@ -250,9 +250,12 @@ def _cmd_reduce(args) -> tuple[int, Iterable[str]]:
     _check_order(g.n)
     _check_order(g.n, MAX_REDUCE_ORDER)
     chain = reduce_to_single_attachment(g)
+    hms = [hyper_zagreb(x) for x in chain]
+    if any(a >= b for a, b in zip(hms, hms[1:])):
+        raise AssertionError("merge step failed to increase the index")
     return EXIT_OK, [
         f"step: {i} graph6: {encode_graph6(x)} hm: {hm}\n"
-        for i, (x, hm) in enumerate(zip(chain, [hyper_zagreb(g), *chain.hms]))
+        for i, (x, hm) in enumerate(zip(chain, hms))
     ]
 
 

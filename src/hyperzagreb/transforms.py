@@ -7,14 +7,14 @@ index, attach_conditions gives the degree conditions under which moving
 that attachment to a second site cannot lower it, and join_identify_gap is
 how far identifying two sites beats joining them (join_vs_identify builds
 that pair).  reduce_to_single_attachment replays the star-merge chain from
-a unicyclic graph down to one pendant star on its pendant counts, and
-scores each graph from them.  Rewrites return new graphs (inputs are never
-mutated); inputs outside a rewrite's structural domain raise.
+a unicyclic graph down to one pendant star on its pendant counts.
+Rewrites return new graphs (inputs are never mutated); inputs outside a
+rewrite's structural domain raise.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .canon import dihedral_least, leaf_strip
 from .graphs import Graph, GraphError, VertexRangeError, make_graph, site
@@ -119,20 +119,6 @@ def _move_star(counts: list[int], src: int, tgt: int) -> list[int]:
     return moved
 
 
-def _star_hm(counts: list[int], at: Iterable[int]) -> int:
-    """The terms of hyper_zagreb(cycle_with_stars(len(counts), counts)) that
-    the cycle positions at own: p owns cycle edge p, p + 1 and its pendants."""
-    m = len(counts)
-    return sum([
-        (4 + counts[p] + counts[(p + 1) % m]) ** 2 + counts[p] * (3 + counts[p]) ** 2
-        for p in at
-    ])
-
-
-class Chain(list):
-    """A list of graphs; hms holds the index of each one after the first."""
-
-
 def reduce_to_single_attachment(g: Graph) -> list[Graph]:
     """Monotone chain from a unicyclic graph down to one pendant star.
 
@@ -140,12 +126,10 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
     count, then repeatedly merge stars into the currently largest attachment
     until one remains.  The index strictly increases at every appended step,
     and the final graph is the cycle with a single pendant star (or the bare
-    cycle when there was nothing to move), returned as a scored Chain.
+    cycle when there was nothing to move).
 
     The target is picked once, the largest count, the first of equal ones:
     each merge adds a positive count to it, so it stays the unique largest.
-    Each merge is scored from the terms it changes, its two stars and the
-    cycle edges at either end.
 
     Of the candidate sources, the merge whose result has the least
     canonical code is taken, the first of equal ones.  It is found from the
@@ -164,13 +148,10 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
     """
     counts, stars = _hanging_counts(g)
     m = len(counts)
-    chain = Chain([g])
-    chain.hms = []
-    hm = _star_hm(counts, range(m))
+    chain = [g]
     if not stars:
         # Star-collapse: keep the cycle, flatten each hanging tree.
         chain.append(cycle_with_stars(m, counts))
-        chain.hms.append(hm)
     # cycle_with_stars numbers the cycle 0..m-1 in leaf_strip's walk order,
     # so counts stay the profile of the chain's last graph.
     positions = [p for p, c in enumerate(counts) if c > 0]
@@ -197,18 +178,7 @@ def reduce_to_single_attachment(g: Graph) -> list[Graph]:
         # the least code (see above): max keeps the first of equal keys
         key = lambda p: dihedral_least(_move_star(counts, p, tgt))
         src = sources[0] if len(sources) == 1 else max(sources, key=key)
-        a, t = counts[src], counts[tgt]
-        gain = (t + a) * (3 + t + a) ** 2 - t * (3 + t) ** 2 - a * (3 + a) ** 2
-        for x in ((src - 1) % m, (src + 1) % m):  # an edge joining the two keeps its sum
-            if x != tgt:
-                gain -= a * (8 + 2 * counts[x] + a)
-        for y in sides:
-            if y != src:
-                gain += a * (8 + 2 * (counts[y] + t) + a)
-        if gain <= 0:
-            raise AssertionError("merge step failed to increase the index")
-        counts[tgt], counts[src], hm = t + a, 0, hm + gain
+        counts = _move_star(counts, src, tgt)
         positions.remove(src)
         chain.append(cycle_with_stars(m, counts))
-        chain.hms.append(hm)
     return chain

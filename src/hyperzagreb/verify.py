@@ -507,7 +507,7 @@ def _check_single_attachment_max() -> CheckResult:
             m = r.cycle
             bound = cycle_star_hm(m, n)
             chain = reduce_to_single_attachment(g)
-            hms = [r.hm, *chain.hms]  # the record's own index, then the chain's
+            hms = [r.hm, *map(hyper_zagreb, chain[1:])]  # the record's own index first
             if r.hm >= global_best:
                 best_seen.append((r.hm, canonical_code(g)))
             ok = (

@@ -594,6 +594,15 @@ def test_transform_reduce_domain_error(tmp_path, capsys):
     assert main(["transform", "reduce", str(f)]) == 4
 
 
+def test_transform_reduce_checks_every_step_rises(tmp_path, monkeypatch):
+    # the command scores the chain itself and refuses one that does not rise
+    monkeypatch.setattr(hyperzagreb.cli, "reduce_to_single_attachment", lambda g: [g, g])
+    f = tmp_path / "g.g6"
+    f.write_text(encode_graph6(cycle_with_stars(5, [1, 1, 1, 1, 1])) + "\n")
+    with pytest.raises(AssertionError, match="merge step failed to increase the index"):
+        main(["transform", "reduce", str(f)])
+
+
 def test_transform_refuses_graph6_output_above_limit(tmp_path, capsys):
     # a triangle with a pendant path, one vertex above the output limit
     n = MAX_OUTPUT_ORDER + 1

@@ -210,11 +210,11 @@ def test_a_passing_suite_draws_only_from_getrandbits_and_random(monkeypatch):
 
 
 def test_a_passing_suite_builds_nothing_it_only_reads(monkeypatch):
-    # hyper_zagreb scores only the fourth brooms: a reduce chain's first
-    # graph takes its record's hm and the rest the chain's own scores, and
-    # transforms cannot score at all; records are built for the join pool,
-    # the reduce chains and star max's one top tree per order; base graphs
-    # and hanging trees are never built
+    # hyper_zagreb scores the fourth brooms (53) and every reduce chain
+    # graph after the first (1,826): a chain's first graph takes its
+    # record's hm, and transforms cannot score at all; records are built for
+    # the join pool, the reduce chains and star max's one top tree per
+    # order; base graphs and hanging trees are never built
     calls = dict.fromkeys(["hyper_zagreb", "graph", "_sorted_graph", "_prufer_tree"], 0)
 
     def counted(owner, name, real):
@@ -233,7 +233,7 @@ def test_a_passing_suite_builds_nothing_it_only_reads(monkeypatch):
             calls[name] = 0
         assert lemma_suite(seed, 10000).passed
         assert calls == {
-            "hyper_zagreb": 53, "graph": 1064, "_sorted_graph": 0, "_prufer_tree": 0,
+            "hyper_zagreb": 1879, "graph": 1064, "_sorted_graph": 0, "_prufer_tree": 0,
         }
 
 
@@ -333,6 +333,13 @@ LEMMA_FAILURES = {
         _set("cycle_star_hm", lambda m, n: families.cycle_star_hm(m, n) - 1),
         verify._check_single_attachment_max,
         ("single-attachment-max", 1048, "Bw"),
+    ),
+    # each chain repeats its first graph, so no graph's chain strictly rises
+    "single-attachment-chain": (
+        _set("reduce_to_single_attachment",
+             lambda g: [g, *transforms.reduce_to_single_attachment(g)]),
+        verify._check_single_attachment_max,
+        ("single-attachment-max", 1040, "Bw"),
     ),
     "tree-order": (
         _set("TREE_TOP4", families.TREE_TOP4[::-1]), verify._check_tree_poly_chain,
