@@ -23,7 +23,7 @@ import re
 import sys
 from collections.abc import Iterable
 
-from .codec import CodecError, decode_graph6, encode_graph6, parse_edgelist
+from .codec import CodecError, _shown, decode_graph6, encode_graph6, parse_edgelist
 from .families import CATALOG, UnknownFamilyError, build_catalog_member
 from .graphs import Graph, classical_indices, hyper_zagreb
 from .transforms import coalesce, reduce_to_single_attachment
@@ -99,11 +99,6 @@ def _load_graph(path: str) -> Graph:
 
 # int() also reads '+', '_', blanks and non-ASCII digits
 _DECIMAL = re.compile(r"-?[0-9]+")
-
-
-def _shown(text: str) -> str:
-    """An argument as an error quotes it: at most its first 20 characters."""
-    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
 
 
 def _integer(text: str) -> int:

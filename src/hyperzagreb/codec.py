@@ -9,8 +9,9 @@ followed by m lines "u v" with 0-based ids; '#' starts a comment.
 from __future__ import annotations
 
 import re
+import sys
 
-from .graphs import Graph, make_graph
+from .graphs import Graph, GraphError, make_graph
 
 
 class CodecError(ValueError):
@@ -29,6 +30,11 @@ _EDGELIST_TEXT = re.compile("(?:[0-9 \t\r\n]+|#[^\n]*)*")
 _COMMENT = re.compile("#[^\n]*")
 
 
+def _shown(text: str) -> str:
+    """Text as an error quotes it: at most its first 20 characters."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def _encode_order(n: int) -> str:
     if n <= 62:
         return chr(n + 63)
@@ -42,13 +48,19 @@ def _decode_order(s: str) -> tuple[int, int]:
     if not s:
         raise CodecError("empty graph6 string")
     c0 = ord(s[0])
-    if c0 == 126:  # '~': 18-bit order in the next three characters
-        if len(s) < 4:
+    if c0 == 126:  # '~': an 18-bit order in 3 characters; '~~': 36-bit in 6
+        k = 2 if s[1:2] == "~" else 1
+        if len(s) < 4 * k:
             raise CodecError("truncated graph6 order")
-        vals = [ord(c) - 63 for c in s[1:4]]
-        if any(not 0 <= v <= 63 for v in vals):
-            raise CodecError("invalid graph6 order characters")
-        return (vals[0] << 12) | (vals[1] << 6) | vals[2], 4
+        n = 0
+        for c in s[k:4 * k]:
+            v = ord(c) - 63
+            if not 0 <= v <= 63:
+                raise CodecError("invalid graph6 order characters")
+            n = n << 6 | v
+        if n > MAX_ORDER:
+            raise CodecError(f"order {n} exceeds the limit of {MAX_ORDER} vertices")
+        return n, 4 * k
     if not 63 <= c0 <= 125:
         raise CodecError(f"invalid graph6 leading character {s[0]!r}")
     return c0 - 63, 1
@@ -126,20 +138,28 @@ def parse_edgelist(text: str) -> Graph:
         raise CodecError("empty edge list")
     if len(rows[0]) != 2:
         raise CodecError(f"expected 'n m' header, got {' '.join(rows[0])!r}")
-    n, m = int(rows[0][0]), int(rows[0][1])
-    if n > MAX_ORDER:
-        raise CodecError(f"order {n} exceeds the limit of {MAX_ORDER} vertices")
-    if len(rows) - 1 != m:
-        raise CodecError(f"header says {m} edges, found {len(rows) - 1}")
-    edges = []
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise CodecError(f"expected 'u v', got {' '.join(row)!r}")
-        edges.append((int(row[0]), int(row[1])))
     try:
+        n, m = int(rows[0][0]), int(rows[0][1])
+        if n > MAX_ORDER:
+            raise CodecError(f"order {n} exceeds the limit of {MAX_ORDER} vertices")
+        if len(rows) - 1 != m:
+            raise CodecError(f"header says {m} edges, found {len(rows) - 1}")
+        edges = []
+        for row in rows[1:]:
+            if len(row) != 2:
+                raise CodecError(f"expected 'u v', got {' '.join(row)!r}")
+            edges.append((int(row[0]), int(row[1])))
         return make_graph(n, edges)
-    except ValueError as exc:
+    except CodecError:
+        raise
+    except GraphError as exc:
         raise CodecError(str(exc)) from exc
+    except ValueError:  # every token is digits: int() refused one past its limit
+        limit = sys.get_int_max_str_digits()
+        tokens = ((i, t) for i, row in enumerate(text.split("\n"), 1) for t in row.split())
+        line, token = next((i, t) for i, t in tokens if len(t) > limit)
+        msg = f"integer {_shown(token)} on line {line} exceeds the limit of {limit} digits"
+        raise CodecError(msg) from None
 
 
 def format_edgelist(g: Graph) -> str:

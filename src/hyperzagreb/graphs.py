@@ -29,9 +29,9 @@ class DuplicateEdgeError(GraphError):
 class Graph(NamedTuple):
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Unchecked: make_graph validates edges; the other builders that write
-    sorted rows themselves (rooted.form_graph, codec.decode_graph6,
-    families.cycle_with_stars, verify._sorted_graph) call it directly.
+    Unchecked: make_graph validates edges; the three builders whose cost a
+    workload times (rooted.form_graph, codec.decode_graph6,
+    families.cycle_with_stars) write sorted rows and call it directly.
     """
 
     n: int

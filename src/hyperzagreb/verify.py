@@ -34,7 +34,7 @@ from .families import (
     cycle_star_hm_miscounted,
     cycle_with_stars,
 )
-from .graphs import Graph, hyper_zagreb, site
+from .graphs import Graph, hyper_zagreb, make_graph, site
 from .transforms import (
     attach_conditions,
     coalesce,
@@ -333,27 +333,6 @@ class SuiteReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _sorted_graph(rows: list[list[int]]) -> Graph:
-    """The Graph of unsorted neighbour rows."""
-    return Graph(len(rows), tuple([tuple(sorted(r)) for r in rows]))
-
-
-def _prufer_rows(seq: list[int], n: int) -> list[list[int]]:
-    """Unsorted neighbour rows of the labeled tree on n vertices with
-    Pruefer sequence seq."""
-    rows: list[list[int]] = [[] for _ in range(n)]
-    if n > 1:
-        for u, v in prufer_edges(seq, n):
-            rows[u].append(v)
-            rows[v].append(u)
-    return rows
-
-
-def _prufer_tree(seq: list[int], n: int) -> Graph:
-    """The labeled tree on n vertices with Pruefer sequence seq."""
-    return _sorted_graph(_prufer_rows(seq, n))
-
-
 def _below(bits: Callable[[int], int], n: int) -> int:
     """Random.randrange(n)'s draw, read straight from bits = getrandbits:
     n.bit_length() bits at a time until they are below n."""
@@ -378,11 +357,14 @@ def _hanging_site(rng: random.Random) -> tuple[list[int], int, tuple[int, int]]:
 
 
 def _random_base_rows(rng: random.Random, n: int) -> list[list[int]]:
-    """Unsorted neighbour rows of a random tree, or half the time (n >= 3)
-    of a random unicyclic graph, the tree with one absent edge closed; each
-    Pruefer entry and endpoint is the draw of randrange(n)."""
+    """Unsorted neighbour rows of a random tree on n >= 2 vertices, or half
+    the time (n >= 3) of a random unicyclic graph, the tree with one absent
+    edge closed; each Pruefer entry and endpoint is the draw of randrange(n)."""
     bits = rng.getrandbits
-    rows = _prufer_rows([_below(bits, n) for _ in range(n - 2)], n)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in prufer_edges([_below(bits, n) for _ in range(n - 2)], n):
+        rows[u].append(v)
+        rows[v].append(u)
     if n >= 3 and rng.random() < 0.5:
         while True:
             u, v = _below(bits, n), _below(bits, n)
@@ -427,7 +409,8 @@ def _check_attachment_shift(rng: random.Random, trials: int) -> CheckResult:
         # the join-vs-identify pairs, are built only for a failure's witness.
         gain1, gain2 = site_gain(*at_u, *at_z), site_gain(*at_w, *at_z)
         if gain2 < gain1 or (gain2 == gain1 and not (tight_a and tight_b)):
-            g, h = _sorted_graph(rows), _prufer_tree(seq, len(seq) + 2)
+            g = make_graph(n, [(x, y) for x in range(n) for y in rows[x] if x < y])
+            h = make_graph(len(seq) + 2, prufer_edges(seq, len(seq) + 2))
             failures.append(_pair_g6(coalesce(g, u, h, z), coalesce(g, w, h, z)))
         done += 1
     return _tally("attachment-shift", "random conditioned instances", done, failures)

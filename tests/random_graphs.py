@@ -6,13 +6,15 @@ generator and build sorted Graphs, a random unicyclic graph by adding its
 closing edge to a built tree's tuples.
 """
 
-from hyperzagreb.graphs import Graph
-from hyperzagreb.verify import _prufer_tree
+from hyperzagreb.enumeration import prufer_edges
+from hyperzagreb.graphs import Graph, make_graph
 
 
 def random_tree(rng, n):
-    """A uniform random labeled tree, decoded from a random Pruefer sequence."""
-    return _prufer_tree([rng.randrange(n) for _ in range(n - 2)], n)
+    """A uniform random labeled tree, decoded from a random Pruefer sequence;
+    the one tree on a single vertex has no sequence and no edge."""
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    return make_graph(n, prufer_edges(seq, n) if n > 1 else [])
 
 
 def random_base_graph(rng, n):
@@ -28,3 +30,9 @@ def random_base_graph(rng, n):
                 rows[v] = tuple(sorted(adj[v] + (u,)))
                 return Graph(n, tuple(rows))
     return g
+
+
+def rows_graph(rows):
+    """The Graph of unsorted neighbour rows, each edge passed once, u < v."""
+    n = len(rows)
+    return make_graph(n, [(u, v) for u in range(n) for v in rows[u] if u < v])

@@ -116,6 +116,20 @@ def test_edgelist_order_above_graph6_limit(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "258047" in err
 
 
+@pytest.mark.parametrize(
+    "text", ["1" * 5000 + " 0", "3 2\n0 1\n1 " + "1" * 5000, "2 " + "0" * 4999 + "1\n0 1\n"]
+)
+def test_edgelist_integer_past_the_digit_limit_exits_2(text, tmp_path, capsys):
+    # int() refuses more than 4,300 digits; the error quotes 20 of them
+    f = tmp_path / "g.edges"
+    f.write_text(text)
+    assert main(["compute", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and captured.err.startswith("error: parse failure: ")
+    assert not re.search("[0-9]{21}", captured.err)
+
+
 @pytest.mark.parametrize("text", [b"3 3\x1c0 1\x1d1 2\x1e0 2", b"3 2\n0 +1\n0_0 2\n"])
 def test_edgelist_outside_its_grammar_exits_2(text, tmp_path, capsys):
     f = tmp_path / "g.edges"

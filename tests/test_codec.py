@@ -58,6 +58,15 @@ MALFORMED_GRAPH6 = [
     ("\x0bBw", "invalid graph6 leading character '\\x0b'"),
     (">>graph6<<\x1dBw", "invalid graph6 leading character '\\x1d'"),
     ("~??", "truncated graph6 order"),
+    # '~~' opens the 36-bit order in six characters, refused past MAX_ORDER
+    ("~~", "truncated graph6 order"),
+    ("~~??", "truncated graph6 order"),
+    ("~~?????", "truncated graph6 order"),
+    ("~~???\x01??", "invalid graph6 order characters"),
+    ("~~??????", "graph6 order 0 not supported"),
+    ("~~???~~~", "order 262143 exceeds the limit of 258047 vertices"),
+    ("~~?@????", "order 16777216 exceeds the limit of 258047 vertices"),
+    ("~~~~~~~~" + "?" * 9, "order 68719476735 exceeds the limit of 258047 vertices"),
     ("~?\x01?", "invalid graph6 order characters"),
     ("?", "graph6 order 0 not supported"),
     ("B", "graph6 body for n=3 needs 1 characters, got 0"),
@@ -78,6 +87,15 @@ def test_malformed_graph6():
         with pytest.raises(CodecError) as exc:
             decode_graph6(text)
         assert str(exc.value) == message, text
+
+
+def test_graph6_long_order_form():
+    # '~~' and six characters may hold any order; one within MAX_ORDER
+    # reads as its shorter form does
+    g = make_graph(63, [(0, 62), (5, 7)])
+    text = encode_graph6(g)
+    assert text.startswith("~??~")
+    assert decode_graph6("~~???" + text[1:]) == g
 
 
 def test_edgelist_round_trip():
@@ -102,6 +120,13 @@ MALFORMED_EDGELIST = [
     ("3 2 # h\n0 1 # e\n0 1\n", "duplicate edge (0,1)"),
     ("3 3\n0 1\n1 0\n0 5\n", "duplicate edge (1,0)"),  # the first defect wins
     ("3 3\n0 5\n0 1\n1 0\n", "edge (0,5) out of range 0..2"),
+    # past int()'s limit of 4,300 digits, leading zeros included
+    ("1" * 5000 + " 0", "integer '11111111111111111111'... (5000 characters) on line 1"
+     " exceeds the limit of 4300 digits"),
+    ("3 2\n0 1\n1 " + "1" * 5000, "integer '11111111111111111111'... (5000 characters) on"
+     " line 3 exceeds the limit of 4300 digits"),
+    ("2 " + "0" * 4999 + "1\n0 1\n", "integer '00000000000000000000'... (5000 characters) on"
+     " line 1 exceeds the limit of 4300 digits"),
 ]
 
 

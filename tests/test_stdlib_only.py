@@ -106,7 +106,6 @@ ROW_WRITERS = {
     "rooted.form_graph",
     "codec.decode_graph6",
     "families.cycle_with_stars",
-    "verify._sorted_graph",
 }
 
 

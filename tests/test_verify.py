@@ -8,7 +8,7 @@ import pytest
 from hyperzagreb import families, transforms, verify
 from hyperzagreb.canon import canonical_code
 from hyperzagreb.codec import decode_graph6, encode_graph6
-from hyperzagreb.enumeration import ClassRecord, trees, unicyclic_graphs
+from hyperzagreb.enumeration import ClassRecord, prufer_edges, trees, unicyclic_graphs
 from hyperzagreb.families import CATALOG, build_catalog_member
 from hyperzagreb.graphs import hyper_zagreb, make_graph, site
 from hyperzagreb.verify import (
@@ -20,7 +20,7 @@ from hyperzagreb.verify import (
     verify_trees,
     verify_unicyclic,
 )
-from random_graphs import random_base_graph, random_tree
+from random_graphs import random_base_graph, random_tree, rows_graph
 
 
 def test_rank_tree_examples():
@@ -140,12 +140,11 @@ RANDOM_DRAWS_SHA256 = "4a2f6e923c9ade6c26f4647f458e73014359b2faadb2ca689149778ba
 
 def test_lemma_random_draws_pinned():
     rng = random.Random(0)
-    drawn = [verify._sorted_graph(verify._random_base_rows(rng, rng.randint(3, 10)))
+    drawn = [rows_graph(verify._random_base_rows(rng, rng.randint(3, 10)))
              for _ in range(500)]
     drawn += [random_tree(rng, rng.randint(2, 8)) for _ in range(500)]
     h = hashlib.sha256()
     for g in drawn:
-        assert g == make_graph(g.n, g.edges())
         h.update(encode_graph6(g).encode() + b"\n")
     assert h.hexdigest() == RANDOM_DRAWS_SHA256
 
@@ -159,7 +158,7 @@ def test_hanging_site_reads_the_tree_it_does_not_build():
         seq, z, at_z = verify._hanging_site(r1)
         h = random_tree(r2, r2.randint(2, 8))
         assert (z, at_z) == (r2.randrange(h.n), site(h.adj, z))
-        assert verify._prufer_tree(seq, len(seq) + 2) == h
+        assert make_graph(len(seq) + 2, prufer_edges(seq, len(seq) + 2)) == h
         assert r1.getstate() == r2.getstate()
         orders.add(h.n)
     assert orders == set(range(2, 9))
@@ -214,8 +213,8 @@ def test_a_passing_suite_builds_nothing_it_only_reads(monkeypatch):
     # graph after the first (1,826): a chain's first graph takes its
     # record's hm, and transforms cannot score at all; records are built for
     # the join pool, the reduce chains and star max's one top tree per
-    # order; base graphs and hanging trees are never built
-    calls = dict.fromkeys(["hyper_zagreb", "graph", "_sorted_graph", "_prufer_tree"], 0)
+    # order; base graphs, hanging trees and the rewrites are never built
+    calls = dict.fromkeys(["hyper_zagreb", "graph", "make_graph"], 0)
 
     def counted(owner, name, real):
         def wrapper(*args):
@@ -226,15 +225,13 @@ def test_a_passing_suite_builds_nothing_it_only_reads(monkeypatch):
     assert not hasattr(transforms, "hyper_zagreb")
     counted(verify, "hyper_zagreb", verify.hyper_zagreb)
     counted(ClassRecord, "graph", ClassRecord.graph)
-    counted(verify, "_sorted_graph", verify._sorted_graph)
-    counted(verify, "_prufer_tree", verify._prufer_tree)
+    counted(verify, "make_graph", verify.make_graph)
+    counted(transforms, "make_graph", transforms.make_graph)
     for seed in (0, 7):
         for name in calls:
             calls[name] = 0
         assert lemma_suite(seed, 10000).passed
-        assert calls == {
-            "hyper_zagreb": 1879, "graph": 1064, "_sorted_graph": 0, "_prufer_tree": 0,
-        }
+        assert calls == {"hyper_zagreb": 1879, "graph": 1064, "make_graph": 0}
 
 
 def test_a_passing_suite_reads_each_neighbourhood_once(monkeypatch):
