@@ -1,7 +1,7 @@
 """Exact Hyper-Zagreb index toolkit for trees and unicyclic graphs."""
 
 from .canon import canonical_code
-from .codec import decode_graph6, encode_graph6, format_edgelist, parse_edgelist
+from .codec import decode_graph6, encode_graph6, parse_edgelist
 from .families import (
     CATALOG,
     ClosedFormPoly,
@@ -9,7 +9,6 @@ from .families import (
     build_catalog_member,
     cycle_star_hm,
     cycle_with_stars,
-    path,
 )
 from .enumeration import ClassRecord, labeled_oracle, trees, unicyclic_graphs
 from .graphs import (
@@ -17,9 +16,6 @@ from .graphs import (
     ZagrebIndices,
     classical_indices,
     hyper_zagreb,
-    is_connected,
-    is_tree,
-    is_unicyclic,
     make_graph,
 )
 from .transforms import (
@@ -32,8 +28,7 @@ from .verify import (
     discover_tree_threshold,
     lemma_suite,
     rank,
-    verify_trees,
-    verify_unicyclic,
+    verify_class,
 )
 
 __version__ = "0.1.0"

@@ -73,6 +73,8 @@ class _CliFailure(Exception):
 def _read_text(path: str) -> str:
     try:
         if path == "-":
+            if sys.stdin is None:  # started with descriptor 0 closed
+                raise OSError("stdin is closed")
             data = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as fh:
@@ -364,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         code, message = EXIT_PARSE, f"parse failure: {exc}"
     except UnknownFamilyError as exc:
         code = EXIT_UNKNOWN_KEY
-        message = f"unknown family {exc.args[0]!r}; known: {', '.join(CATALOG)}"
+        message = f"unknown family {_shown(exc.args[0])}; known: {', '.join(CATALOG)}"
     except ValueError as exc:
         code, message = EXIT_DOMAIN, str(exc)
     except OSError as exc:

@@ -30,9 +30,9 @@ _EDGELIST_TEXT = re.compile("(?:[0-9 \t\r\n]+|#[^\n]*)*")
 _COMMENT = re.compile("#[^\n]*")
 
 
-def _shown(text: str) -> str:
-    """Text as an error quotes it: at most its first 20 characters."""
-    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+def _shown(text: str, quote=repr) -> str:
+    """Text as an error quotes it (digits with quote=str): at most 20 characters."""
+    return quote(text) if len(text) <= 20 else f"{quote(text[:20])}... ({len(text)} characters)"
 
 
 def _encode_order(n: int) -> str:
@@ -137,17 +137,19 @@ def parse_edgelist(text: str) -> Graph:
     if not rows:
         raise CodecError("empty edge list")
     if len(rows[0]) != 2:
-        raise CodecError(f"expected 'n m' header, got {' '.join(rows[0])!r}")
+        raise CodecError(f"expected 'n m' header, got {_shown(' '.join(rows[0]))}")
     try:
         n, m = int(rows[0][0]), int(rows[0][1])
         if n > MAX_ORDER:
-            raise CodecError(f"order {n} exceeds the limit of {MAX_ORDER} vertices")
+            raise CodecError(
+                f"order {_shown(str(n), str)} exceeds the limit of {MAX_ORDER} vertices"
+            )
         if len(rows) - 1 != m:
-            raise CodecError(f"header says {m} edges, found {len(rows) - 1}")
+            raise CodecError(f"header says {_shown(str(m), str)} edges, found {len(rows) - 1}")
         edges = []
         for row in rows[1:]:
             if len(row) != 2:
-                raise CodecError(f"expected 'u v', got {' '.join(row)!r}")
+                raise CodecError(f"expected 'u v', got {_shown(' '.join(row))}")
             edges.append((int(row[0]), int(row[1])))
         return make_graph(n, edges)
     except CodecError:
@@ -161,8 +163,3 @@ def parse_edgelist(text: str) -> Graph:
         msg = f"integer {_shown(token)} on line {line} exceeds the limit of {limit} digits"
         raise CodecError(msg) from None
 
-
-def format_edgelist(g: Graph) -> str:
-    lines = [f"{g.n} {g.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

@@ -107,13 +107,6 @@ class Core(NamedTuple):
         return tuple(coeffs)
 
 
-def path(n: int) -> Graph:
-    """P_n."""
-    if n < 1:
-        raise FamilyDomainError(f"path needs n >= 1, got {n}")
-    return form_graph(0, [(0, path_form(n - 1))])
-
-
 def cycle_with_stars(m: int, pendant_counts: Sequence[int]) -> Graph:
     """C_m(l_1, ..., l_k): pendant stars at the first k cycle positions.
 

@@ -37,24 +37,6 @@ class Graph(NamedTuple):
     n: int
     adj: tuple[tuple[int, ...], ...]
 
-    def degree(self, v: int) -> int:
-        adj = self.adj
-        if not 0 <= v < len(adj):
-            raise VertexRangeError(f"vertex {v} out of range 0..{self.n - 1}")
-        return len(adj[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        adj = self.adj
-        if not 0 <= v < len(adj):
-            raise VertexRangeError(f"vertex {v} out of range 0..{self.n - 1}")
-        return adj[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        adj = self.adj
-        if not (0 <= u < len(adj) and 0 <= v < len(adj)):
-            raise VertexRangeError(f"edge ({u},{v}) out of range 0..{self.n - 1}")
-        return v in adj[u]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
         for u in range(self.n):
@@ -152,29 +134,3 @@ def classical_indices(g: Graph) -> ZagrebIndices:
                 f += du * du + dv * dv
     return ZagrebIndices(m1=m1, m2=m2, f=f)
 
-
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == g.n
-
-
-def is_tree(g: Graph) -> bool:
-    """Connected with exactly n-1 edges."""
-    return g.num_edges == g.n - 1 and is_connected(g)
-
-
-def is_unicyclic(g: Graph) -> bool:
-    """Connected with exactly n edges (exactly one cycle)."""
-    return g.num_edges == g.n and is_connected(g)

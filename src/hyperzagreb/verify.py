@@ -2,8 +2,8 @@
 
 rank streams a graph class and keeps the top-k by index value with full tie
 groups.  verify_class checks one class's family chain against its ranking:
-the four tree families in strict order (verify_trees), or the eight-family
-unicyclic chain with its documented tail tie (verify_unicyclic).
+the four tree families in strict order, or the eight-family unicyclic
+chain with its documented tail tie.
 lemma_suite runs every randomized and exhaustive monotonicity property,
 and closed_form_audit checks every catalog polynomial against the cubic
 derived from its family's core, which covers every order from the row's
@@ -272,16 +272,6 @@ def verify_class(klass: str, n: int) -> VerdictReport:
     )
 
 
-def verify_trees(n: int) -> VerdictReport:
-    """Check that the four tree families head the ranking in strict order."""
-    return verify_class("trees", n)
-
-
-def verify_unicyclic(n: int) -> VerdictReport:
-    """Check the eight-family unicyclic chain; tail tie is pass-equivalent."""
-    return verify_class("unicyclic", n)
-
-
 def discover_tree_threshold(n_hi: int = 16) -> int | None:
     """Smallest n in [floor, n_hi] where the tree top-4 ordering holds.
 
@@ -289,7 +279,7 @@ def discover_tree_threshold(n_hi: int = 16) -> int | None:
     Discovered data, outside any stated claim; exhaustive per n, deterministic.
     """
     for n in range(CLAIMS["trees"][3], n_hi + 1):
-        if verify_trees(n).verdict == "pass":
+        if verify_class("trees", n).verdict == "pass":
             return n
     return None
 

@@ -25,8 +25,7 @@ from hyperzagreb.verify import (
     closed_form_audit,
     discover_tree_threshold,
     lemma_suite,
-    verify_trees,
-    verify_unicyclic,
+    verify_class,
 )
 
 TABLE_TREE_ROWS = ["S_n", "T^1_n", "T^2_n", "T^3_n"]
@@ -63,7 +62,7 @@ def test_criterion_2_point_value_2170():
 def test_criterion_3_tree_ordering_exhaustive():
     verdicts = {}
     for n in range(10, 16):
-        verdicts[n] = verify_trees(n).verdict
+        verdicts[n] = verify_class("trees", n).verdict
     ok = all(v == "pass" for v in verdicts.values())
     _report(3, ok, f"top-4 strict order over all trees, n=10..15: {verdicts}")
     assert ok, verdicts
@@ -128,7 +127,7 @@ def test_criterion_4_unicyclic_ordering_exhaustive():
         if not row7.evaluate(n) < hm < row6.evaluate(n):
             bad.append(("not between rows 6 and 7", n, hm))
     for n, (interloper_hm, row7_hm) in C4_DEVIATION.items():
-        rep = verify_unicyclic(n)
+        rep = verify_class("unicyclic", n)
         note = (
             f"rank 7: observed {INTERLOPER} (hm {interloper_hm}) where "
             f"{UNICYCLIC_TOP8[6]} (hm {row7_hm}) was expected"
@@ -170,7 +169,7 @@ def test_exhaustive_unicyclic_ordering_discovered():
     Pins what exhaustive enumeration finds, including the interloper family
     and the displaced 2170 tie at ranks 9-10.
     """
-    rep = verify_unicyclic(15)
+    rep = verify_class("unicyclic", 15)
     observed = [(e.hm, e.family) for e in rep.entries]
     assert observed == [
         (3228, "C_3(n-3)"),

@@ -30,12 +30,12 @@ from hyperzagreb.codec import (
     CodecError,
     decode_graph6,
     encode_graph6,
-    format_edgelist,
     parse_edgelist,
 )
 from hyperzagreb.families import CATALOG, cycle_with_stars
 from hyperzagreb.graphs import make_graph
 from hyperzagreb.rooted import form_graph, path_form, star_form
+from reference import format_edgelist
 
 
 def test_compute_edgelist(tmp_path, capsys):
@@ -195,6 +195,15 @@ def test_family_error_codes(capsys):
     assert main(["family", "T^9_n", "10"]) == 3
     capsys.readouterr()
     assert main(["family", "T^2_n", "5"]) == 4
+
+
+def test_unknown_family_quotes_at_most_20_characters_of_the_key(capsys):
+    known = ", ".join(CATALOG)
+    assert main(["family", "T^9_n", "10"]) == 3
+    assert capsys.readouterr() == ("", f"error: unknown family 'T^9_n'; known: {known}\n")
+    assert main(["family", "K" * 3000, "10"]) == 3
+    shown = "'KKKKKKKKKKKKKKKKKKKK'... (3000 characters)"
+    assert capsys.readouterr() == ("", f"error: unknown family {shown}; known: {known}\n")
 
 
 def test_enumerate_to_file(tmp_path, capsys):
@@ -602,9 +611,7 @@ def test_transform_reduce(tmp_path, capsys):
 
 def test_transform_reduce_domain_error(tmp_path, capsys):
     f = tmp_path / "tree.g6"
-    from hyperzagreb.families import path
-
-    f.write_text(encode_graph6(path(5)) + "\n")
+    f.write_text(encode_graph6(form_graph(0, [(0, path_form(4))])) + "\n")
     assert main(["transform", "reduce", str(f)]) == 4
 
 

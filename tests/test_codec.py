@@ -8,11 +8,11 @@ from hyperzagreb.codec import (
     CodecError,
     decode_graph6,
     encode_graph6,
-    format_edgelist,
     parse_edgelist,
 )
-from hyperzagreb.families import build_catalog_member, cycle_with_stars, path
+from hyperzagreb.families import build_catalog_member, cycle_with_stars
 from hyperzagreb.graphs import Graph, make_graph
+from reference import format_edgelist, path
 
 
 def test_known_encoding():
@@ -127,6 +127,13 @@ MALFORMED_EDGELIST = [
      " line 3 exceeds the limit of 4300 digits"),
     ("2 " + "0" * 4999 + "1\n0 1\n", "integer '00000000000000000000'... (5000 characters) on"
      " line 1 exceeds the limit of 4300 digits"),
+    # a row or an integer past 20 characters is quoted by its first 20
+    ("1" * 4000, "expected 'n m' header, got '11111111111111111111'... (4000 characters)"),
+    ("3 1\n0 1 " + "1" * 4000, "expected 'u v', got '0 1 1111111111111111'... (4004 characters)"),
+    ("9" * 4000 + " 0", "order 99999999999999999999... (4000 characters) exceeds the limit"
+     " of 258047 vertices"),
+    ("1 " + "7" * 4000, "header says 77777777777777777777... (4000 characters) edges, found 0"),
+    ("1 " + "7" * 20, "header says 77777777777777777777 edges, found 0"),
 ]
 
 

@@ -16,9 +16,10 @@ from hyperzagreb.enumeration import (
     trees,
     unicyclic_graphs,
 )
-from hyperzagreb.graphs import hyper_zagreb, is_tree, is_unicyclic, make_graph
+from hyperzagreb.graphs import hyper_zagreb, make_graph
 from line_events import line_events
 from nested_forms import form_key, form_size, placements
+from reference import is_tree, is_unicyclic
 
 
 def rooted_count_series(n_max):

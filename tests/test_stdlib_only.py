@@ -19,9 +19,10 @@ from hyperzagreb.families import CATALOG
 from hyperzagreb.graphs import classical_indices
 from hyperzagreb.rooted import FormTables, form_tables
 from hyperzagreb.transforms import join_vs_identify
-from hyperzagreb.verify import closed_form_audit, lemma_suite, verify_trees, verify_unicyclic
+from hyperzagreb.verify import closed_form_audit, lemma_suite, verify_class
 
 PACKAGE = pathlib.Path(hyperzagreb.__file__).parent
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 
 def test_src_imports_only_stdlib_and_itself():
@@ -99,6 +100,49 @@ def test_src_has_no_assert_statement():
     assert asserts == []
 
 
+def _reads(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_src_defines_no_public_name_only_tests_reach():
+    # a public function or class must be imported from its module by other
+    # src/ code or by perfbench/, or read by code of its own module that is
+    # reached; a public method must be named as an attribute there.  The
+    # tests' own references (graph predicates, an edge-list writer) live in
+    # tests/reference.py, not in src/.
+    modules = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    bench = [ast.parse(p.read_text(), str(p)) for p in sorted(PERFBENCH.glob("*.py"))]
+    assert len(bench) >= 5
+    users = [tree for stem, tree in modules.items() if stem != "__init__"] + bench
+    attributes = {n.attr for tree in users for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    unreached = []
+    for stem, tree in modules.items():
+        roots = set()
+        for user in users:
+            for n in ast.walk(user):
+                if isinstance(n, ast.ImportFrom) and n.module in (stem, f"hyperzagreb.{stem}"):
+                    roots |= {alias.name for alias in n.names}
+                elif isinstance(n, ast.Attribute) and stem in (
+                        getattr(n.value, "id", None), getattr(n.value, "attr", None)):
+                    roots.add(n.attr)
+        defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        todo = list(roots.union(*(_reads(n) for n in tree.body if n not in defs.values())))
+        reached = set()
+        while todo:
+            name = todo.pop()
+            if name in defs and name not in reached:
+                reached.add(name)
+                todo += _reads(defs[name])
+        for name, node in defs.items():
+            if not name.startswith("_") and name not in reached:
+                unreached.append(f"{stem}.{name}")
+            if isinstance(node, ast.ClassDef):
+                unreached += [f"{stem}.{name}.{m.name}" for m in node.body
+                              if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                              and m.name not in attributes]
+    assert unreached == []
+
+
 # The builders that write a Graph's sorted rows themselves; every other
 # graph goes through make_graph, which validates its edges.
 ROW_WRITERS = {
@@ -157,14 +201,14 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 # One record of every type src/ defines, built through the public calls.
 RECORDS = {
-    "RankEntry": lambda: verify_trees(8).entries[0],
-    "VerdictReport": lambda: verify_trees(8),
+    "RankEntry": lambda: verify_class("trees", 8).entries[0],
+    "VerdictReport": lambda: verify_class("trees", 8),
     "CheckResult": lambda: lemma_suite(1, 20).checks[0],
     "SuiteReport": lambda: lemma_suite(1, 20),
     "AuditRow": lambda: closed_form_audit(15, 16).rows[0],
     "AuditReport": lambda: closed_form_audit(15, 16),
     "ScaleCheck": lambda: closed_form_audit(15, 16).scale_check,
-    "Tie": lambda: verify_unicyclic(15).ties[0],
+    "Tie": lambda: verify_class("unicyclic", 15).ties[0],
     "OracleResult": lambda: labeled_oracle(5, "trees"),
     "ClassRecord": lambda: next(trees(6)),
     "ClosedFormPoly": lambda: CATALOG["C_3(1,n-4)"].poly,

@@ -17,10 +17,10 @@ from hyperzagreb.verify import (
     family_codes,
     lemma_suite,
     rank,
-    verify_trees,
-    verify_unicyclic,
+    verify_class,
 )
 from random_graphs import random_base_graph, random_tree, rows_graph
+from reference import path
 
 
 def test_rank_tree_examples():
@@ -73,13 +73,13 @@ def test_rank_checks_reported_index_against_built_graph():
 
 
 def test_verify_trees_pass_and_report_only():
-    rep = verify_trees(10)
+    rep = verify_class("trees", 10)
     assert rep.verdict == "pass"
     assert [e.family for e in rep.entries[:4]] == CATALOG_TOP4
-    rep = verify_trees(5)
+    rep = verify_class("trees", 5)
     assert rep.verdict == "report-only"
     with pytest.raises(ValueError):
-        verify_trees(4)
+        verify_class("trees", 4)
 
 
 CATALOG_TOP4 = ["S_n", "T^1_n", "T^2_n", "T^3_n"]
@@ -95,26 +95,26 @@ def test_tree_threshold_scan_starts_at_the_claim_floor(monkeypatch):
     # below the floor a report is report-only, so the scan starts there
     scanned = []
 
-    def spy(n):
-        scanned.append(n)
-        return real(n)
+    def spy(klass, n):
+        scanned.append((klass, n))
+        return real(klass, n)
 
-    real = verify.verify_trees
-    monkeypatch.setattr(verify, "verify_trees", spy)
+    real = verify.verify_class
+    monkeypatch.setattr(verify, "verify_class", spy)
     assert discover_tree_threshold(10) == 6
-    assert scanned == [verify.CLAIMS["trees"][3]] == [6]
+    assert scanned == [("trees", verify.CLAIMS["trees"][3])] == [("trees", 6)]
     assert discover_tree_threshold(5) is None
 
 
 def test_verify_unicyclic_report_only_below_threshold():
-    rep = verify_unicyclic(10)
+    rep = verify_class("unicyclic", 10)
     assert rep.verdict == "report-only"
     assert rep.passed
 
 
 def test_report_serialization_deterministic():
-    rep1 = verify_trees(8)
-    rep2 = verify_trees(8)
+    rep1 = verify_class("trees", 8)
+    rep2 = verify_class("trees", 8)
     assert rep1.to_text() == rep2.to_text()
     assert verify.json_data(rep1) == verify.json_data(rep2)
     assert "verdict:" in rep1.to_text()
@@ -316,7 +316,7 @@ LEMMA_FAILURES = {
         ("cycle-shrink", 1128, "m=4 n=4"),
     ),
     "star-max": (
-        _set("build_catalog_member", lambda key, n: families.path(n)), verify._check_star_max,
+        _set("build_catalog_member", lambda key, n: path(n)), verify._check_star_max,
         ("star-max-trees", 9, "n=4"),
     ),
     "join-vs-identify": (
@@ -518,7 +518,6 @@ def test_chain_check_verdict_and_note_per_branch(case, monkeypatch):
         key, source, fields = swap
         changes = {f: getattr(CATALOG[source], f) for f in fields}
         monkeypatch.setitem(CATALOG, key, CATALOG[key]._replace(**changes))
-    check = verify_trees if klass == "trees" else verify_unicyclic
-    rep = check(n)
+    rep = verify_class(klass, n)
     assert (rep.verdict, list(rep.notes)) == (verdict, notes)
     assert rep.passed == (verdict != "fail")
