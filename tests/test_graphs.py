@@ -12,6 +12,7 @@ from hyperzagreb.graphs import (
     classical_indices,
     hyper_zagreb,
     make_graph,
+    site,
 )
 from hyperzagreb.families import build_catalog_member, cycle_with_stars
 from reference import is_connected, is_tree, is_unicyclic, path
@@ -41,13 +42,38 @@ def test_degree():
     # a vertex's row in adj lists its neighbours, so its length is the degree
     c3 = cycle_with_stars(3, [])
     assert all(len(c3.adj[v]) == 2 for v in range(3))
-    assert c3.adj[0] == (1, 2) and 2 in c3.adj[0]
     s5 = build_catalog_member("S_n", 5)
     assert len(s5.adj[0]) == 4
     assert len(s5.adj[1]) == 1
+    assert site(s5.adj, 0) == (4, 4)
+    with pytest.raises(VertexRangeError):
+        site(s5.adj, 5)
+
+
+def test_accessors_refuse_minus_one_and_n():
+    # site is the one vertex query left; make_graph checks each edge's ends
     g = path(4)
+    for bad in (-1, 4):
+        with pytest.raises(VertexRangeError, match=f"vertex {bad} out of range for g"):
+            site(g.adj, bad)
+        for u, v in ((bad, 0), (0, bad)):
+            with pytest.raises(VertexRangeError, match=rf"edge \({u},{v}\) out of range 0\.\.3"):
+                make_graph(4, [(u, v)])
     assert [len(g.adj[v]) for v in range(4)] == [1, 2, 2, 1]
     assert g.adj[3] == (2,) and 2 in g.adj[3] and 3 not in g.adj[0]
+
+
+def test_neighbors_and_has_edge_refuse_out_of_range_vertices():
+    c3 = cycle_with_stars(3, [])
+    assert c3.adj[0] == (1, 2) and 2 in c3.adj[0]
+    with pytest.raises(VertexRangeError):
+        site(c3.adj, 3)
+    with pytest.raises(VertexRangeError):
+        site(c3.adj, -1)
+    with pytest.raises(VertexRangeError):
+        make_graph(3, [(0, 3)])
+    with pytest.raises(VertexRangeError):
+        make_graph(3, [(-1, 0)])
 
 
 def test_edge_contribution():
