@@ -264,8 +264,26 @@ def _cmd_coalesce(args) -> tuple[int, Iterable[str]]:
     return EXIT_OK, [f"graph6: {encode_graph6(merged)}\nhm: {hyper_zagreb(merged)}\n"]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # words past the first ': ' quoted as codec._shown does
+        name, sep, rest = message.partition(": ")
+        super().error(name + sep + re.sub(r"\S{21,}", lambda w: _shown(w[0], str), rest))
+
+
+def _command(sub, name: str, help: str, func, formats=(), ranged=False):
+    """Subcommand name with --out, then its --format choices and range if any."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--out")
+    if formats:
+        p.add_argument("--format", choices=formats, default="text")
+    if ranged:
+        p.add_argument("range", nargs="?", help="N or LO..HI")
+    p.set_defaults(func=func)
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyperzagreb",
         description=(
             "Exact Hyper-Zagreb index toolkit: compute indices, build the "
@@ -274,68 +292,49 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         epilog="Catalog keys: " + ", ".join(CATALOG),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out")
+    sub = parser.add_subparsers(dest="command", required=True)  # of class _Parser
 
-    p = sub.add_parser("compute", parents=[out],
-                       help="indices of a graph file (edge list or graph6)")
+    p = _command(sub, "compute", "indices of a graph file (edge list or graph6)", _cmd_compute)
     p.add_argument("input", help="path or '-' for stdin")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("family", parents=[out],
-                       help="build a catalog family and audit its value")
+    p = _command(sub, "family", "build a catalog family and audit its value", _cmd_family)
     p.add_argument("key")
     p.add_argument("n", type=_integer)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_family)
 
-    p = sub.add_parser("enumerate", parents=[out], help="emit one graph6 line per class")
+    p = _command(sub, "enumerate", "emit one graph6 line per class", _cmd_enumerate)
     p.add_argument("klass", choices=["trees", "unicyclic"])
     p.add_argument("n", type=_integer)
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("rank", parents=[out], help="top-k classes by index value")
+    p = _command(sub, "rank", "top-k classes by index value", _cmd_rank)
     p.add_argument("klass", choices=["trees", "unicyclic"])
     p.add_argument("n", type=_integer)
     p.add_argument("-k", type=_integer, default=8)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("verify", help="check the ordering claims / property suite")
     vsub = p.add_subparsers(dest="klass", required=True)
-    report = argparse.ArgumentParser(add_help=False, parents=[out])
-    report.add_argument("--format", choices=["text", "json"], default="text")
-    report.set_defaults(func=_cmd_verify)
-    ranged = argparse.ArgumentParser(add_help=False, parents=[report])
-    ranged.add_argument("range", nargs="?", help="N or LO..HI")
-    pt = vsub.add_parser("trees", parents=[ranged], help="tree ordering claims")
-    pt.add_argument("--discover-threshold", action="store_true",
-                    dest="discover_threshold",
-                    help="also report the smallest passing order")
-    vsub.add_parser("unicyclic", parents=[ranged],
-                    help="unicyclic ordering claims")
-    pl = vsub.add_parser("lemmas", parents=[report], help="randomized lemma checks")
-    pl.add_argument("--seed", type=_integer, default=0)
-    pl.add_argument("--trials", type=_integer, default=10_000)
-    vsub.add_parser("closed-forms", parents=[ranged],
-                    help="closed forms of the catalog families")
+    p = _command(vsub, "trees", "tree ordering claims", _cmd_verify, ["text", "json"], True)
+    p.add_argument("--discover-threshold", action="store_true",
+                   help="also report the smallest passing order")
+    _command(vsub, "unicyclic", "unicyclic ordering claims", _cmd_verify, ["text", "json"], True)
+    p = _command(vsub, "lemmas", "randomized lemma checks", _cmd_verify, ["text", "json"])
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--trials", type=_integer, default=10_000)
+    _command(vsub, "closed-forms", "closed forms of the catalog families", _cmd_verify,
+             ["text", "json"], True)
 
     p = sub.add_parser("transform", help="apply a rewrite to an input graph")
     tsub = p.add_subparsers(dest="which", required=True)
-    pr = tsub.add_parser("reduce", parents=[out],
-                         help="monotone chain down to one pendant star")
-    pr.add_argument("input")
-    pr.set_defaults(func=_cmd_reduce)
-    pc = tsub.add_parser("coalesce", parents=[out],
-                         help="identify a vertex of one graph with one of another")
-    pc.add_argument("input")
-    pc.add_argument("other")
-    pc.add_argument("--at", type=_integer, required=True, help="vertex in the first graph")
-    pc.add_argument("--to", type=_integer, required=True, help="vertex in the second graph")
-    pc.set_defaults(func=_cmd_coalesce)
-
+    p = _command(tsub, "reduce", "monotone chain down to one pendant star", _cmd_reduce)
+    p.add_argument("input")
+    p = _command(tsub, "coalesce", "identify a vertex of one graph with one of another",
+                 _cmd_coalesce)
+    p.add_argument("input")
+    p.add_argument("other")
+    p.add_argument("--at", type=_integer, required=True, help="vertex in the first graph")
+    p.add_argument("--to", type=_integer, required=True, help="vertex in the second graph")
     return parser
 
 
@@ -376,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         code, message = EXIT_IO, f"cannot write {'stdout' if to_stdout else args.out}: {exc}"
     else:
         return code
-    sys.stderr.write(f"error: {message}\n")
+    sys.stderr.write("error: " + re.sub(r"[0-9]{21,}", lambda d: _shown(d[0], str), message) + "\n")
     return code
 
 

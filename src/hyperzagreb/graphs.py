@@ -87,11 +87,11 @@ def make_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(order, tuple(map(tuple, adj)))
 
 
-def site(adj: Sequence[Sequence[int]], v: int, name: str = "g") -> tuple[int, int]:
+def site(adj: Sequence[Sequence[int]], v: int) -> tuple[int, int]:
     """v's degree and its neighbours' degree sum, all that a merge at v
     reads, from a Graph's adj or from unsorted neighbour lists."""
     if not 0 <= v < len(adj):
-        raise VertexRangeError(f"vertex {v} out of range for {name}")
+        raise VertexRangeError(f"vertex {v} out of range for g")
     return len(adj[v]), sum([len(adj[x]) for x in adj[v]])
 
 

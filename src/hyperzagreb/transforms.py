@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .canon import dihedral_least, leaf_strip
-from .graphs import Graph, GraphError, VertexRangeError, make_graph, site
+from .graphs import Graph, GraphError, VertexRangeError, make_graph
 from .families import cycle_with_stars
 
 
@@ -79,24 +79,20 @@ class JoinIdentifyPair(NamedTuple):
     have order n(g1) + n(g2).  With a = deg(u), b = deg(v) and S_u, S_v
     their neighbours' degree sums, identified exceeds joined in the index by
     ab(3(a + b) + 4) + 2(b S_u + a S_v) (join_identify_gap).  That is > 0
-    when a, b >= 1, as its first term is > 0 and the sums are >= 0; then
-    both merged endpoints have degree >= 2 in joined, and applicable holds.
+    when a, b >= 1, as its first term is > 0 and the sums are >= 0.
     """
 
     joined: Graph
     identified: Graph
-    applicable: bool
 
 
 def join_vs_identify(g1: Graph, u: int, g2: Graph, v: int) -> JoinIdentifyPair:
-    (du, _), (dv, _) = site(g1.adj, u, "g1"), site(g2.adj, v, "g2")
     offset = g1.n  # g2's ids shift past g1's
     shifted = [(x + offset, y + offset) for x, y in g2.edges()]
     merged = coalesce(g1, u, g2, v)
     return JoinIdentifyPair(
         joined=make_graph(g1.n + g2.n, [*g1.edges(), *shifted, (u, v + offset)]),
         identified=make_graph(merged.n + 1, [*merged.edges(), (u, merged.n)]),
-        applicable=du >= 1 and dv >= 1,
     )
 
 

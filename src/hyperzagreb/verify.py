@@ -408,7 +408,7 @@ def _check_attachment_shift(rng: random.Random, trials: int) -> CheckResult:
 
 def _check_join_identify() -> CheckResult:
     """Exhaustive over tree pairs on up to 6 vertices and all root choices;
-    with no lone vertex in the pool, every pair is applicable."""
+    with no lone vertex in the pool, every root has degree >= 1 and every gap is > 0."""
     pool = [t.graph() for n in range(2, 7) for t in trees(n)]
     sites = [[site(t.adj, v) for v in range(t.n)] for t in pool]
     failures = []

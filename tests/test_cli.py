@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import io
@@ -128,6 +129,16 @@ def test_edgelist_integer_past_the_digit_limit_exits_2(text, tmp_path, capsys):
     assert captured.out == ""
     assert _one_error_line(captured.err) and captured.err.startswith("error: parse failure: ")
     assert not re.search("[0-9]{21}", captured.err)
+
+
+def test_edgelist_vertex_id_below_the_digit_limit_is_quoted_short(tmp_path, capsys):
+    # int() reads 4,000 digits; make_graph's range error then quotes 20 of them
+    f = tmp_path / "g.edges"
+    f.write_text("3 1\n0 " + "9" * 4000 + "\n")
+    assert main(["compute", str(f)]) == 2
+    shown = "99999999999999999999... (4000 characters)"
+    err = f"error: parse failure: edge (0,{shown}) out of range 0..2\n"
+    assert capsys.readouterr() == ("", err)
 
 
 @pytest.mark.parametrize("text", [b"3 3\x1c0 1\x1d1 2\x1e0 2", b"3 2\n0 +1\n0_0 2\n"])
@@ -438,6 +449,65 @@ def test_readme_library_example_runs(capsys):
     assert out.startswith("[(1, ") and "verdict: fail\n" in out
 
 
+# Each runnable subcommand's prog and its actions in order, as
+# (option_strings, dest, nargs, choices, default, required, help): what its
+# help and usage lines are rendered from, which themselves read differently
+# from one Python version to the next.
+HELP = (["-h", "--help"], "help", 0, None, "==SUPPRESS==", False, "show this help message and exit")
+OUT = (["--out"], "out", None, None, None, False, None)
+REPORT = (["--format"], "format", None, ["text", "json"], "text", False, None)
+TABLE = (["--format"], "format", None, ["text", "json", "csv"], "text", False, None)
+RANGE = ([], "range", "?", None, None, False, "N or LO..HI")
+KLASS = ([], "klass", None, ["trees", "unicyclic"], None, True, None)
+ORDER = ([], "n", None, None, None, True, None)
+INPUT = ([], "input", None, None, None, True, None)
+CLI_SURFACE = {
+    "hyperzagreb compute": [
+        HELP, OUT, ([], "input", None, None, None, True, "path or '-' for stdin"), TABLE,
+    ],
+    "hyperzagreb family": [HELP, OUT, ([], "key", None, None, None, True, None), ORDER, REPORT],
+    "hyperzagreb enumerate": [HELP, OUT, KLASS, ORDER],
+    "hyperzagreb rank": [HELP, OUT, KLASS, ORDER, (["-k"], "k", None, None, 8, False, None), TABLE],
+    "hyperzagreb verify trees": [
+        HELP, OUT, REPORT, RANGE,
+        (["--discover-threshold"], "discover_threshold", 0, None, False, False,
+         "also report the smallest passing order"),
+    ],
+    "hyperzagreb verify unicyclic": [HELP, OUT, REPORT, RANGE],
+    "hyperzagreb verify lemmas": [
+        HELP, OUT, REPORT, (["--seed"], "seed", None, None, 0, False, None),
+        (["--trials"], "trials", None, None, 10000, False, None),
+    ],
+    "hyperzagreb verify closed-forms": [HELP, OUT, REPORT, RANGE],
+    "hyperzagreb transform reduce": [HELP, OUT, INPUT],
+    "hyperzagreb transform coalesce": [
+        HELP, OUT, INPUT, ([], "other", None, None, None, True, None),
+        (["--at"], "at", None, None, None, True, "vertex in the first graph"),
+        (["--to"], "to", None, None, None, True, "vertex in the second graph"),
+    ],
+}
+
+
+def _leaf_parsers(parser):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield parser
+    for action in subs:
+        for sub in action.choices.values():
+            yield from _leaf_parsers(sub)
+
+
+def test_parser_surface_is_pinned():
+    surface = {
+        p.prog: [
+            (a.option_strings, a.dest, a.nargs, a.choices, a.default, a.required, a.help)
+            for a in p._actions
+        ]
+        for p in _leaf_parsers(_build_parser())
+    }
+    assert list(surface.items()) == list(CLI_SURFACE.items())
+
+
 GRAPH_INPUT_COMMANDS = ["compute g", "transform reduce g", "transform coalesce g h --at 0 --to 0"]
 
 
@@ -490,6 +560,42 @@ def test_negative_integers_still_parse(capsys):
     assert _exit_code(["enumerate", "trees", "-1"]) == 4
     assert _exit_code(["verify", "lemmas", "--seed", "-1", "--trials", "30"]) == 0
     assert capsys.readouterr().out.startswith("seed: -1\n")
+
+
+NINES = "9" * 4000  # below int()'s 4,300-digit limit
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["family", "S_n", NINES], 4), (["verify", "trees", "--", "-" + NINES], 4),
+        (["transform", "coalesce", "g", "g", "--at", NINES, "--to", "0"], 4),
+        (["verify", "lemmas", "--trials", NINES], 4),
+        (["rank", "trees", "8", "-k", "-" + NINES], 4),
+        (["verify", "lemmas", "--trials", "-" + NINES], 4),
+        (["verify", "trees", "8", "9" * 5000], 2),
+        (["rank", "trees", "8", "--format", "x" * 3000], 2),
+    ],
+    ids=lambda v: ascii(v)[:60],
+)
+def test_errors_quote_at_most_20_characters_of_a_long_argument(
+    argv, code, tmp_path, monkeypatch, capsys
+):
+    # a run of more than 20 digits in an error, and a word past argparse's
+    # "argument NAME: ", are quoted as codec._shown quotes them
+    (tmp_path / "g").write_text("Bg\n")
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(argv) == code
+    err = capsys.readouterr().err
+    assert len(err) <= 400 and "... (" in err and not re.search(r"[0-9x]{21}", err)
+
+
+def test_usage_errors_keep_the_argument_name_whole(capsys):
+    assert _exit_code(["verify", "trees", "--discover-threshold=x"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(
+        "error: argument --discover-threshold: ignored explicit argument 'x'\n"
+    )
 
 
 def test_a_range_with_a_negative_low_end_follows_a_double_dash(capsys):

@@ -101,14 +101,17 @@ def test_codecs_return_a_graph_or_raise_codec_error(edgelist, graph6):
 # value for every positional, in order, and a drawn subset of its options,
 # each with its value, placed anywhere, plus at most one stray option.
 # Values come from the parser's choices and from pools that hold hostile
-# tokens: integers past int()'s 4,300-digit limit, non-ASCII digits, hex,
-# reversed and unbounded ranges, missing, binary and oversized-header files,
-# stdin (closed here), a 3,000-character family key and unwritable outputs.
-# A long token only ever fills a value slot: argparse quotes a word it
-# cannot place, or an invalid choice, whole.
+# tokens: integers past int()'s 4,300-digit limit and 4,000-digit ones below
+# it, of either sign, non-ASCII digits, hex, reversed and unbounded ranges,
+# missing, binary and oversized-header files, stdin (closed here), a
+# 3,000-character family key or choice and unwritable outputs.  The stray
+# option may be a 5,000-character word that argparse cannot place.
 LONG = "9" * 5000
+NINES = "9" * 4000
 POOLS = {
-    "integer": ["0", "1", "3", "8", "-2", "21", "4001", LONG, "\u0661\u0660", "0x10"],
+    "integer": [
+        "0", "1", "3", "8", "-2", "21", "4001", LONG, NINES, "-" + NINES, "\u0661\u0660", "0x10",
+    ],
     "range": ["8", "3..8", "8..9", "9..8", "0..4001", "1.." + LONG, "\u0661..\u0669", "8.."],
     "input": ["c3.g6", "p4.edges", "missing.g6", "binary.g6", "header.edges", "-"],
     "key": ["S_n", "T^9_n", "K" * 3000],
@@ -121,7 +124,7 @@ FILES = {
     "binary.g6": bytes(range(256)),
     "header.edges": b"9" * 4000 + b" 0\n",
 }
-STRAYS = [["-x"], ["-h"], ["--discover-threshold"], ["--seed", "3"], ["--format", "csv"]]
+STRAYS = [["-x"], ["-h"], ["--discover-threshold"], ["--seed", "3"], ["--format", "csv"], [LONG]]
 ALWAYS = {"trials"}  # its default, 10,000 lemma trials, is the one slow default
 
 
@@ -137,7 +140,7 @@ def _leaves(parser, words=()):
 
 def _values(action):
     if action.choices:
-        return st.sampled_from([*action.choices, "forest"])
+        return st.sampled_from([*action.choices, "forest", "x" * 3000])
     pool = POOLS["integer"] if action.type is cli._integer else POOLS[action.dest]
     return st.sampled_from(pool)
 
@@ -176,6 +179,10 @@ def cli_files(tmp_path_factory):
 @example(argv=["family", "K" * 3000, "8"])
 @example(argv=["transform", "coalesce", "c3.g6", "binary.g6", "--at", "0", "--to", "0"])
 @example(argv=["enumerate", "trees", "8", "--out", "nodir/out.txt"])
+@example(argv=["family", "S_n", NINES])
+@example(argv=["rank", "trees", "8", "-k", "-" + NINES])
+@example(argv=["verify", "trees", "8", LONG])
+@example(argv=["rank", "trees", "8", "--format", "x" * 3000])
 def test_cli_exit_codes_on_drawn_arguments(cli_files, argv):
     # exit 0-5, argparse's usage error counting as 2, no exception escapes,
     # and with short file paths one error stays short

@@ -128,9 +128,9 @@ def test_rewrite_edge_cases():
             coalesce(g, bad, dot, 0)
         with pytest.raises(VertexRangeError, match="^vertex -?[0-9]+ out of range for h$"):
             coalesce(dot, 0, g, bad)
-        with pytest.raises(VertexRangeError, match="out of range for g1$"):
+        with pytest.raises(VertexRangeError, match="^vertex -?[0-9]+ out of range for g$"):
             join_vs_identify(g, bad, dot, 0)
-        with pytest.raises(VertexRangeError, match="out of range for g2$"):
+        with pytest.raises(VertexRangeError, match="^vertex -?[0-9]+ out of range for h$"):
             join_vs_identify(dot, 0, g, bad)
 
 
@@ -168,7 +168,7 @@ def test_attachment_comparison_symmetric_sites():
 
 def merge_gain(g, u, h, z):
     """What coalesce(g, u, h, z) adds to the index, from the two sites."""
-    return site_gain(*site(g.adj, u), *site(h.adj, z, "h"))
+    return site_gain(*site(g.adj, u), *site(h.adj, z))
 
 
 def test_coalesce_gain_matches_the_built_coalescence():
@@ -201,8 +201,6 @@ def test_coalesce_gain_matches_the_built_coalescence():
     for bad in (-1, 4):
         with pytest.raises(GraphError, match="out of range for g$"):
             site(g.adj, bad)
-        with pytest.raises(GraphError, match="out of range for h$"):
-            site(g.adj, bad, "h")
 
 
 def _built_gap(g1, u, g2, v):
@@ -229,14 +227,8 @@ def test_join_identify_gap_matches_the_built_pair():
             for u, v in product(range(g1.n), range(g2.n)):
                 gap = join_identify_gap(site(g1.adj, u), site(g2.adj, v))
                 assert gap == _built_gap(g1, u, g2, v)
-                assert (gap > 0) == join_vs_identify(g1, u, g2, v).applicable
+                assert (gap > 0) == (len(g1.adj[u]) >= 1 and len(g2.adj[v]) >= 1)
     assert orders == set(range(1, 9))
-    g = cycle_with_stars(4, [])
-    for bad in (-1, 4):
-        with pytest.raises(GraphError, match="out of range for g1$"):
-            site(g.adj, bad, "g1")
-        with pytest.raises(GraphError, match="out of range for g2$"):
-            site(g.adj, bad, "g2")
 
 
 def reference_attach_conditions(g, u, w):
@@ -264,12 +256,12 @@ def test_attach_conditions_match_the_accessor_reference():
 
 
 def test_join_vs_identify_examples():
+    # both roots of degree 2: identifying beats joining; a lone root: a tie
     pair = join_vs_identify(path(3), 1, path(3), 1)
-    assert pair.applicable
     assert pair.joined.n == pair.identified.n == 6
     assert hyper_zagreb(pair.joined) < hyper_zagreb(pair.identified)
-    guard = join_vs_identify(make_graph(1, []), 0, path(3), 1)
-    assert not guard.applicable
+    dot = make_graph(1, [])
+    assert len(dot.adj[0]) == 0 and _built_gap(dot, 0, path(3), 1) == 0
 
 
 def test_star_profile_recognizer():
