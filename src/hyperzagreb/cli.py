@@ -270,19 +270,28 @@ class _Parser(argparse.ArgumentParser):
         super().error(name + sep + re.sub(r"\S{21,}", lambda w: _shown(w[0], str), rest))
 
 
-def _command(sub, name: str, help: str, func, formats=(), ranged=False):
-    """Subcommand name with --out, then its --format choices and range if any."""
-    p = sub.add_parser(name, help=help)
-    p.add_argument("--out")
-    if formats:
-        p.add_argument("--format", choices=formats, default="text")
-    if ranged:
-        p.add_argument("range", nargs="?", help="N or LO..HI")
-    p.set_defaults(func=func)
-    return p
+def _build_parser(words: list[str]) -> argparse.ArgumentParser:
+    """The parser: every subcommand is listed (so choices, usage, help and
+    errors read as with the whole tree), but only one named in words is
+    built; the rest are bare, with no -h, arguments or subcommands.  argparse
+    picks a subparser only by a whole argv word equal to its name, never by
+    an abbreviation, so parsing the argv it was built from never reaches one."""
 
+    def command(sub, name: str, help: str, func=None, formats=(), ranged=False):
+        """Subcommand name; a leaf (with func) has --out, --format, range."""
+        if name not in words:
+            sub.add_parser(name, help=help, add_help=False)
+            return None
+        p = sub.add_parser(name, help=help)
+        if func:
+            p.add_argument("--out")
+            p.set_defaults(func=func)
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
+        if ranged:
+            p.add_argument("range", nargs="?", help="N or LO..HI")
+        return p
 
-def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hyperzagreb",
         description=(
@@ -294,52 +303,53 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)  # of class _Parser
 
-    p = _command(sub, "compute", "indices of a graph file (edge list or graph6)", _cmd_compute)
-    p.add_argument("input", help="path or '-' for stdin")
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    if p := command(sub, "compute", "indices of a graph file (edge list or graph6)", _cmd_compute):
+        p.add_argument("input", help="path or '-' for stdin")
+        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
-    p = _command(sub, "family", "build a catalog family and audit its value", _cmd_family)
-    p.add_argument("key")
-    p.add_argument("n", type=_integer)
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    if p := command(sub, "family", "build a catalog family and audit its value", _cmd_family):
+        p.add_argument("key")
+        p.add_argument("n", type=_integer)
+        p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = _command(sub, "enumerate", "emit one graph6 line per class", _cmd_enumerate)
-    p.add_argument("klass", choices=["trees", "unicyclic"])
-    p.add_argument("n", type=_integer)
+    if p := command(sub, "enumerate", "emit one graph6 line per class", _cmd_enumerate):
+        p.add_argument("klass", choices=["trees", "unicyclic"])
+        p.add_argument("n", type=_integer)
 
-    p = _command(sub, "rank", "top-k classes by index value", _cmd_rank)
-    p.add_argument("klass", choices=["trees", "unicyclic"])
-    p.add_argument("n", type=_integer)
-    p.add_argument("-k", type=_integer, default=8)
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    if p := command(sub, "rank", "top-k classes by index value", _cmd_rank):
+        p.add_argument("klass", choices=["trees", "unicyclic"])
+        p.add_argument("n", type=_integer)
+        p.add_argument("-k", type=_integer, default=8)
+        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
-    p = sub.add_parser("verify", help="check the ordering claims / property suite")
-    vsub = p.add_subparsers(dest="klass", required=True)
-    p = _command(vsub, "trees", "tree ordering claims", _cmd_verify, ["text", "json"], True)
-    p.add_argument("--discover-threshold", action="store_true",
-                   help="also report the smallest passing order")
-    _command(vsub, "unicyclic", "unicyclic ordering claims", _cmd_verify, ["text", "json"], True)
-    p = _command(vsub, "lemmas", "randomized lemma checks", _cmd_verify, ["text", "json"])
-    p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--trials", type=_integer, default=10_000)
-    _command(vsub, "closed-forms", "closed forms of the catalog families", _cmd_verify,
-             ["text", "json"], True)
+    if p := command(sub, "verify", "check the ordering claims / property suite"):
+        vsub = p.add_subparsers(dest="klass", required=True)
+        if p := command(vsub, "trees", "tree ordering claims", _cmd_verify, ["text", "json"], True):
+            p.add_argument("--discover-threshold", action="store_true",
+                           help="also report the smallest passing order")
+        command(vsub, "unicyclic", "unicyclic ordering claims", _cmd_verify, ["text", "json"], True)
+        if p := command(vsub, "lemmas", "randomized lemma checks", _cmd_verify, ["text", "json"]):
+            p.add_argument("--seed", type=_integer, default=0)
+            p.add_argument("--trials", type=_integer, default=10_000)
+        command(vsub, "closed-forms", "closed forms of the catalog families", _cmd_verify,
+                ["text", "json"], True)
 
-    p = sub.add_parser("transform", help="apply a rewrite to an input graph")
-    tsub = p.add_subparsers(dest="which", required=True)
-    p = _command(tsub, "reduce", "monotone chain down to one pendant star", _cmd_reduce)
-    p.add_argument("input")
-    p = _command(tsub, "coalesce", "identify a vertex of one graph with one of another",
-                 _cmd_coalesce)
-    p.add_argument("input")
-    p.add_argument("other")
-    p.add_argument("--at", type=_integer, required=True, help="vertex in the first graph")
-    p.add_argument("--to", type=_integer, required=True, help="vertex in the second graph")
+    if p := command(sub, "transform", "apply a rewrite to an input graph"):
+        tsub = p.add_subparsers(dest="which", required=True)
+        if p := command(tsub, "reduce", "monotone chain down to one pendant star", _cmd_reduce):
+            p.add_argument("input")
+        if p := command(tsub, "coalesce", "identify a vertex of one graph with one of another",
+                        _cmd_coalesce):
+            p.add_argument("input")
+            p.add_argument("other")
+            p.add_argument("--at", type=_integer, required=True, help="vertex in the first graph")
+            p.add_argument("--to", type=_integer, required=True, help="vertex in the second graph")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     sink = None
     written = 0
     try:

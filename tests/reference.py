@@ -1,8 +1,8 @@
 """Plain references the tests check the package against, used by the tests only.
 
 A breadth-first connectivity check and the two class predicates built on
-it, the edge-list writer that parse_edgelist's round trips read back, and
-the path P_n.
+it, the edge-list writer that parse_edgelist's round trips read back, the
+path P_n, and the CLI's every subcommand word.
 """
 
 from hyperzagreb.graphs import Graph
@@ -46,3 +46,12 @@ def format_edgelist(g: Graph) -> str:
 def path(n: int) -> Graph:
     """P_n, labelled 0-1-...-(n-1) by rooted.form_graph; n >= 1."""
     return form_graph(0, [(0, path_form(n - 1))])
+
+
+# Every subcommand name at every level: the CLI's parser built from these
+# words is its whole tree, which a parser built from one call's argv is
+# checked against.
+EVERY_COMMAND_WORD = [
+    "compute", "family", "enumerate", "rank", "verify", "transform",
+    "trees", "unicyclic", "lemmas", "closed-forms", "reduce", "coalesce",
+]

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import hashlib
 import importlib
 import io
@@ -36,7 +37,7 @@ from hyperzagreb.codec import (
 from hyperzagreb.families import CATALOG, cycle_with_stars
 from hyperzagreb.graphs import make_graph
 from hyperzagreb.rooted import form_graph, path_form, star_form
-from reference import format_edgelist
+from reference import EVERY_COMMAND_WORD, format_edgelist
 
 
 def test_compute_edgelist(tmp_path, capsys):
@@ -490,22 +491,147 @@ CLI_SURFACE = {
 
 def _leaf_parsers(parser):
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subs:
+    if not subs and parser.add_help:  # a bare, unnamed subcommand has no -h
         yield parser
     for action in subs:
         for sub in action.choices.values():
             yield from _leaf_parsers(sub)
 
 
-def test_parser_surface_is_pinned():
-    surface = {
+def _surface(parser):
+    return {
         p.prog: [
             (a.option_strings, a.dest, a.nargs, a.choices, a.default, a.required, a.help)
             for a in p._actions
         ]
-        for p in _leaf_parsers(_build_parser())
+        for p in _leaf_parsers(parser)
     }
-    assert list(surface.items()) == list(CLI_SURFACE.items())
+
+
+def test_parser_surface_is_pinned():
+    assert list(_surface(_build_parser(EVERY_COMMAND_WORD)).items()) == list(CLI_SURFACE.items())
+    # built from one leaf's words, the parser builds that leaf alike, and no other
+    for prog, actions in CLI_SURFACE.items():
+        assert _surface(_build_parser(prog.split()[1:])) == {prog: actions}
+
+
+# Exit code and sha256 of stdout and stderr, with COLUMNS=80, of -h and
+# --bogus on each of the 13 parsers and of seven more usage errors, pinned
+# while every call built every parser; the same under Python 3.10.13, 3.11.7,
+# 3.12.1 and 3.13.0.  A later patch release (3.13.13) prints an invalid
+# choice's list unquoted and reads "--" before a subcommand as a separator:
+# USAGE_LATER holds those two rows as they print there, and either form of
+# each passes.
+EMPTY = hashlib.sha256(b"").hexdigest()
+USAGE = {
+    "-h":
+        (0, "05f79e047372b68654ee966cf004ad01ece91fbcfa692a3a9040e5d24fc06eb2", EMPTY),
+    "--bogus":
+        (2, EMPTY, "f23014645da6ac870af344ff2ce303da41ed834c788cfc609dcc0fcd86f28529"),
+    "compute -h":
+        (0, "36fd54eaf765ba4fe818441566b4a650f0688a00a17014f655ae6d109a98031f", EMPTY),
+    "compute --bogus":
+        (2, EMPTY, "58cc34fa05f80ce92727ac5c8df78120f2d493956b769b86b1555f033eaf434a"),
+    "family -h":
+        (0, "25f8d1820a4bdc5311ea60d118a05c7dba2e85d409055a16bf1c743c5fc866f5", EMPTY),
+    "family --bogus":
+        (2, EMPTY, "57665b360220e80ecb1811151f776569670b0aa091f0b8ba86bd841be71e0dfa"),
+    "enumerate -h":
+        (0, "3a6855f43256d1b4dd0b49f1f090f0ed7490eebf5de5707a1f92b21a22683ab5", EMPTY),
+    "enumerate --bogus":
+        (2, EMPTY, "e6cc0df1c5ed0a048838e9c8431bbb5b7d5b68230683f4569bd385517a06a969"),
+    "rank -h":
+        (0, "a6bd50bf0293479186b8f97664deb703d07922068f97636ed61a2f56bfb90a9f", EMPTY),
+    "rank --bogus":
+        (2, EMPTY, "69153f9a18f27459e400c7fb257ce01ee0c52d1889c3642d17723e42a00f16e2"),
+    "verify -h":
+        (0, "b365c9063302182a5d53fa53ad43fc322be0132c28974abd25cd537f933bc075", EMPTY),
+    "verify --bogus":
+        (2, EMPTY, "96ac1f3595ebd2eccaf64ae5a7bc0fa4f633ad4e49e8e57e5b8bb61b2894b233"),
+    "verify trees -h":
+        (0, "072c9732ba9db50d64222f6739d852d00cb166248e09d4e14c686fb52c49c4b8", EMPTY),
+    "verify trees --bogus":
+        (2, EMPTY, "4492a94ce33de3a361ecccb9412a0b1ca327b592fcd9f8fd72722417376dc431"),
+    "verify unicyclic -h":
+        (0, "65bcd3d632714cff1bbd4a02fe71256a40800c0c150216b4fadde3f3b06ed67f", EMPTY),
+    "verify unicyclic --bogus":
+        (2, EMPTY, "4492a94ce33de3a361ecccb9412a0b1ca327b592fcd9f8fd72722417376dc431"),
+    "verify lemmas -h":
+        (0, "2e0a3e7d5c36fbced341d2f34af326601a1ee9eeaa327eb06a1857ceeca0ba66", EMPTY),
+    "verify lemmas --bogus":
+        (2, EMPTY, "4492a94ce33de3a361ecccb9412a0b1ca327b592fcd9f8fd72722417376dc431"),
+    "verify closed-forms -h":
+        (0, "189689444dc8a82eba4df4ccf68f434ec58b6a8d9b18db12b146ab3e4a3c1bbf", EMPTY),
+    "verify closed-forms --bogus":
+        (2, EMPTY, "4492a94ce33de3a361ecccb9412a0b1ca327b592fcd9f8fd72722417376dc431"),
+    "transform -h":
+        (0, "f89479f688d2e722e39b23db0743d9b026a16ea8f43e3e40a2916057def7d152", EMPTY),
+    "transform --bogus":
+        (2, EMPTY, "998499aee31a044ab5ec9fc5b191b916dbc018e9210d3850c1878b4447c63386"),
+    "transform reduce -h":
+        (0, "6fd17f10718a8212c56169f3937ace75c0b50e39e8a7433ccaeb7ac31a7a3d37", EMPTY),
+    "transform reduce --bogus":
+        (2, EMPTY, "9250137c6b29e8889638d5a3d8e94414bc01c7ccb5254c585cf49f82412feef6"),
+    "transform coalesce -h":
+        (0, "6b0cd27448a8579ee3d30ceae7ba116f4528f4c388b75c75eb82539361701651", EMPTY),
+    "transform coalesce --bogus":
+        (2, EMPTY, "bbacc7aa38264cb7e03b1e39e8d692a51f8ff0b711fbe8c735cf8c9f3e4f488e"),
+    "bogus":
+        (2, EMPTY, "c8440ffff67fc1cb7f8b9cfe7f77cdf3cd22026fa810f1003d825c27bbe2d746"),
+    "":
+        (2, EMPTY, "f23014645da6ac870af344ff2ce303da41ed834c788cfc609dcc0fcd86f28529"),
+    "verify":
+        (2, EMPTY, "96ac1f3595ebd2eccaf64ae5a7bc0fa4f633ad4e49e8e57e5b8bb61b2894b233"),
+    "transform":
+        (2, EMPTY, "998499aee31a044ab5ec9fc5b191b916dbc018e9210d3850c1878b4447c63386"),
+    "--bogus verify trees 8":
+        (2, EMPTY, "4492a94ce33de3a361ecccb9412a0b1ca327b592fcd9f8fd72722417376dc431"),
+    "-- verify trees 6":
+        (2, EMPTY, "e57584f8efee18c3f4b26d5072abc27d3a87d834e02e9d5717488df0d83cad4a"),
+    "verify trees 8 --bogus":
+        (2, EMPTY, "4492a94ce33de3a361ecccb9412a0b1ca327b592fcd9f8fd72722417376dc431"),
+}
+USAGE_LATER = {
+    "bogus":
+        (2, EMPTY, "9a13dcfbef0e7beb2dda02946d256162f471b1ffdaed4c9edc588535c2de7b2c"),
+    "-- verify trees 6":
+        (0, "f46610559bc837ced0913e124a8a6dd0a1bfabd3a68e093972ae857655e88f74", EMPTY),
+}
+
+
+def test_help_and_usage_bytes_are_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = {}
+    for line in USAGE:
+        code = _exit_code(line.split())
+        out, err = capsys.readouterr()
+        seen[line] = (code, *(hashlib.sha256(s.encode()).hexdigest() for s in (out, err)))
+    assert {k: v for k, v in seen.items() if v not in (USAGE[k], USAGE_LATER.get(k))} == {}
+
+
+@pytest.mark.parametrize("argv,code,parsers,arguments", [
+    ("compute g", 5, 7, 5), ("verify closed-forms 15..45", 0, 11, 6), ("-h", 0, 7, 1),
+])
+def test_a_call_builds_only_the_subcommands_it_names(
+    argv, code, parsers, arguments, tmp_path, monkeypatch, capsys
+):
+    # building every parser, 13 of them with 49 arguments, took most of a
+    # small call's time; an unnamed subcommand is listed but left bare
+    counts = collections.Counter()
+
+    def counted(real):
+        def call(*args, **kwargs):
+            counts[real] += 1
+            return real(*args, **kwargs)
+        return call
+
+    init, add = argparse.ArgumentParser.__init__, argparse._ActionsContainer.add_argument
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted(init))
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted(add))
+    monkeypatch.chdir(tmp_path)  # no file g
+    assert _exit_code(argv.split()) == code
+    capsys.readouterr()
+    assert (counts[init], counts[add]) == (parsers, arguments)
 
 
 GRAPH_INPUT_COMMANDS = ["compute g", "transform reduce g", "transform coalesce g h --at 0 --to 0"]
@@ -516,7 +642,7 @@ GRAPH_INPUT_COMMANDS = ["compute g", "transform reduce g", "transform coalesce g
 ])
 def test_shared_options_parse_alike(argv):
     # a graph file's format is detected, never forced
-    parse = _build_parser().parse_args
+    parse = _build_parser(argv.split()).parse_args
     assert parse(argv.split()).out is None
     assert parse(argv.split() + ["--out", "o.txt"]).out == "o.txt"
     for bad in (["--input-format", "graph6"], ["--input-format", "edgelist"], ["--out"]):

@@ -13,6 +13,7 @@ import io
 import os
 import sys
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
@@ -29,7 +30,7 @@ from hyperzagreb.codec import (  # noqa: E402
 )
 from hyperzagreb.enumeration import prufer_edges  # noqa: E402
 from hyperzagreb.graphs import Graph, make_graph  # noqa: E402
-from reference import format_edgelist  # noqa: E402
+from reference import EVERY_COMMAND_WORD, format_edgelist  # noqa: E402
 
 BOUNDED = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -97,7 +98,7 @@ def test_codecs_return_a_graph_or_raise_codec_error(edgelist, graph6):
             pass
 
 
-# The CLI as a user calls it: each subcommand of cli._build_parser() with a
+# The CLI as a user calls it: each subcommand of its whole parser with a
 # value for every positional, in order, and a drawn subset of its options,
 # each with its value, placed anywhere, plus at most one stray option.
 # Values come from the parser's choices and from pools that hold hostile
@@ -147,7 +148,7 @@ def _values(action):
 
 @st.composite
 def cli_argv(draw):
-    words, parser = draw(st.sampled_from(list(_leaves(cli._build_parser()))))
+    words, parser = draw(st.sampled_from(list(_leaves(cli._build_parser(EVERY_COMMAND_WORD)))))
     positionals, options = [], []
     for action in parser._actions:
         if isinstance(action, argparse._HelpAction):
@@ -185,18 +186,27 @@ def cli_files(tmp_path_factory):
 @example(argv=["rank", "trees", "8", "--format", "x" * 3000])
 def test_cli_exit_codes_on_drawn_arguments(cli_files, argv):
     # exit 0-5, argparse's usage error counting as 2, no exception escapes,
-    # and with short file paths one error stays short
-    err, here, stdin = io.StringIO(), os.getcwd(), sys.stdin
+    # and with short file paths one error stays short; a parser built from
+    # the argv's words acts as the whole tree does
+    build, here, stdin = cli._build_parser, os.getcwd(), sys.stdin
     os.chdir(cli_files)
     sys.stdin = None  # what Python sets when descriptor 0 is closed
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
+        code, out, err = _main(argv)
+        with mock.patch.object(cli, "_build_parser", lambda words: build(EVERY_COMMAND_WORD)):
+            assert _main(argv) == (code, out, err), argv
     finally:
         sys.stdin = stdin
         os.chdir(here)
-    assert code in range(6), (argv, err.getvalue()[:400])
-    assert len(err.getvalue()) <= 400, (argv, err.getvalue()[:400])
+    assert code in range(6), (argv, err[:400])
+    assert len(err) <= 400, (argv, err[:400])
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
