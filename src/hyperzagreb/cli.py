@@ -264,10 +264,35 @@ def _cmd_coalesce(args) -> tuple[int, Iterable[str]]:
     return EXIT_OK, [f"graph6: {encode_graph6(merged)}\nhm: {hyper_zagreb(merged)}\n"]
 
 
+def _invalid_choice(action, value) -> argparse.ArgumentError:
+    choices = ", ".join(map(repr, action.choices))
+    return argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+
+
 class _Parser(argparse.ArgumentParser):
+    """argparse as Python 3.10.13-3.13.0 parse this CLI, on later releases too."""
+
     def error(self, message):  # words past the first ': ' quoted as codec._shown does
         name, sep, rest = message.partition(": ")
         super().error(name + sep + re.sub(r"\S{21,}", lambda w: _shown(w[0], str), rest))
+
+    def _check_value(self, action, value):  # later releases leave the choices unquoted
+        if action.choices is not None and value not in action.choices:
+            raise _invalid_choice(action, value)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # A "--" where the subcommand is named is refused as an invalid choice;
+        # later releases skip it.  Only unknown options can come before it:
+        # a positional word is the subcommand, and -h or its prefixes act first.
+        commands = [a for a in self._actions if a.nargs == argparse.PARSER]
+        for word in (args or ()) if commands else ():
+            if word == "--":
+                self.error(str(_invalid_choice(commands[0], word)))
+            if (word[:1] != "-" or word == "-" or " " in word or word.startswith("-h")
+                    or self._negative_number_matcher.match(word)
+                    or word.partition("=")[0] in ("--", "--h", "--he", "--hel", "--help")):
+                break
+        return super().parse_known_args(args, namespace)
 
 
 def _build_parser(words: list[str]) -> argparse.ArgumentParser:

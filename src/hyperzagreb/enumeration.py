@@ -31,6 +31,10 @@ joining the roots (the cycle edges, the centroid edge or the centroid's
 child edges).  Ranking scores every class this way, then builds and codes
 only the classes it reports: record.graph() reads their forms through
 FormTables.kids, and canon.canonical_code codes the graph it builds.
+The registry scores no form of its top size.  trees(n) asks for one size
+more than its halves, n // 2, so it reads scored forms only; the unicyclic
+walk's top size n - 2 ends only the triangle (0, 0, x), and the walk
+scores each such x from its first child and rest form.
 
 The labeled oracle is the independent ground truth used to certify both
 generators at small orders: it scans every labeled graph of the class as an
@@ -98,14 +102,16 @@ def trees(n: int) -> Iterator[ClassRecord]:
     """All free trees on n vertices, one record per class.
 
     The last subtrees of a class, at most floor((n-1)/2) vertices in all,
-    come from a table of such tails built once per call.
+    come from a table of such tails built once per call.  The registry goes
+    one size past the halves, n // 2, whose scores it reads: the top size
+    keeps only its (first, rest) pairs, 1,842 at n = 20.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if n == 1:
         yield ClassRecord(1, 0, 0, (), form_tables(1))
         return
-    tables = form_tables(n // 2)
+    tables = form_tables(n // 2 + 1)
     hung, ids_by_size, size = tables.hung, tables.ids_by_size, tables.size
     k = tables.deg  # a hanging form's root degree
     # Single centroid: every hanging subtree has at most half = floor((n-1)/2)
@@ -191,10 +197,12 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
     # of FormTables' E, moved from d = c + 1 to d = D), and each cycle edge
     # adds (D_i + D_{i+1})^2.  A root meets two cycle edges, so own = E(f, D)
     # + 2D^2 takes their square terms and a cycle edge adds 2 * D_i * D_{i+1}.
-    deg = [d + 1 for d in tables.deg]
-    own = [h + (d - 2) * (2 * d - 1) + 2 * s1 + 2 * d * d
-           for h, d, s1 in zip(tables.hung, deg, tables.s1)]
+    # Both lists, like the registry's scores, stop below the top size.
+    head, tail, k, hung, s1 = tables.first, tables.rest, tables.deg, tables.hung, tables.s1
+    deg = [d + 1 for d in k]
+    own = [h + (d - 2) * (2 * d - 1) + 2 * s + 2 * d * d for h, d, s in zip(hung, deg, s1)]
     stop = [ids.stop for ids in ids_by_size]  # 1 + largest id of size <= s
+    scored = len(own)
     new = tuple.__new__  # as in trees: no NamedTuple __new__ call per record
     for m in range(3, n + 1):
         # Per position: the id, the prefix's period, the size left, the
@@ -255,9 +263,21 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
                 while i < m and rev[i:i + m] >= a:
                     i = rev.index(a0, i + 1)
                 keep = i >= m  # else a rotation of the reversal is smaller
+            if stop[r] <= scored:
+                for x in range(first if keep else first + 1, stop[r]):
+                    a[m - 1] = x
+                    yield new(ClassRecord, (n, base + own[x] + c * deg[x], m, tuple(a), tables))
+                continue
+            # The top size, n - 2, leaves 2 vertices for m - 1 >= 2 beads: only
+            # after the triangle's (0, 0).  x is f = head[x] before the children
+            # of g = tail[x], scored as form_tables scores a smaller size, its
+            # root at degree d + 1 below a parent, d + 2 on the cycle.
             for x in range(first if keep else first + 1, stop[r]):
-                a[m - 1] = x
-                yield new(ClassRecord, (n, base + own[x] + c * deg[x], m, tuple(a), tables))
+                a[m - 1], f, g = x, head[x], tail[x]
+                d, d_f = k[g], k[f]
+                hung_x = hung[g] + (d - 1) * (2 * d + 1) + 2 * s1[g] + hung[f] + (d + 1 + d_f) ** 2
+                own_x = hung_x + d * (2 * d + 3) + 2 * (s1[g] + d_f) + 2 * (d + 2) ** 2
+                yield new(ClassRecord, (n, base + own_x + c * (d + 2), m, tuple(a), tables))
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,23 @@ def test_records_agree_with_built_graphs():
             assert canonical_code(r) == canonical_code(h), (r.n, encode_graph6(g))
 
 
+def test_only_the_triangle_of_two_leaves_hangs_a_top_size_bead():
+    # unicyclic_graphs(n) reads form_tables(n - 2), which keeps no scores for
+    # its top size n - 2.  A bead of n - 2 vertices leaves 2 for the rest, so
+    # it ends the triangle (0, 0, x): one record per rooted form of n - 2
+    # vertices, each scored by the walk from x's two parts.
+    r = rooted_count_series(14)
+    for n in range(4, 17):
+        count = 0
+        for rec in unicyclic_graphs(n):
+            top = rec.tables.ids_by_size[n - 2]
+            if max(rec.ids) >= top.start:
+                assert rec.cycle == 3 and rec.ids[:2] == (0, 0) and rec.ids[2] in top
+                assert rec.hm == hyper_zagreb(rec.graph()), (n, rec.ids)
+                count += 1
+        assert top.stop == rec.tables.ids_by_size[-1].stop and count == r[n - 2]
+
+
 def test_trees_match_networkx():
     # second, independent tree generator (WROM), used by this test only
     nx = pytest.importorskip("networkx")

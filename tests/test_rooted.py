@@ -1,3 +1,4 @@
+import tracemalloc
 from bisect import bisect_right
 
 from hyperzagreb.canon import CLOSE, OPEN, hanging_trees
@@ -38,13 +39,14 @@ def test_forms_sorted_and_unique():
     # Ids ascend strictly in (size, nested tuple) order, so comparing id
     # tuples agrees with comparing forms; children are listed largest first.
     tables = form_tables(10)
-    every = range(len(tables.size))
+    every = range(tables.ids_by_size[10].stop)
     forms = [nested_form(tables, fid) for fid in every]
     keys = [form_key(f) for f in forms]
     assert keys == sorted(set(keys))
     for n in range(1, 11):
         assert all(form_size(forms[fid]) == n for fid in tables.ids_by_size[n])
-    assert tables.size == [form_size(f) for f in forms]
+    # the size column stops below the top size
+    assert tables.size == [form_size(f) for f in forms[:tables.ids_by_size[10].start]]
     assert all(list(kids) == sorted(kids, reverse=True) for kids in map(tables.kids, every))
 
 
@@ -52,8 +54,10 @@ def test_hung_is_the_index_below_a_parent():
     # hung[f] is the index of the form's own edges when its root hangs below
     # a parent: the index of f under one new parent vertex, minus the edge
     # from that parent (degree 1) to f's root (its child count plus one).
-    tables = form_tables(8)
-    for fid in range(len(tables.size)):
+    # form_tables(9) scores every form of up to 8 vertices.
+    tables = form_tables(9)
+    assert len(tables.hung) == tables.ids_by_size[9].start
+    for fid in range(len(tables.hung)):
         g = form_graph(0, [(0, (nested_form(tables, fid),))])
         assert tables.hung[fid] == hyper_zagreb(g) - (1 + len(tables.kids(fid)) + 1) ** 2
 
@@ -93,39 +97,65 @@ def reference_form_tables(max_size):
 
 
 def test_registry_matches_the_sorted_build():
-    ref = reference_form_tables(12)
-    for max_size in range(1, 13):
+    # Ids, children and keys reach the top size; the scores stop below it,
+    # but always hold id 0: form_tables(13) scores every size up to 12.
+    ref = reference_form_tables(13)
+    for max_size in range(1, 14):
         tables = form_tables(max_size)
         count = ref[2][max_size].stop
+        scored = ref[2][max_size].start if max_size > 1 else 1
         assert tables.ids_by_size == ref[2][:max_size + 1]
-        assert tables.size == [s for s, ids in enumerate(ref[2][:max_size + 1]) for _ in ids]
+        sizes = [s for s, ids in enumerate(ref[2][:max_size + 1]) for _ in ids]
+        assert tables.size == sizes[:scored]
         children = [tables.kids(fid) for fid in range(count)]
         assert children == ref[0][:count]
-        # each id's bracket key, as canon writes it for the form hung from
-        # vertex 0 of a triangle
-        keys = [
-            hanging_trees(form_graph(3, [(0, fid)], tables.kids))[0][1] for fid in range(count)
-        ]
-        assert keys == ref[1][:count]
+        # the bracket key of each id of the top size, as canon writes it for
+        # the form hung from vertex 0 of a triangle; the smaller ids, with the
+        # same children, had theirs read at a smaller max_size
+        top = ref[2][max_size]
+        keys = [hanging_trees(form_graph(3, [(0, fid)], tables.kids))[0][1] for fid in top]
+        assert keys == ref[1][top.start:count]
+        children = children[:scored]
         assert tables.deg == [len(kids) + 1 for kids in children]
-        assert tables.hung == ref[3][:count]
+        assert tables.hung == ref[3][:scored]
         assert tables.s1 == [sum(len(children[x]) + 1 for x in kids) for kids in children]
 
 
 def test_every_id_is_its_first_child_and_rest():
     # Every size, the top one too, stores a form as its first child and the
     # smaller form whose children follow it, in integer columns only: no
-    # column holds a bracket key.
+    # column holds a bracket key.  The score columns stop below the top size,
+    # and a top-size form's parts are both scored.
     assert FormTables._fields == ("first", "rest", "deg", "ids_by_size", "size", "hung", "s1")
     for max_size in range(1, 13):
         tables = form_tables(max_size)
-        count = len(tables.size)
-        assert len(tables.first) == len(tables.rest) == len(tables.deg) == count
+        count, scored = tables.ids_by_size[max_size].stop, len(tables.size)
+        assert scored == (tables.ids_by_size[max_size].start if max_size > 1 else 1)
+        assert len(tables.first) == len(tables.rest) == count
+        assert len(tables.deg) == len(tables.hung) == len(tables.s1) == scored
         first, rest, size, deg = tables.first, tables.rest, tables.size, tables.deg
         for fid in range(1, count):
             assert tables.kids(fid) == (first[fid],) + tables.kids(rest[fid])
-            assert size[fid] == size[first[fid]] + size[rest[fid]]
-            assert deg[fid] == deg[rest[fid]] + 1
+            parts = size[first[fid]] + size[rest[fid]]
+            assert parts == (size[fid] if fid < scored else max_size)
+            if fid < scored:
+                assert deg[fid] == deg[rest[fid]] + 1
+
+
+def test_registry_memory_is_bounded():
+    # form_tables(13), unicyclic_graphs(15)'s registry, keeps no scores for
+    # its 12,486 forms of 13 vertices and sorts each size by one integer key.
+    # Scoring them and sorting by rank tuples, it kept 1.48-1.54 MiB and
+    # peaked at 1.84-1.92 MiB; now 0.69-0.71 and 1.21-1.28 MiB (Python
+    # 3.10.13, 3.11.7, 3.12.1, 3.13.0 and 3.13.13).
+    tracemalloc.start()
+    try:
+        tables = form_tables(13)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tables.first) == tables.ids_by_size[13].stop == 20_299
+    assert kept < 1.0 * 2**20 and peak < 1.5 * 2**20, (kept, peak)
 
 
 def test_form_graph_round_trip():
@@ -148,12 +178,12 @@ def test_ids_hang_and_key_like_their_nested_forms():
     # triangle rises with the id: ids order as their keys do.
     tables = form_tables(8)
     hung = []
-    for fid in range(len(tables.size)):
+    for fid in range(tables.ids_by_size[8].stop):
         g = form_graph(0, [(0, fid)], tables.kids)
         assert g == form_graph(0, [(0, nested_form(tables, fid))])
         hung.append(hanging_trees(form_graph(3, [(0, fid)], tables.kids))[0])
     assert hung == sorted(set(hung))
-    assert [size for size, _ in hung] == tables.size
+    assert [size for size, _ in hung] == [s for s, ids in enumerate(tables.ids_by_size) for _ in ids]
 
 
 def test_deepest_form_keys_like_its_hanging_tree():

@@ -250,5 +250,5 @@ def test_form_tables_compare_by_identity_and_print_short():
     assert a == a and a != b and not a == b
     assert hash(a) == object.__hash__(a) != hash(b)
     record = next(unicyclic_graphs(15))  # its registry is form_tables(13)
-    assert isinstance(record.tables, FormTables) and record.tables.size[-1] == 13
+    assert isinstance(record.tables, FormTables) and len(record.tables.ids_by_size) - 1 == 13
     assert len(repr(record)) < 300
