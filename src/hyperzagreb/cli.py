@@ -270,7 +270,7 @@ def _invalid_choice(action, value) -> argparse.ArgumentError:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse as Python 3.10.13-3.13.0 parse this CLI, on later releases too."""
+    """argparse as Python 3.10.13-3.12.1 parse this CLI, on later releases too."""
 
     def error(self, message):  # words past the first ': ' quoted as codec._shown does
         name, sep, rest = message.partition(": ")
@@ -279,6 +279,13 @@ class _Parser(argparse.ArgumentParser):
     def _check_value(self, action, value):  # later releases leave the choices unquoted
         if action.choices is not None and value not in action.choices:
             raise _invalid_choice(action, value)
+
+    def _parse_optional(self, arg_string):  # -hx: 3.10-3.12 refuse the x, 3.13 prints help
+        tail = arg_string[2:].lstrip("h")  # -hh=x: they refuse "=x", 3.13 refuses "x"
+        if (arg_string[:2] == "-h" and tail and tail[0] != "-" and arg_string[2] != "="
+                and "-" + tail[0] not in self._option_string_actions):
+            arg_string = "-h=" + tail  # -h=x and -h==x are refused alike on every release
+        return super()._parse_optional(arg_string)
 
     def parse_known_args(self, args=None, namespace=None):
         # A "--" where the subcommand is named is refused as an invalid choice;

@@ -31,10 +31,7 @@ joining the roots (the cycle edges, the centroid edge or the centroid's
 child edges).  Ranking scores every class this way, then builds and codes
 only the classes it reports: record.graph() reads their forms through
 FormTables.kids, and canon.canonical_code codes the graph it builds.
-The registry scores no form of its top size.  trees(n) asks for one size
-more than its halves, n // 2, so it reads scored forms only; the unicyclic
-walk's top size n - 2 ends only the triangle (0, 0, x), and the walk
-scores each such x from its first child and rest form.
+The registry leaves its top size unscored: see FormTables.
 
 The labeled oracle is the independent ground truth used to certify both
 generators at small orders: it scans every labeled graph of the class as an
@@ -103,8 +100,7 @@ def trees(n: int) -> Iterator[ClassRecord]:
 
     The last subtrees of a class, at most floor((n-1)/2) vertices in all,
     come from a table of such tails built once per call.  The registry goes
-    one size past the halves, n // 2, whose scores it reads: the top size
-    keeps only its (first, rest) pairs, 1,842 at n = 20.
+    one size past the halves, n // 2, whose scores it reads (see FormTables).
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
@@ -192,15 +188,16 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
         raise ValueError(f"order must be >= 3, got {n}")
     tables = form_tables(n - 2)
     ids_by_size, size = tables.ids_by_size, tables.size
-    # On the cycle a form's root has degree D = c + 2 for c children.  Its
-    # own edges add E(f, D) = hung + (D - 2)(2D - 1) + 2*S1 (the terms in d
-    # of FormTables' E, moved from d = c + 1 to d = D), and each cycle edge
-    # adds (D_i + D_{i+1})^2.  A root meets two cycle edges, so own = E(f, D)
-    # + 2D^2 takes their square terms and a cycle edge adds 2 * D_i * D_{i+1}.
-    # Both lists, like the registry's scores, stop below the top size.
-    head, tail, k, hung, s1 = tables.first, tables.rest, tables.deg, tables.hung, tables.s1
-    deg = [d + 1 for d in k]
-    own = [h + (d - 2) * (2 * d - 1) + 2 * s + 2 * d * d for h, d, s in zip(hung, deg, s1)]
+    # On the cycle a form's root has degree D = k + 1, k = deg: own_score is
+    # its own edges, E(f, D) = hung + (k - 1)(2k + 1) + 2*S1 (FormTables' E at
+    # d = D), plus 2D^2, the square terms of its two cycle edges, so a cycle
+    # edge adds 2 * D_i * D_{i+1}.  Both lists stop below the top size.
+
+    def own_score(k: int, hung: int, s1: int) -> int:
+        return hung + 2 * s1 + 4 * k * k + 3 * k + 1
+
+    own = list(map(own_score, tables.deg, tables.hung, tables.s1))
+    deg = [k + 1 for k in tables.deg]
     stop = [ids.stop for ids in ids_by_size]  # 1 + largest id of size <= s
     scored = len(own)
     new = tuple.__new__  # as in trees: no NamedTuple __new__ call per record
@@ -263,21 +260,17 @@ def unicyclic_graphs(n: int) -> Iterator[ClassRecord]:
                 while i < m and rev[i:i + m] >= a:
                     i = rev.index(a0, i + 1)
                 keep = i >= m  # else a rotation of the reversal is smaller
+            xs = range(first if keep else first + 1, stop[r])
             if stop[r] <= scored:
-                for x in range(first if keep else first + 1, stop[r]):
+                for x in xs:
                     a[m - 1] = x
                     yield new(ClassRecord, (n, base + own[x] + c * deg[x], m, tuple(a), tables))
                 continue
-            # The top size, n - 2, leaves 2 vertices for m - 1 >= 2 beads: only
-            # after the triangle's (0, 0).  x is f = head[x] before the children
-            # of g = tail[x], scored as form_tables scores a smaller size, its
-            # root at degree d + 1 below a parent, d + 2 on the cycle.
-            for x in range(first if keep else first + 1, stop[r]):
-                a[m - 1], f, g = x, head[x], tail[x]
-                d, d_f = k[g], k[f]
-                hung_x = hung[g] + (d - 1) * (2 * d + 1) + 2 * s1[g] + hung[f] + (d + 1 + d_f) ** 2
-                own_x = hung_x + d * (2 * d + 3) + 2 * (s1[g] + d_f) + 2 * (d + 2) ** 2
-                yield new(ClassRecord, (n, base + own_x + c * (d + 2), m, tuple(a), tables))
+            # Only the triangle (0, 0) ends in the top size n - 2: see FormTables.
+            for x, (k, hung, s1) in zip(xs, tables.scores(xs)):
+                a[m - 1] = x
+                yield new(ClassRecord, (n, base + own_score(k, hung, s1) + c * (k + 1), m,
+                                        tuple(a), tables))
 
 
 # ---------------------------------------------------------------------------

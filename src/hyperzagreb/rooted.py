@@ -9,8 +9,8 @@ order, then canon.CLOSE) orders forms of one size as the lexicographic
 order of nested tuples, so comparing id tuples agrees with comparing
 forms.  The registry stores integers only and writes no key: canon
 writes the keys of a graph's hanging trees, and a class record is coded
-through the graph form_graph hangs from its ids.  Its largest size keeps
-only each form's two parts, since its one reader scores forms from them.
+through the graph form_graph hangs from its ids.  Its top size is left
+unscored: see FormTables.
 
 Family builders describe forms to form_graph as nested tuples: the empty
 tuple is a single vertex and a node is the tuple of its child forms in
@@ -21,7 +21,7 @@ form_graph hangs them on a cycle or a lone root, writing each row sorted.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graphs import Graph
 
@@ -35,22 +35,21 @@ class FormTables(NamedTuple):
     first child first[fid] followed by the children of the smaller form
     rest[fid]; id 0, the single vertex, holds the placeholders -1 and 0.
     kids() reads a form's children off first and rest; no column holds a
-    key.  first, rest and ids_by_size reach every size; the score columns
-    stop below the top size, max_size, but always hold id 0.  size[fid]
-    holds a form's vertex count and deg[fid] its root's degree below a
-    parent, its child count plus one.  A form's own edges are those from
-    its root down.  With c children of degrees d_j and its root at degree d
-    they add up to
+    key.  size[fid] holds a form's vertex count and deg[fid] its root's
+    degree below a parent, its child count plus one.  A form's own edges
+    are those from its root down.  With c children of degrees d_j and its
+    root at degree d they add up to
 
         E(f, d) = B + c*d^2 + 2*d*S1 + S2,  S1 = sum d_j,  S2 = sum d_j^2,
 
     where B, the index of the edges below the children, is the sum of
     E(child, d_j).  hung holds E(f, c + 1), the form hanging below a parent,
     and s1 holds S1; only the terms in d differ at any other root degree.
-    A top-size form's scores follow from its first's and rest's in constant
-    time, as form_tables derives each smaller size's; their one reader, the
-    unicyclic walk's triangle (0, 0), derives them itself, so no column
-    keeps them.
+    The top size, max_size, keeps only first, rest and ids_by_size: size
+    and the scores stop below it, but always hold id 0.  At n - 2 it holds
+    most of unicyclic_graphs(n)'s forms (12,486 of 20,299 at n = 15); its
+    one reader, the walk's triangle (0, 0), reads each once through
+    scores(), which derives any form's scores from its first's and rest's.
     """
 
     first: array
@@ -69,6 +68,17 @@ class FormTables(NamedTuple):
         """The child ids of form fid, largest first."""
         return (self.first[fid],) + self.kids(self.rest[fid]) if fid else ()
 
+    def scores(self, ids: range) -> Iterator[tuple[int, int, int]]:
+        """(deg, hung, s1) of each id, from its first's and rest's, both scored."""
+        first, rest, deg, hung, s1 = self.first, self.rest, self.deg, self.hung, self.s1
+        for x in ids:
+            f, g = first[x], rest[x]
+            # g's root, at degree d below a parent, gains f: E(g, d + 1) =
+            # hung[g] + (d - 1)(2d + 1) + 2*S1, plus hung[f] and the roots' edge.
+            d, d_f = deg[g], deg[f]
+            e = hung[g] + (d - 1) * (2 * d + 1) + 2 * s1[g] + hung[f] + (d + 1 + d_f) ** 2
+            yield d + 1, e, s1[g] + d_f
+
 
 def form_tables(max_size: int) -> FormTables:
     """The registry of rooted forms on 1..max_size >= 1 vertices.
@@ -80,46 +90,35 @@ def form_tables(max_size: int) -> FormTables:
     prefix of another, so keys compare like f's keys, then g's: f runs
     over order, every smaller id in key order, g over the ids of size
     s - k, skipping each whose first child exceeds f (ids order by size
-    first, keys do not).  Below the top size, order takes in the new ids
-    by the ranks of their f and g in it.  The top size writes only first
-    and rest: at n - 2 it holds most of unicyclic_graphs(n)'s forms (12,486
-    of 20,299 at n = 15), and one walk prefix reads each of them once.
+    first, keys do not).  A size below the top is then scored, and order
+    takes in its ids by the ranks of their f and g in it.
     """
     first, rest = array("l", [-1]), array("l", [0])
     ids_by_size = [range(0), range(1)]
     size, deg, hung, s1 = [1], [1], [0], [0]
+    tables = FormTables(first, rest, deg, ids_by_size, size, hung, s1)
     order = [0]  # every id of a smaller size, in key order
-    for s in range(2, max_size):
+    for s in range(2, max_size + 1):
         for f in order:
-            d_f = deg[f]
             for g in ids_by_size[s - size[f]]:
-                if first[g] > f:
-                    continue
-                # g's root, at degree d below a parent, gains f: E(g, d + 1) =
-                # hung[g] + (d - 1)(2d + 1) + 2*S1, plus hung[f] and the roots' edge.
-                d = deg[g]
-                hung.append(hung[g] + (d - 1) * (2 * d + 1) + 2 * s1[g]
-                            + hung[f] + (d + 1 + d_f) ** 2)
-                s1.append(s1[g] + d_f)
-                first.append(f)
-                rest.append(g)
-                deg.append(d + 1)
-        ids_by_size.append(range(len(size), len(hung)))
+                if first[g] <= f:
+                    first.append(f)
+                    rest.append(g)
+        ids_by_size.append(range(len(size), len(first)))
+        if s == max_size:
+            break  # the top size keeps no scores: see FormTables
         size += [s] * len(ids_by_size[s])
+        for d, h, t in tables.scores(ids_by_size[s]):
+            deg.append(d)
+            hung.append(h)
+            s1.append(t)
         # id 0, the single vertex, stays least; one integer ranks f, then g
         rank, width = array("l", [0]) * len(hung), len(order)
         for i, x in enumerate(order):
             rank[x] = i
         order[1:] = sorted([*order[1:], *ids_by_size[s]],
                            key=lambda x: rank[first[x]] * width + rank[rest[x]])
-    if max_size > 1:
-        for f in order:
-            for g in ids_by_size[max_size - size[f]]:
-                if first[g] <= f:
-                    first.append(f)
-                    rest.append(g)
-        ids_by_size.append(range(len(size), len(first)))
-    return FormTables(first, rest, deg, ids_by_size, size, hung, s1)
+    return tables
 
 
 def star_form(pendants: int) -> Form:

@@ -516,11 +516,12 @@ def test_parser_surface_is_pinned():
 
 
 # Exit code and sha256 of stdout and stderr, with COLUMNS=80, of -h and
-# --bogus on each of the 13 parsers and of seven more usage errors, pinned
-# while every call built every parser; the same under Python 3.10.13, 3.11.7,
-# 3.12.1, 3.13.0 and 3.13.13.  3.13.13's own argparse prints an invalid
-# choice's list unquoted and reads "--" before a subcommand as a separator;
-# cli._Parser keeps the earlier releases' bytes for both.
+# --bogus on each of the 13 parsers and of eleven more usage errors, the
+# first seven pinned while every call built every parser; the same under
+# Python 3.10.13, 3.11.7, 3.12.1, 3.13.0 and 3.13.13.  3.13.13's own argparse
+# prints an invalid choice's list unquoted and reads "--" before a subcommand
+# as a separator, and 3.13's prints the help for -hx and refuses only the x
+# of -hh=x; cli._Parser keeps the earlier releases' bytes for all of them.
 EMPTY = hashlib.sha256(b"").hexdigest()
 USAGE = {
     "-h":
@@ -589,6 +590,14 @@ USAGE = {
         (2, EMPTY, "e57584f8efee18c3f4b26d5072abc27d3a87d834e02e9d5717488df0d83cad4a"),
     "verify trees 8 --bogus":
         (2, EMPTY, "4492a94ce33de3a361ecccb9412a0b1ca327b592fcd9f8fd72722417376dc431"),
+    "-hx":
+        (2, EMPTY, "eda2d82bad04b1afa5d28accc962a402b5712730d50cc338d067b5868206c3ed"),
+    "verify -hx":
+        (2, EMPTY, "71d85947d8465c30afcdde04cc8547656d401564b2a9630f243b344988381f8f"),
+    "-h=x":
+        (2, EMPTY, "eda2d82bad04b1afa5d28accc962a402b5712730d50cc338d067b5868206c3ed"),
+    "-hh=x":
+        (2, EMPTY, "ca5f17d438c70abc061639d247530a132e7c3db4a13a430eef6a18c076bc70be"),
 }
 
 

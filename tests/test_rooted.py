@@ -142,6 +142,25 @@ def test_every_id_is_its_first_child_and_rest():
                 assert deg[fid] == deg[rest[fid]] + 1
 
 
+def test_top_size_scores_are_the_next_registrys():
+    # form_tables(m) keeps no scores for its top size m; scores() derives them
+    # from each form's first and rest exactly as form_tables(m + 1) writes
+    # them, and as the plain sums over the form's children give them.
+    for m in range(2, 14):
+        tables, bigger = form_tables(m), form_tables(m + 1)
+        ids = tables.ids_by_size[m]
+        assert ids == bigger.ids_by_size[m]
+        scores = list(tables.scores(ids))
+        columns = (bigger.deg, bigger.hung, bigger.s1)
+        assert scores == list(zip(*(col[ids.start:ids.stop] for col in columns))), m
+        deg, hung = tables.deg, tables.hung
+        for fid, (d, h, s1) in zip(ids, scores):
+            kids = tables.kids(fid)
+            c = len(kids)
+            assert (d, s1) == (c + 1, sum(deg[x] for x in kids))
+            assert h == sum(hung[x] + deg[x] ** 2 for x in kids) + c * d * d + 2 * d * s1
+
+
 def test_registry_memory_is_bounded():
     # form_tables(13), unicyclic_graphs(15)'s registry, keeps no scores for
     # its 12,486 forms of 13 vertices and sorts each size by one integer key.
